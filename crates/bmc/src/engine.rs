@@ -18,11 +18,14 @@
 //!   correctness and "no spurious stall reachable from reset" become
 //!   theorems instead of sampled claims.
 //!
-//! Both unrollings share one [`ipcl_sat::Solver`] each across depths, so
+//! Both unrollings keep one [`ipcl_sat::Solver`] each across depths, so
 //! learned clauses from depth *d* accelerate depth *d+1*; the
-//! `incremental: false` option re-encodes from scratch at every depth and
-//! exists to quantify that speedup (see the `bmc` bench and
-//! `exp_bmc_depth`).
+//! `incremental: false` option re-encodes the base cases from scratch at
+//! every depth and exists to quantify that speedup (see the `bmc` bench and
+//! `exp_bmc_depth`). [`check_properties`] runs both for a whole property
+//! list at once: the unrolled transition relation is the same formula for
+//! every property, so it is encoded once and each property adds only its
+//! instance literals.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -31,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::{Lit, VarId};
 use ipcl_rtl::{InitialState, Netlist, RtlError};
-use ipcl_sat::{SatResult, Solver, SolverConfig};
+use ipcl_sat::{SatResult, Solver, SolverConfig, SolverStats};
 use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
 
 use crate::encode::{FrameEncoder, SolverSync};
@@ -78,8 +81,8 @@ pub struct BmcOptions {
     /// letting bugs that need an event-then-wait pattern surface later.
     pub quiet_cycles: usize,
     /// Reuse one incremental solver across depths (the default). `false`
-    /// re-encodes and re-solves from scratch at every depth — kept for the
-    /// ablation benchmark.
+    /// re-encodes and re-solves the base cases from scratch at every depth
+    /// — kept for the ablation benchmark.
     pub incremental: bool,
     /// Attempt a k-induction proof after each passed base depth.
     pub induction: bool,
@@ -113,20 +116,22 @@ impl BmcOptions {
     }
 }
 
-/// Aggregate statistics of one property run.
+/// Statistics of one property's own queries. The solvers of a
+/// [`check_properties`] run are shared, so the counts sum per-query
+/// [`ipcl_sat::SolverStats::delta`]s.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BmcStats {
     /// Deepest base frame encoded.
     pub depth_reached: usize,
-    /// SAT queries issued (base + induction).
+    /// SAT queries issued for this property (base + induction).
     pub solve_calls: usize,
-    /// Clauses in the base unrolling at the end of the run.
+    /// Clauses in the shared base solver at this property's last base query.
     pub base_clauses: usize,
-    /// Clauses in the induction unrolling at the end of the run.
+    /// Clauses in the shared step solver at this property's last step query.
     pub induction_clauses: usize,
-    /// Conflicts accumulated across both solvers.
+    /// Conflicts of this property's queries, across both solvers.
     pub conflicts: u64,
-    /// Propagations accumulated across both solvers.
+    /// Non-binary propagations of this property's queries, both solvers.
     pub propagations: u64,
     /// Conflicts of the **deepest base-case solve alone** (a
     /// [`ipcl_sat::SolverStats::delta`] over the incremental stream, not
@@ -212,9 +217,26 @@ impl Run {
         })
     }
 
-    /// Transfers clauses generated since the last sync into the solver.
-    fn sync_solver(&mut self) {
+    /// Transfers the clauses generated since the last call into the solver,
+    /// then solves under `assumptions`. Returns the answer with the
+    /// solver-stat delta of this query alone.
+    fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats) {
         self.sync.sync(&self.enc, &mut self.solver);
+        let before = self.solver.stats();
+        let result = self.solver.solve_under_assumptions(assumptions);
+        (result, self.solver.stats().delta(&before))
+    }
+
+    /// Folds the solver totals and the unrolling's structural-hashing
+    /// counters (`unroll.<label>.*`) into the metrics.
+    fn emit(&self, tracer: &Tracer, label: &str) {
+        if tracer.is_enabled() {
+            self.solver.stats().emit(tracer, "sat");
+            let u = self.enc.unroller().stats();
+            tracer.counter(&format!("unroll.{label}.frames"), u.frames);
+            tracer.counter(&format!("unroll.{label}.gates"), u.gates);
+            tracer.counter(&format!("unroll.{label}.cache_hits"), u.cache_hits);
+        }
     }
 }
 
@@ -250,7 +272,8 @@ pub fn missing_property_signals(
         .collect()
 }
 
-/// Checks one sequential property on `netlist` against `spec`.
+/// Checks one sequential property on `netlist` against `spec` — a
+/// one-element [`check_properties`] run.
 ///
 /// See the module docs for the algorithm. The returned counterexample (if
 /// any) is of minimal length and replays deterministically through
@@ -291,11 +314,8 @@ pub fn check_property_with_cancel(
     )
 }
 
-/// As [`check_property_with_cancel`], with an observability handle: the run
-/// executes under a `bmc.check` span (encode work under `bmc.encode`, SAT
-/// queries under the solver's own `sat.solve`), emits one `bmc_depth` event
-/// per explored depth with the per-depth solver-stats delta, and folds the
-/// unroller's structural-hashing counters into the tracer's metrics.
+/// As [`check_property_with_cancel`], with an observability handle (see
+/// [`check_properties`] for what the run records).
 pub fn check_property_traced(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -304,207 +324,212 @@ pub fn check_property_traced(
     cancel: Option<&AtomicBool>,
     tracer: &Tracer,
 ) -> Result<BmcResult, BmcError> {
+    let properties = std::slice::from_ref(property);
+    let mut results = check_properties(spec, netlist, properties, options, cancel, tracer)?;
+    Ok(results.pop().expect("one result per property"))
+}
+
+/// One property's progress through a [`check_properties`] run.
+#[derive(Default)]
+struct Track {
+    stats: BmcStats,
+    outcome: Option<BmcOutcome>,
+    /// Switches on the property's assumed `ok` instances (clauses
+    /// `¬act ∨ ok`) in the shared step solver: they hold for this property
+    /// only, so they can never be unit clauses there.
+    activation: Option<Lit>,
+}
+
+impl Track {
+    /// Folds one query's solver-stat delta into the property's stats.
+    fn record(&mut self, delta: SolverStats) {
+        self.stats.solve_calls += 1;
+        self.stats.conflicts += delta.conflicts;
+        self.stats.propagations += delta.propagations;
+    }
+}
+
+/// Decides every property of `properties` over one pair of unrollings of
+/// `netlist` — reset-rooted for the base cases, free for the inductive
+/// steps — each with one incremental solver, walked depth by depth in
+/// lockstep. At depth `d` every open property asks exactly the queries it
+/// asks alone: the base query ¬ok(d), then (if that is unsatisfiable and
+/// [`BmcOptions::induction`] is on) the step query with `k = d − first
+/// instance`. So each property keeps its verdict, induction depth and
+/// minimal trace length. Results come back in `properties` order.
+///
+/// Traced under one `bmc.check` span (frames under `bmc.encode`, queries
+/// under `sat.solve`), with a `bmc_depth` event per base query and each
+/// unrolling's `unroll.{base,induction}.*` counters emitted once.
+///
+/// # Errors
+///
+/// [`BmcError::MissingSignals`] if a property's stage has no `moe` signal
+/// in the netlist; [`BmcError::Rtl`] if the netlist does not elaborate.
+pub fn check_properties(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    properties: &[SequentialProperty],
+    options: &BmcOptions,
+    cancel: Option<&AtomicBool>,
+    tracer: &Tracer,
+) -> Result<Vec<BmcResult>, BmcError> {
     let _span = tracer.span("bmc.check");
-    let missing = missing_property_signals(spec, netlist, property);
+    let mut missing: Vec<String> = properties
+        .iter()
+        .flat_map(|property| missing_property_signals(spec, netlist, property))
+        .collect();
+    missing.sort();
+    missing.dedup();
     if !missing.is_empty() {
         return Err(BmcError::MissingSignals(missing));
     }
 
+    // The depths each property is checked at.
+    let window = |property: &SequentialProperty| {
+        let first = property.latency.first_instance();
+        first..=options.max_depth.max(first)
+    };
+    let (Some(start), Some(end)) = (
+        properties.iter().map(|p| *window(p).start()).min(),
+        properties.iter().map(|p| *window(p).end()).max(),
+    ) else {
+        return Ok(Vec::new());
+    };
+
     let moe_vars: BTreeSet<VarId> = spec.moe_vars().into_iter().collect();
-    let mut stats = BmcStats::default();
-
-    // Folds a run's solver totals and its unrolling's structural-hashing
-    // counters into the metrics (called once per run on every exit path
-    // that owns the run).
-    let emit_run = |label: &str, run: &Run| {
-        if tracer.is_enabled() {
-            run.solver.stats().emit(tracer, "sat");
-            let u = run.enc.unroller().stats();
-            tracer.counter(&format!("unroll.{label}.frames"), u.frames);
-            tracer.counter(&format!("unroll.{label}.gates"), u.gates);
-            tracer.counter(&format!("unroll.{label}.cache_hits"), u.cache_hits);
-        }
-    };
-
-    let mut base = if options.incremental {
-        Some(Run::new(netlist, InitialState::Reset, options, tracer)?)
-    } else {
-        None
-    };
-    let mut induction: Option<Run> = None;
-    // `ok` literals of instances already assumed in the induction unrolling.
-    let mut induction_assumed: Vec<Lit> = Vec::new();
+    let mut tracks: Vec<Track> = properties.iter().map(|_| Track::default()).collect();
+    let mut base = Run::new(netlist, InitialState::Reset, options, tracer)?;
+    let mut step: Option<Run> = None;
     // Live-progress beats, once per depth at most (rate-limited): a deep
     // unrolling announces how far it has come while still running.
     let mut heartbeat = Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS);
 
-    let first = property.latency.first_instance();
-    for moe_frame in first..=options.max_depth.max(first) {
-        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+    for depth in start..=end {
+        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
+            || tracks.iter().all(|track| track.outcome.is_some())
+        {
             break;
         }
-        stats.depth_reached = moe_frame;
         if heartbeat.due(tracer) {
+            let solve_calls: usize = tracks.iter().map(|t| t.stats.solve_calls).sum();
             tracer.event(
                 "heartbeat",
                 &[
                     ("engine", Value::from("bmc")),
-                    ("depth", Value::U64(moe_frame as u64)),
+                    ("depth", Value::U64(depth as u64)),
                     ("max_depth", Value::U64(options.max_depth as u64)),
-                    ("solve_calls", Value::U64(stats.solve_calls as u64)),
+                    ("solve_calls", Value::U64(solve_calls as u64)),
                 ],
             );
         }
-
-        // ---- Base case: a reset-rooted violation at exactly this depth?
-        let base_result = if let Some(run) = base.as_mut() {
-            {
-                let _encode = tracer.span("bmc.encode");
-                run.enc.ensure_frames(moe_frame + 1);
-            }
-            let ok = run
-                .enc
-                .encode_instance(spec, &moe_vars, property, moe_frame);
-            run.sync_solver();
-            stats.solve_calls += 1;
-            let before = run.solver.stats();
-            let result = run.solver.solve_under_assumptions(&[ok.negated()]);
-            let depth_delta = run.solver.stats().delta(&before);
-            stats.last_depth_conflicts = depth_delta.conflicts;
-            stats.last_depth_propagations =
-                depth_delta.propagations + depth_delta.binary_propagations;
-            stats.base_clauses = run.solver.num_clauses();
-            result
-        } else {
-            // From-scratch mode: fresh unrolling and solver per depth.
-            let mut run = Run::new(netlist, InitialState::Reset, options, tracer)?;
-            {
-                let _encode = tracer.span("bmc.encode");
-                run.enc.ensure_frames(moe_frame + 1);
-            }
-            let ok = run
-                .enc
-                .encode_instance(spec, &moe_vars, property, moe_frame);
-            run.enc.unroller_mut().add_clause([ok.negated()]);
-            run.sync_solver();
-            stats.solve_calls += 1;
-            let result = run.solver.solve();
-            stats.base_clauses = run.solver.num_clauses();
-            let scratch = run.solver.stats();
-            stats.conflicts += scratch.conflicts;
-            stats.propagations += scratch.propagations;
-            // A fresh solver per depth: its totals are the per-depth delta.
-            stats.last_depth_conflicts = scratch.conflicts;
-            stats.last_depth_propagations = scratch.propagations + scratch.binary_propagations;
-            if result.is_sat() {
-                base = Some(run); // keep for trace decoding below
-            } else {
-                emit_run("base", &run);
-            }
-            result
-        };
-        tracer.event(
-            "bmc_depth",
-            &[
-                ("depth", Value::U64(moe_frame as u64)),
-                ("sat", Value::Bool(base_result.is_sat())),
-                ("conflicts", Value::U64(stats.last_depth_conflicts)),
-                ("propagations", Value::U64(stats.last_depth_propagations)),
-            ],
-        );
-
-        if let SatResult::Sat(model) = base_result {
-            let run = base.as_ref().expect("sat base run is retained");
-            let frames = run.enc.decode_trace(spec, &model, moe_frame + 1);
-            let counterexample = Counterexample {
-                property: property.name.clone(),
-                frames,
-                violation_frame: moe_frame,
-            };
-            // Scratch mode already recorded this solver's stats above.
-            if options.incremental {
-                if let Some(run) = base {
-                    stats.conflicts += run.solver.stats().conflicts;
-                    stats.propagations += run.solver.stats().propagations;
-                    emit_run("base", &run);
-                }
-            } else if let Some(run) = base {
-                emit_run("base", &run);
-            }
-            return Ok(BmcResult {
-                property: property.clone(),
-                outcome: BmcOutcome::Falsified(counterexample),
-                stats,
-            });
+        if !options.incremental && depth > start {
+            // The scratch ablation: a fresh reset-rooted unrolling per depth.
+            base.emit(tracer, "base");
+            base = Run::new(netlist, InitialState::Reset, options, tracer)?;
         }
 
-        // ---- Inductive step: k = number of assumed prior instances.
-        if options.induction {
-            let run = match induction.as_mut() {
+        for (property, track) in properties.iter().zip(&mut tracks) {
+            if track.outcome.is_some() || !window(property).contains(&depth) {
+                continue;
+            }
+            track.stats.depth_reached = depth;
+
+            // ---- Base case: a reset-rooted violation at exactly this depth?
+            {
+                let _encode = tracer.span("bmc.encode");
+                base.enc.ensure_frames(depth + 1);
+            }
+            let ok = base.enc.encode_instance(spec, &moe_vars, property, depth);
+            let (result, delta) = base.solve(&[ok.negated()]);
+            track.record(delta);
+            track.stats.base_clauses = base.solver.num_clauses();
+            track.stats.last_depth_conflicts = delta.conflicts;
+            track.stats.last_depth_propagations = delta.propagations + delta.binary_propagations;
+            if tracer.is_enabled() {
+                tracer.event(
+                    "bmc_depth",
+                    &[
+                        ("property", Value::from(property.name.clone())),
+                        ("depth", Value::U64(depth as u64)),
+                        ("sat", Value::Bool(result.is_sat())),
+                        ("conflicts", Value::U64(delta.conflicts)),
+                        (
+                            "propagations",
+                            Value::U64(track.stats.last_depth_propagations),
+                        ),
+                    ],
+                );
+            }
+            if let SatResult::Sat(model) = result {
+                track.outcome = Some(BmcOutcome::Falsified(Counterexample {
+                    property: property.name.clone(),
+                    frames: base.enc.decode_trace(spec, &model, depth + 1),
+                    violation_frame: depth,
+                }));
+                continue;
+            }
+            if !options.induction {
+                continue;
+            }
+
+            // ---- Inductive step: k = depth − first instance.
+            let run = match step.as_mut() {
                 Some(run) => run,
-                None => {
-                    induction = Some(Run::new(netlist, InitialState::Free, options, tracer)?);
-                    induction.as_mut().expect("just created")
-                }
+                None => step.insert(Run::new(netlist, InitialState::Free, options, tracer)?),
             };
-            let k = induction_assumed.len();
-            let step_frame = first + k;
-            {
-                let _encode = tracer.span("bmc.encode");
-                run.enc.ensure_frames(step_frame + 1);
-            }
-            // Loop-free path: the new state must differ from all earlier
-            // states (no-op for stateless netlists).
-            for earlier in 0..step_frame {
-                if let Some(diff) = run.enc.unroller_mut().state_difference(earlier, step_frame) {
-                    run.enc.unroller_mut().add_clause([diff]);
+            // Loop-free path: each new state differs from all earlier ones.
+            for frame in run.enc.unroller().num_frames()..=depth {
+                {
+                    let _encode = tracer.span("bmc.encode");
+                    run.enc.ensure_frames(frame + 1);
+                }
+                for earlier in 0..frame {
+                    if let Some(diff) = run.enc.unroller_mut().state_difference(earlier, frame) {
+                        run.enc.unroller_mut().add_clause([diff]);
+                    }
                 }
             }
-            let ok = run
-                .enc
-                .encode_instance(spec, &moe_vars, property, step_frame);
-            run.sync_solver();
-            stats.solve_calls += 1;
-            let result = run.solver.solve_under_assumptions(&[ok.negated()]);
-            stats.induction_clauses = run.solver.num_clauses();
+            // Soundness: a loop-free constraint on a frame beyond `depth`
+            // could make a falsifiable step unsatisfiable — a false proof.
+            // Lockstep grows the free unrolling only after every step query
+            // of the previous depth.
+            debug_assert_eq!(run.enc.unroller().num_frames(), depth + 1);
+            let ok = run.enc.encode_instance(spec, &moe_vars, property, depth);
+            let activation = *track
+                .activation
+                .get_or_insert_with(|| run.enc.unroller_mut().fresh_lit());
+            let (result, delta) = run.solve(&[activation, ok.negated()]);
+            track.record(delta);
+            track.stats.induction_clauses = run.solver.num_clauses();
             if result == SatResult::Unsat {
-                stats.conflicts += run.solver.stats().conflicts;
-                stats.propagations += run.solver.stats().propagations;
-                emit_run("induction", run);
-                if let Some(run) = base {
-                    stats.conflicts += run.solver.stats().conflicts;
-                    stats.propagations += run.solver.stats().propagations;
-                    emit_run("base", &run);
-                }
-                return Ok(BmcResult {
-                    property: property.clone(),
-                    outcome: BmcOutcome::Proved { induction_depth: k },
-                    stats,
+                track.outcome = Some(BmcOutcome::Proved {
+                    induction_depth: depth - property.latency.first_instance(),
                 });
+            } else {
+                // The step failed: assume this instance and deepen.
+                run.enc
+                    .unroller_mut()
+                    .add_clause([activation.negated(), ok]);
             }
-            // The step failed: assume this instance and deepen.
-            run.enc.unroller_mut().add_clause([ok]);
-            induction_assumed.push(ok);
         }
     }
 
-    if let Some(run) = base {
-        stats.conflicts += run.solver.stats().conflicts;
-        stats.propagations += run.solver.stats().propagations;
-        emit_run("base", &run);
+    base.emit(tracer, "base");
+    if let Some(run) = &step {
+        run.emit(tracer, "induction");
     }
-    if let Some(run) = induction {
-        stats.conflicts += run.solver.stats().conflicts;
-        stats.propagations += run.solver.stats().propagations;
-        emit_run("induction", &run);
-    }
-    Ok(BmcResult {
-        property: property.clone(),
-        outcome: BmcOutcome::Unknown {
-            depth_checked: stats.depth_reached,
-        },
-        stats,
-    })
+    Ok(properties
+        .iter()
+        .zip(tracks)
+        .map(|(property, track)| BmcResult {
+            property: property.clone(),
+            outcome: track.outcome.unwrap_or(BmcOutcome::Unknown {
+                depth_checked: track.stats.depth_reached,
+            }),
+            stats: track.stats,
+        })
+        .collect())
 }
 
 /// Report of a per-stage stall-escape (deadlock/livelock) check.
@@ -564,7 +589,6 @@ pub fn check_stall_escape(
             run.enc.unroller_mut().add_clause([lit.negated()]);
         }
     }
-    run.sync_solver();
 
     let mut reports = Vec::new();
     for stage in spec.stages() {
@@ -579,7 +603,7 @@ pub fn check_stall_escape(
         let stalled: Vec<Lit> = (0..=escape_cycles)
             .map(|frame| run.enc.unroller().lit(frame, signal).negated())
             .collect();
-        let report = match run.solver.solve_under_assumptions(&stalled) {
+        let report = match run.solve(&stalled).0 {
             SatResult::Unsat => StallEscapeReport {
                 stage: stage.stage.prefix(),
                 escapable: true,

@@ -13,14 +13,16 @@
 //!   [`Counterexample`]; **k-induction** (base cases + loop-free inductive
 //!   step) returns a proof valid for *all* cycles, not just the unrolled
 //!   ones.
+//! * [`engine::check_properties`] decides a whole property list that way
+//!   over one shared pair of unrollings, encoding the netlist once.
 //! * [`engine::check_stall_escape`] proves the absence of deadlock/livelock:
 //!   from any state in which a stage is stalled, an idle environment
 //!   releases the stall within a bounded number of cycles.
 //!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`,
-//! which builds the property portfolio, runs the checks in parallel and
-//! combines them with the reset-value check and a random-simulation
-//! pre-pass.
+//! which builds the property portfolio, decides it with one
+//! [`engine::check_properties`] run and combines the results with the
+//! reset-value check and a random-simulation pre-pass.
 //!
 //! # Example
 //!
@@ -47,9 +49,9 @@ pub mod trace;
 
 pub use encode::{FrameEncoder, SolverSync};
 pub use engine::{
-    check_property, check_property_traced, check_property_with_cancel, check_stall_escape,
-    missing_moe_signals, missing_property_signals, BmcError, BmcOptions, BmcOutcome, BmcResult,
-    BmcStats, StallEscapeReport,
+    check_properties, check_property, check_property_traced, check_property_with_cancel,
+    check_stall_escape, missing_moe_signals, missing_property_signals, BmcError, BmcOptions,
+    BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
 pub use trace::{Counterexample, Replay};

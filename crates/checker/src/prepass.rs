@@ -26,7 +26,7 @@ use rand::{RngCore, SeedableRng};
 use ipcl_bitsim::{eval_expr_word, BitSimulator, LANES};
 use ipcl_bmc::{Counterexample, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::FunctionalSpec;
-use ipcl_expr::VarId;
+use ipcl_expr::{Expr, VarId};
 use ipcl_rtl::{Netlist, RtlError, SignalId, SignalKind};
 
 use crate::sequential::DynamicViolation;
@@ -76,8 +76,8 @@ impl BitSweep {
 
     /// The violations in the interpreter sweep's vocabulary (one
     /// [`DynamicViolation`] per violated cycle/stage/direction, lane
-    /// multiplicity dropped) — what the sequential checker's
-    /// property-prioritisation consumes.
+    /// multiplicity dropped) — what the sequential checker reports as its
+    /// pre-pass violations.
     pub fn dynamic_violations(&self) -> Vec<DynamicViolation> {
         self.violations
             .iter()
@@ -139,8 +139,17 @@ pub fn random_falsification_bitsim(
         .map(|stage| netlist.find(&pool.name_or_fallback(stage.moe)))
         .collect();
     let properties = SequentialProperty::both_directions(spec, Latency::Combinational);
+    let conditions: Vec<Expr> = spec.stages().iter().map(|s| s.condition()).collect();
 
-    // Per-cycle environment words, for lane extraction.
+    // This cycle's words by variable id (0 where undriven), and every
+    // cycle's environment words, for lane extraction.
+    let slots = env_vars
+        .iter()
+        .chain(&spec.moe_vars())
+        .map(|var| var.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut words = vec![0u64; slots];
     let mut history: Vec<Vec<(VarId, u64)>> = Vec::with_capacity(cycles as usize);
     let mut extracted: BTreeSet<(String, bool)> = BTreeSet::new();
     let mut violations = Vec::new();
@@ -150,11 +159,11 @@ pub fn random_falsification_bitsim(
         // 64 random environments at once: every lane of every word is an
         // independent coin flip. Inputs are driven deferred; the first moe
         // read below pays the single combinational settle.
-        let mut words: BTreeMap<VarId, u64> = BTreeMap::new();
+        words.fill(0);
         let mut frame = Vec::with_capacity(env_vars.len());
         for &(var, signal) in &driven {
             let word = rng.next_u64();
-            words.insert(var, word);
+            words[var.index()] = word;
             frame.push((var, word));
             if let Some(signal) = signal {
                 sim.set_input_word(signal, word);
@@ -165,17 +174,18 @@ pub fn random_falsification_bitsim(
         // sweep's `moe.get(v).or(env.get(v))` lookup.
         for (stage, &signal) in spec.stages().iter().zip(&moe_signals) {
             if let Some(signal) = signal {
-                words.insert(stage.moe, sim.value_word(signal));
+                words[stage.moe.index()] = sim.value_word(signal);
             }
         }
 
-        let lookup = |v: VarId| words.get(&v).copied().unwrap_or(0);
-        for (stage, &signal) in spec.stages().iter().zip(&moe_signals) {
+        let lookup = |v: VarId| words[v.index()];
+        for ((stage, &signal), condition) in spec.stages().iter().zip(&moe_signals).zip(&conditions)
+        {
             if signal.is_none() {
                 continue;
             }
-            let moving = words[&stage.moe];
-            let condition = eval_expr_word(&stage.condition(), lookup);
+            let moving = words[stage.moe.index()];
+            let condition = eval_expr_word(condition, lookup);
             for (functional, lanes) in [(true, condition & moving), (false, !moving & !condition)] {
                 if lanes == 0 {
                     continue;

@@ -16,14 +16,16 @@
 //! proves every stall state escapable, and folds in the reset check.
 //! Counterexamples replay deterministically through the simulator and PDR
 //! certificates pass independent SAT validation before a verdict is
-//! reported. Properties are checked in parallel, one OS thread per property
-//! (a portfolio race uses two).
+//! reported. k-induction decides the whole portfolio in one
+//! [`ipcl_bmc::check_properties`] run over one shared pair of unrollings;
+//! PDR and the portfolio race check properties in parallel, one OS thread
+//! per property (a race uses two).
 //!
 //! [`random_falsification`] remains as a cheap dynamic pre-pass: it drives
 //! the implementation with random environment vectors and evaluates the
 //! assertions on every cycle. `check_netlist_sequential` runs it first and
-//! uses its (unsound but fast) verdicts to prioritise which properties to
-//! attack; its violations are reported alongside the exhaustive results.
+//! reports its (unsound but fast) violations alongside the exhaustive
+//! results.
 
 use std::collections::BTreeMap;
 
@@ -31,8 +33,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ipcl_bmc::{
-    check_property_traced, check_stall_escape, BmcError, BmcOptions, BmcOutcome, BmcResult,
-    BmcStats, Latency, SequentialProperty, StallEscapeReport,
+    check_properties, check_property_traced, check_stall_escape, BmcError, BmcOptions, BmcOutcome,
+    BmcResult, BmcStats, Latency, SequentialProperty, StallEscapeReport,
 };
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
@@ -246,7 +248,8 @@ pub struct SequentialOptions {
     /// used. `true` by default; disable to fall back to the interpreted
     /// [`random_falsification`] sweep.
     pub bitsim: bool,
-    /// Check every property on its own OS thread.
+    /// Check every property on its own OS thread under PDR and the
+    /// portfolio. k-induction decides the whole portfolio in one run.
     pub parallel: bool,
     /// Run the per-stage stall-escape (deadlock/livelock) proof.
     pub deadlock: bool,
@@ -351,7 +354,7 @@ impl SequentialReport {
 /// Exhaustive sequential verification of a netlist implementation against
 /// the specification: BMC falsification + k-induction proof per stage and
 /// direction, stall-escape proofs and the reset check, with the random sweep
-/// as a prioritising pre-pass. See the module docs.
+/// as a pre-pass. See the module docs.
 ///
 /// Every returned counterexample has been replayed through
 /// [`ipcl_rtl::Simulator`] and reproduced its violation (this is asserted
@@ -388,12 +391,11 @@ pub fn check_netlist_sequential_with(
         .unwrap_or_else(|| Latency::detect(spec, netlist));
 
     // Cheap dynamic pre-pass: unsound, but when it finds a violation the
-    // corresponding property is almost certainly falsifiable — check those
-    // first so (in sequential mode) counterexamples surface early. The
-    // random sweep evaluates assertions combinationally (moe and env in the
-    // same cycle), so at registered latency its verdicts would be
-    // systematically wrong (every correct registered implementation "fails"
-    // by one cycle of lag) — skip it there.
+    // corresponding property is almost certainly falsifiable. The random
+    // sweep evaluates assertions combinationally (moe and env in the same
+    // cycle), so at registered latency its verdicts would be systematically
+    // wrong (every correct registered implementation "fails" by one cycle
+    // of lag) — skip it there.
     let prepass_violations = if options.prepass_cycles > 0 && latency == Latency::Combinational {
         if options.bitsim {
             // Compiled 64-lane sweep: 64× the scenario coverage per cycle,
@@ -428,40 +430,27 @@ pub fn check_netlist_sequential_with(
     } else {
         Vec::new()
     };
-    let flagged: Vec<(String, bool)> = prepass_violations
-        .iter()
-        .map(|v| (v.stage.clone(), v.functional))
-        .collect();
-
-    let mut properties = SequentialProperty::both_directions(spec, latency);
-    properties.sort_by_key(|p| {
-        let hit = flagged.iter().any(|(stage, functional)| {
-            *stage == p.stage && *functional == matches!(p.kind, ipcl_bmc::PropertyKind::Functional)
-        });
-        // Flagged properties first.
-        !hit
-    });
-
-    let checked: Vec<(BmcResult, Option<Certificate>)> = if options.parallel {
-        std::thread::scope(|scope| {
-            let tracer = &tracer;
+    let properties = SequentialProperty::both_directions(spec, latency);
+    let job = |property| check_property_job(spec, netlist, property, options, None, &tracer);
+    let checked: Vec<(BmcResult, Option<Certificate>)> = match options.strategy {
+        // One shared pair of unrollings decides the whole portfolio.
+        ProofStrategy::KInduction => {
+            check_properties(spec, netlist, &properties, &options.bmc, None, &tracer)?
+                .into_iter()
+                .map(|result| (result, None))
+                .collect()
+        }
+        _ if options.parallel => std::thread::scope(|scope| {
             let handles: Vec<_> = properties
                 .iter()
-                .map(|property| {
-                    let opts = *options;
-                    scope.spawn(move || check_one_property(spec, netlist, property, &opts, tracer))
-                })
+                .map(|property| scope.spawn(move || job(property)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("property checker thread panicked"))
                 .collect::<Result<Vec<_>, _>>()
-        })?
-    } else {
-        properties
-            .iter()
-            .map(|property| check_one_property(spec, netlist, property, options, &tracer))
-            .collect::<Result<Vec<_>, _>>()?
+        })?,
+        _ => properties.iter().map(job).collect::<Result<Vec<_>, _>>()?,
     };
     let mut certificates = BTreeMap::new();
     let mut results = Vec::with_capacity(checked.len());
@@ -519,19 +508,6 @@ pub fn check_netlist_sequential_with(
     })
 }
 
-/// Decides one property with the configured [`ProofStrategy`], folding PDR
-/// verdicts into the BMC result vocabulary and returning the certificate
-/// when the proof came from PDR.
-fn check_one_property(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &SequentialOptions,
-    tracer: &Tracer,
-) -> Result<(BmcResult, Option<Certificate>), BmcError> {
-    check_property_job(spec, netlist, property, options, None, tracer)
-}
-
 /// The job-oriented single-property entry point: decides `property` with
 /// the configured [`ProofStrategy`], with an optional **cancellation
 /// token** the owner can raise at any time — the engines poll it between
@@ -541,8 +517,9 @@ fn check_one_property(
 ///
 /// This is what a job server (`ipcl-serve`) schedules onto its worker
 /// pool: one call per queued (netlist, property) pair, one token per job.
-/// [`check_netlist_sequential_with`] is this function mapped over the full
-/// property portfolio without a token.
+/// [`check_netlist_sequential_with`] gives every property of the full
+/// portfolio the verdict this function gives it (under k-induction, from
+/// one shared [`ipcl_bmc::check_properties`] run).
 ///
 /// Returns the folded [`BmcResult`] plus the validated certificate when
 /// the proof came from PDR.

@@ -5,11 +5,12 @@
 //! structure — grouped by the structural digest of the netlist pinned on
 //! the *union* of the group's property variables, so grouping follows the
 //! shared cone of influence rather than textual identity — are attacked
-//! together with a single reset-rooted [`FrameEncoder`] and one incremental
-//! SAT solver: every property contributes one assumption literal per frame,
-//! and the transition-relation clauses (the bulk of the CNF) are encoded
-//! once instead of once per job. This bounded sweep settles the cheap
-//! outcomes:
+//! together by one base-only [`ipcl_bmc::check_properties`] run: a single
+//! reset-rooted unrolling and one incremental SAT solver, where every
+//! property contributes one assumption literal per frame and the
+//! transition-relation clauses (the bulk of the CNF) are encoded once
+//! instead of once per job. The checker's k-induction uses the same run.
+//! This bounded sweep settles the cheap outcomes:
 //!
 //! * **cache hits** are served exactly as on the single-job path
 //!   (revalidated, never trusted);
@@ -35,10 +36,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use ipcl_bitsim::{eval_expr_word, BitSimulator, LANES};
-use ipcl_bmc::{Counterexample, FrameEncoder, SequentialProperty, SolverSync};
+use ipcl_bmc::{check_properties, BmcOptions, BmcOutcome, Counterexample, SequentialProperty};
 use ipcl_expr::VarId;
-use ipcl_rtl::{structural_digest, InitialState, SignalId, SignalKind};
-use ipcl_sat::{SatResult, Solver, SolverConfig};
+use ipcl_rtl::{structural_digest, SignalId, SignalKind};
 use ipcl_trace::{MetricSink, Tracer, Value};
 
 use rand::rngs::StdRng;
@@ -179,56 +179,25 @@ fn presolve_group(
         );
     }
 
-    // Pass 3: the shared bounded falsification sweep over one encoder and
-    // one incremental solver. Encoded against the representative's spec and
-    // netlist — members share the structural digest, and each trace is
-    // replay-verified against its own job before being served, so a
-    // colliding-but-different member can cost a wasted query, never a wrong
-    // verdict.
-    if depth > 0 && !sweep.is_empty() {
-        if let Ok(mut enc) = FrameEncoder::new(&representative.netlist, InitialState::Reset, 0) {
-            let moe_vars: BTreeSet<_> = representative.spec.moe_vars().into_iter().collect();
-            let mut solver = Solver::with_config(0, SolverConfig::default());
-            let mut sync = SolverSync::default();
-            for frame in 0..depth {
-                enc.ensure_frames(frame + 1);
-                for (slot, (index, property)) in sweep.iter().enumerate() {
-                    if settled[slot] || frame < property.latency.first_instance() {
-                        continue;
-                    }
-                    let bad = enc
-                        .encode_instance(&representative.spec, &moe_vars, property, frame)
-                        .negated();
-                    sync.sync(&enc, &mut solver);
-                    if let SatResult::Sat(model) = solver.solve_under_assumptions(&[bad]) {
-                        let frames = enc.decode_trace(&representative.spec, &model, frame + 1);
-                        let counterexample = Counterexample {
-                            property: property.name.clone(),
-                            frames,
-                            violation_frame: frame,
-                        };
-                        let job = &jobs[*index];
-                        let reproduced = counterexample
-                            .replay(&job.spec, &job.netlist, property)
-                            .map(|replay| replay.violation_reproduced)
-                            .unwrap_or(false);
-                        if reproduced {
-                            let outcome = JobOutcome {
-                                property: property.name.clone(),
-                                verdict: Verdict::Falsified,
-                                detail: format!("trace_frames={}", counterexample.length()),
-                                cached: false,
-                                certificate: None,
-                                counterexample: Some(counterexample),
-                            };
-                            cache.record_miss();
-                            tracer.counter("serve.cache.misses", 1);
-                            cache.store(&cache_key(&job.spec, &job.netlist, property), &outcome);
-                            resolved.push((*index, outcome));
-                            settled[slot] = true;
-                        }
-                    }
-                }
+    // Pass 3: the shared bounded falsification sweep — one base-only
+    // `check_properties` run against the representative's spec and netlist.
+    // Members share the structural digest, and each trace is replay-verified
+    // against its own job before being served, so a colliding-but-different
+    // member can cost a wasted query, never a wrong verdict.
+    let open: Vec<usize> = (0..sweep.len()).filter(|&slot| !settled[slot]).collect();
+    if depth > 0 && !open.is_empty() {
+        let properties: Vec<_> = open.iter().map(|&slot| sweep[slot].1.clone()).collect();
+        let options = BmcOptions {
+            max_depth: depth - 1,
+            quiet_cycles: 0,
+            induction: false,
+            ..BmcOptions::default()
+        };
+        let (spec, netlist) = (&representative.spec, &representative.netlist);
+        let results = check_properties(spec, netlist, &properties, &options, None, tracer);
+        for (slot, result) in open.into_iter().zip(results.unwrap_or_default()) {
+            if let BmcOutcome::Falsified(cex) = result.outcome {
+                settled[slot] = serve_trace(jobs, &sweep[slot], cex, cache, tracer, resolved);
             }
         }
     }
@@ -237,6 +206,40 @@ fn presolve_group(
             unresolved.push(*index);
         }
     }
+}
+
+/// Serves a candidate trace for sweep entry `(index, property)` if it
+/// replays against job `index`'s own spec and netlist: the outcome is
+/// recorded as a cache miss, stored, and pushed onto `resolved`. Returns
+/// whether it was served.
+fn serve_trace(
+    jobs: &[Arc<JobRequest>],
+    (index, property): &(usize, SequentialProperty),
+    counterexample: Counterexample,
+    cache: &ProofCache,
+    tracer: &Tracer,
+    resolved: &mut Vec<(usize, JobOutcome)>,
+) -> bool {
+    let job = &jobs[*index];
+    let reproduced = counterexample
+        .replay(&job.spec, &job.netlist, property)
+        .is_ok_and(|replay| replay.violation_reproduced);
+    if !reproduced {
+        return false;
+    }
+    let outcome = JobOutcome {
+        property: property.name.clone(),
+        verdict: Verdict::Falsified,
+        detail: format!("trace_frames={}", counterexample.length()),
+        cached: false,
+        certificate: None,
+        counterexample: Some(counterexample),
+    };
+    cache.record_miss();
+    tracer.counter("serve.cache.misses", 1);
+    cache.store(&cache_key(&job.spec, &job.netlist, property), &outcome);
+    resolved.push((*index, outcome));
+    true
 }
 
 /// Deterministic seed of the batch fuzz sweep (the stage is a pure
@@ -311,7 +314,7 @@ fn fuzz_group(
             .map(|(&var, &signal)| (var, sim.value_word(signal)))
             .collect();
 
-        for (slot, (index, property)) in sweep.iter().enumerate() {
+        for (slot, (_, property)) in sweep.iter().enumerate() {
             if settled[slot] || frame < property.latency.first_instance() {
                 continue;
             }
@@ -341,28 +344,10 @@ fn fuzz_group(
                 frames,
                 violation_frame: frame,
             };
-            let job = &jobs[*index];
-            let reproduced = counterexample
-                .replay(&job.spec, &job.netlist, property)
-                .map(|replay| replay.violation_reproduced)
-                .unwrap_or(false);
-            if !reproduced {
-                continue;
+            if serve_trace(jobs, &sweep[slot], counterexample, cache, tracer, resolved) {
+                settled[slot] = true;
+                fuzz_settled += 1;
             }
-            let outcome = JobOutcome {
-                property: property.name.clone(),
-                verdict: Verdict::Falsified,
-                detail: format!("trace_frames={}", counterexample.length()),
-                cached: false,
-                certificate: None,
-                counterexample: Some(counterexample),
-            };
-            cache.record_miss();
-            tracer.counter("serve.cache.misses", 1);
-            cache.store(&cache_key(&job.spec, &job.netlist, property), &outcome);
-            resolved.push((*index, outcome));
-            settled[slot] = true;
-            fuzz_settled += 1;
         }
         sim.step();
     }

@@ -1,19 +1,34 @@
 //! A disabled tracer must be free on the hot path: no events, no
 //! snapshots — and no heap allocations at all from the recording calls.
 //! The allocation check uses a counting global allocator, so this test
-//! lives in its own integration-test binary.
+//! lives in its own integration-test binary. The harness runs the tests on
+//! parallel threads, so the count is kept per thread: a test sees only its
+//! own allocations, never another test's set-up.
 
 use ipcl_trace::{MetricSink, TraceConfig, Tracer, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading it never
+    // allocates (which would recurse into the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -22,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,7 +56,7 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
         tracer.event("warmup", &[("i", Value::U64(0))]);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         let _solve = tracer.span("sat.solve");
         tracer.event("solver_restart", &[("conflicts", Value::U64(i))]);
@@ -49,7 +64,7 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
         tracer.gauge("depth", i as f64);
         let _inner = tracer.span("sat.propagate");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -69,13 +84,13 @@ fn config_disabled_tracer_is_also_allocation_free() {
     {
         let _span = tracer.span("warmup");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1_000u64 {
         let _span = tracer.span("bmc.check");
         tracer.event("bmc_depth", &[("depth", Value::U64(i))]);
         tracer.counter("bmc.solve_calls", 1);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(after - before, 0);
     assert_eq!(tracer.event_count(), 0);
 }
