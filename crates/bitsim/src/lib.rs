@@ -17,10 +17,10 @@
 //! per-lane input injection and per-lane output extraction, so a sweep
 //! driver can retire and restart scenarios lane by lane.
 //!
-//! **Oracle discipline.** The interpreter stays authoritative: every
-//! consumer of bit-parallel verdicts (the checker's falsification
-//! pre-pass, the serve batch fuzzer) extracts the violating lane into a
-//! standard counterexample and replays it gate-by-gate through
+//! **Oracle discipline.** The interpreter stays authoritative: the lane
+//! fuzzer (`ipcl_bmc::fuzz`) extracts each violating lane into a standard
+//! counterexample, and its callers (the sequential checker, the serve
+//! batch pre-solver) replay it gate-by-gate through
 //! [`ipcl_rtl::Simulator`] before reporting anything. The differential
 //! test suite (`tests/differential.rs`) additionally asserts bit-identical
 //! per-cycle values across all 64 lanes on random netlists and the full

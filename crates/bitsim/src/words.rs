@@ -1,10 +1,10 @@
 //! Bit-parallel evaluation of boolean expressions over `u64` words.
 //!
-//! The sweep drivers (the checker's bit-parallel falsification pre-pass,
-//! the serve batch fuzzer) evaluate specification expressions — stall
-//! conditions, sequential properties — against simulator words: every
-//! variable is looked up as a 64-lane word and the connectives apply
-//! bitwise, so one evaluation decides the expression in all 64 scenarios.
+//! The lane fuzzer (`ipcl_bmc::fuzz`) evaluates specification expressions
+//! — sequential properties over stall conditions and `moe` flags — against
+//! simulator words: every variable is looked up as a 64-lane word and the
+//! connectives apply bitwise, so one evaluation decides the expression in
+//! all 64 scenarios.
 
 use ipcl_expr::{Expr, VarId};
 

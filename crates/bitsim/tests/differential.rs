@@ -173,8 +173,8 @@ fn interlock_variant_matrix_is_bit_identical() {
 
 /// Lane extraction round-trip: record one lane's bits out of a word-driven
 /// run, replay them through a fresh interpreter, and require the same
-/// values the lane showed — the exact discipline the checker's pre-pass
-/// uses to turn a violating lane into a trustworthy counterexample trace.
+/// values the lane showed — the exact discipline the lane fuzzer's callers
+/// use to turn a violating lane into a trustworthy counterexample trace.
 #[test]
 fn extracted_lane_traces_replay_through_the_interpreter() {
     let spec = ExampleArch::new().functional_spec();

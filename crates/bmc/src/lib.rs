@@ -19,10 +19,15 @@
 //!   from any state in which a stage is stalled, an idle environment
 //!   releases the stall within a bounded number of cycles.
 //!
+//! * [`trace::fuzz`] searches for counterexamples by random simulation on
+//!   the compiled 64-lane simulator of `ipcl-bitsim`, with replay's
+//!   sampling; its candidates are replayed before anyone reports them.
+//!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`,
 //! which builds the property portfolio, decides it with one
-//! [`engine::check_properties`] run and combines the results with the
-//! reset-value check and a random-simulation pre-pass.
+//! [`engine::check_properties`] run (or, under PDR and the portfolio race,
+//! a fuzz and then one engine run per remaining property) and combines the
+//! results with the stall-escape and reset-value checks.
 //!
 //! # Example
 //!
@@ -54,7 +59,7 @@ pub use engine::{
     BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
-pub use trace::{Counterexample, Replay};
+pub use trace::{fuzz, Counterexample, Replay};
 
 // Re-exported so callers can name the netlist type without a direct
 // `ipcl-rtl` dependency.

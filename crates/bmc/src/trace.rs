@@ -1,4 +1,4 @@
-//! Typed counterexample traces and deterministic replay.
+//! Typed counterexample traces, deterministic replay and the lane fuzzer.
 //!
 //! A BMC falsification is only as trustworthy as its interpretation: the
 //! solver model lives in CNF-land, so [`Counterexample`] reduces it to what
@@ -7,12 +7,21 @@
 //! and re-evaluates the violated property on real signal values. A
 //! counterexample that does not replay indicates an encoding bug, so the
 //! checker asserts replayability before reporting.
+//!
+//! [`fuzz`] is the cheap way to such traces: 64 random input sequences at
+//! once on the compiled [`ipcl_bitsim::BitSimulator`], every property
+//! evaluated word-wide with replay's sampling. Its candidates are replayed
+//! like any other trace before anyone reports them.
 
 use std::collections::BTreeMap;
 
+use ipcl_bitsim::{eval_expr_word, BitSimulator};
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::VarId;
 use ipcl_rtl::{Netlist, RtlError, SignalKind, Simulator};
+use ipcl_trace::report::write_json_string;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::property::SequentialProperty;
 
@@ -40,25 +49,6 @@ pub struct Replay {
     pub observations: Vec<BTreeMap<String, bool>>,
     /// Whether the property indeed evaluates false at the violation frame.
     pub violation_reproduced: bool,
-}
-
-/// Appends `s` as a JSON string literal (quotes, escapes). Local copy of
-/// `ipcl_tracetool::json::write_json_string` — the emit side must not pull
-/// the trace-analytics crate into the proof engine.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Counterexample {
@@ -189,4 +179,116 @@ impl Counterexample {
         }
         out
     }
+}
+
+/// Searches for a violation of each of `properties` by random simulation:
+/// 64 independent random environment sequences ("lanes") of up to `cycles`
+/// frames, driven together through a compiled [`BitSimulator`] of `netlist`
+/// from reset.
+///
+/// Every frame, each property without a candidate yet is evaluated
+/// word-wide with exactly the sampling of [`Counterexample::replay`]: the
+/// environment from frame `frame − latency.offset()`, `moe` signals from the
+/// live simulator, instances from [`Latency::first_instance`] on — so the
+/// list may mix latencies. The lowest violating lane of a property's first
+/// violating frame becomes its candidate trace (`None` when no lane
+/// violates it). The sweep stops once every property has a candidate, and
+/// it is deterministic in `seed`.
+///
+/// Candidates are unchecked: the interpreter is the oracle, so callers
+/// replay a candidate before they report it.
+///
+/// [`Latency::first_instance`]: crate::Latency::first_instance
+///
+/// # Errors
+///
+/// Propagates [`RtlError`]s from netlist compilation.
+pub fn fuzz(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    properties: &[SequentialProperty],
+    cycles: u64,
+    seed: u64,
+) -> Result<Vec<Option<Counterexample>>, RtlError> {
+    let mut sim = BitSimulator::new(netlist)?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pool = spec.pool();
+    // Every environment variable with its name and the netlist input that
+    // implements it, if any.
+    let env: Vec<(VarId, String, Option<_>)> = spec
+        .env_vars()
+        .into_iter()
+        .map(|var| {
+            let name = pool.name_or_fallback(var);
+            let input = netlist
+                .find(&name)
+                .filter(|&s| matches!(netlist.signal(s).kind, SignalKind::Input));
+            (var, name, input)
+        })
+        .collect();
+    // `moe[var]` is `Some(word)` for a moe variable (0 when the netlist
+    // lacks its signal, as in replay) and `None` for anything else.
+    let mut moe: Vec<Option<u64>> = vec![None; pool.len()];
+    let mut moe_signals = Vec::new();
+    for var in spec.moe_vars() {
+        moe[var.index()] = Some(0);
+        if let Some(signal) = netlist.find(&pool.name_or_fallback(var)) {
+            moe_signals.push((var, signal));
+        }
+    }
+
+    let mut candidates: Vec<Option<Counterexample>> = vec![None; properties.len()];
+    let mut open = properties.len();
+    // Per frame, the environment words by variable index.
+    let mut history: Vec<Vec<u64>> = Vec::new();
+    for frame in 0..cycles as usize {
+        if open == 0 {
+            break;
+        }
+        let mut words = vec![0u64; pool.len()];
+        for &(var, _, input) in &env {
+            let word = rng.next_u64();
+            words[var.index()] = word;
+            if let Some(input) = input {
+                sim.set_input_word(input, word);
+            }
+        }
+        history.push(words);
+        for &(var, signal) in &moe_signals {
+            moe[var.index()] = Some(sim.value_word(signal));
+        }
+        for (property, candidate) in properties.iter().zip(&mut candidates) {
+            if candidate.is_some() || frame < property.latency.first_instance() {
+                continue;
+            }
+            let sampled = &history[frame - property.latency.offset()];
+            let bad = !eval_expr_word(&property.ok, |var| {
+                let index = var.index();
+                match moe.get(index) {
+                    Some(Some(word)) => *word,
+                    _ => sampled.get(index).copied().unwrap_or(0),
+                }
+            });
+            if bad == 0 {
+                continue;
+            }
+            let lane = bad.trailing_zeros();
+            let frames = history
+                .iter()
+                .map(|words| {
+                    env.iter()
+                        .map(|(var, name, _)| (name.clone(), (words[var.index()] >> lane) & 1 == 1))
+                        .collect()
+                })
+                .collect();
+            *candidate = Some(Counterexample {
+                property: property.name.clone(),
+                frames,
+                violation_frame: frame,
+            });
+            open -= 1;
+        }
+        sim.step();
+    }
+    Ok(candidates)
 }

@@ -13,11 +13,11 @@
 //!   functional, performance and combined specifications, producing
 //!   counterexample assignments (unnecessary-stall or missed-stall
 //!   witnesses);
-//! * [`sequential`] checks reset behaviour of registered implementations and
-//!   runs bounded random falsification over input sequences;
-//! * [`prepass`] accelerates that falsification 64× with the compiled
-//!   bit-parallel simulator (`ipcl-bitsim`), replaying every lane verdict
-//!   through the interpreted simulator before reporting it.
+//! * [`sequential`] decides the properties over input sequences — by
+//!   k-induction, or by PDR or a race of both after a lane fuzz
+//!   (`ipcl_bmc::fuzz`) — proves every stall escapable and checks the
+//!   reset values of registered implementations; every trace it reports
+//!   replays through the interpreted simulator.
 //!
 //! # Example
 //!
@@ -34,7 +34,6 @@
 
 pub mod engine;
 pub mod implementation;
-pub mod prepass;
 pub mod sequential;
 
 pub use engine::{CheckOutcome, Engine};
@@ -42,11 +41,10 @@ pub use implementation::{
     check_derived_implementation, check_moe_expressions, check_netlist, ImplementationReport,
     SpecDirection, StageVerdict,
 };
-pub use prepass::{random_falsification_bitsim, BitSweep, LaneViolation};
 pub use sequential::{
     check_netlist_sequential, check_netlist_sequential_with, check_property_job,
-    check_reset_values, random_falsification, DynamicViolation, ProofStrategy, ResetReport,
-    SequentialOptions, SequentialReport, DEFAULT_PREPASS_SEED,
+    check_reset_values, ProofStrategy, ResetReport, SequentialOptions, SequentialReport,
+    DEFAULT_PREPASS_SEED,
 };
 // The BMC/PDR vocabulary types, so callers of the sequential checker need
 // not depend on `ipcl-bmc` / `ipcl-pdr` directly.

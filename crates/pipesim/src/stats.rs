@@ -3,11 +3,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Ground-truth functional-hazard counters observed by the machine,
 /// independent of what the interlock policy claimed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HazardCounts {
     /// A stage accepted a new operation while still holding one that did not
     /// move (the overwrite hazard the back-pressure rules prevent).
@@ -28,7 +26,7 @@ impl HazardCounts {
 }
 
 /// Statistics of one simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimStats {
     /// Name of the interlock policy that produced this run.
     pub policy: String,

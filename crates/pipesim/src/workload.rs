@@ -2,10 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One operation bound for a specific pipe of the architecture.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Op {
     /// Name of the pipe the operation executes on.
     pub pipe: String,
@@ -48,7 +47,7 @@ impl Op {
 
 /// A long-instruction-word packet: at most one operation per pipe, all issued
 /// together (the lock-step issue group issues a whole packet or nothing).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Packet {
     /// The operations of the packet.
     pub ops: Vec<Op>,
@@ -96,7 +95,7 @@ pub type Program = Vec<Packet>;
 /// The generator produces programs whose register dependence and wait-state
 /// density stress the scoreboard and wait interlocks; pipe utilisation
 /// controls completion-bus contention.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of packets to generate.
     pub packets: usize,

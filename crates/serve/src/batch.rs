@@ -15,12 +15,11 @@
 //! * **cache hits** are served exactly as on the single-job path
 //!   (revalidated, never trusted);
 //! * **shallowly falsifiable properties** are caught even before the
-//!   solver: a compiled 64-lane fuzz sweep (`ipcl-bitsim`) drives 64
-//!   random scenarios per step through the shared netlist and evaluates
-//!   every surviving property word-wide — each violating lane is extracted
-//!   into a trace and replayed against *its own job's* netlist before
-//!   being served, so the fuzz stage can save SAT queries but never
-//!   corrupt a verdict;
+//!   solver: one [`ipcl_bmc::fuzz`] call drives 64 random scenarios per
+//!   step through the shared netlist and evaluates every surviving property
+//!   word-wide, each at its own latency — each candidate trace is replayed
+//!   against *its own job's* netlist before being served, so the fuzz stage
+//!   can save SAT queries but never corrupt a verdict;
 //! * **falsifiable properties** the fuzz missed get their counterexample
 //!   from the shared unrolling — decoded, replay-checked and cached like
 //!   any engine result;
@@ -31,18 +30,15 @@
 //! server's `batch_depth`, so a batch of mostly-buggy or mostly-cached
 //! properties answers without ever occupying a worker.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use ipcl_bitsim::{eval_expr_word, BitSimulator, LANES};
-use ipcl_bmc::{check_properties, BmcOptions, BmcOutcome, Counterexample, SequentialProperty};
-use ipcl_expr::VarId;
-use ipcl_rtl::{structural_digest, SignalId, SignalKind};
+use ipcl_bmc::{
+    check_properties, fuzz, BmcOptions, BmcOutcome, Counterexample, SequentialProperty,
+};
+use ipcl_rtl::structural_digest;
 use ipcl_trace::{MetricSink, Tracer, Value};
-
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
 use crate::cache::{cache_key, revalidate, ProofCache};
 use crate::pool::process_job;
@@ -161,21 +157,27 @@ fn presolve_group(
         sweep.push((index, property));
     }
 
-    // Pass 2: the compiled 64-lane fuzz sweep — 64 random scenarios per
-    // step, word-wide property evaluation, lane traces replay-verified
-    // against each member's own job. Whatever it settles never reaches the
-    // solver.
+    // Pass 2: the lane fuzz on the representative's netlist, its traces
+    // replay-verified against each member's own job. Whatever it settles
+    // never reaches the solver.
     let mut settled = vec![false; sweep.len()];
     if depth > 0 && !sweep.is_empty() {
-        fuzz_group(
-            jobs,
-            representative,
-            &sweep,
-            &mut settled,
-            depth,
-            cache,
-            tracer,
-            resolved,
+        let properties: Vec<_> = sweep.iter().map(|(_, property)| property.clone()).collect();
+        let (spec, netlist) = (&representative.spec, &representative.netlist);
+        let candidates = fuzz(spec, netlist, &properties, depth as u64, BATCH_FUZZ_SEED);
+        let mut fuzz_settled = 0u64;
+        for (slot, candidate) in candidates.unwrap_or_default().into_iter().enumerate() {
+            if let Some(cex) = candidate {
+                settled[slot] = serve_trace(jobs, &sweep[slot], cex, cache, tracer, resolved);
+                fuzz_settled += u64::from(settled[slot]);
+            }
+        }
+        tracer.event(
+            "serve.batch_fuzzed",
+            &[
+                ("cycles", Value::U64(depth as u64)),
+                ("settled", Value::U64(fuzz_settled)),
+            ],
         );
     }
 
@@ -245,122 +247,6 @@ fn serve_trace(
 /// Deterministic seed of the batch fuzz sweep (the stage is a pure
 /// accelerator, so reproducible runs matter more than stimulus variety).
 const BATCH_FUZZ_SEED: u64 = 0xB175_1B3C;
-
-/// The bit-parallel shallow-falsification stage of a group pre-solve:
-/// drives `depth` steps of 64 independent random environment scenarios
-/// through a compiled simulator of the group representative's netlist and
-/// evaluates every unsettled property word-wide each frame (environment
-/// sampled at the property's latency offset, `moe` signals live — exactly
-/// the [`Counterexample::replay`] discipline). A violating lane's input
-/// history becomes a candidate trace; it is served only if it replays
-/// against the member's own job, and marked settled in `settled`.
-#[allow(clippy::too_many_arguments)]
-fn fuzz_group(
-    jobs: &[Arc<JobRequest>],
-    representative: &Arc<JobRequest>,
-    sweep: &[(usize, SequentialProperty)],
-    settled: &mut [bool],
-    depth: usize,
-    cache: &ProofCache,
-    tracer: &Tracer,
-    resolved: &mut Vec<(usize, JobOutcome)>,
-) {
-    let Ok(mut sim) = BitSimulator::new(&representative.netlist) else {
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(BATCH_FUZZ_SEED);
-    let pool = representative.spec.pool();
-    let moe_vars: BTreeSet<VarId> = representative.spec.moe_vars().into_iter().collect();
-    // Pre-resolve the environment inputs the netlist implements and the
-    // signals behind the moe variables (any kind: replay reads them with
-    // `value_by_name`, whatever drives them).
-    let driven: Vec<(VarId, Option<SignalId>)> = representative
-        .spec
-        .env_vars()
-        .into_iter()
-        .map(|var| {
-            let signal = representative
-                .netlist
-                .find(&pool.name_or_fallback(var))
-                .filter(|&s| matches!(representative.netlist.signal(s).kind, SignalKind::Input));
-            (var, signal)
-        })
-        .collect();
-    let moe_signals: BTreeMap<VarId, SignalId> = moe_vars
-        .iter()
-        .filter_map(|&var| {
-            representative
-                .netlist
-                .find(&pool.name_or_fallback(var))
-                .map(|signal| (var, signal))
-        })
-        .collect();
-
-    let mut history: Vec<BTreeMap<VarId, u64>> = Vec::with_capacity(depth);
-    let mut fuzz_settled = 0u64;
-    for frame in 0..depth {
-        let mut env = BTreeMap::new();
-        for &(var, signal) in &driven {
-            let word = rng.next_u64();
-            env.insert(var, word);
-            if let Some(signal) = signal {
-                sim.set_input_word(signal, word);
-            }
-        }
-        history.push(env);
-        // One settle serves every moe read of this frame.
-        let moe_words: BTreeMap<VarId, u64> = moe_signals
-            .iter()
-            .map(|(&var, &signal)| (var, sim.value_word(signal)))
-            .collect();
-
-        for (slot, (_, property)) in sweep.iter().enumerate() {
-            if settled[slot] || frame < property.latency.first_instance() {
-                continue;
-            }
-            let env_frame = frame.saturating_sub(property.latency.offset());
-            let lookup = |v: VarId| {
-                if moe_vars.contains(&v) {
-                    moe_words.get(&v).copied().unwrap_or(0)
-                } else {
-                    history[env_frame].get(&v).copied().unwrap_or(0)
-                }
-            };
-            let bad = !eval_expr_word(&property.ok, lookup);
-            if bad == 0 {
-                continue;
-            }
-            let lane = bad.trailing_zeros() as usize;
-            let frames: Vec<_> = history[..=frame]
-                .iter()
-                .map(|env| {
-                    env.iter()
-                        .map(|(&var, &word)| (pool.name_or_fallback(var), (word >> lane) & 1 == 1))
-                        .collect()
-                })
-                .collect();
-            let counterexample = Counterexample {
-                property: property.name.clone(),
-                frames,
-                violation_frame: frame,
-            };
-            if serve_trace(jobs, &sweep[slot], counterexample, cache, tracer, resolved) {
-                settled[slot] = true;
-                fuzz_settled += 1;
-            }
-        }
-        sim.step();
-    }
-    if fuzz_settled > 0 || tracer.is_enabled() {
-        tracer.event(
-            "serve.batch_fuzzed",
-            &[
-                ("scenarios", Value::U64((depth * LANES) as u64)),
-                ("settled", Value::U64(fuzz_settled)),
-            ],
-        );
-    }
-}
 
 /// Convenience used by tests and the smoke check: pre-solve, then run the
 /// leftovers inline (no queue involved). Returns outcomes in input order.

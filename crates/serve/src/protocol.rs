@@ -94,11 +94,19 @@ impl JobRequest {
         ))
     }
 
-    /// The checker options implied by the job's engine knobs.
+    /// The checker options implied by the job's engine knobs. `threads`
+    /// comes off the wire, so it is capped at the host's parallelism
+    /// ([`ipcl_pdr::default_threads`]); verdicts, traces and certificates
+    /// are the same at every worker count, so the cap changes no answer.
     pub fn options(&self) -> SequentialOptions {
         SequentialOptions {
             strategy: self.strategy,
-            threads: self.threads.max(1),
+            // The host is asked only for a multi-threaded job: on Linux the
+            // answer reads the cgroup limits from the file system.
+            threads: match self.threads {
+                0 | 1 => 1,
+                n => n.min(ipcl_pdr::default_threads()),
+            },
             ..Default::default()
         }
     }
@@ -779,6 +787,22 @@ mod tests {
         assert_eq!(parsed.counterexample, outcome.counterexample);
         // Serialisation is deterministic: a reparse emits the same bytes.
         assert_eq!(parsed.to_json_string(), text);
+    }
+
+    #[test]
+    fn wire_thread_counts_are_capped_at_the_host_parallelism() {
+        let job = JobRequest {
+            threads: 1_000_000,
+            ..roundtrip_job()
+        };
+        let parsed = JobRequest::from_json(&Json::parse(&job.to_json_string()).unwrap()).unwrap();
+        assert_eq!(parsed.threads, 1_000_000);
+        assert_eq!(parsed.options().threads, ipcl_pdr::default_threads());
+        let zero = JobRequest {
+            threads: 0,
+            ..roundtrip_job()
+        };
+        assert_eq!(zero.options().threads, 1);
     }
 
     #[test]

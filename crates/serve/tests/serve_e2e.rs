@@ -4,12 +4,15 @@
 //! restart, and cancellation/stats/shutdown must behave.
 
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 
 use ipcl_bmc::PropertyKind;
 use ipcl_checker::ProofStrategy;
 use ipcl_core::example::ExampleArch;
 use ipcl_pipesim::BrokenVariant;
-use ipcl_serve::{Client, JobRequest, PropertyRequest, Server, ServerConfig, Verdict};
+use ipcl_serve::{
+    process_job, Client, JobRequest, ProofCache, PropertyRequest, Server, ServerConfig, Verdict,
+};
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
 use ipcl_tracetool::json::Json;
@@ -144,6 +147,28 @@ fn served_falsification_hit_replays_through_the_simulator() {
         replay.violation_reproduced,
         "served trace does not reproduce the violation"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_huge_thread_count_answers_like_one_thread() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let huge = JobRequest {
+        threads: 1_000_000,
+        ..correct_job(0)
+    };
+    let id = client.submit(&huge).expect("submit");
+    let outcome = client.wait(id).expect("wait");
+    assert!(!outcome.cached, "a fresh server solves");
+    let single = process_job(
+        &correct_job(0),
+        &AtomicBool::new(false),
+        &ProofCache::new(None),
+        &Tracer::disabled(),
+    );
+    assert_eq!(outcome.verdict, single.verdict);
+    assert_eq!(outcome.verdict, Verdict::Proved);
     server.shutdown();
 }
 

@@ -15,9 +15,10 @@
 //! post-hoc. This is what the round-trip acceptance test exercises across
 //! the portfolio's racing engine threads.
 //!
-//! Everything here is hand-rolled: the workspace builds offline and the
-//! in-tree `serde` stand-in is marker-traits only, so the crate carries its
-//! own small JSON writer and (flat-object) parser.
+//! Everything here is hand-rolled: the workspace builds offline with no
+//! serialisation crate, so this crate carries the workspace's JSON string
+//! writer ([`write_json_string`], which every JSON-emitting crate uses) and
+//! a small (flat-object) parser.
 
 use crate::{Event, TraceSnapshot, Value};
 use std::borrow::Cow;
@@ -28,8 +29,9 @@ use std::fmt::Write as _;
 // JSON writing
 // ---------------------------------------------------------------------------
 
-/// Escapes `s` into `out` as a JSON string literal (with quotes).
-fn write_json_string(out: &mut String, s: &str) {
+/// Escapes `s` into `out` as a JSON string literal (with quotes). The one
+/// JSON string writer of the workspace: every crate that emits JSON uses it.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -2,15 +2,16 @@
 //! consumes (`profile.json`, `BENCH_*.json`, its own Chrome-trace output
 //! in tests).
 //!
-//! The workspace builds offline and the in-tree `serde` stand-in is
-//! marker-traits only, so — like `ipcl_trace::report`'s flat-object JSONL
-//! parser — this module is hand-rolled. Unlike that parser it handles the
-//! full recursive grammar (nested arrays/objects), which the profile and
-//! bench documents need. Numbers are held as `f64`: every metric in the
-//! artifacts is a count or a duration well inside the 2^53 exact-integer
-//! range.
+//! The workspace builds offline with no serialisation crate, so — like
+//! `ipcl_trace::report`'s flat-object JSONL parser — this module is
+//! hand-rolled. Unlike that parser it handles the full recursive grammar
+//! (nested arrays/objects), which the profile and bench documents need.
+//! Numbers are held as `f64`: every metric in the artifacts is a count or
+//! a duration well inside the 2^53 exact-integer range.
 
-use std::fmt::Write as _;
+// The workspace's one JSON string writer, re-exported for this crate's
+// writers and its dependents.
+pub use ipcl_trace::report::write_json_string;
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -101,25 +102,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` into `out` as a JSON string literal (with quotes).
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

@@ -4,7 +4,8 @@
 //!
 //! Run with `cargo run --example synthesize_interlock`.
 
-use ipcl::checker::{check_netlist, check_reset_values, random_falsification, Engine};
+use ipcl::bmc::fuzz;
+use ipcl::checker::{check_netlist, check_reset_values, Engine, Latency, SequentialProperty};
 use ipcl::core::example::ExampleArch;
 use ipcl::synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
 
@@ -54,10 +55,19 @@ fn main() {
         println!("  {signal}: resets to {actual} but the empty pipeline requires {expected}");
     }
 
-    let dynamic = random_falsification(&spec, buggy.netlist(), 100, 7).expect("netlist elaborates");
+    // Sampled in the cycle it occurs, a stall out of reset violates the
+    // performance property at cycle 0.
+    let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
+    let candidates = fuzz(&spec, buggy.netlist(), &properties, 100, 7).expect("netlist compiles");
+    let traces: Vec<_> = candidates.iter().flatten().collect();
     println!(
-        "random falsification found {} assertion violations in 100 cycles (first at cycle {})",
-        dynamic.len(),
-        dynamic.first().map(|v| v.cycle).unwrap_or_default()
+        "lane fuzz falsified {} of {} properties in 100 cycles x 64 lanes (earliest at cycle {})",
+        traces.len(),
+        properties.len(),
+        traces
+            .iter()
+            .map(|t| t.violation_frame)
+            .min()
+            .unwrap_or_default()
     );
 }

@@ -2,9 +2,12 @@
 //! list together over one pair of unrollings (`ipcl_bmc::check_properties`)
 //! must give every property exactly what deciding it alone gives — the same
 //! verdict, induction depth, trace length or checked depth — and every
-//! trace must replay through the simulator.
+//! trace must replay through the simulator. The lane fuzzer
+//! (`ipcl_bmc::fuzz`) is checked against the same exhaustive run: whatever
+//! it falsifies, bounded model checking falsifies too, with a trace no
+//! longer than the fuzz's.
 
-use ipcl::bmc::{check_properties, BmcOptions, BmcOutcome, Latency, SequentialProperty};
+use ipcl::bmc::{check_properties, fuzz, BmcOptions, BmcOutcome, Latency, SequentialProperty};
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
 use ipcl::pdr::deep::deep_pipeline;
@@ -177,27 +180,118 @@ fn shared_run_matches_single_property_runs_on_the_variant_matrix() {
     );
 }
 
+/// Functional properties at combinational latency interleaved with
+/// performance properties at registered latency: different first
+/// instances, so the properties join the lockstep at different depths.
+fn mixed_latencies(spec: &FunctionalSpec) -> Vec<SequentialProperty> {
+    let combinational = SequentialProperty::both_directions(spec, Latency::Combinational);
+    let registered = SequentialProperty::both_directions(spec, Latency::Registered);
+    let half = combinational.len() / 2;
+    combinational[..half]
+        .iter()
+        .zip(&registered[half..])
+        .flat_map(|(c, r)| [r.clone(), c.clone()])
+        .collect()
+}
+
 #[test]
 fn shared_run_matches_single_property_runs_on_mixed_latencies() {
-    // Functional properties at combinational latency interleaved with
-    // performance properties at registered latency: different first
-    // instances, so the properties join the lockstep at different depths.
     for (arch, spec) in specs() {
         for (design, netlist) in designs(&spec) {
-            let combinational = SequentialProperty::both_directions(&spec, Latency::Combinational);
-            let registered = SequentialProperty::both_directions(&spec, Latency::Registered);
-            let half = combinational.len() / 2;
-            let mixed: Vec<SequentialProperty> = combinational[..half]
-                .iter()
-                .zip(&registered[half..])
-                .flat_map(|(c, r)| [r.clone(), c.clone()])
-                .collect();
+            let mixed = mixed_latencies(&spec);
             for options in option_sets(6) {
                 let label = format!(
                     "{arch} {design} mixed quiet={} induction={}",
                     options.quiet_cycles, options.induction
                 );
                 assert_shared_matches_alone(&label, &spec, &netlist, &mixed, &options);
+            }
+        }
+    }
+}
+
+#[test]
+fn fuzz_candidates_replay_and_bounded_model_checking_confirms_them() {
+    const CYCLES: u64 = 200;
+    const SEED: u64 = 0x1b3c;
+    let tracer = Tracer::disabled();
+    for (arch, spec) in specs() {
+        for (design, netlist) in designs(&spec) {
+            let broken = !design.starts_with("correct");
+            let own_latency = Latency::detect(&spec, &netlist);
+            let lists = [
+                (
+                    "combinational",
+                    SequentialProperty::both_directions(&spec, Latency::Combinational),
+                ),
+                (
+                    "registered",
+                    SequentialProperty::both_directions(&spec, Latency::Registered),
+                ),
+                ("mixed", mixed_latencies(&spec)),
+            ];
+            for (list, properties) in lists {
+                let label = format!("{arch} {design} {list}");
+                let candidates = fuzz(&spec, &netlist, &properties, CYCLES, SEED).unwrap();
+                assert_eq!(candidates.len(), properties.len(), "{label}");
+                assert_eq!(
+                    candidates,
+                    fuzz(&spec, &netlist, &properties, CYCLES, SEED).unwrap(),
+                    "{label}: the same seed must give the same candidates"
+                );
+                if broken {
+                    assert!(
+                        candidates.iter().any(Option::is_some),
+                        "{label}: no candidate in {CYCLES} cycles"
+                    );
+                } else if properties.iter().all(|p| p.latency == own_latency) {
+                    assert!(
+                        candidates.iter().all(Option::is_none),
+                        "{label}: a correct design at its own latency has no violation"
+                    );
+                }
+                for (property, candidate) in properties.iter().zip(&candidates) {
+                    let Some(cex) = candidate else { continue };
+                    assert_eq!(cex.property, property.name, "{label}");
+                    assert_eq!(cex.violation_frame, cex.length() - 1, "{label}");
+                    let replay = cex.replay(&spec, &netlist, property).unwrap();
+                    assert!(
+                        replay.violation_reproduced,
+                        "{label}: {} did not replay:\n{}",
+                        property.name,
+                        cex.render()
+                    );
+                    let options = BmcOptions {
+                        max_depth: cex.length() - 1,
+                        quiet_cycles: 0,
+                        induction: false,
+                        ..BmcOptions::default()
+                    };
+                    let exhaustive = check_properties(
+                        &spec,
+                        &netlist,
+                        std::slice::from_ref(property),
+                        &options,
+                        None,
+                        &tracer,
+                    )
+                    .unwrap()
+                    .pop()
+                    .unwrap();
+                    match &exhaustive.outcome {
+                        BmcOutcome::Falsified(minimal) => assert!(
+                            minimal.length() <= cex.length(),
+                            "{label}: {} minimal trace {} > fuzz trace {}",
+                            property.name,
+                            minimal.length(),
+                            cex.length()
+                        ),
+                        other => panic!(
+                            "{label}: fuzz falsified {} but BMC says {other:?}",
+                            property.name
+                        ),
+                    }
+                }
             }
         }
     }
