@@ -10,7 +10,7 @@
 //! Three design families, matching where the lane fuzzer actually runs:
 //!
 //! * `interlock` — the paper's registered interlock controller (a design
-//!   the checker fuzzes before dispatching PDR);
+//!   `ipcl-serve`'s batch stage fuzzes before dispatching SAT);
 //! * `deep_chain` — the deep wait-state chains of `ipcl_pdr::deep`, swept
 //!   over `depth` (the id metric); long levelized register chains are the
 //!   compiled engine's best case and the family the headline claim is

@@ -26,8 +26,8 @@
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`,
 //! which builds the property portfolio, decides it with one
 //! [`engine::check_properties`] run (or, under PDR and the portfolio race,
-//! a fuzz and then one engine run per remaining property) and combines the
-//! results with the stall-escape and reset-value checks.
+//! one engine run per property) and combines the results with the
+//! stall-escape and reset-value checks.
 //!
 //! # Example
 //!
@@ -59,7 +59,7 @@ pub use engine::{
     BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
-pub use trace::{fuzz, Counterexample, Replay};
+pub use trace::{fuzz, Counterexample, Replay, FUZZ_SEED};
 
 // Re-exported so callers can name the netlist type without a direct
 // `ipcl-rtl` dependency.

@@ -181,6 +181,10 @@ impl Counterexample {
     }
 }
 
+/// The lane fuzzer's conventional seed: a fixed value, so runs that use it
+/// are reproducible.
+pub const FUZZ_SEED: u64 = 0xB175_1B3C;
+
 /// Searches for a violation of each of `properties` by random simulation:
 /// 64 independent random environment sequences ("lanes") of up to `cycles`
 /// frames, driven together through a compiled [`BitSimulator`] of `netlist`

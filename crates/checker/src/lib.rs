@@ -14,10 +14,9 @@
 //!   counterexample assignments (unnecessary-stall or missed-stall
 //!   witnesses);
 //! * [`sequential`] decides the properties over input sequences — by
-//!   k-induction, or by PDR or a race of both after a lane fuzz
-//!   (`ipcl_bmc::fuzz`) — proves every stall escapable and checks the
-//!   reset values of registered implementations; every trace it reports
-//!   replays through the interpreted simulator.
+//!   k-induction, PDR or a race of both — proves every stall escapable and
+//!   checks the reset values of registered implementations; every trace it
+//!   reports replays through the interpreted simulator.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@ pub use implementation::{
 pub use sequential::{
     check_netlist_sequential, check_netlist_sequential_with, check_property_job,
     check_reset_values, ProofStrategy, ResetReport, SequentialOptions, SequentialReport,
-    DEFAULT_PREPASS_SEED,
 };
 // The BMC/PDR vocabulary types, so callers of the sequential checker need
 // not depend on `ipcl-bmc` / `ipcl-pdr` directly.

@@ -18,19 +18,18 @@
 //! certificates pass independent SAT validation before a verdict is
 //! reported. k-induction decides the whole portfolio in one
 //! [`ipcl_bmc::check_properties`] run over one shared pair of unrollings;
-//! its base case finds shallow bugs with a minimal trace, so it runs no
-//! random sweep. PDR and the portfolio race first run the lane fuzzer
-//! ([`ipcl_bmc::fuzz`]) at the design's latency: neither promises minimal
-//! traces, so a fuzz trace settles its property without an engine run. The
-//! remaining properties are checked in parallel, one OS thread per property
-//! (a race uses two).
+//! its base case finds shallow bugs with a minimal trace. PDR and the
+//! portfolio race check properties in parallel, one OS thread per property
+//! (a race uses two). No strategy runs a random sweep first: a sweep
+//! decides no verdict the engines do not, and the lane fuzzer
+//! ([`ipcl_bmc::fuzz`]) is left to callers that batch many jobs, like
+//! `ipcl-serve`.
 
 use std::collections::BTreeMap;
 
 use ipcl_bmc::{
-    check_properties, check_property_traced, check_stall_escape, fuzz, BmcError, BmcOptions,
-    BmcOutcome, BmcResult, BmcStats, Counterexample, Latency, SequentialProperty,
-    StallEscapeReport,
+    check_properties, check_property_traced, check_stall_escape, BmcError, BmcOptions, BmcOutcome,
+    BmcResult, BmcStats, Latency, SequentialProperty, StallEscapeReport,
 };
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
@@ -44,10 +43,6 @@ use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
 
 use crate::engine::Engine;
-
-/// Deterministic default seed of the lane fuzz
-/// ([`SequentialOptions::prepass_seed`]).
-pub const DEFAULT_PREPASS_SEED: u64 = 0x1b3c;
 
 /// Result of a reset-value check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,9 +108,8 @@ pub enum ProofStrategy {
     #[default]
     KInduction,
     /// IC3/PDR (`ipcl-pdr`): unbounded proofs with certified inductive
-    /// invariants; counterexamples are replayable but not minimal-length,
-    /// and may come from the lane fuzz. Ignores [`BmcOptions::quiet_cycles`]
-    /// (see the enum docs).
+    /// invariants; counterexamples are replayable but not minimal-length.
+    /// Ignores [`BmcOptions::quiet_cycles`] (see the enum docs).
     Pdr,
     /// Race both per property on scoped threads; the first definitive
     /// verdict wins and cancels the loser
@@ -152,17 +146,10 @@ pub struct SequentialOptions {
     /// Property latency. `None` auto-detects from the netlist
     /// ([`Latency::Registered`] when the `moe` outputs are registers).
     pub latency: Option<Latency>,
-    /// Cycles of the lane fuzz ([`ipcl_bmc::fuzz`]) that runs before
-    /// [`ProofStrategy::Pdr`] and [`ProofStrategy::Portfolio`] (0 disables
-    /// it; k-induction never fuzzes). Under those two strategies a property
-    /// the fuzz falsifies is reported with the fuzz trace instead of an
-    /// engine's, but the verdict is the same: neither engine promises a
-    /// minimal trace, and every trace is replayed before it is reported.
+    /// Length, in cycles, of a random lane sweep ([`ipcl_bmc::fuzz`]) for
+    /// callers that run one next to the check. The checker itself runs no
+    /// sweep under any strategy, so this decides no verdict and no trace.
     pub prepass_cycles: u64,
-    /// Seed of the lane fuzz. The default ([`DEFAULT_PREPASS_SEED`]) is
-    /// fixed so CI runs are reproducible; vary it explicitly to diversify
-    /// the sweep.
-    pub prepass_seed: u64,
     /// Check every property on its own OS thread under PDR and the
     /// portfolio. k-induction decides the whole portfolio in one run.
     pub parallel: bool,
@@ -185,7 +172,6 @@ impl Default for SequentialOptions {
             threads: 1,
             latency: None,
             prepass_cycles: 200,
-            prepass_seed: DEFAULT_PREPASS_SEED,
             parallel: true,
             deadlock: true,
             escape_cycles: 2,
@@ -302,6 +288,7 @@ pub fn check_netlist_sequential_with(
         .unwrap_or_else(|| Latency::detect(spec, netlist));
 
     let properties = SequentialProperty::both_directions(spec, latency);
+    let job = |property| check_property_job(spec, netlist, property, options, None, &tracer);
     let checked: Vec<(BmcResult, Option<Certificate>)> = match options.strategy {
         // One shared pair of unrollings decides the whole portfolio.
         ProofStrategy::KInduction => {
@@ -310,56 +297,17 @@ pub fn check_netlist_sequential_with(
                 .map(|result| (result, None))
                 .collect()
         }
-        // Neither engine promises a minimal trace, so a fuzz trace settles
-        // its property; the engines decide the rest.
-        ProofStrategy::Pdr | ProofStrategy::Portfolio => {
-            let candidates = if options.prepass_cycles > 0 {
-                let _span = tracer.span("checker.fuzz");
-                let candidates = fuzz(
-                    spec,
-                    netlist,
-                    &properties,
-                    options.prepass_cycles,
-                    options.prepass_seed,
-                )?;
-                let settled = candidates.iter().flatten().count() as u64;
-                tracer.event(
-                    "fuzz",
-                    &[
-                        ("cycles", Value::from(options.prepass_cycles)),
-                        ("settled", Value::from(settled)),
-                    ],
-                );
-                candidates
-            } else {
-                vec![None; properties.len()]
-            };
-            let job = |(property, candidate): (&SequentialProperty, Option<Counterexample>)| {
-                match candidate {
-                    Some(cex) => Ok((
-                        BmcResult {
-                            property: property.clone(),
-                            outcome: BmcOutcome::Falsified(cex),
-                            stats: BmcStats::default(),
-                        },
-                        None,
-                    )),
-                    None => check_property_job(spec, netlist, property, options, None, &tracer),
-                }
-            };
-            let jobs = properties.iter().zip(candidates);
-            if options.parallel {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs.map(|j| scope.spawn(move || job(j))).collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("property checker thread panicked"))
-                        .collect::<Result<Vec<_>, _>>()
-                })?
-            } else {
-                jobs.map(job).collect::<Result<Vec<_>, _>>()?
-            }
-        }
+        _ if options.parallel => std::thread::scope(|scope| {
+            let handles: Vec<_> = properties
+                .iter()
+                .map(|property| scope.spawn(move || job(property)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("property checker thread panicked"))
+                .collect::<Result<Vec<_>, _>>()
+        })?,
+        _ => properties.iter().map(job).collect::<Result<Vec<_>, _>>()?,
     };
     let mut certificates = BTreeMap::new();
     let mut results = Vec::with_capacity(checked.len());
@@ -428,9 +376,7 @@ pub fn check_netlist_sequential_with(
 /// pool: one call per queued (netlist, property) pair, one token per job.
 /// [`check_netlist_sequential_with`] gives every property of the full
 /// portfolio the verdict this function gives it (under k-induction, from
-/// one shared [`ipcl_bmc::check_properties`] run). Under
-/// [`ProofStrategy::Pdr`] and [`ProofStrategy::Portfolio`] its reported
-/// trace may come from the lane fuzz instead, but the verdict is the same.
+/// one shared [`ipcl_bmc::check_properties`] run).
 ///
 /// Returns the folded [`BmcResult`] plus the validated certificate when
 /// the proof came from PDR.
@@ -582,11 +528,7 @@ fn fold_pdr_result(result: PdrResult) -> (BmcResult, Option<Certificate>) {
 mod tests {
     use super::*;
     use ipcl_core::example::ExampleArch;
-    use ipcl_pipesim::BrokenVariant;
-    use ipcl_synth::{
-        synthesize_broken_interlock, synthesize_interlock, synthesize_interlock_with,
-        SynthesisOptions,
-    };
+    use ipcl_synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
 
     #[test]
     fn correct_reset_values_pass() {
@@ -766,37 +708,6 @@ mod tests {
         // every counterexample, whichever racer produced it.
         assert!(report.falsified());
         assert!(!report.reset.ok());
-    }
-
-    #[test]
-    fn pdr_run_settles_a_broken_design_by_fuzz() {
-        let spec = ExampleArch::new().functional_spec();
-        let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
-        let options = SequentialOptions {
-            trace: TraceConfig::enabled(),
-            deadlock: false,
-            ..SequentialOptions::from(crate::Engine::Pdr)
-        };
-        assert_eq!(options.prepass_seed, DEFAULT_PREPASS_SEED);
-        let report = check_netlist_sequential_with(&spec, broken.netlist(), &options).unwrap();
-        assert!(report.falsified());
-        let snapshot = report.trace.expect("tracing was enabled");
-        assert!(
-            snapshot
-                .spans
-                .iter()
-                .any(|s| s.path == ["checker.sequential", "checker.fuzz"]),
-            "no fuzz span in the profile"
-        );
-        let fuzzed = snapshot
-            .events
-            .iter()
-            .find(|e| e.kind == "fuzz")
-            .expect("no fuzz event in the trace");
-        assert!(
-            matches!(fuzzed.field("settled"), Some(Value::U64(n)) if *n >= 1),
-            "{fuzzed:?}"
-        );
     }
 
     #[test]

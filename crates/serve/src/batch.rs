@@ -35,7 +35,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use ipcl_bmc::{
-    check_properties, fuzz, BmcOptions, BmcOutcome, Counterexample, SequentialProperty,
+    check_properties, fuzz, BmcOptions, BmcOutcome, Counterexample, SequentialProperty, FUZZ_SEED,
 };
 use ipcl_rtl::structural_digest;
 use ipcl_trace::{MetricSink, Tracer, Value};
@@ -164,7 +164,7 @@ fn presolve_group(
     if depth > 0 && !sweep.is_empty() {
         let properties: Vec<_> = sweep.iter().map(|(_, property)| property.clone()).collect();
         let (spec, netlist) = (&representative.spec, &representative.netlist);
-        let candidates = fuzz(spec, netlist, &properties, depth as u64, BATCH_FUZZ_SEED);
+        let candidates = fuzz(spec, netlist, &properties, depth as u64, FUZZ_SEED);
         let mut fuzz_settled = 0u64;
         for (slot, candidate) in candidates.unwrap_or_default().into_iter().enumerate() {
             if let Some(cex) = candidate {
@@ -243,10 +243,6 @@ fn serve_trace(
     resolved.push((*index, outcome));
     true
 }
-
-/// Deterministic seed of the batch fuzz sweep (the stage is a pure
-/// accelerator, so reproducible runs matter more than stimulus variety).
-const BATCH_FUZZ_SEED: u64 = 0xB175_1B3C;
 
 /// Convenience used by tests and the smoke check: pre-solve, then run the
 /// leftovers inline (no queue involved). Returns outcomes in input order.

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example synthesize_interlock`.
 
-use ipcl::bmc::fuzz;
+use ipcl::bmc::{fuzz, FUZZ_SEED};
 use ipcl::checker::{check_netlist, check_reset_values, Engine, Latency, SequentialProperty};
 use ipcl::core::example::ExampleArch;
 use ipcl::synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
@@ -58,7 +58,8 @@ fn main() {
     // Sampled in the cycle it occurs, a stall out of reset violates the
     // performance property at cycle 0.
     let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
-    let candidates = fuzz(&spec, buggy.netlist(), &properties, 100, 7).expect("netlist compiles");
+    let candidates =
+        fuzz(&spec, buggy.netlist(), &properties, 100, FUZZ_SEED).expect("netlist compiles");
     let traces: Vec<_> = candidates.iter().flatten().collect();
     println!(
         "lane fuzz falsified {} of {} properties in 100 cycles x 64 lanes (earliest at cycle {})",

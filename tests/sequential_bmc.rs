@@ -186,11 +186,10 @@ fn k_induction_proves_firepath_like_interlock() {
     let spec = ArchSpec::firepath_like().functional_spec().unwrap();
     let synthesized = synthesize_interlock(&spec);
     let options = SequentialOptions {
-        // 24 stages × 2 directions: keep the run lean — no deadlock pass
-        // here (covered by the example-arch test) and a small depth bound;
-        // induction closes at depth 0 for a correct combinational netlist.
+        // 24 stages × 2 directions: no deadlock pass here (covered by the
+        // example-arch test) and a small depth bound; induction closes at
+        // depth 0 for a correct combinational netlist.
         deadlock: false,
-        prepass_cycles: 50,
         ..SequentialOptions::from(Engine::Bmc { k: 3 })
     };
     let report = check_netlist_sequential_with(&spec, synthesized.netlist(), &options).unwrap();
@@ -219,7 +218,6 @@ fn incremental_and_scratch_modes_agree() {
     let base = SequentialOptions {
         latency: Some(Latency::Combinational),
         deadlock: false,
-        prepass_cycles: 0,
         ..SequentialOptions::from(Engine::Bmc { k: 4 })
     };
     let incremental = check_netlist_sequential_with(&spec, late.netlist(), &base).unwrap();

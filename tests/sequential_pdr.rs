@@ -100,7 +100,6 @@ fn every_unbroken_preset_is_proved_by_pdr_with_validated_certificates() {
         let synthesized = synthesize_interlock(&spec);
         let options = SequentialOptions {
             deadlock: false,
-            prepass_cycles: 50,
             ..SequentialOptions::from(Engine::Pdr)
         };
         let report = check_netlist_sequential_with(&spec, synthesized.netlist(), &options).unwrap();
@@ -160,7 +159,6 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
     // The full sequential flow with Engine::Portfolio agrees.
     let options = SequentialOptions {
         deadlock: false,
-        prepass_cycles: 0,
         bmc: BmcOptions::with_depth(6),
         ..SequentialOptions::from(Engine::Portfolio)
     };

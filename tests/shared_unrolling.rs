@@ -7,7 +7,9 @@
 //! it falsifies, bounded model checking falsifies too, with a trace no
 //! longer than the fuzz's.
 
-use ipcl::bmc::{check_properties, fuzz, BmcOptions, BmcOutcome, Latency, SequentialProperty};
+use ipcl::bmc::{
+    check_properties, fuzz, BmcOptions, BmcOutcome, Latency, SequentialProperty, FUZZ_SEED,
+};
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
 use ipcl::pdr::deep::deep_pipeline;
@@ -213,7 +215,6 @@ fn shared_run_matches_single_property_runs_on_mixed_latencies() {
 #[test]
 fn fuzz_candidates_replay_and_bounded_model_checking_confirms_them() {
     const CYCLES: u64 = 200;
-    const SEED: u64 = 0x1b3c;
     let tracer = Tracer::disabled();
     for (arch, spec) in specs() {
         for (design, netlist) in designs(&spec) {
@@ -232,11 +233,11 @@ fn fuzz_candidates_replay_and_bounded_model_checking_confirms_them() {
             ];
             for (list, properties) in lists {
                 let label = format!("{arch} {design} {list}");
-                let candidates = fuzz(&spec, &netlist, &properties, CYCLES, SEED).unwrap();
+                let candidates = fuzz(&spec, &netlist, &properties, CYCLES, FUZZ_SEED).unwrap();
                 assert_eq!(candidates.len(), properties.len(), "{label}");
                 assert_eq!(
                     candidates,
-                    fuzz(&spec, &netlist, &properties, CYCLES, SEED).unwrap(),
+                    fuzz(&spec, &netlist, &properties, CYCLES, FUZZ_SEED).unwrap(),
                     "{label}: the same seed must give the same candidates"
                 );
                 if broken {
