@@ -7,12 +7,13 @@
 //! from three directions: proptest-generated random netlists, the
 //! synthesized interlock designs (correct and every `BrokenVariant`
 //! bug-injection), and lane-extracted traces replayed through the
-//! interpreter.
+//! interpreter. The same generator pins the evaluation order that
+//! `Netlist::elaborate` hands both simulators and the unroller.
 
 use ipcl_bitsim::{BitSimulator, LANES};
 use ipcl_core::example::ExampleArch;
 use ipcl_pipesim::BrokenVariant;
-use ipcl_rtl::{Netlist, SignalId, SignalKind, Simulator};
+use ipcl_rtl::{Gate, Netlist, SignalId, SignalKind, Simulator};
 use ipcl_synth::{
     synthesize_broken_interlock, synthesize_interlock, synthesize_interlock_with, SynthesisOptions,
 };
@@ -123,6 +124,75 @@ proptest! {
             .collect();
         assert_lanes_match(&netlist, &words);
     }
+
+    /// `Netlist::elaborate` keeps its readers in one flat array; the order
+    /// it returns must be the one the per-signal `Vec` implementation
+    /// returned, since the unroller creates its variables in that order.
+    #[test]
+    fn elaboration_order_matches_the_reference_kahn_order(
+        inputs in 1usize..=4,
+        gates in collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..=24),
+        wide in collection::vec(collection::vec(any::<u64>(), 1..=5), 0..=4),
+        register_init in any::<bool>(),
+    ) {
+        let mut netlist = build_design(inputs, &gates, register_init);
+        // N-ary gates with repeated operands over the whole netlist.
+        for (j, picks) in wide.iter().enumerate() {
+            let len = netlist.len() as u64;
+            let ops: Vec<SignalId> = picks
+                .iter()
+                .map(|&raw| netlist.iter().nth((raw % len) as usize).expect("in range").0)
+                .collect();
+            netlist.and_gate(&format!("wide{j}"), ops);
+        }
+        prop_assert_eq!(netlist.elaborate().expect("acyclic"), reference_order(&netlist));
+    }
+}
+
+/// The Kahn elaboration with one `Vec` of readers per signal, as
+/// `Netlist::elaborate` implemented it before the readers were flattened:
+/// the reference order.
+fn reference_order(netlist: &Netlist) -> Vec<SignalId> {
+    let is_wire = |id: SignalId| matches!(netlist.signal(id).kind, SignalKind::Wire(_));
+    let gate_inputs = |gate: &Gate| -> Vec<SignalId> {
+        match gate {
+            Gate::Const(_) => Vec::new(),
+            Gate::Buf(a) | Gate::Not(a) => vec![*a],
+            Gate::And(ops) | Gate::Or(ops) => ops.clone(),
+            Gate::Xor(a, b) => vec![*a, *b],
+            Gate::Mux { sel, high, low } => vec![*sel, *high, *low],
+        }
+    };
+    let mut in_degree = vec![0usize; netlist.len()];
+    let mut dependents: Vec<Vec<SignalId>> = vec![Vec::new(); netlist.len()];
+    for (id, signal) in netlist.iter() {
+        if let SignalKind::Wire(gate) = &signal.kind {
+            for input in gate_inputs(gate) {
+                if is_wire(input) {
+                    in_degree[id.index()] += 1;
+                }
+                dependents[input.index()].push(id);
+            }
+        }
+    }
+    let mut ready: Vec<SignalId> = netlist
+        .iter()
+        .filter(|(id, _)| is_wire(*id) && in_degree[id.index()] == 0)
+        .map(|(id, _)| id)
+        .collect();
+    let mut order = Vec::new();
+    while let Some(id) = ready.pop() {
+        order.push(id);
+        for &dependent in &dependents[id.index()] {
+            if is_wire(dependent) {
+                in_degree[dependent.index()] -= 1;
+                if in_degree[dependent.index()] == 0 {
+                    ready.push(dependent);
+                }
+            }
+        }
+    }
+    order
 }
 
 /// Random stimulus words for `netlist`, deterministic in `seed`.

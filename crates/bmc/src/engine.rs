@@ -27,17 +27,18 @@
 //! every property, so it is encoded once and each property adds only its
 //! instance literals.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ipcl_core::FunctionalSpec;
-use ipcl_expr::{Lit, VarId};
+use ipcl_expr::Lit;
 use ipcl_rtl::{InitialState, Netlist, RtlError};
 use ipcl_sat::{SatResult, Solver, SolverConfig, SolverStats};
 use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
 
-use crate::encode::{FrameEncoder, SolverSync};
+use crate::binding::Binding;
+use crate::encode::FrameEncoder;
 use crate::property::SequentialProperty;
 use crate::trace::Counterexample;
 
@@ -190,48 +191,47 @@ pub struct BmcResult {
     pub stats: BmcStats,
 }
 
-/// One unrolling (reset-rooted or free) plus its incremental solver and the
-/// bookkeeping to push only newly generated clauses. The property/trace
-/// plumbing lives in the shared [`FrameEncoder`] (also used by `ipcl-pdr`).
-struct Run {
-    enc: FrameEncoder,
-    solver: Solver,
-    sync: SolverSync,
+/// One unrolling (reset-rooted or free) encoded straight into its
+/// incremental solver. The property/trace plumbing lives in the shared
+/// [`FrameEncoder`] (also used by `ipcl-pdr`).
+struct Run<'n> {
+    enc: FrameEncoder<'n, Solver>,
 }
 
-impl Run {
+impl<'n> Run<'n> {
     fn new(
-        netlist: &Netlist,
+        netlist: &'n Netlist,
+        binding: &'n Binding,
         initial: InitialState,
         options: &BmcOptions,
         tracer: &Tracer,
     ) -> Result<Self, RtlError> {
-        let enc = FrameEncoder::new(netlist, initial, options.quiet_cycles)?;
-        let mut solver =
-            Solver::with_config(enc.unroller().cnf().num_vars as usize, options.solver);
+        let _setup = tracer.span("bmc.setup");
+        let mut solver = Solver::with_config(0, options.solver);
         solver.set_tracer(tracer.clone());
-        Ok(Run {
-            enc,
-            solver,
-            sync: SolverSync::default(),
-        })
+        let enc = FrameEncoder::new(netlist, binding, initial, options.quiet_cycles, solver)?;
+        Ok(Run { enc })
     }
 
-    /// Transfers the clauses generated since the last call into the solver,
-    /// then solves under `assumptions`. Returns the answer with the
+    fn solver(&self) -> &Solver {
+        self.enc.sink()
+    }
+
+    /// Solves under `assumptions` (the solver takes in the clauses encoded
+    /// since the last query first). Returns the answer with the
     /// solver-stat delta of this query alone.
     fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats) {
-        self.sync.sync(&self.enc, &mut self.solver);
-        let before = self.solver.stats();
-        let result = self.solver.solve_under_assumptions(assumptions);
-        (result, self.solver.stats().delta(&before))
+        let solver = self.enc.sink_mut();
+        let before = solver.stats();
+        let result = solver.solve_under_assumptions(assumptions);
+        (result, solver.stats().delta(&before))
     }
 
     /// Folds the solver totals and the unrolling's structural-hashing
     /// counters (`unroll.<label>.*`) into the metrics.
     fn emit(&self, tracer: &Tracer, label: &str) {
         if tracer.is_enabled() {
-            self.solver.stats().emit(tracer, "sat");
+            self.solver().stats().emit(tracer, "sat");
             let u = self.enc.unroller().stats();
             tracer.counter(&format!("unroll.{label}.frames"), u.frames);
             tracer.counter(&format!("unroll.{label}.gates"), u.gates);
@@ -243,33 +243,18 @@ impl Run {
 /// Validates that every `moe` signal the property portfolio mentions exists
 /// in the netlist.
 pub fn missing_moe_signals(spec: &FunctionalSpec, netlist: &Netlist) -> Vec<String> {
-    spec.stages()
-        .iter()
-        .filter_map(|stage| {
-            let name = spec.pool().name_or_fallback(stage.moe);
-            match netlist.find(&name) {
-                Some(_) => None,
-                None => Some(name),
-            }
-        })
-        .collect()
+    Binding::new(spec, netlist).missing_moe(spec, None)
 }
 
 /// As [`missing_moe_signals`], restricted to the stage one `property` talks
-/// about — the prologue check shared by the BMC and PDR engines.
+/// about — the prologue check shared by the BMC and PDR engines, over the
+/// run's [`Binding`].
 pub fn missing_property_signals(
     spec: &FunctionalSpec,
-    netlist: &Netlist,
+    binding: &Binding,
     property: &SequentialProperty,
 ) -> Vec<String> {
-    spec.stages()
-        .iter()
-        .filter(|stage| stage.stage.prefix() == property.stage)
-        .filter_map(|stage| {
-            let name = spec.pool().name_or_fallback(stage.moe);
-            netlist.find(&name).is_none().then_some(name)
-        })
-        .collect()
+    binding.missing_moe(spec, Some(&property.stage))
 }
 
 /// Checks one sequential property on `netlist` against `spec` — a
@@ -375,9 +360,10 @@ pub fn check_properties(
     tracer: &Tracer,
 ) -> Result<Vec<BmcResult>, BmcError> {
     let _span = tracer.span("bmc.check");
+    let binding = Binding::new(spec, netlist);
     let mut missing: Vec<String> = properties
         .iter()
-        .flat_map(|property| missing_property_signals(spec, netlist, property))
+        .flat_map(|property| missing_property_signals(spec, &binding, property))
         .collect();
     missing.sort();
     missing.dedup();
@@ -397,9 +383,8 @@ pub fn check_properties(
         return Ok(Vec::new());
     };
 
-    let moe_vars: BTreeSet<VarId> = spec.moe_vars().into_iter().collect();
     let mut tracks: Vec<Track> = properties.iter().map(|_| Track::default()).collect();
-    let mut base = Run::new(netlist, InitialState::Reset, options, tracer)?;
+    let mut base = Run::new(netlist, &binding, InitialState::Reset, options, tracer)?;
     let mut step: Option<Run> = None;
     // Live-progress beats, once per depth at most (rate-limited): a deep
     // unrolling announces how far it has come while still running.
@@ -426,7 +411,7 @@ pub fn check_properties(
         if !options.incremental && depth > start {
             // The scratch ablation: a fresh reset-rooted unrolling per depth.
             base.emit(tracer, "base");
-            base = Run::new(netlist, InitialState::Reset, options, tracer)?;
+            base = Run::new(netlist, &binding, InitialState::Reset, options, tracer)?;
         }
 
         for (property, track) in properties.iter().zip(&mut tracks) {
@@ -440,10 +425,13 @@ pub fn check_properties(
                 let _encode = tracer.span("bmc.encode");
                 base.enc.ensure_frames(depth + 1);
             }
-            let ok = base.enc.encode_instance(spec, &moe_vars, property, depth);
+            let ok = {
+                let _instance = tracer.span_fast("bmc.instance");
+                base.enc.encode_instance(property, depth)
+            };
             let (result, delta) = base.solve(&[ok.negated()]);
             track.record(delta);
-            track.stats.base_clauses = base.solver.num_clauses();
+            track.stats.base_clauses = base.solver().num_clauses();
             track.stats.last_depth_conflicts = delta.conflicts;
             track.stats.last_depth_propagations = delta.propagations + delta.binary_propagations;
             if tracer.is_enabled() {
@@ -462,6 +450,7 @@ pub fn check_properties(
                 );
             }
             if let SatResult::Sat(model) = result {
+                let _decode = tracer.span("bmc.decode");
                 track.outcome = Some(BmcOutcome::Falsified(Counterexample {
                     property: property.name.clone(),
                     frames: base.enc.decode_trace(spec, &model, depth + 1),
@@ -476,7 +465,13 @@ pub fn check_properties(
             // ---- Inductive step: k = depth − first instance.
             let run = match step.as_mut() {
                 Some(run) => run,
-                None => step.insert(Run::new(netlist, InitialState::Free, options, tracer)?),
+                None => step.insert(Run::new(
+                    netlist,
+                    &binding,
+                    InitialState::Free,
+                    options,
+                    tracer,
+                )?),
             };
             // Loop-free path: each new state differs from all earlier ones.
             for frame in run.enc.unroller().num_frames()..=depth {
@@ -484,9 +479,10 @@ pub fn check_properties(
                     let _encode = tracer.span("bmc.encode");
                     run.enc.ensure_frames(frame + 1);
                 }
+                let _loop_free = tracer.span("bmc.loop_free");
                 for earlier in 0..frame {
                     if let Some(diff) = run.enc.unroller_mut().state_difference(earlier, frame) {
-                        run.enc.unroller_mut().add_clause([diff]);
+                        run.enc.unroller_mut().add_clause(&[diff]);
                     }
                 }
             }
@@ -495,13 +491,16 @@ pub fn check_properties(
             // Lockstep grows the free unrolling only after every step query
             // of the previous depth.
             debug_assert_eq!(run.enc.unroller().num_frames(), depth + 1);
-            let ok = run.enc.encode_instance(spec, &moe_vars, property, depth);
+            let ok = {
+                let _instance = tracer.span_fast("bmc.instance");
+                run.enc.encode_instance(property, depth)
+            };
             let activation = *track
                 .activation
                 .get_or_insert_with(|| run.enc.unroller_mut().fresh_lit());
             let (result, delta) = run.solve(&[activation, ok.negated()]);
             track.record(delta);
-            track.stats.induction_clauses = run.solver.num_clauses();
+            track.stats.induction_clauses = run.solver().num_clauses();
             if result == SatResult::Unsat {
                 track.outcome = Some(BmcOutcome::Proved {
                     induction_depth: depth - property.latency.first_instance(),
@@ -510,7 +509,7 @@ pub fn check_properties(
                 // The step failed: assume this instance and deepen.
                 run.enc
                     .unroller_mut()
-                    .add_clause([activation.negated(), ok]);
+                    .add_clause(&[activation.negated(), ok]);
             }
         }
     }
@@ -566,7 +565,25 @@ pub fn check_stall_escape(
     netlist: &Netlist,
     escape_cycles: usize,
 ) -> Result<Vec<StallEscapeReport>, BmcError> {
-    let missing = missing_moe_signals(spec, netlist);
+    check_stall_escape_traced(spec, netlist, escape_cycles, &Tracer::disabled())
+}
+
+/// As [`check_stall_escape`], with an observability handle: unroller
+/// construction under `bmc.setup`, the frames and quiet-environment
+/// constraints under `bmc.encode`, the per-stage queries under the
+/// solver's `sat.solve` and stuck-state decoding under `bmc.decode`.
+///
+/// # Errors
+///
+/// As [`check_property`].
+pub fn check_stall_escape_traced(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    escape_cycles: usize,
+    tracer: &Tracer,
+) -> Result<Vec<StallEscapeReport>, BmcError> {
+    let binding = Binding::new(spec, netlist);
+    let missing = binding.missing_moe(spec, None);
     if !missing.is_empty() {
         return Err(BmcError::MissingSignals(missing));
     }
@@ -578,26 +595,27 @@ pub fn check_stall_escape(
     // solving under assumptions (learned clauses carry over between stages).
     let mut run = Run::new(
         netlist,
+        &binding,
         InitialState::Free,
         &BmcOptions::default(),
-        &Tracer::disabled(),
+        tracer,
     )?;
-    run.enc.ensure_frames(escape_cycles + 1);
-    for frame in 0..=escape_cycles {
-        for input in run.enc.unroller().netlist().inputs() {
-            let lit = run.enc.unroller().lit(frame, input);
-            run.enc.unroller_mut().add_clause([lit.negated()]);
+    {
+        let _encode = tracer.span("bmc.encode");
+        run.enc.ensure_frames(escape_cycles + 1);
+        let inputs = netlist.inputs();
+        for frame in 0..=escape_cycles {
+            for &input in &inputs {
+                let lit = run.enc.unroller().lit(frame, input);
+                run.enc.unroller_mut().add_clause(&[lit.negated()]);
+            }
         }
     }
 
     let mut reports = Vec::new();
     for stage in spec.stages() {
-        let name = spec.pool().name_or_fallback(stage.moe);
-        let signal = run
-            .enc
-            .unroller()
-            .netlist()
-            .find(&name)
+        let signal = binding
+            .signal(stage.moe)
             .expect("missing signals checked above");
         // Stalled (¬moe) at every frame of the window.
         let stalled: Vec<Lit> = (0..=escape_cycles)
@@ -610,15 +628,15 @@ pub fn check_stall_escape(
                 stuck_state: None,
             },
             SatResult::Sat(model) => {
+                let _decode = tracer.span("bmc.decode");
                 let lit_value = |lit: Lit| model[lit.var() as usize] == lit.is_positive();
                 let unroller = run.enc.unroller();
-                let stuck = unroller
-                    .netlist()
+                let stuck = netlist
                     .registers()
                     .into_iter()
                     .map(|r| {
                         (
-                            unroller.netlist().signal(r).name.clone(),
+                            netlist.signal(r).name.clone(),
                             lit_value(unroller.lit(0, r)),
                         )
                     })

@@ -47,16 +47,18 @@
 //! assert!(result.outcome.is_proved());
 //! ```
 
+pub mod binding;
 pub mod encode;
 pub mod engine;
 pub mod property;
 pub mod trace;
 
-pub use encode::{FrameEncoder, SolverSync};
+pub use binding::Binding;
+pub use encode::FrameEncoder;
 pub use engine::{
     check_properties, check_property, check_property_traced, check_property_with_cancel,
-    check_stall_escape, missing_moe_signals, missing_property_signals, BmcError, BmcOptions,
-    BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
+    check_stall_escape, check_stall_escape_traced, missing_moe_signals, missing_property_signals,
+    BmcError, BmcOptions, BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
 pub use trace::{fuzz, Counterexample, Replay, FUZZ_SEED};

@@ -12,6 +12,8 @@ use ipcl_core::FunctionalSpec;
 use ipcl_expr::Expr;
 use ipcl_rtl::{Netlist, SignalKind};
 
+use crate::binding::Binding;
+
 /// When the implementation's `moe` outputs are sampled relative to the
 /// environment inputs that justify them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -45,10 +47,10 @@ impl Latency {
     /// every `moe` output the netlist implements is a register,
     /// [`Latency::Combinational`] otherwise.
     pub fn detect(spec: &FunctionalSpec, netlist: &Netlist) -> Latency {
+        let binding = Binding::new(spec, netlist);
         let mut saw_register = false;
         for stage in spec.stages() {
-            let name = spec.pool().name_or_fallback(stage.moe);
-            let Some(signal) = netlist.find(&name) else {
+            let Some(signal) = binding.signal(stage.moe) else {
                 continue;
             };
             match netlist.signal(signal).kind {

@@ -23,6 +23,7 @@ use ipcl_trace::report::write_json_string;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+use crate::binding::Binding;
 use crate::property::SequentialProperty;
 
 /// A falsifying execution: one input valuation per frame, ending at the
@@ -75,8 +76,9 @@ impl Counterexample {
         property: &SequentialProperty,
     ) -> Result<Replay, RtlError> {
         let mut simulator = Simulator::new(netlist)?;
-        let moe_vars: std::collections::BTreeSet<VarId> = spec.moe_vars().into_iter().collect();
+        let binding = Binding::new(spec, netlist);
         let pool = spec.pool();
+        let vars = property.ok.vars();
         let mut observations = Vec::with_capacity(self.frames.len());
         let mut violation_reproduced = false;
 
@@ -92,15 +94,19 @@ impl Counterexample {
             // Observe the property's view of this frame.
             let env_frame = frame.saturating_sub(property.latency.offset());
             let lookup = |var: VarId| -> bool {
-                let name = pool.name_or_fallback(var);
-                if moe_vars.contains(&var) {
-                    simulator.value_by_name(&name).unwrap_or(false)
+                if binding.is_moe(var) {
+                    binding
+                        .signal(var)
+                        .is_some_and(|signal| simulator.value(signal))
                 } else {
-                    self.frames[env_frame].get(&name).copied().unwrap_or(false)
+                    pool.name(var)
+                        .and_then(|name| self.frames[env_frame].get(name))
+                        .copied()
+                        .unwrap_or(false)
                 }
             };
             let mut observed = BTreeMap::new();
-            for var in property.ok.vars() {
+            for &var in &vars {
                 observed.insert(pool.name_or_fallback(var), lookup(var));
             }
             if frame == self.violation_frame
@@ -217,17 +223,17 @@ pub fn fuzz(
     let mut sim = BitSimulator::new(netlist)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let pool = spec.pool();
+    let binding = Binding::new(spec, netlist);
     // Every environment variable with its name and the netlist input that
     // implements it, if any.
-    let env: Vec<(VarId, String, Option<_>)> = spec
-        .env_vars()
-        .into_iter()
-        .map(|var| {
-            let name = pool.name_or_fallback(var);
-            let input = netlist
-                .find(&name)
+    let env: Vec<(VarId, String, Option<_>)> = binding
+        .env()
+        .iter()
+        .map(|&var| {
+            let input = binding
+                .signal(var)
                 .filter(|&s| matches!(netlist.signal(s).kind, SignalKind::Input));
-            (var, name, input)
+            (var, pool.name_or_fallback(var), input)
         })
         .collect();
     // `moe[var]` is `Some(word)` for a moe variable (0 when the netlist
@@ -236,7 +242,7 @@ pub fn fuzz(
     let mut moe_signals = Vec::new();
     for var in spec.moe_vars() {
         moe[var.index()] = Some(0);
-        if let Some(signal) = netlist.find(&pool.name_or_fallback(var)) {
+        if let Some(signal) = binding.signal(var) {
             moe_signals.push((var, signal));
         }
     }

@@ -28,8 +28,8 @@
 use std::collections::BTreeMap;
 
 use ipcl_bmc::{
-    check_properties, check_property_traced, check_stall_escape, BmcError, BmcOptions, BmcOutcome,
-    BmcResult, BmcStats, Latency, SequentialProperty, StallEscapeReport,
+    check_properties, check_property_traced, check_stall_escape_traced, BmcError, BmcOptions,
+    BmcOutcome, BmcResult, BmcStats, Latency, SequentialProperty, StallEscapeReport,
 };
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
@@ -349,7 +349,7 @@ pub fn check_netlist_sequential_with(
 
     let stall_escape = if options.deadlock {
         let _span = tracer.span("checker.stall_escape");
-        check_stall_escape(spec, netlist, options.escape_cycles)?
+        check_stall_escape_traced(spec, netlist, options.escape_cycles, &tracer)?
     } else {
         Vec::new()
     };

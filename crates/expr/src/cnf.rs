@@ -5,8 +5,10 @@
 //! the *negation* of the query with [`TseitinEncoder`] and checking
 //! unsatisfiability.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::expr::Expr;
 use crate::polarity::Polarity;
@@ -153,6 +155,28 @@ impl Cnf {
     }
 }
 
+/// Where an encoder writes its formula: fresh variables and clauses, in
+/// order. [`Cnf`] keeps the formula itself; `ipcl_sat::Solver` takes it
+/// straight into the solver that decides it, so a clause is built once
+/// and never copied.
+pub trait ClauseSink {
+    /// Allocates a fresh variable and returns its index.
+    fn new_var(&mut self) -> u32;
+
+    /// Adds the clause `literals` (a disjunction).
+    fn add_clause(&mut self, literals: &[Lit]);
+}
+
+impl ClauseSink for Cnf {
+    fn new_var(&mut self) -> u32 {
+        self.fresh_var()
+    }
+
+    fn add_clause(&mut self, literals: &[Lit]) {
+        Cnf::add_clause(self, literals.iter().copied());
+    }
+}
+
 /// Needed encoding directions of a gate, as a bitmask: [`POS`] are the
 /// `g → f` clauses (sound where the subformula occurs positively),
 /// [`NEG`] the `f → g` clauses (negative occurrences).
@@ -191,25 +215,27 @@ pub struct EncodeStats {
     pub cache_hits: u64,
 }
 
-/// Cache key of a gate: its connective over the *already-encoded child
-/// literals* (bottom-up hash-consing). Keying on child literals instead
-/// of on subexpression trees keeps every cache probe O(arity) — no deep
-/// clones, no repeated subtree hashing — and shares gates even across
-/// structurally different spellings that encode to the same operands
-/// (associativity-flattened or reordered conjunctions, say).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum GateKey {
-    Const(bool),
-    /// Sorted, deduplicated operands.
-    And(Vec<Lit>),
-    /// Sorted, deduplicated operands.
-    Or(Vec<Lit>),
-    Implies(Lit, Lit),
+/// The hash-consed gates of a [`TseitinEncoder`], one table per
+/// connective, keyed on the *already-encoded child literals* (bottom-up
+/// hash-consing). Keying on child literals instead of on subexpression
+/// trees keeps every cache probe O(arity) — no deep clones, no repeated
+/// subtree hashing — and shares gates even across structurally different
+/// spellings that encode to the same operands (associativity-flattened or
+/// reordered conjunctions, say).
+#[derive(Clone, Debug, Default)]
+struct Gates {
+    /// The literals of `false` and `true`.
+    constants: [Option<Lit>; 2],
+    /// Sorted, deduplicated operands, looked up by slice.
+    and: HashMap<Vec<Lit>, GateEntry>,
+    /// Sorted, deduplicated operands, looked up by slice.
+    or: HashMap<Vec<Lit>, GateEntry>,
+    implies: HashMap<(Lit, Lit), GateEntry>,
     /// Operands normalized by literal order (commutative).
-    Iff(Lit, Lit),
+    iff: HashMap<(Lit, Lit), GateEntry>,
     /// Operands normalized by literal order (commutative).
-    Xor(Lit, Lit),
-    Ite(Lit, Lit, Lit),
+    xor: HashMap<(Lit, Lit), GateEntry>,
+    ite: HashMap<(Lit, Lit, Lit), GateEntry>,
 }
 
 /// Tseitin encoder translating [`Expr`]s into [`Cnf`] with a stable mapping
@@ -251,9 +277,9 @@ enum GateKey {
 pub struct TseitinEncoder {
     cnf: Cnf,
     var_map: std::collections::BTreeMap<VarId, u32>,
-    /// Hash-consed gate cache, keyed on connective + child literals
-    /// (gate nodes and constants only; variables go through `var_map`).
-    cache: HashMap<GateKey, GateEntry>,
+    /// Hash-consed gates (gate nodes and constants only; variables go
+    /// through `var_map`).
+    gates: Gates,
     stats: EncodeStats,
 }
 
@@ -329,35 +355,41 @@ impl TseitinEncoder {
     /// The shared literal of the constant `b` (a variable forced to that
     /// value by one unit clause, valid in both directions).
     fn constant(&mut self, b: bool) -> Lit {
-        let key = GateKey::Const(b);
-        if let Some(entry) = self.cache.get(&key) {
+        if let Some(lit) = self.gates.constants[usize::from(b)] {
             self.stats.cache_hits += 1;
-            return entry.lit;
+            return lit;
         }
         let lit = Lit::positive(self.cnf.fresh_var());
         self.cnf.add_clause([Lit::new(lit.var(), b)]);
-        self.cache.insert(key, GateEntry { lit, emitted: BOTH });
+        self.gates.constants[usize::from(b)] = Some(lit);
         self.stats.gates += 1;
         lit
     }
 
-    /// Looks up (or allocates) the gate of `key`, returning its literal
-    /// and the subset of `need` whose clauses still have to be emitted.
-    fn gate(&mut self, key: GateKey, need: u8) -> (Lit, u8) {
-        match self.cache.get_mut(&key) {
-            Some(entry) => {
-                self.stats.cache_hits += 1;
-                let missing = need & !entry.emitted;
-                entry.emitted |= missing;
-                (entry.lit, missing)
-            }
-            None => {
-                self.stats.gates += 1;
-                let lit = Lit::positive(self.cnf.fresh_var());
-                self.cache.insert(key, GateEntry { lit, emitted: need });
-                (lit, need)
-            }
+    /// Looks up (or allocates) the gate `key` in the table `table` picks,
+    /// returning its literal and the subset of `need` whose clauses still
+    /// have to be emitted. A hit allocates nothing.
+    fn gate<K, Q>(
+        &mut self,
+        table: impl FnOnce(&mut Gates) -> &mut HashMap<K, GateEntry>,
+        key: &Q,
+        need: u8,
+    ) -> (Lit, u8)
+    where
+        K: Borrow<Q> + Eq + Hash,
+        Q: ToOwned<Owned = K> + Eq + Hash + ?Sized,
+    {
+        let table = table(&mut self.gates);
+        if let Some(entry) = table.get_mut(key) {
+            self.stats.cache_hits += 1;
+            let missing = need & !entry.emitted;
+            entry.emitted |= missing;
+            return (entry.lit, missing);
         }
+        self.stats.gates += 1;
+        let lit = Lit::positive(self.cnf.fresh_var());
+        table.insert(key.to_owned(), GateEntry { lit, emitted: need });
+        (lit, need)
     }
 
     /// Encodes `expr` bottom-up: children first, then the gate keyed on
@@ -380,7 +412,7 @@ impl TseitinEncoder {
                     0 => self.constant(true),
                     1 => lits[0],
                     _ => {
-                        let (g, missing) = self.gate(GateKey::And(lits.clone()), need);
+                        let (g, missing) = self.gate(|gates| &mut gates.and, lits.as_slice(), need);
                         if missing & POS != 0 {
                             // g → each operand.
                             for &lit in &lits {
@@ -405,7 +437,7 @@ impl TseitinEncoder {
                     0 => self.constant(false),
                     1 => lits[0],
                     _ => {
-                        let (g, missing) = self.gate(GateKey::Or(lits.clone()), need);
+                        let (g, missing) = self.gate(|gates| &mut gates.or, lits.as_slice(), need);
                         if missing & POS != 0 {
                             // g → some operand.
                             let mut clause: Clause = lits.clone();
@@ -425,7 +457,7 @@ impl TseitinEncoder {
             Expr::Implies(l, r) => {
                 let l = self.ensure(l, flip(need));
                 let r = self.ensure(r, need);
-                let (g, missing) = self.gate(GateKey::Implies(l, r), need);
+                let (g, missing) = self.gate(|gates| &mut gates.implies, &(l, r), need);
                 if missing & POS != 0 {
                     self.cnf.add_clause([g.negated(), l.negated(), r]);
                 }
@@ -441,7 +473,7 @@ impl TseitinEncoder {
                 if b < a {
                     std::mem::swap(&mut a, &mut b);
                 }
-                let (g, missing) = self.gate(GateKey::Iff(a, b), need);
+                let (g, missing) = self.gate(|gates| &mut gates.iff, &(a, b), need);
                 if missing & POS != 0 {
                     self.cnf.add_clause([g.negated(), a.negated(), b]);
                     self.cnf.add_clause([g.negated(), a, b.negated()]);
@@ -458,7 +490,7 @@ impl TseitinEncoder {
                 if b < a {
                     std::mem::swap(&mut a, &mut b);
                 }
-                let (g, missing) = self.gate(GateKey::Xor(a, b), need);
+                let (g, missing) = self.gate(|gates| &mut gates.xor, &(a, b), need);
                 if missing & POS != 0 {
                     self.cnf.add_clause([g.negated(), a, b]);
                     self.cnf.add_clause([g.negated(), a.negated(), b.negated()]);
@@ -473,7 +505,7 @@ impl TseitinEncoder {
                 let c = self.ensure(c, BOTH);
                 let t = self.ensure(t, need);
                 let e = self.ensure(e, need);
-                let (g, missing) = self.gate(GateKey::Ite(c, t, e), need);
+                let (g, missing) = self.gate(|gates| &mut gates.ite, &(c, t, e), need);
                 if missing & POS != 0 {
                     self.cnf.add_clause([g.negated(), c.negated(), t]);
                     self.cnf.add_clause([g.negated(), c, e]);

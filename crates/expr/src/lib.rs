@@ -38,7 +38,7 @@ pub mod polarity;
 pub mod simplify;
 pub mod vars;
 
-pub use cnf::{Clause, Cnf, EncodeStats, Lit, TseitinEncoder};
+pub use cnf::{Clause, ClauseSink, Cnf, EncodeStats, Lit, TseitinEncoder};
 pub use env::{Assignment, EvalError};
 pub use expr::{semantically_equal, semantically_implies, Expr};
 pub use parser::{parse_expr, ParseError};

@@ -20,14 +20,12 @@
 //! exactly like a counterexample that fails to replay: it panics rather
 //! than reporting "proved".
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use ipcl_bmc::encode::FrameEncoder;
-use ipcl_bmc::{BmcError, SequentialProperty};
+use ipcl_bmc::{Binding, BmcError, FrameEncoder, SequentialProperty};
 use ipcl_core::FunctionalSpec;
-use ipcl_expr::{Lit, VarId};
-use ipcl_rtl::{InitialState, Netlist, SignalKind};
+use ipcl_expr::Lit;
+use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver};
 use ipcl_trace::report::write_json_string;
 
@@ -171,44 +169,53 @@ impl Certificate {
         netlist: &Netlist,
         property: &SequentialProperty,
     ) -> Result<CertificateCheck, BmcError> {
-        // Resolve certificate registers up front.
+        // Resolve certificate registers up front, once.
         let mut missing = Vec::new();
-        for clause in &self.clauses {
-            for lit in clause {
-                match netlist.find(&lit.register) {
-                    Some(signal)
-                        if matches!(netlist.signal(signal).kind, SignalKind::Register { .. }) => {}
-                    _ => missing.push(lit.register.clone()),
-                }
-            }
-        }
+        let clauses: Vec<Vec<(SignalId, bool)>> = self
+            .clauses
+            .iter()
+            .map(|clause| {
+                clause
+                    .iter()
+                    .filter_map(|lit| match netlist.find(&lit.register) {
+                        Some(signal)
+                            if matches!(
+                                netlist.signal(signal).kind,
+                                SignalKind::Register { .. }
+                            ) =>
+                        {
+                            Some((signal, lit.positive))
+                        }
+                        _ => {
+                            missing.push(lit.register.clone());
+                            None
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         missing.sort();
         missing.dedup();
         if !missing.is_empty() {
             return Err(BmcError::MissingSignals(missing));
         }
 
-        let mut enc = FrameEncoder::new(netlist, InitialState::Free, 0)?;
+        // A fresh unrolling written straight into a fresh solver.
+        let binding = Binding::new(spec, netlist);
+        let mut enc = FrameEncoder::new(netlist, &binding, InitialState::Free, 0, Solver::new(0))?;
         enc.ensure_frames(2);
-        let moe_vars: BTreeSet<VarId> = spec.moe_vars().into_iter().collect();
         let offset = property.latency.offset();
-        let bad = enc
-            .encode_instance(spec, &moe_vars, property, offset)
-            .negated();
+        let bad = enc.encode_instance(property, offset).negated();
 
-        let clause_lit = |enc: &FrameEncoder, frame: usize, lit: &StateLiteral| -> Lit {
-            let signal = enc
-                .unroller()
-                .netlist()
-                .find(&lit.register)
-                .expect("resolved above");
-            let l = enc.unroller().lit(frame, signal);
-            if lit.positive {
-                l
-            } else {
-                l.negated()
-            }
-        };
+        let clause_lit =
+            |enc: &FrameEncoder<'_, Solver>, frame: usize, (signal, positive)| -> Lit {
+                let l = enc.unroller().lit(frame, signal);
+                if positive {
+                    l
+                } else {
+                    l.negated()
+                }
+            };
 
         // Init under an activation literal: each register at its reset value
         // in frame 0.
@@ -219,30 +226,29 @@ impl Certificate {
             };
             let lit = enc.unroller().lit(0, register);
             let lit = if init { lit } else { lit.negated() };
-            enc.unroller_mut().add_clause([act_init.negated(), lit]);
+            enc.unroller_mut().add_clause(&[act_init.negated(), lit]);
         }
 
         // The invariant over frame 0, under an activation literal.
         let act_inv = enc.unroller_mut().fresh_lit();
-        for clause in &self.clauses {
+        for clause in &clauses {
             let mut lits = vec![act_inv.negated()];
-            lits.extend(clause.iter().map(|l| clause_lit(&enc, 0, l)));
-            enc.unroller_mut().add_clause(lits);
+            lits.extend(clause.iter().map(|&l| clause_lit(&enc, 0, l)));
+            enc.unroller_mut().add_clause(&lits);
         }
 
         // ¬invariant at a frame: the disjunction over clauses of the
         // conjunction of the clause's negated literals.
-        let not_inv_at = |enc: &mut FrameEncoder, frame: usize| -> Lit {
-            if self.clauses.is_empty() {
+        let not_inv_at = |enc: &mut FrameEncoder<'_, Solver>, frame: usize| -> Lit {
+            if clauses.is_empty() {
                 return enc.unroller().const_true().negated();
             }
-            let negated_clauses: Vec<Lit> = self
-                .clauses
+            let negated_clauses: Vec<Lit> = clauses
                 .iter()
                 .map(|clause| {
                     let negated: Vec<Lit> = clause
                         .iter()
-                        .map(|l| clause_lit(enc, frame, l).negated())
+                        .map(|&l| clause_lit(enc, frame, l).negated())
                         .collect();
                     enc.unroller_mut().define_and(&negated)
                 })
@@ -253,18 +259,17 @@ impl Certificate {
         let not_inv_0 = not_inv_at(&mut enc, 0);
         let not_inv_1 = not_inv_at(&mut enc, 1);
 
-        let mut solver = Solver::from_cnf(enc.unroller().cnf());
-        let unsat = |solver: &mut Solver, assumptions: &[Lit]| {
-            solver.solve_under_assumptions(assumptions) == SatResult::Unsat
-        };
+        let solver = enc.sink_mut();
+        let mut unsat =
+            |assumptions: &[Lit]| solver.solve_under_assumptions(assumptions) == SatResult::Unsat;
         Ok(CertificateCheck {
             // Init ∧ ¬Inv unsatisfiable.
-            initiation: unsat(&mut solver, &[act_init, not_inv_0]),
+            initiation: unsat(&[act_init, not_inv_0]),
             // Inv ∧ T ∧ ¬Inv' unsatisfiable (T is the frame-0 → frame-1
             // transition built into the unrolling).
-            consecution: unsat(&mut solver, &[act_inv, not_inv_1]),
+            consecution: unsat(&[act_inv, not_inv_1]),
             // Inv ∧ ¬ok unsatisfiable, for any input.
-            safety: unsat(&mut solver, &[act_inv, bad]),
+            safety: unsat(&[act_inv, bad]),
         })
     }
 }

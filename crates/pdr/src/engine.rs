@@ -37,13 +37,12 @@
 //! agree on every design the portfolio races them on.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ipcl_bmc::encode::{FrameEncoder, SolverSync};
-use ipcl_bmc::{BmcError, Counterexample, SequentialProperty};
+use ipcl_bmc::{Binding, BmcError, Counterexample, FrameEncoder, SequentialProperty};
 use ipcl_core::FunctionalSpec;
-use ipcl_expr::{Lit, VarId};
+use ipcl_expr::Lit;
 use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
 use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
@@ -240,18 +239,17 @@ enum BlockOutcome {
     Cancelled,
 }
 
-/// The encoder + incremental solver + trailing frame sequence of one PDR
-/// search: everything needed to answer frame queries (consecution,
-/// generalisation, propagation, certificates). Extracted from the engine
-/// loop so the parallel scheduler ([`crate::parallel`]) can give every
-/// worker its own `FrameCtx` — construction is fully deterministic, so all
-/// workers allocate identical base encodings (and [`FrameCtx::base_bound`]
-/// means the same variable range in each), while frame activation literals
-/// beyond the base stay worker-local.
-pub(crate) struct FrameCtx {
-    pub(crate) enc: FrameEncoder,
-    pub(crate) solver: Solver,
-    sync: SolverSync,
+/// The encoder, writing into its incremental solver, plus the trailing
+/// frame sequence of one PDR search: everything needed to answer frame
+/// queries (consecution, generalisation, propagation, certificates).
+/// Extracted from the engine loop so the parallel scheduler
+/// ([`crate::parallel`]) can give every worker its own `FrameCtx` —
+/// construction is fully deterministic, so all workers allocate identical
+/// base encodings (and [`FrameCtx::base_bound`] means the same variable
+/// range in each), while frame activation literals beyond the base stay
+/// worker-local.
+pub(crate) struct FrameCtx<'n> {
+    pub(crate) enc: FrameEncoder<'n, Solver>,
     /// The registers (state variables), in [`Netlist::registers`] order.
     pub(crate) regs: Vec<SignalId>,
     /// Reset value per register.
@@ -287,29 +285,28 @@ pub(crate) struct FrameCtx {
     tracer: Tracer,
 }
 
-impl FrameCtx {
+impl<'n> FrameCtx<'n> {
     pub(crate) fn new(
-        spec: &FunctionalSpec,
-        netlist: &Netlist,
+        netlist: &'n Netlist,
+        binding: &'n Binding,
         property: &SequentialProperty,
         solver_config: SolverConfig,
         tracer: &Tracer,
-    ) -> Result<FrameCtx, BmcError> {
+    ) -> Result<FrameCtx<'n>, BmcError> {
         let _encode = tracer.span("pdr.encode");
-        let mut enc = FrameEncoder::new(netlist, InitialState::Free, 0)?;
+        let mut solver = Solver::with_config(0, solver_config);
+        solver.set_tracer(tracer.clone());
+        let mut enc = FrameEncoder::new(netlist, binding, InitialState::Free, 0, solver)?;
         // Two frames: the transition `s → s'` and (for registered latency)
         // the property window.
         enc.ensure_frames(2);
-        let moe_vars: BTreeSet<VarId> = spec.moe_vars().into_iter().collect();
         let offset = property.latency.offset();
-        let bad = enc
-            .encode_instance(spec, &moe_vars, property, offset)
-            .negated();
+        let bad = enc.encode_instance(property, offset).negated();
 
-        let regs = enc.unroller().netlist().registers();
+        let regs = netlist.registers();
         let reg_init: Vec<bool> = regs
             .iter()
-            .map(|&r| match enc.unroller().netlist().signal(r).kind {
+            .map(|&r| match netlist.signal(r).kind {
                 SignalKind::Register { init, .. } => init,
                 _ => unreachable!("registers() yields registers"),
             })
@@ -321,17 +318,14 @@ impl FrameCtx {
         let act_init = enc.unroller_mut().fresh_lit();
         for (index, &lit) in reg0.iter().enumerate() {
             let lit = if reg_init[index] { lit } else { lit.negated() };
-            enc.unroller_mut().add_clause([act_init.negated(), lit]);
+            enc.unroller_mut().add_clause(&[act_init.negated(), lit]);
         }
-        let base_bound = enc.unroller().cnf().num_vars;
+        // `act_init` is the base encoding's last variable.
+        let base_bound = act_init.var() + 1;
 
         let placeholder = act_init; // never assumed via `act[0]`
-        let mut solver = Solver::with_config(enc.unroller().cnf().num_vars as usize, solver_config);
-        solver.set_tracer(tracer.clone());
         Ok(FrameCtx {
             enc,
-            solver,
-            sync: SolverSync::default(),
             regs,
             reg_init,
             reg0,
@@ -360,10 +354,18 @@ impl FrameCtx {
         self.frame_cubes.push(Vec::new());
     }
 
+    /// The solver the encoding goes into.
+    pub(crate) fn solver(&self) -> &Solver {
+        self.enc.sink()
+    }
+
+    pub(crate) fn solver_mut(&mut self) -> &mut Solver {
+        self.enc.sink_mut()
+    }
+
     pub(crate) fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.sync.sync(&self.enc, &mut self.solver);
         self.solve_calls += 1;
-        self.solver.solve_under_assumptions(assumptions)
+        self.solver_mut().solve_under_assumptions(assumptions)
     }
 
     /// Assumptions activating the clauses of `F_k`.
@@ -415,7 +417,7 @@ impl FrameCtx {
             cube.iter()
                 .map(|&entry| self.cube_lit(entry, false).negated()),
         );
-        self.enc.unroller_mut().add_clause(clause);
+        self.enc.unroller_mut().add_clause(&clause);
         self.frame_cubes[k].push(cube);
         self.clauses += 1;
     }
@@ -452,13 +454,13 @@ impl FrameCtx {
             cube.iter()
                 .map(|&entry| self.cube_lit(entry, false).negated()),
         );
-        self.enc.unroller_mut().add_clause(clause);
+        self.enc.unroller_mut().add_clause(&clause);
 
         let mut assumptions = self.frame_assumptions(k - 1);
         assumptions.push(tmp);
         assumptions.extend(cube.iter().map(|&entry| self.cube_lit(entry, true)));
         let result = self.solve(&assumptions);
-        self.enc.unroller_mut().add_clause([tmp.negated()]);
+        self.enc.unroller_mut().add_clause(&[tmp.negated()]);
         result
     }
 
@@ -553,7 +555,7 @@ struct Pdr<'a> {
     spec: &'a FunctionalSpec,
     property: &'a SequentialProperty,
     options: PdrOptions,
-    ctx: FrameCtx,
+    ctx: FrameCtx<'a>,
     stats: PdrStats,
     tracer: Tracer,
     /// Live-progress beats (rate-limited), checked per obligation pop and
@@ -564,12 +566,13 @@ struct Pdr<'a> {
 impl<'a> Pdr<'a> {
     fn new(
         spec: &'a FunctionalSpec,
-        netlist: &Netlist,
+        netlist: &'a Netlist,
+        binding: &'a Binding,
         property: &'a SequentialProperty,
         options: PdrOptions,
         tracer: &Tracer,
     ) -> Result<Self, BmcError> {
-        let ctx = FrameCtx::new(spec, netlist, property, options.solver, tracer)?;
+        let ctx = FrameCtx::new(netlist, binding, property, options.solver, tracer)?;
         Ok(Pdr {
             spec,
             property,
@@ -915,23 +918,24 @@ pub fn check_property_pdr_traced(
     tracer: &Tracer,
 ) -> Result<PdrResult, BmcError> {
     let _span = tracer.span("pdr.check");
-    let missing = ipcl_bmc::missing_property_signals(spec, netlist, property);
+    let binding = Binding::new(spec, netlist);
+    let missing = ipcl_bmc::missing_property_signals(spec, &binding, property);
     if !missing.is_empty() {
         return Err(BmcError::MissingSignals(missing));
     }
 
-    let mut pdr = Pdr::new(spec, netlist, property, *options, tracer)?;
+    let mut pdr = Pdr::new(spec, netlist, &binding, property, *options, tracer)?;
     let outcome = pdr.run(cancel);
     let mut stats = pdr.stats.clone();
     stats.frames = pdr.ctx.top();
     stats.clauses = pdr.ctx.clauses;
     stats.solve_calls = pdr.ctx.solve_calls;
     stats.generalization_drops = pdr.ctx.generalization_drops;
-    stats.conflicts = pdr.ctx.solver.stats().conflicts;
-    stats.propagations = pdr.ctx.solver.stats().propagations;
+    stats.conflicts = pdr.ctx.solver().stats().conflicts;
+    stats.propagations = pdr.ctx.solver().stats().propagations;
     if tracer.is_enabled() {
         stats.emit(tracer, "pdr");
-        pdr.ctx.solver.stats().emit(tracer, "sat");
+        pdr.ctx.solver().stats().emit(tracer, "sat");
         let u = pdr.ctx.enc.unroller().stats();
         tracer.counter("unroll.pdr.frames", u.frames);
         tracer.counter("unroll.pdr.gates", u.gates);

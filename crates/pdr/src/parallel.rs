@@ -73,7 +73,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
-use ipcl_bmc::{BmcError, Counterexample, Netlist, SequentialProperty};
+use ipcl_bmc::{Binding, BmcError, Counterexample, Netlist, SequentialProperty};
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
 use ipcl_sat::SatResult;
@@ -296,6 +296,7 @@ struct Shared<'a> {
     options: ParallelPdrOptions,
     spec: &'a FunctionalSpec,
     netlist: &'a Netlist,
+    binding: &'a Binding,
     property: &'a SequentialProperty,
     tracer: Tracer,
     start: Barrier,
@@ -349,9 +350,9 @@ fn worker_span(w: usize) -> &'static str {
 /// The worker half of one participant: a private [`FrameCtx`] plus the
 /// cursors tracking how much of the shared state it has replayed. Worker 0
 /// lives on the master thread and runs the same code between the barriers.
-struct WorkerState {
+struct WorkerState<'n> {
     w: usize,
-    ctx: FrameCtx,
+    ctx: FrameCtx<'n>,
     log_cursor: usize,
     exchange_cursor: usize,
     rng: u64,
@@ -359,18 +360,19 @@ struct WorkerState {
     solved: u64,
 }
 
-impl WorkerState {
-    fn new(shared: &Shared<'_>, w: usize) -> WorkerState {
+impl<'n> WorkerState<'n> {
+    fn new(shared: &Shared<'n>, w: usize) -> WorkerState<'n> {
         let mut ctx = FrameCtx::new(
-            shared.spec,
             shared.netlist,
+            shared.binding,
             shared.property,
             shared.options.base.solver,
             &shared.tracer,
         )
         .expect("sibling encoding mirrors the master's, which elaborated");
         if shared.options.threads > 1 && shared.options.share_max_lbd > 0 {
-            ctx.solver.set_clause_sharing(shared.options.share_max_lbd);
+            ctx.solver_mut()
+                .set_clause_sharing(shared.options.share_max_lbd);
         }
         WorkerState {
             w,
@@ -402,12 +404,12 @@ impl WorkerState {
             for clause in shared.exchange.drain_from(&mut self.exchange_cursor) {
                 if clause.from != self.w {
                     self.ctx
-                        .solver
+                        .solver_mut()
                         .import_clause(clause.literals.iter().copied(), clause.lbd);
                 }
             }
             let base_bound = self.ctx.base_bound;
-            for (literals, lbd) in self.ctx.solver.take_shared() {
+            for (literals, lbd) in self.ctx.solver_mut().take_shared() {
                 if literals.iter().all(|lit| lit.var() < base_bound) {
                     shared.exchange.publish(ExchangeClause {
                         from: self.w,
@@ -460,7 +462,7 @@ impl WorkerState {
             return;
         }
         let queue = round.deques[self.w].lock().expect("deque lock").len();
-        let stats = self.ctx.solver.stats();
+        let stats = self.ctx.solver().stats();
         shared.tracer.event(
             "heartbeat",
             &[
@@ -474,7 +476,7 @@ impl WorkerState {
     }
 
     fn tally(&self) -> WorkerTally {
-        let stats = self.ctx.solver.stats();
+        let stats = self.ctx.solver().stats();
         WorkerTally {
             solve_calls: self.ctx.solve_calls,
             generalization_drops: self.ctx.generalization_drops,
@@ -532,10 +534,10 @@ struct ParallelPdr<'a, 'b> {
     /// The canonical context: every model-producing query runs here, in an
     /// order that is a pure function of the round trajectory. Never
     /// imports foreign clauses.
-    canon: FrameCtx,
+    canon: FrameCtx<'b>,
     /// The master's worker half (worker 0) — participates in every round's
     /// task solving alongside the spawned workers.
-    w0: WorkerState,
+    w0: WorkerState<'b>,
     stats: PdrStats,
     heartbeat: Heartbeat,
 }
@@ -550,7 +552,7 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         // canonical search.)
         if self.shared.options.threads > 1 && self.shared.options.share_max_lbd > 0 {
             let base_bound = self.canon.base_bound;
-            for (literals, lbd) in self.canon.solver.take_shared() {
+            for (literals, lbd) in self.canon.solver_mut().take_shared() {
                 if literals.iter().all(|lit| lit.var() < base_bound) {
                     self.shared.exchange.publish(ExchangeClause {
                         from: MASTER,
@@ -1073,7 +1075,8 @@ pub fn check_property_pdr_parallel_traced(
     tracer: &Tracer,
 ) -> Result<PdrResult, BmcError> {
     let _span = tracer.span("pdr.check");
-    let missing = ipcl_bmc::missing_property_signals(spec, netlist, property);
+    let binding = Binding::new(spec, netlist);
+    let missing = ipcl_bmc::missing_property_signals(spec, &binding, property);
     if !missing.is_empty() {
         return Err(BmcError::MissingSignals(missing));
     }
@@ -1084,15 +1087,16 @@ pub fn check_property_pdr_parallel_traced(
 
     // The one fallible construction, before any thread exists: the
     // workers' sibling contexts mirror it.
-    let mut canon = FrameCtx::new(spec, netlist, property, options.base.solver, tracer)?;
+    let mut canon = FrameCtx::new(netlist, &binding, property, options.base.solver, tracer)?;
     if options.threads > 1 && options.share_max_lbd > 0 {
-        canon.solver.set_clause_sharing(options.share_max_lbd);
+        canon.solver_mut().set_clause_sharing(options.share_max_lbd);
     }
 
     let shared = Shared {
         options,
         spec,
         netlist,
+        binding: &binding,
         property,
         tracer: tracer.clone(),
         start: Barrier::new(options.threads),
@@ -1139,9 +1143,9 @@ pub fn check_property_pdr_parallel_traced(
     stats.clauses = canon.clauses;
     stats.solve_calls = canon.solve_calls;
     stats.generalization_drops = 0;
-    stats.conflicts = canon.solver.stats().conflicts;
-    stats.propagations = canon.solver.stats().propagations;
-    stats.exported_clauses = canon.solver.stats().exported_clauses;
+    stats.conflicts = canon.solver().stats().conflicts;
+    stats.propagations = canon.solver().stats().propagations;
+    stats.exported_clauses = canon.solver().stats().exported_clauses;
     for tally in tallies.iter().chain(std::iter::once(&w0_tally)) {
         stats.solve_calls += tally.solve_calls;
         stats.generalization_drops += tally.generalization_drops;
@@ -1154,7 +1158,7 @@ pub fn check_property_pdr_parallel_traced(
 
     if tracer.is_enabled() {
         stats.emit(tracer, "pdr");
-        canon.solver.stats().emit(tracer, "sat");
+        canon.solver().stats().emit(tracer, "sat");
         tracer.counter("pdr.exchange_dropped", exchange_dropped as u64);
         let u = canon.enc.unroller().stats();
         tracer.counter("unroll.pdr.frames", u.frames);

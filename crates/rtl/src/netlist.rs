@@ -47,15 +47,16 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// The input signals of the gate.
-    pub fn inputs(&self) -> Vec<SignalId> {
-        match self {
-            Gate::Const(_) => Vec::new(),
-            Gate::Buf(a) | Gate::Not(a) => vec![*a],
-            Gate::And(ops) | Gate::Or(ops) => ops.clone(),
-            Gate::Xor(a, b) => vec![*a, *b],
-            Gate::Mux { sel, high, low } => vec![*sel, *high, *low],
-        }
+    /// The input signals of the gate, in operand order.
+    pub fn inputs(&self) -> impl Iterator<Item = SignalId> + '_ {
+        let (fixed, ops): ([Option<SignalId>; 3], &[SignalId]) = match self {
+            Gate::Const(_) => ([None; 3], &[]),
+            Gate::Buf(a) | Gate::Not(a) => ([Some(*a), None, None], &[]),
+            Gate::And(ops) | Gate::Or(ops) => ([None; 3], ops),
+            Gate::Xor(a, b) => ([Some(*a), Some(*b), None], &[]),
+            Gate::Mux { sel, high, low } => ([Some(*sel), Some(*high), Some(*low)], &[]),
+        };
+        fixed.into_iter().flatten().chain(ops.iter().copied())
     }
 }
 
@@ -328,29 +329,49 @@ impl Netlist {
             }
         }
         // Kahn's algorithm over combinational wires only; inputs and register
-        // outputs are sources.
-        let mut in_degree: Vec<usize> = vec![0; self.signals.len()];
-        let mut dependents: Vec<Vec<SignalId>> = vec![Vec::new(); self.signals.len()];
-        for (id, signal) in self.iter() {
-            if let SignalKind::Wire(gate) = &signal.kind {
-                for input in gate.inputs() {
-                    if matches!(self.signals[input.index()].kind, SignalKind::Wire(_)) {
-                        in_degree[id.index()] += 1;
-                    }
-                    dependents[input.index()].push(id);
-                }
+        // outputs are sources. The readers of signal `s` are
+        // `dependents[start[s]..start[s + 1]]`, in one flat array, in id
+        // order.
+        let is_wire = |id: SignalId| matches!(self.signals[id.index()].kind, SignalKind::Wire(_));
+        let gates = || {
+            self.iter().filter_map(|(id, signal)| match &signal.kind {
+                SignalKind::Wire(gate) => Some((id, gate)),
+                _ => None,
+            })
+        };
+        let mut in_degree: Vec<u32> = vec![0; self.signals.len()];
+        let mut start: Vec<usize> = vec![0; self.signals.len() + 1];
+        for (_, gate) in gates() {
+            for input in gate.inputs() {
+                start[input.index() + 1] += 1;
             }
         }
-        let mut ready: Vec<SignalId> = self
-            .iter()
-            .filter(|(id, s)| matches!(s.kind, SignalKind::Wire(_)) && in_degree[id.index()] == 0)
+        for index in 1..start.len() {
+            start[index] += start[index - 1];
+        }
+        // Fill with `start[s]` as the write cursor of `s`; afterwards it is
+        // the end of `s`'s run, so shifting by one restores the starts.
+        let mut dependents = vec![SignalId(0); start[self.signals.len()]];
+        for (id, gate) in gates() {
+            for input in gate.inputs() {
+                if is_wire(input) {
+                    in_degree[id.index()] += 1;
+                }
+                dependents[start[input.index()]] = id;
+                start[input.index()] += 1;
+            }
+        }
+        start.rotate_right(1);
+        start[0] = 0;
+        let mut ready: Vec<SignalId> = gates()
+            .filter(|(id, _)| in_degree[id.index()] == 0)
             .map(|(id, _)| id)
             .collect();
         let mut order = Vec::new();
         while let Some(id) = ready.pop() {
             order.push(id);
-            for &dependent in &dependents[id.index()] {
-                if matches!(self.signals[dependent.index()].kind, SignalKind::Wire(_)) {
+            for &dependent in &dependents[start[id.index()]..start[id.index() + 1]] {
+                if is_wire(dependent) {
                     in_degree[dependent.index()] -= 1;
                     if in_degree[dependent.index()] == 0 {
                         ready.push(dependent);
@@ -358,16 +379,11 @@ impl Netlist {
                 }
             }
         }
-        let wire_count = self
-            .iter()
-            .filter(|(_, s)| matches!(s.kind, SignalKind::Wire(_)))
-            .count();
-        if order.len() != wire_count {
+        if order.len() != gates().count() {
             // Some wire was never released: it is on a cycle.
-            let stuck = self
-                .iter()
-                .find(|(id, s)| matches!(s.kind, SignalKind::Wire(_)) && !order.contains(id))
-                .map(|(_, s)| s.name.clone())
+            let stuck = gates()
+                .find(|(id, _)| !order.contains(id))
+                .map(|(id, _)| self.signal(id).name.clone())
                 .unwrap_or_default();
             return Err(RtlError::CombinationalCycle(stuck));
         }
@@ -479,19 +495,19 @@ mod tests {
         let a = SignalId(0);
         let b = SignalId(1);
         let c = SignalId(2);
-        assert!(Gate::Const(true).inputs().is_empty());
-        assert_eq!(Gate::Buf(a).inputs(), vec![a]);
-        assert_eq!(Gate::Not(a).inputs(), vec![a]);
-        assert_eq!(Gate::And(vec![a, b]).inputs(), vec![a, b]);
-        assert_eq!(Gate::Or(vec![a, b]).inputs(), vec![a, b]);
-        assert_eq!(Gate::Xor(a, b).inputs(), vec![a, b]);
+        let inputs = |gate: Gate| gate.inputs().collect::<Vec<_>>();
+        assert!(inputs(Gate::Const(true)).is_empty());
+        assert_eq!(inputs(Gate::Buf(a)), vec![a]);
+        assert_eq!(inputs(Gate::Not(a)), vec![a]);
+        assert_eq!(inputs(Gate::And(vec![a, b])), vec![a, b]);
+        assert_eq!(inputs(Gate::Or(vec![a, b])), vec![a, b]);
+        assert_eq!(inputs(Gate::Xor(a, b)), vec![a, b]);
         assert_eq!(
-            Gate::Mux {
+            inputs(Gate::Mux {
                 sel: a,
                 high: b,
                 low: c
-            }
-            .inputs(),
+            }),
             vec![a, b, c]
         );
     }

@@ -9,10 +9,12 @@
 //! reset values ([`InitialState::Reset`], the BMC base case) or are left
 //! unconstrained ([`InitialState::Free`], the k-induction step case).
 //!
-//! The [`Unroller`] is deliberately *incremental*: frames are appended one at
-//! a time and the clause database only ever grows, so a BMC driver can push
-//! the newly added clauses into an incremental SAT solver and keep all
-//! learned clauses from shallower depths.
+//! The [`Unroller`] borrows the caller's netlist and writes every variable
+//! and clause once, into a [`ClauseSink`]: a [`Cnf`] when the formula itself
+//! is wanted ([`Unroller::new`]), or the incremental SAT solver that decides
+//! it ([`Unroller::with_sink`]). It is *incremental*: frames are appended
+//! one at a time and the formula only ever grows, so a BMC loop keeps
+//! all learned clauses from shallower depths.
 //!
 //! # Example
 //!
@@ -31,27 +33,17 @@
 //! // frame-0 literal of its next-state cone.
 //! assert_eq!(unroller.num_frames(), 2);
 //! assert_eq!(unroller.lit(1, t), unroller.lit(0, nt));
+//! // The formula went into a `Cnf`: the constant-true unit, then the
+//! // inverter, which needs no clause of its own.
+//! assert_eq!(unroller.cnf().len(), 1);
 //! # Ok::<(), ipcl_rtl::RtlError>(())
 //! ```
 
 use std::collections::HashMap;
 
-use ipcl_expr::{Cnf, Lit};
+use ipcl_expr::{ClauseSink, Cnf, Lit};
 
 use crate::netlist::{Gate, Netlist, RtlError, SignalId, SignalKind};
-
-/// Key of the structural-hashing gate cache: a normalized gate shape over
-/// already-encoded literals. Two gates with the same key denote the same
-/// function, so they share one definition literal and one set of clauses.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum GateKey {
-    /// Conjunction over sorted, deduplicated operands.
-    And(Vec<Lit>),
-    /// Exclusive or over an ordered pair.
-    Xor(Lit, Lit),
-    /// Multiplexer `if sel { high } else { low }`.
-    Mux(Lit, Lit, Lit),
-}
 
 /// Encode-path counters of an [`Unroller`]: how much work the unrolling
 /// did and how much the structural-hashing cache saved (surfaced as
@@ -77,60 +69,94 @@ pub enum InitialState {
     Free,
 }
 
-/// Incremental time-frame unroller producing CNF over a growing number of
-/// frames. See the module docs for the encoding.
+/// Incremental time-frame unroller of a borrowed netlist, writing into the
+/// clause sink `S`. See the module docs for the encoding.
 #[derive(Clone, Debug)]
-pub struct Unroller {
-    netlist: Netlist,
-    /// Signal kinds snapshot, indexed by signal id — cloned once at
-    /// construction so `add_frame` can walk the circuit while emitting
-    /// clauses without re-cloning the netlist per frame.
-    kinds: Vec<SignalKind>,
+pub struct Unroller<'n, S = Cnf> {
+    netlist: &'n Netlist,
     /// Topological order of combinational wires from elaboration.
     order: Vec<SignalId>,
+    /// The registers, in [`Netlist::registers`] order.
+    registers: Vec<SignalId>,
     initial: InitialState,
-    cnf: Cnf,
+    sink: S,
     /// `frames[t][signal.index()]` is the literal of the signal in frame `t`.
     frames: Vec<Vec<Lit>>,
     const_true: Lit,
-    /// Structural-hashing cache: normalized gate shape → definition
+    /// Structural-hashing caches: normalized gate shape → definition
     /// literal. Hit whenever the same function over the same frame
     /// literals is requested again — duplicate gates inside one frame,
     /// and the repeated property-instance/cube encodings BMC and PDR
     /// issue over a fixed unrolling — so the duplicate definitional
-    /// clauses are never emitted.
-    gate_cache: HashMap<GateKey, Lit>,
+    /// clauses are never emitted. Conjunctions are keyed by their sorted,
+    /// deduplicated operands and looked up by slice.
+    and_gates: HashMap<Vec<Lit>, Lit>,
+    /// Exclusive ors, keyed by the ordered pair of positive literals.
+    xor_gates: HashMap<(Lit, Lit), Lit>,
+    /// Multiplexers, keyed by `(sel, high, low)`.
+    mux_gates: HashMap<(Lit, Lit, Lit), Lit>,
+    /// Reused operand list of conjunctions, so a cache hit allocates
+    /// nothing.
+    operands: Vec<Lit>,
+    /// Reused long clause of a conjunction's definition.
+    clause: Vec<Lit>,
     stats: UnrollStats,
 }
 
-impl Unroller {
-    /// Builds an unroller for `netlist` with no frames yet.
+impl<'n> Unroller<'n, Cnf> {
+    /// Builds an unroller for `netlist` with no frames yet, writing into a
+    /// fresh [`Cnf`] (see [`Unroller::cnf`]).
     ///
     /// # Errors
     ///
     /// Propagates [`RtlError`]s from elaboration (unconnected registers,
     /// combinational cycles).
-    pub fn new(netlist: &Netlist, initial: InitialState) -> Result<Self, RtlError> {
+    pub fn new(netlist: &'n Netlist, initial: InitialState) -> Result<Self, RtlError> {
+        Unroller::with_sink(netlist, initial, Cnf::new(0))
+    }
+
+    /// The formula built so far.
+    pub fn cnf(&self) -> &Cnf {
+        &self.sink
+    }
+}
+
+impl<'n, S: ClauseSink> Unroller<'n, S> {
+    /// Builds an unroller for `netlist` with no frames yet, writing every
+    /// variable and clause into `sink`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`RtlError`]s from elaboration (unconnected registers,
+    /// combinational cycles).
+    pub fn with_sink(
+        netlist: &'n Netlist,
+        initial: InitialState,
+        mut sink: S,
+    ) -> Result<Self, RtlError> {
         let order = netlist.elaborate()?;
-        let mut cnf = Cnf::new(0);
-        let true_var = cnf.fresh_var();
-        cnf.add_clause([Lit::positive(true_var)]);
+        let const_true = Lit::positive(sink.new_var());
+        sink.add_clause(&[const_true]);
         Ok(Unroller {
-            kinds: netlist.iter().map(|(_, s)| s.kind.clone()).collect(),
-            netlist: netlist.clone(),
+            netlist,
             order,
+            registers: netlist.registers(),
             initial,
-            cnf,
+            sink,
             frames: Vec::new(),
-            const_true: Lit::positive(true_var),
-            gate_cache: HashMap::new(),
+            const_true,
+            and_gates: HashMap::new(),
+            xor_gates: HashMap::new(),
+            mux_gates: HashMap::new(),
+            operands: Vec::new(),
+            clause: Vec::new(),
             stats: UnrollStats::default(),
         })
     }
 
     /// The unrolled netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+    pub fn netlist(&self) -> &'n Netlist {
+        self.netlist
     }
 
     /// How frame-0 registers are constrained.
@@ -148,11 +174,14 @@ impl Unroller {
         self.stats
     }
 
-    /// The accumulated CNF. Clauses are append-only, so an incremental
-    /// driver can remember how many clauses it has already transferred to a
-    /// solver and push only the suffix after each [`Unroller::add_frame`].
-    pub fn cnf(&self) -> &Cnf {
-        &self.cnf
+    /// The sink the formula goes into.
+    pub fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// Mutable access to the sink (to solve, when it is a solver).
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
     }
 
     /// A literal that is constrained true in every model.
@@ -169,32 +198,23 @@ impl Unroller {
         self.frames[frame][signal.index()]
     }
 
-    /// The literal of a named signal in `frame`, if the signal exists.
-    pub fn lit_by_name(&self, frame: usize, name: &str) -> Option<Lit> {
-        self.netlist.find(name).map(|s| self.lit(frame, s))
-    }
-
     /// Allocates a fresh unconstrained literal (for property encodings that
     /// need auxiliary variables, e.g. specification inputs the netlist does
     /// not implement).
     pub fn fresh_lit(&mut self) -> Lit {
-        Lit::positive(self.cnf.fresh_var())
+        Lit::positive(self.sink.new_var())
     }
 
     /// Adds a clause to the unrolling (environment constraints, property
     /// activation literals, …).
-    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, literals: I) {
-        self.cnf.add_clause(literals);
+    pub fn add_clause(&mut self, literals: &[Lit]) {
+        self.sink.add_clause(literals);
     }
 
     /// The register-output literals of `frame`, in [`Netlist::registers`]
     /// order — the circuit's state vector, used for simple-path constraints.
     pub fn register_lits(&self, frame: usize) -> Vec<Lit> {
-        self.netlist
-            .registers()
-            .into_iter()
-            .map(|r| self.lit(frame, r))
-            .collect()
+        self.registers.iter().map(|&r| self.lit(frame, r)).collect()
     }
 
     /// Appends one time frame and returns its index.
@@ -205,16 +225,14 @@ impl Unroller {
     /// gates are Tseitin-encoded on top.
     pub fn add_frame(&mut self) -> usize {
         let frame = self.frames.len();
-        let mut lits = vec![self.const_true; self.netlist.len()];
-        // Sources first: inputs and register outputs. The kinds snapshot is
-        // swapped out for the duration so clause emission can borrow `self`
-        // mutably without cloning the circuit per frame.
-        let kinds = std::mem::take(&mut self.kinds);
-        for (index, kind) in kinds.iter().enumerate() {
-            match kind {
-                SignalKind::Input => lits[index] = self.fresh_lit(),
+        let netlist = self.netlist;
+        let mut lits = vec![self.const_true; netlist.len()];
+        // Sources first: inputs and register outputs.
+        for (id, signal) in netlist.iter() {
+            match &signal.kind {
+                SignalKind::Input => lits[id.index()] = self.fresh_lit(),
                 SignalKind::Register { init, next } => {
-                    lits[index] = if frame == 0 {
+                    lits[id.index()] = if frame == 0 {
                         match self.initial {
                             InitialState::Reset => {
                                 if *init {
@@ -236,12 +254,11 @@ impl Unroller {
         // Then wires in topological order.
         for index in 0..self.order.len() {
             let id = self.order[index];
-            let SignalKind::Wire(gate) = &kinds[id.index()] else {
+            let SignalKind::Wire(gate) = &netlist.signal(id).kind else {
                 unreachable!("evaluation order contains only wires");
             };
             lits[id.index()] = self.encode_gate(gate, &lits);
         }
-        self.kinds = kinds;
         self.frames.push(lits);
         self.stats.frames += 1;
         frame
@@ -254,12 +271,15 @@ impl Unroller {
             Gate::Buf(a) => lits[a.index()],
             Gate::Not(a) => lits[a.index()].negated(),
             Gate::And(ops) => {
-                let operands: Vec<Lit> = ops.iter().map(|s| lits[s.index()]).collect();
-                self.define_and(&operands)
+                self.operands.clear();
+                self.operands.extend(ops.iter().map(|s| lits[s.index()]));
+                self.and_of_operands()
             }
             Gate::Or(ops) => {
-                let negated: Vec<Lit> = ops.iter().map(|s| lits[s.index()].negated()).collect();
-                self.define_and(&negated).negated()
+                self.operands.clear();
+                self.operands
+                    .extend(ops.iter().map(|s| lits[s.index()].negated()));
+                self.and_of_operands().negated()
             }
             Gate::Xor(a, b) => self.define_xor(lits[a.index()], lits[b.index()]),
             Gate::Mux { sel, high, low } => {
@@ -275,16 +295,20 @@ impl Unroller {
     /// pairs collapse to `false`; structurally identical conjunctions
     /// share one definition through the gate cache.
     pub fn define_and(&mut self, operands: &[Lit]) -> Lit {
-        let mut ops: Vec<Lit> = Vec::with_capacity(operands.len());
-        for &lit in operands {
-            if lit == self.const_true {
-                continue;
-            }
-            if lit == self.const_true.negated() {
-                return self.const_true.negated();
-            }
-            ops.push(lit);
+        self.operands.clear();
+        self.operands.extend_from_slice(operands);
+        self.and_of_operands()
+    }
+
+    /// [`Unroller::define_and`] of the reused list `self.operands`,
+    /// which it folds, sorts and deduplicates in place.
+    fn and_of_operands(&mut self) -> Lit {
+        let (t, f) = (self.const_true, self.const_true.negated());
+        let ops = &mut self.operands;
+        if ops.contains(&f) {
+            return f;
         }
+        ops.retain(|&lit| lit != t);
         ops.sort_unstable();
         ops.dedup();
         if ops
@@ -292,25 +316,26 @@ impl Unroller {
             .any(|w| w[0].var() == w[1].var() && w[0] != w[1])
         {
             // x ∧ … ∧ ¬x is false.
-            return self.const_true.negated();
+            return f;
         }
         match ops.len() {
-            0 => self.const_true,
+            0 => t,
             1 => ops[0],
             _ => {
-                if let Some(&g) = self.gate_cache.get(&GateKey::And(ops.clone())) {
+                if let Some(&g) = self.and_gates.get(ops.as_slice()) {
                     self.stats.cache_hits += 1;
                     return g;
                 }
                 self.stats.gates += 1;
-                let g = self.fresh_lit();
-                for &lit in &ops {
-                    self.cnf.add_clause([g.negated(), lit]);
+                let g = Lit::positive(self.sink.new_var());
+                for &lit in ops.iter() {
+                    self.sink.add_clause(&[g.negated(), lit]);
                 }
-                let mut clause: Vec<Lit> = ops.iter().map(|l| l.negated()).collect();
-                clause.push(g);
-                self.cnf.add_clause(clause);
-                self.gate_cache.insert(GateKey::And(ops), g);
+                self.clause.clear();
+                self.clause.extend(ops.iter().map(|l| l.negated()));
+                self.clause.push(g);
+                self.sink.add_clause(&self.clause);
+                self.and_gates.insert(ops.clone(), g);
                 g
             }
         }
@@ -345,7 +370,7 @@ impl Unroller {
         if y.code() < x.code() {
             std::mem::swap(&mut x, &mut y);
         }
-        let g = match self.gate_cache.get(&GateKey::Xor(x, y)) {
+        let g = match self.xor_gates.get(&(x, y)) {
             Some(&g) => {
                 self.stats.cache_hits += 1;
                 g
@@ -353,11 +378,12 @@ impl Unroller {
             None => {
                 self.stats.gates += 1;
                 let g = self.fresh_lit();
-                self.cnf.add_clause([g.negated(), x, y]);
-                self.cnf.add_clause([g.negated(), x.negated(), y.negated()]);
-                self.cnf.add_clause([g, x.negated(), y]);
-                self.cnf.add_clause([g, x, y.negated()]);
-                self.gate_cache.insert(GateKey::Xor(x, y), g);
+                self.sink.add_clause(&[g.negated(), x, y]);
+                self.sink
+                    .add_clause(&[g.negated(), x.negated(), y.negated()]);
+                self.sink.add_clause(&[g, x.negated(), y]);
+                self.sink.add_clause(&[g, x, y.negated()]);
+                self.xor_gates.insert((x, y), g);
                 g
             }
         };
@@ -380,21 +406,21 @@ impl Unroller {
         if high == low {
             return high;
         }
-        if let Some(&g) = self.gate_cache.get(&GateKey::Mux(sel, high, low)) {
+        if let Some(&g) = self.mux_gates.get(&(sel, high, low)) {
             self.stats.cache_hits += 1;
             return g;
         }
         self.stats.gates += 1;
         let g = self.fresh_lit();
-        self.cnf.add_clause([sel.negated(), high.negated(), g]);
-        self.cnf.add_clause([sel.negated(), high, g.negated()]);
-        self.cnf.add_clause([sel, low.negated(), g]);
-        self.cnf.add_clause([sel, low, g.negated()]);
+        self.sink.add_clause(&[sel.negated(), high.negated(), g]);
+        self.sink.add_clause(&[sel.negated(), high, g.negated()]);
+        self.sink.add_clause(&[sel, low.negated(), g]);
+        self.sink.add_clause(&[sel, low, g.negated()]);
         // Redundant but propagation-strengthening: if both branches agree the
         // output is known without the select.
-        self.cnf.add_clause([high.negated(), low.negated(), g]);
-        self.cnf.add_clause([high, low, g.negated()]);
-        self.gate_cache.insert(GateKey::Mux(sel, high, low), g);
+        self.sink.add_clause(&[high.negated(), low.negated(), g]);
+        self.sink.add_clause(&[high, low, g.negated()]);
+        self.mux_gates.insert((sel, high, low), g);
         g
     }
 
@@ -402,19 +428,19 @@ impl Unroller {
     /// differ — the building block of loop-free (simple) path constraints
     /// for k-induction. Returns `None` for stateless netlists.
     pub fn state_difference(&mut self, frame_a: usize, frame_b: usize) -> Option<Lit> {
-        let a = self.register_lits(frame_a);
-        let b = self.register_lits(frame_b);
-        if a.is_empty() {
+        if self.registers.is_empty() {
             return None;
         }
-        let diffs: Vec<Lit> = a
-            .into_iter()
-            .zip(b)
-            .map(|(la, lb)| self.define_xor(la, lb))
-            .collect();
-        // diff ↔ OR(diffs)
-        let negated: Vec<Lit> = diffs.iter().map(|l| l.negated()).collect();
-        Some(self.define_and(&negated).negated())
+        // diff ↔ OR(la ⊕ lb) ↔ ¬AND(¬(la ⊕ lb)), with every xor defined
+        // before the conjunction.
+        self.operands.clear();
+        for index in 0..self.registers.len() {
+            let register = self.registers[index];
+            let (la, lb) = (self.lit(frame_a, register), self.lit(frame_b, register));
+            let differ = self.define_xor(la, lb);
+            self.operands.push(differ.negated());
+        }
+        Some(self.and_of_operands().negated())
     }
 }
 
@@ -458,7 +484,7 @@ mod tests {
             let frame = unroller.add_frame();
             // Force enable high in every frame.
             let enable_lit = unroller.lit(frame, enable);
-            unroller.add_clause([enable_lit]);
+            unroller.add_clause(&[enable_lit]);
         }
         let model = model_of(&unroller);
 

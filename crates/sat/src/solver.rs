@@ -18,7 +18,7 @@
 //! of such queries per proof — pays a backtrack to level 0, not a full
 //! O(vars) reset plus an O(clauses) unit re-scan.
 
-use ipcl_expr::{Cnf, Lit};
+use ipcl_expr::{ClauseSink, Cnf, Lit};
 use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
 
 /// Minimum spacing of the live-progress `heartbeat` events (the `--watch`
@@ -350,6 +350,13 @@ pub struct Solver {
     heartbeat: Heartbeat,
     /// Stats at the last heartbeat, for since-last-beat deltas.
     beat_base: SolverStats,
+    /// Variables handed out through [`ClauseSink::new_var`]: the universe
+    /// grows to this count at the next solve.
+    sink_vars: usize,
+    /// Clauses added through [`ClauseSink::add_clause`] since the last
+    /// solve, flat; `queued_ends[i]` is where clause `i` ends in `queued`.
+    queued: Vec<Lit>,
+    queued_ends: Vec<usize>,
 }
 
 impl Solver {
@@ -393,6 +400,9 @@ impl Solver {
             tracer: Tracer::disabled(),
             heartbeat: Heartbeat::every_ms(HEARTBEAT_MS),
             beat_base: SolverStats::default(),
+            sink_vars: 0,
+            queued: Vec::new(),
+            queued_ends: Vec::new(),
         };
         solver.reserve_vars(num_vars);
         solver
@@ -494,8 +504,8 @@ impl Solver {
         }
     }
 
-    /// Adds a clause to the database. May be called between `solve` calls;
-    /// variables beyond the current universe grow it automatically.
+    /// Adds a clause to the database now. May be called between `solve`
+    /// calls; variables beyond the current universe grow it automatically.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, literals: I) {
         let literals: Vec<Lit> = literals.into_iter().collect();
         if let Some(max_var) = literals.iter().map(|l| l.var()).max() {
@@ -1173,7 +1183,9 @@ impl Solver {
     /// Decides satisfiability of the formula.
     ///
     /// Returns [`SatResult::Sat`] with a model assigning every CNF variable,
-    /// or [`SatResult::Unsat`].
+    /// or [`SatResult::Unsat`]. What arrived through the solver's
+    /// [`ClauseSink`] since the last solve goes in first: every new
+    /// variable, then the queued clauses in order.
     pub fn solve(&mut self) -> SatResult {
         self.solve_under_assumptions(&[])
     }
@@ -1234,7 +1246,34 @@ impl Solver {
         self.beat_base = self.stats;
     }
 
+    /// Takes in what arrived through the [`ClauseSink`] since the last
+    /// solve: first every new variable, then the clauses in the order they
+    /// came. That is the order in which a finished formula is copied in
+    /// ([`Solver::from_cnf`]), so an encoder writing straight into the
+    /// solver gets the same search. Taking variables or clauses in as
+    /// they arrive would not: the heap insertions of new variables would
+    /// interleave differently with the backtracks of clause insertion,
+    /// which reorders VSIDS ties.
+    fn take_queued(&mut self) {
+        self.reserve_vars(self.sink_vars);
+        if self.queued_ends.is_empty() {
+            return;
+        }
+        let mut queued = std::mem::take(&mut self.queued);
+        let mut ends = std::mem::take(&mut self.queued_ends);
+        let mut start = 0;
+        for &end in &ends {
+            self.add_clause(queued[start..end].iter().copied());
+            start = end;
+        }
+        queued.clear();
+        ends.clear();
+        self.queued = queued;
+        self.queued_ends = ends;
+    }
+
     fn search(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.take_queued();
         if self.unsat {
             return SatResult::Unsat;
         }
@@ -1357,6 +1396,24 @@ impl Solver {
                 }
             }
         }
+    }
+}
+
+/// An encoder can write its formula straight into the solver. Clauses
+/// are queued in one flat buffer and go in at the next solve, after the
+/// variables created since the last one; see [`Solver::solve`]. Clauses
+/// added with [`Solver::add_clause`] or [`Solver::import_clause`] go in
+/// at once, ahead of anything queued.
+impl ClauseSink for Solver {
+    fn new_var(&mut self) -> u32 {
+        let var = self.sink_vars.max(self.num_vars);
+        self.sink_vars = var + 1;
+        var as u32
+    }
+
+    fn add_clause(&mut self, literals: &[Lit]) {
+        self.queued.extend_from_slice(literals);
+        self.queued_ends.push(self.queued.len());
     }
 }
 

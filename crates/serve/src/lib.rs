@@ -76,4 +76,4 @@ pub use client::Client;
 pub use pool::{process_job, WorkerPool};
 pub use protocol::{JobOutcome, JobRequest, PropertyRequest, Verdict};
 pub use queue::{JobQueue, JobState, QueueStats};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_LINE_BYTES};

@@ -21,7 +21,7 @@
 //!   in-flight jobs cooperatively, drain and join workers, join
 //!   connections, release the listener.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,6 +197,14 @@ impl Server {
     }
 }
 
+/// Longest request line the server reads, in bytes. The bytes of a line
+/// are kept across read timeouts until its newline arrives, so the buffer
+/// is bounded: a longer line gets an error reply and the connection
+/// closes. A `submit_batch` of every property of the FirePath-like
+/// design (the largest design the tests and benchmarks use) is under
+/// 1 MiB.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
@@ -214,10 +222,15 @@ fn handle_connection(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The raw bytes of the line being read. A read that times out keeps
+    // what it got, so a request sent in pieces (even split inside a UTF-8
+    // character) is answered like a whole one; the line is cleared only
+    // once it has been handled.
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the limit tells an over-long line from a full one.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {}
             Err(e)
@@ -231,10 +244,24 @@ fn handle_connection(
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
+        // Without a newline the line ended at the limit or at end of input.
+        if line.len() > MAX_LINE_BYTES {
+            let mut response =
+                error_response(&format!("request line longer than {MAX_LINE_BYTES} bytes"));
+            response.push('\n');
+            let _ = writer.write_all(response.as_bytes());
+            let _ = writer.flush();
+            return;
         }
-        let mut response = respond(line.trim(), queue, cache, shutdown, batch_depth, tracer);
+        let mut response = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => {
+                line.clear();
+                continue;
+            }
+            Ok(text) => respond(text.trim(), queue, cache, shutdown, batch_depth, tracer),
+            Err(e) => error_response(&format!("bad request: {e}")),
+        };
+        line.clear();
         response.push('\n');
         if writer.write_all(response.as_bytes()).is_err() {
             return;

@@ -1,10 +1,14 @@
 //! End-to-end service tests over real TCP: certificates served from the
 //! cache must re-validate against the submitted payload, falsification
 //! hits must replay through the simulator, the cache must survive a server
-//! restart, and cancellation/stats/shutdown must behave.
+//! restart, cancellation/stats/shutdown must behave, and request lines
+//! must survive read timeouts but not grow without bound.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 use ipcl_bmc::PropertyKind;
 use ipcl_checker::ProofStrategy;
@@ -12,6 +16,7 @@ use ipcl_core::example::ExampleArch;
 use ipcl_pipesim::BrokenVariant;
 use ipcl_serve::{
     process_job, Client, JobRequest, ProofCache, PropertyRequest, Server, ServerConfig, Verdict,
+    MAX_LINE_BYTES,
 };
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
@@ -221,6 +226,63 @@ fn malformed_requests_get_json_errors_not_disconnects() {
     let stats = client
         .stats()
         .expect("connection must survive bad requests");
+    assert!(stats.get("done").is_some());
+    server.shutdown();
+}
+
+/// Reads one response line from a raw connection.
+fn read_response(stream: &TcpStream) -> Json {
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("response line");
+    Json::parse(line.trim()).expect("response is JSON")
+}
+
+#[test]
+fn a_request_split_across_a_read_timeout_is_answered_like_a_whole_one() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let addr = server.local_addr();
+    // The request names a character that needs two bytes in UTF-8; the
+    // pause falls between them, and lasts longer than the server's read
+    // timeout.
+    let request = "{\"cmd\": \"stats\", \"note\": \"é\"}\n".as_bytes();
+    let split = request
+        .iter()
+        .position(|&b| b >= 0x80)
+        .expect("a multi-byte char")
+        + 1;
+
+    let mut whole = TcpStream::connect(addr).expect("connect");
+    whole.write_all(request).expect("write");
+    let expected = read_response(&whole);
+    assert!(expected.get("done").is_some(), "{expected:?}");
+
+    let mut pieces = TcpStream::connect(addr).expect("connect");
+    pieces.write_all(&request[..split]).expect("write head");
+    pieces.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(600));
+    pieces.write_all(&request[split..]).expect("write tail");
+    assert_eq!(read_response(&pieces), expected);
+    server.shutdown();
+}
+
+#[test]
+fn an_over_long_line_gets_an_error_and_the_server_keeps_serving() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let addr = server.local_addr();
+    let mut flood = TcpStream::connect(addr).expect("connect");
+    // One byte past the limit, no newline: the server reads all of it,
+    // answers and closes.
+    flood
+        .write_all(&vec![b' '; MAX_LINE_BYTES + 1])
+        .expect("write");
+    let reply = read_response(&flood);
+    let error = reply.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.contains("longer than"), "{error}");
+
+    let mut client = Client::connect(&addr.to_string()).expect("reconnect");
+    let stats = client.stats().expect("a new connection is served");
     assert!(stats.get("done").is_some());
     server.shutdown();
 }
