@@ -12,14 +12,15 @@
 //!   (the reference);
 //! * **direct** — the encoder writes into the solver itself, the way the
 //!   engines do;
-//! * **eager** — a solver that takes each variable and clause as it comes:
-//!   every variable reserved when it is created. The streams must catch
-//!   this mistake.
+//! * **eager** — the solver's sink, but with every variable reserved as
+//!   soon as it is created. The streams must catch this mistake.
 //!
 //! The streams are shaped like the engines' own: k-induction's lockstep
 //! base and step queries on the `BrokenVariant` matrix at both latencies,
 //! and PDR's consecution pattern (a fresh literal, a temporary clause
-//! under it, a unit that retires it) on deep wait-state chains.
+//! under it, a unit that retires it) on deep wait-state chains, with the
+//! parallel engine's round boundary (a new activation literal, then a
+//! sibling's lemma imported at once).
 
 use ipcl::bmc::{Binding, FrameEncoder, Latency, SequentialProperty};
 use ipcl::core::example::ExampleArch;
@@ -37,7 +38,13 @@ type Transcript = Vec<(SatResult, SolverStats)>;
 /// A way for an encoder's formula to reach the solver that answers it.
 trait Discipline: ClauseSink {
     fn new() -> Self;
-    fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats);
+    fn solver(&mut self) -> &mut Solver;
+
+    fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats) {
+        let solver = self.solver();
+        let result = solver.solve_under_assumptions(assumptions);
+        (result, solver.stats())
+    }
 }
 
 /// The reference: the formula is kept, and its new suffix copied in
@@ -65,6 +72,10 @@ impl Discipline for Copied {
             solver: Solver::new(0),
             copied: 0,
         }
+    }
+
+    fn solver(&mut self) -> &mut Solver {
+        &mut self.solver
     }
 
     fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats) {
@@ -96,25 +107,24 @@ impl Discipline for Direct {
         Direct(Solver::new(0))
     }
 
-    fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats) {
-        let result = self.0.solve_under_assumptions(assumptions);
-        (result, self.0.stats())
+    fn solver(&mut self) -> &mut Solver {
+        &mut self.0
     }
 }
 
-/// The mistake: each variable reserved as soon as it is created, each
-/// clause inserted as soon as it is added.
+/// The mistake: the solver's sink, except that each variable is reserved
+/// as soon as it is created.
 struct Eager(Solver);
 
 impl ClauseSink for Eager {
     fn new_var(&mut self) -> u32 {
-        let var = self.0.num_vars();
-        self.0.reserve_vars(var + 1);
-        var as u32
+        let var = self.0.new_var();
+        self.0.reserve_vars(var as usize + 1);
+        var
     }
 
     fn add_clause(&mut self, literals: &[Lit]) {
-        self.0.add_clause(literals.iter().copied());
+        ClauseSink::add_clause(&mut self.0, literals);
     }
 }
 
@@ -123,9 +133,8 @@ impl Discipline for Eager {
         Eager(Solver::new(0))
     }
 
-    fn solve(&mut self, assumptions: &[Lit]) -> (SatResult, SolverStats) {
-        let result = self.0.solve_under_assumptions(assumptions);
-        (result, self.0.stats())
+    fn solver(&mut self) -> &mut Solver {
+        &mut self.0
     }
 }
 
@@ -184,7 +193,8 @@ fn kinduction_stream<S: Discipline>(
 /// cube and for each cube with one literal dropped (generalisation), every
 /// query under a throw-away literal that a unit retires afterwards, and
 /// block the cube at the frame — until no bad state is left or the budget
-/// runs out.
+/// runs out. Each round ends like a parallel worker's: a new activation
+/// literal, then the blocking lemma imported at once, as from a sibling.
 fn pdr_stream<S: Discipline>(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -248,6 +258,10 @@ fn pdr_stream<S: Discipline>(
         let mut block = vec![frame.negated()];
         block.extend(cube.iter().map(|&entry| lit(&now, entry).negated()));
         enc.unroller_mut().add_clause(&block);
+        enc.unroller_mut().fresh_lit();
+        enc.sink_mut()
+            .solver()
+            .import_clause(block.iter().copied(), 2);
     }
     transcript
 }
@@ -322,6 +336,6 @@ fn pdr_shaped_streams_see_the_copied_formula_in_order() {
             }
         }
     }
-    // The check has teeth: the as-it-comes solver searches differently.
+    // The check has teeth: eager reservation searches differently.
     assert!(eager_diverged > 0, "eager reservation went unnoticed");
 }
