@@ -211,12 +211,6 @@ impl<'n, S: ClauseSink> Unroller<'n, S> {
         self.sink.add_clause(literals);
     }
 
-    /// The register-output literals of `frame`, in [`Netlist::registers`]
-    /// order — the circuit's state vector, used for simple-path constraints.
-    pub fn register_lits(&self, frame: usize) -> Vec<Lit> {
-        self.registers.iter().map(|&r| self.lit(frame, r)).collect()
-    }
-
     /// Appends one time frame and returns its index.
     ///
     /// Inputs get fresh literals; registers take their reset-value constant
