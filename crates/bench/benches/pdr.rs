@@ -4,18 +4,13 @@
 //! bench compares their constant factors; on the deep wait-state chains
 //! k-induction runs to its bound without an answer while PDR's cost is the
 //! discovery of the chain lemmas — the gap the portfolio checker exists to
-//! arbitrate. The `parallel_pdr` group measures the parallel engine's
-//! scheduling overhead against the sequential engine and across worker
-//! counts (wall-clock scaling itself is the domain of experiment E14).
+//! arbitrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{
-    check_property_pdr, check_property_pdr_parallel, check_property_portfolio, ParallelPdrOptions,
-    PdrOptions,
-};
+use ipcl_pdr::{check_property_pdr, check_property_portfolio, PdrOptions};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
 fn bench_registered_example(c: &mut Criterion) {
@@ -118,42 +113,5 @@ fn bench_deep_chain(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_pdr(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_pdr");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_millis(1500));
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    let depth = 9usize;
-    let (spec, netlist) = deep_pipeline(depth);
-    let property =
-        SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
-    group.bench_function(BenchmarkId::new("sequential", depth), |b| {
-        b.iter(|| {
-            let result =
-                check_property_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
-            assert!(result.outcome.is_proved());
-        })
-    });
-    for workers in [1usize, 2, 4] {
-        let options = ParallelPdrOptions {
-            threads: workers,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| {
-                let result =
-                    check_property_pdr_parallel(&spec, &netlist, &property, &options).unwrap();
-                assert!(result.outcome.is_proved());
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_registered_example,
-    bench_deep_chain,
-    bench_parallel_pdr
-);
+criterion_group!(benches, bench_registered_example, bench_deep_chain);
 criterion_main!(benches);

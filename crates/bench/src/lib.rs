@@ -26,9 +26,9 @@ use ipcl_tracetool::Watcher;
 ///   from the engines' `heartbeat` events while the run is in flight
 ///   ([`ipcl_tracetool::Watcher`]).
 ///
-/// The binaries that exercise the parallel proof engine additionally take
-/// `--threads N` (worker count; defaults to the host's available
-/// parallelism), exposed as [`TraceArgs::threads`].
+/// `--threads N` (a worker count; defaults to the host's available
+/// parallelism) is exposed as [`TraceArgs::threads`] for the binaries that
+/// size a worker pool.
 ///
 /// Without any of the flags the returned tracer is the disabled
 /// (zero-cost) one, so instrumented experiments measure the same code path
@@ -41,9 +41,8 @@ pub struct TraceArgs {
     /// Whether `--watch` was given.
     pub watch: bool,
     /// `--threads N`, defaulting to `std::thread::available_parallelism()`.
-    /// Feed it into [`ipcl_pdr::ParallelPdrOptions::threads`] (or
-    /// `SequentialOptions::threads`); experiments without a parallel engine
-    /// ignore it.
+    /// `exp_serve_load` sizes the server's worker pool with it; the other
+    /// experiments ignore it.
     pub threads: usize,
     tracer: Tracer,
     watcher: Option<Watcher>,

@@ -35,9 +35,8 @@ use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Assignment;
 use ipcl_pdr::{
-    check_property_pdr_parallel_traced, check_property_pdr_traced,
-    check_property_portfolio_parallel_with_cancel, check_property_portfolio_with_cancel,
-    Certificate, ParallelPdrOptions, PdrOptions, PdrOutcome, PdrResult, PortfolioWinner,
+    check_property_pdr_traced, check_property_portfolio_with_cancel, Certificate, PdrOptions,
+    PdrOutcome, PdrResult, PortfolioWinner,
 };
 use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
@@ -132,16 +131,10 @@ pub struct SequentialOptions {
     /// PDR knobs (frame budget, generalisation, certificate validation,
     /// and the CDCL heuristics via [`PdrOptions::solver`]).
     pub pdr: PdrOptions,
-    /// Worker threads of the proof engine itself (not to be confused with
-    /// [`SequentialOptions::parallel`], which is per-property parallelism).
-    /// `1` (the default) runs the sequential PDR engine exactly; `N ≥ 2`
-    /// routes [`ProofStrategy::Pdr`] and the PDR racer of
-    /// [`ProofStrategy::Portfolio`] through the parallel proof engine
-    /// ([`ipcl_pdr::check_property_pdr_parallel`]) with `N` workers —
-    /// verdicts, traces and certificates are deterministic in `N` (see the
-    /// `ipcl_pdr::parallel` docs). [`ProofStrategy::KInduction`] is
-    /// unaffected. Use [`ipcl_pdr::default_threads`] to fill in the host's
-    /// available parallelism.
+    /// Ignored: every strategy runs one engine thread per property (two
+    /// for a portfolio race). Kept for source compatibility with callers
+    /// that set it; see [`SequentialOptions::parallel`] for per-property
+    /// threads.
     pub threads: usize,
     /// Property latency. `None` auto-detects from the netlist
     /// ([`Latency::Registered`] when the `moe` outputs are registers).
@@ -403,42 +396,20 @@ pub fn check_property_job(
                 .map(|r| (r, None))
         }
         ProofStrategy::Pdr => {
-            let result = if options.threads >= 2 {
-                check_property_pdr_parallel_traced(
-                    spec,
-                    netlist,
-                    property,
-                    &parallel_options(options),
-                    cancel,
-                    tracer,
-                )?
-            } else {
-                check_property_pdr_traced(spec, netlist, property, &options.pdr, cancel, tracer)?
-            };
+            let result =
+                check_property_pdr_traced(spec, netlist, property, &options.pdr, cancel, tracer)?;
             Ok(fold_pdr_result(result))
         }
         ProofStrategy::Portfolio => {
-            let result = if options.threads >= 2 {
-                check_property_portfolio_parallel_with_cancel(
-                    spec,
-                    netlist,
-                    property,
-                    &options.bmc,
-                    &parallel_options(options),
-                    cancel,
-                    tracer,
-                )?
-            } else {
-                check_property_portfolio_with_cancel(
-                    spec,
-                    netlist,
-                    property,
-                    &options.bmc,
-                    &options.pdr,
-                    cancel,
-                    tracer,
-                )?
-            };
+            let result = check_property_portfolio_with_cancel(
+                spec,
+                netlist,
+                property,
+                &options.bmc,
+                &options.pdr,
+                cancel,
+                tracer,
+            )?;
             match result.winner {
                 Some(PortfolioWinner::Pdr) => Ok(fold_pdr_result(result.pdr)),
                 // BMC won — or neither engine was definitive, in which case
@@ -446,18 +417,6 @@ pub fn check_property_job(
                 Some(PortfolioWinner::Bmc) | None => Ok((result.bmc, None)),
             }
         }
-    }
-}
-
-/// The parallel engine's options under [`SequentialOptions`]: the
-/// configured PDR knobs carry over, the worker count comes from
-/// [`SequentialOptions::threads`], and the scheduler knobs keep their
-/// (worker-count-independent) defaults.
-fn parallel_options(options: &SequentialOptions) -> ParallelPdrOptions {
-    ParallelPdrOptions {
-        base: options.pdr,
-        threads: options.threads,
-        ..ParallelPdrOptions::default()
     }
 }
 
@@ -657,34 +616,6 @@ mod tests {
                 "{} has no certificate",
                 result.property.name
             );
-        }
-    }
-
-    #[test]
-    fn pdr_engine_with_worker_threads_agrees_with_single_threaded() {
-        let spec = ExampleArch::new().functional_spec();
-        let registered = synthesize_interlock_with(
-            &spec,
-            SynthesisOptions {
-                registered_outputs: true,
-                reset_value: true,
-                ..Default::default()
-            },
-        );
-        let single = SequentialOptions::from(crate::Engine::Pdr);
-        let threaded = SequentialOptions {
-            threads: 4,
-            ..single
-        };
-        let a = check_netlist_sequential_with(&spec, registered.netlist(), &single).unwrap();
-        let b = check_netlist_sequential_with(&spec, registered.netlist(), &threaded).unwrap();
-        assert!(b.proved(), "{:?}", b.results);
-        // Property-by-property verdict agreement, and every parallel proof
-        // still ships its (independently validated) certificate.
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.property.name, y.property.name);
-            assert_eq!(x.outcome.is_proved(), y.outcome.is_proved());
-            assert!(b.certificates.contains_key(&y.property.name));
         }
     }
 

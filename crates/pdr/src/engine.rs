@@ -7,7 +7,10 @@
 //! 1, 2, …, K steps. Whenever a state in `F_K` can violate the property, it
 //! becomes a *proof obligation*: either an initial state can reach it — a
 //! concrete counterexample trace — or a *relative induction* query blocks a
-//! generalisation of it, adding one clause to a frame. When a propagation
+//! generalisation of it, adding one clause to a frame. Generalisation
+//! reads the query's UNSAT core ([`ipcl_sat::Solver::failed_assumptions`]):
+//! cube literals whose primed copy the refutation did not use are cut
+//! before any literal-dropping query runs. When a propagation
 //! pass makes two adjacent frames equal, that frame is an inductive
 //! invariant: the property is proved **for every cycle, with no unrolling
 //! bound**, and the invariant is returned as an explicit
@@ -57,9 +60,10 @@ pub struct PdrOptions {
     /// are small, so running out of frames indicates a diverging
     /// abstraction rather than a hard problem.
     pub max_frames: usize,
-    /// Generalise blocked cubes by SAT-checked literal dropping (the
-    /// default). `false` blocks the full state cube — kept for the
-    /// ablation benchmark.
+    /// Generalise blocked cubes (the default): cut each to its
+    /// consecution query's UNSAT core, then drop literals by SAT checks.
+    /// `false` blocks the full state cube — kept for the ablation
+    /// benchmark.
     pub generalize: bool,
     /// Re-validate the certificate of every proof with independent SAT
     /// checks (the default; see [`Certificate::validate`]).
@@ -94,27 +98,19 @@ pub struct PdrStats {
     pub obligations: u64,
     /// SAT queries issued.
     pub solve_calls: u64,
-    /// Literals dropped by cube generalisation.
+    /// Literals removed from blocked cubes, by the UNSAT core or by
+    /// generalisation's drop queries.
     pub generalization_drops: u64,
     /// Conflicts in the underlying CDCL solver.
     pub conflicts: u64,
     /// Propagations in the underlying CDCL solver.
     pub propagations: u64,
-    /// Maximum length the proof-obligation queue ever reached — the
-    /// shard-sizing input for a work-stealing parallel PDR (ROADMAP
-    /// item 1): it bounds how much concurrency the obligation stream
-    /// could even feed.
+    /// Maximum length the proof-obligation queue ever reached.
     pub max_queue_depth: usize,
     /// Obligations processed per frame: `obligations_per_frame[k]` counts
     /// pops whose consecution query ran against `F_{k-1}`. Skewed
     /// distributions indicate one frame dominating the search.
     pub obligations_per_frame: Vec<u64>,
-    /// Solver-learned clauses imported from sibling workers (parallel
-    /// engine only; the sequential engine leaves this 0).
-    pub imported_clauses: u64,
-    /// Solver-learned clauses exported to sibling workers (parallel
-    /// engine only).
-    pub exported_clauses: u64,
 }
 
 impl PdrStats {
@@ -134,10 +130,6 @@ impl PdrStats {
             &format!("{prefix}.max_queue_depth"),
             self.max_queue_depth as f64,
         );
-        if self.imported_clauses > 0 || self.exported_clauses > 0 {
-            sink.counter(&format!("{prefix}.imported_clauses"), self.imported_clauses);
-            sink.counter(&format!("{prefix}.exported_clauses"), self.exported_clauses);
-        }
     }
 }
 
@@ -209,20 +201,7 @@ pub struct PdrResult {
 /// A cube over the register state: `(register index, value)` pairs sorted
 /// by index. Trace cubes are total (one entry per register); blocked cubes
 /// shrink under generalisation.
-pub(crate) type Cube = Vec<(usize, bool)>;
-
-/// One committed frame lemma: the clause `¬cube` joined frame `k` of the
-/// trailing sequence. `promoted_from` is set when the lemma moved up from a
-/// lower frame during propagation (delta encoding: the cube leaves the
-/// lower frame's bookkeeping). Replaying a lemma log in order reproduces
-/// the frame state exactly — the sharing unit of the parallel engine's
-/// [`crate::parallel`] commit log.
-#[derive(Clone, Debug)]
-pub(crate) struct FrameLemma {
-    pub(crate) frame: usize,
-    pub(crate) cube: Cube,
-    pub(crate) promoted_from: Option<usize>,
-}
+type Cube = Vec<(usize, bool)>;
 
 /// One entry of the proof-obligation arena. The parent chain reconstructs
 /// counterexample traces: `step_inputs` is the input valuation driving this
@@ -242,16 +221,10 @@ enum BlockOutcome {
 /// The encoder, writing into its incremental solver, plus the trailing
 /// frame sequence of one PDR search: everything needed to answer frame
 /// queries (consecution, generalisation, propagation, certificates).
-/// Extracted from the engine loop so the parallel scheduler
-/// ([`crate::parallel`]) can give every worker its own `FrameCtx` —
-/// construction is fully deterministic, so all workers allocate identical
-/// base encodings (and [`FrameCtx::base_bound`] means the same variable
-/// range in each), while frame activation literals beyond the base stay
-/// worker-local.
-pub(crate) struct FrameCtx<'n> {
-    pub(crate) enc: FrameEncoder<'n, Solver>,
+struct FrameCtx<'n> {
+    enc: FrameEncoder<'n, Solver>,
     /// The registers (state variables), in [`Netlist::registers`] order.
-    pub(crate) regs: Vec<SignalId>,
+    regs: Vec<SignalId>,
     /// Reset value per register.
     reg_init: Vec<bool>,
     /// Frame-0 literal per register (the pre-state `s`).
@@ -259,7 +232,7 @@ pub(crate) struct FrameCtx<'n> {
     /// Frame-1 literal per register (the post-state `s'`).
     reg1: Vec<Lit>,
     /// Assumption literal of the negated property window.
-    pub(crate) bad: Lit,
+    bad: Lit,
     /// Activation literal of the reset-state constraints (`F_0`).
     act_init: Lit,
     /// `act[k]` activates the clauses stored at frame `k` (`act[0]` is a
@@ -267,26 +240,19 @@ pub(crate) struct FrameCtx<'n> {
     act: Vec<Lit>,
     /// Delta-encoded frame clauses: `frame_cubes[k]` holds the cubes whose
     /// negations are stored at frame `k`.
-    pub(crate) frame_cubes: Vec<Vec<Cube>>,
-    /// First CNF variable *beyond* the deterministic base encoding
-    /// (transition relation, property window, reset constraints). Every
-    /// sibling `FrameCtx` on the same problem allocates the identical base,
-    /// so a solver-learned clause whose variables all lie below this bound
-    /// is implied by the base encoding alone and sound to import into any
-    /// sibling. Clauses touching frame activation or throw-away literals
-    /// (allocated after the base, in worker-local order) fail the bound.
-    pub(crate) base_bound: u32,
+    frame_cubes: Vec<Vec<Cube>>,
     /// SAT queries issued through this context.
-    pub(crate) solve_calls: u64,
+    solve_calls: u64,
     /// Frame clauses committed (before propagation dedup).
-    pub(crate) clauses: usize,
-    /// Literals dropped by cube generalisation.
-    pub(crate) generalization_drops: u64,
+    clauses: usize,
+    /// Literals removed from blocked cubes (see
+    /// [`PdrStats::generalization_drops`]).
+    generalization_drops: u64,
     tracer: Tracer,
 }
 
 impl<'n> FrameCtx<'n> {
-    pub(crate) fn new(
+    fn new(
         netlist: &'n Netlist,
         binding: &'n Binding,
         property: &SequentialProperty,
@@ -320,8 +286,6 @@ impl<'n> FrameCtx<'n> {
             let lit = if reg_init[index] { lit } else { lit.negated() };
             enc.unroller_mut().add_clause(&[act_init.negated(), lit]);
         }
-        // `act_init` is the base encoding's last variable.
-        let base_bound = act_init.var() + 1;
 
         let placeholder = act_init; // never assumed via `act[0]`
         Ok(FrameCtx {
@@ -334,7 +298,6 @@ impl<'n> FrameCtx<'n> {
             act_init,
             act: vec![placeholder],
             frame_cubes: vec![Vec::new()],
-            base_bound,
             solve_calls: 0,
             clauses: 0,
             generalization_drops: 0,
@@ -343,33 +306,33 @@ impl<'n> FrameCtx<'n> {
     }
 
     /// Number of the top frame.
-    pub(crate) fn top(&self) -> usize {
+    fn top(&self) -> usize {
         self.act.len() - 1
     }
 
     /// Opens frame `K+1` (initially unconstrained).
-    pub(crate) fn push_frame(&mut self) {
+    fn push_frame(&mut self) {
         let act = self.enc.unroller_mut().fresh_lit();
         self.act.push(act);
         self.frame_cubes.push(Vec::new());
     }
 
     /// The solver the encoding goes into.
-    pub(crate) fn solver(&self) -> &Solver {
+    fn solver(&self) -> &Solver {
         self.enc.sink()
     }
 
-    pub(crate) fn solver_mut(&mut self) -> &mut Solver {
+    fn solver_mut(&mut self) -> &mut Solver {
         self.enc.sink_mut()
     }
 
-    pub(crate) fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
+    fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         self.solve_calls += 1;
         self.solver_mut().solve_under_assumptions(assumptions)
     }
 
     /// Assumptions activating the clauses of `F_k`.
-    pub(crate) fn frame_assumptions(&self, k: usize) -> Vec<Lit> {
+    fn frame_assumptions(&self, k: usize) -> Vec<Lit> {
         if k == 0 {
             vec![self.act_init]
         } else {
@@ -378,7 +341,7 @@ impl<'n> FrameCtx<'n> {
     }
 
     /// The literal of `cube[i]` at frame 0 (`prime = false`) or 1.
-    pub(crate) fn cube_lit(&self, entry: (usize, bool), prime: bool) -> Lit {
+    fn cube_lit(&self, entry: (usize, bool), prime: bool) -> Lit {
         let (index, value) = entry;
         let lit = if prime {
             self.reg1[index]
@@ -393,7 +356,7 @@ impl<'n> FrameCtx<'n> {
     }
 
     /// The total register cube of a model's frame 0.
-    pub(crate) fn state_cube(&self, model: &[bool]) -> Cube {
+    fn state_cube(&self, model: &[bool]) -> Cube {
         self.reg0
             .iter()
             .enumerate()
@@ -401,17 +364,17 @@ impl<'n> FrameCtx<'n> {
             .collect()
     }
 
-    /// Whether the cube contains the reset state. The reset state is a
-    /// single total assignment, so this is a syntactic check: the cube
-    /// intersects `Init` iff none of its literals disagrees with a reset
-    /// value.
-    pub(crate) fn intersects_init(&self, cube: &Cube) -> bool {
-        cube.iter()
-            .all(|&(index, value)| value == self.reg_init[index])
+    /// Whether the cube contains the reset state.
+    fn intersects_init(&self, cube: &Cube) -> bool {
+        meets_init(cube, &self.reg_init)
     }
 
     /// Stores the clause `¬cube` at frame `k` and encodes it under `act[k]`.
-    pub(crate) fn add_frame_clause(&mut self, cube: Cube, k: usize) {
+    fn add_frame_clause(&mut self, cube: Cube, k: usize) {
+        debug_assert!(
+            !self.intersects_init(&cube),
+            "frame lemma ¬{cube:?} must exclude the reset state"
+        );
         let mut clause = vec![self.act[k].negated()];
         clause.extend(
             cube.iter()
@@ -422,29 +385,17 @@ impl<'n> FrameCtx<'n> {
         self.clauses += 1;
     }
 
-    /// Replays one committed lemma from a sibling's log: promotions drop
-    /// the cube from its previous frame first, then the clause is encoded
-    /// at the (new) frame exactly as a local commit would be. Replaying a
-    /// log in commit order reproduces `frame_cubes` bit-identically.
-    pub(crate) fn apply_lemma(&mut self, lemma: &FrameLemma) {
-        while self.top() < lemma.frame {
-            self.push_frame();
-        }
-        if let Some(from) = lemma.promoted_from {
-            if let Some(pos) = self.frame_cubes[from].iter().position(|c| *c == lemma.cube) {
-                self.frame_cubes[from].remove(pos);
-            }
-        }
-        self.add_frame_clause(lemma.cube.clone(), lemma.frame);
-    }
-
     /// The relative-induction query `F_{k-1} ∧ ¬cube ∧ T ∧ cube'`.
     ///
     /// UNSAT means no `F_{k-1}`-state outside the cube reaches the cube in
     /// one step — together with initiation, the cube is unreachable within
-    /// `k` steps and `¬cube` may join `F_k`. SAT yields a predecessor
-    /// state (a new proof obligation) in the model's frame 0.
-    pub(crate) fn consecution(&mut self, cube: &Cube, k: usize) -> SatResult {
+    /// `k` steps and `¬cube` may join `F_k`. The answer is then the cube
+    /// cut to the literals whose primed copy is in the solver's UNSAT core
+    /// ([`cut_to_core`]): the query stays UNSAT for the cut cube, which
+    /// still excludes the reset state, so it may be blocked instead. SAT
+    /// yields the model, whose frame 0 is a predecessor state (a new proof
+    /// obligation).
+    fn consecution(&mut self, cube: &Cube, k: usize) -> Result<Cube, Vec<bool>> {
         // ¬cube over frame 0 is a disjunction: encode it once under a
         // throw-away activation literal, assume it for this query, then
         // permanently disable it.
@@ -459,7 +410,17 @@ impl<'n> FrameCtx<'n> {
         let mut assumptions = self.frame_assumptions(k - 1);
         assumptions.push(tmp);
         assumptions.extend(cube.iter().map(|&entry| self.cube_lit(entry, true)));
-        let result = self.solve(&assumptions);
+        let result = match self.solve(&assumptions) {
+            SatResult::Unsat => {
+                let core = self.solver().failed_assumptions();
+                Ok(cut_to_core(
+                    cube,
+                    |entry| core.contains(&self.cube_lit(entry, true)),
+                    &self.reg_init,
+                ))
+            }
+            SatResult::Sat(model) => Err(model),
+        };
         self.enc.unroller_mut().add_clause(&[tmp.negated()]);
         result
     }
@@ -467,14 +428,10 @@ impl<'n> FrameCtx<'n> {
     /// Shrinks a blocked cube by literal dropping: each literal whose
     /// removal keeps both initiation (the cube still excludes the reset
     /// state) and consecution (the relative-induction query stays UNSAT)
-    /// is dropped, giving a clause that blocks exponentially many states
-    /// instead of one.
-    ///
-    /// The result depends only on SAT/UNSAT verdict *bits*, never on
-    /// models, so it is identical no matter which sibling context computes
-    /// it from the same committed frame state — the property the parallel
-    /// engine's determinism rests on.
-    pub(crate) fn generalize(&mut self, cube: Cube, k: usize) -> Cube {
+    /// is dropped, and the UNSAT answer's core cuts the rest of the cube
+    /// down with it. The result blocks exponentially many states instead
+    /// of one.
+    fn generalize(&mut self, cube: Cube, k: usize) -> Cube {
         let _span = self.tracer.span_fast("pdr.generalize");
         let mut current = cube.clone();
         for &entry in &cube {
@@ -488,9 +445,9 @@ impl<'n> FrameCtx<'n> {
             if self.intersects_init(&candidate) {
                 continue; // initiation would break
             }
-            if self.consecution(&candidate, k) == SatResult::Unsat {
-                self.generalization_drops += 1;
-                current = candidate;
+            if let Ok(cut) = self.consecution(&candidate, k) {
+                self.generalization_drops += (current.len() - cut.len()) as u64;
+                current = cut;
             }
         }
         current
@@ -499,7 +456,7 @@ impl<'n> FrameCtx<'n> {
     /// Whether `cube` is subsumed by a clause already stored at frame ≥ `k`
     /// (i.e. already excluded from `F_k`). Cubes are sorted by register
     /// index, so subsumption is a linear merge.
-    pub(crate) fn is_blocked(&self, cube: &Cube, k: usize) -> bool {
+    fn is_blocked(&self, cube: &Cube, k: usize) -> bool {
         self.frame_cubes[k..]
             .iter()
             .flatten()
@@ -510,7 +467,7 @@ impl<'n> FrameCtx<'n> {
     /// above `k` (delta encoding: that conjunction *is* `F_{k+1} = F_k`).
     /// The same cube can be blocked at several frames above the fixpoint,
     /// so the clause list is deduplicated for the certificate.
-    pub(crate) fn certificate(&self, property_name: &str, fixpoint: usize) -> Certificate {
+    fn certificate(&self, property_name: &str, fixpoint: usize) -> Certificate {
         let mut cubes: Vec<&Cube> = self.frame_cubes[fixpoint + 1..].iter().flatten().collect();
         cubes.sort();
         cubes.dedup();
@@ -539,7 +496,7 @@ impl<'n> FrameCtx<'n> {
 
     /// Decodes the property window (frames `0..=offset`) of a bad-state
     /// model.
-    pub(crate) fn window(
+    fn window(
         &self,
         spec: &FunctionalSpec,
         property: &SequentialProperty,
@@ -626,19 +583,20 @@ impl<'a> Pdr<'a> {
                 continue;
             }
             match self.ctx.consecution(&cube, k) {
-                SatResult::Unsat => {
-                    let generalized = if self.options.generalize {
-                        self.ctx.generalize(cube, k)
+                Ok(cut) => {
+                    let lemma = if self.options.generalize {
+                        self.ctx.generalization_drops += (cube.len() - cut.len()) as u64;
+                        self.ctx.generalize(cut, k)
                     } else {
                         cube
                     };
-                    self.ctx.add_frame_clause(generalized, k);
+                    self.ctx.add_frame_clause(lemma, k);
                     if k < top {
                         queue.push(Reverse((k + 1, index)));
                         self.note_push(k + 1, queue.len());
                     }
                 }
-                SatResult::Sat(model) => {
+                Err(model) => {
                     let predecessor = self.ctx.state_cube(&model);
                     let step_inputs = self.ctx.enc.decode_frame(self.spec, &model, 0);
                     if self.ctx.intersects_init(&predecessor) {
@@ -851,6 +809,38 @@ impl<'a> Pdr<'a> {
     }
 }
 
+/// Whether the cube contains the reset state. The reset state is a single
+/// total assignment, so this is a syntactic check: the cube meets `Init`
+/// iff none of its literals disagrees with a reset value.
+fn meets_init(cube: &[(usize, bool)], reg_init: &[bool]) -> bool {
+    cube.iter().all(|&(index, value)| value == reg_init[index])
+}
+
+/// Cuts a blocked cube to the literals `in_core` keeps, in cube order. A
+/// lemma must exclude the reset state, so when every kept literal agrees
+/// with `reg_init`, the cube's first literal that disagrees goes back in.
+fn cut_to_core(
+    cube: &[(usize, bool)],
+    in_core: impl Fn((usize, bool)) -> bool,
+    reg_init: &[bool],
+) -> Cube {
+    let mut cut: Cube = cube
+        .iter()
+        .copied()
+        .filter(|&entry| in_core(entry))
+        .collect();
+    if meets_init(&cut, reg_init) {
+        if let Some(&entry) = cube
+            .iter()
+            .find(|&&(index, value)| value != reg_init[index])
+        {
+            let at = cut.partition_point(|&(index, _)| index < entry.0);
+            cut.insert(at, entry);
+        }
+    }
+    cut
+}
+
 /// Whether every literal of `smaller` occurs in `larger` (both sorted by
 /// register index).
 fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
@@ -956,4 +946,38 @@ pub fn check_property_pdr_traced(
         validation,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_core_of_reset_agreeing_literals_gets_the_first_disagreeing_one_back() {
+        // The cube disagrees with reset at registers 1 and 4; the core
+        // keeps only literals that agree with it.
+        let reg_init = [true, false, true, true, false, false];
+        let cube: Cube = vec![(0, true), (1, true), (2, true), (4, true), (5, false)];
+        let core = [(0, true), (5, false)];
+        let cut = cut_to_core(&cube, |entry| core.contains(&entry), &reg_init);
+        assert!(!meets_init(&cut, &reg_init), "{cut:?} meets Init");
+        assert!(
+            cut.windows(2).all(|w| w[0].0 < w[1].0),
+            "{cut:?} is unsorted"
+        );
+        assert!(cut.iter().all(|entry| cube.contains(entry)), "{cut:?}");
+        assert!(
+            cut.contains(&(1, true)),
+            "{cut:?} lacks the first disagreement"
+        );
+        assert_eq!(cut, [(0, true), (1, true), (5, false)]);
+    }
+
+    #[test]
+    fn a_core_that_excludes_init_is_the_whole_cut() {
+        let reg_init = [true, false, true];
+        let cube: Cube = vec![(0, false), (1, true), (2, true)];
+        let cut = cut_to_core(&cube, |entry| entry == (1, true), &reg_init);
+        assert_eq!(cut, [(1, true)]);
+    }
 }

@@ -11,8 +11,9 @@
 //! * [`check_property_pdr`] decides a [`SequentialProperty`] over an
 //!   `ipcl-rtl` netlist with **no unrolling bound**, by growing a trailing
 //!   sequence of frames over the incremental CDCL solver of `ipcl-sat`
-//!   (per-frame activation literals, proof-obligation queue, SAT-based cube
-//!   generalisation, clause propagation with fixpoint detection);
+//!   (per-frame activation literals, proof-obligation queue, cube
+//!   generalisation guided by the solver's UNSAT cores, clause propagation
+//!   with fixpoint detection);
 //! * every proof ships an explicit [`Certificate`] — the inductive
 //!   invariant as clauses over the netlist's registers — which
 //!   [`Certificate::validate`] re-checks with independent initiation,
@@ -51,7 +52,6 @@
 pub mod certificate;
 pub mod deep;
 pub mod engine;
-pub mod parallel;
 pub mod portfolio;
 
 pub use certificate::{Certificate, CertificateCheck, StateLiteral};
@@ -59,15 +59,9 @@ pub use engine::{
     check_property_pdr, check_property_pdr_traced, check_property_pdr_with_cancel, PdrOptions,
     PdrOutcome, PdrResult, PdrStats,
 };
-pub use parallel::{
-    check_property_pdr_parallel, check_property_pdr_parallel_traced, default_threads,
-    ParallelPdrOptions,
-};
 pub use portfolio::{
-    check_property_portfolio, check_property_portfolio_parallel,
-    check_property_portfolio_parallel_traced, check_property_portfolio_parallel_with_cancel,
-    check_property_portfolio_traced, check_property_portfolio_with_cancel, PortfolioResult,
-    PortfolioWinner,
+    check_property_portfolio, check_property_portfolio_traced,
+    check_property_portfolio_with_cancel, PortfolioResult, PortfolioWinner,
 };
 
 // Re-exported so callers can name the shared vocabulary without a direct

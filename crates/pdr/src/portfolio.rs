@@ -30,7 +30,6 @@ use ipcl_trace::{Tracer, Value};
 
 use crate::certificate::Certificate;
 use crate::engine::{check_property_pdr_traced, PdrOptions, PdrOutcome, PdrResult};
-use crate::parallel::{check_property_pdr_parallel_traced, ParallelPdrOptions};
 
 /// Which engine produced the portfolio's verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -176,11 +175,13 @@ pub fn check_property_portfolio_traced(
 }
 
 /// [`check_property_portfolio_traced`] with an **external** cancellation
-/// flag: when the caller raises `cancel`, both racers stop at their next
-/// poll point and the race returns with whatever (possibly `Unknown`)
-/// results are in hand. This is the job-cancellation hook of `ipcl-serve` —
-/// the same cooperative machinery the race itself uses to cancel the
-/// losing engine, re-exposed to the job owner.
+/// flag: when the caller raises `external_cancel`, both racers stop at
+/// their next poll point and the race returns with whatever (possibly
+/// `Unknown`) results are in hand. This is the job-cancellation hook of
+/// `ipcl-serve` — the same cooperative machinery the race itself uses to
+/// cancel the losing engine, re-exposed to the job owner: a poller thread
+/// forwards the external flag into the race's internal one, so neither
+/// engine knows about the extra layer.
 ///
 /// # Errors
 ///
@@ -191,130 +192,9 @@ pub fn check_property_portfolio_with_cancel(
     property: &SequentialProperty,
     bmc_options: &BmcOptions,
     pdr_options: &PdrOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
-) -> Result<PortfolioResult, BmcError> {
-    race_portfolio(
-        spec,
-        netlist,
-        property,
-        bmc_options,
-        cancel,
-        tracer,
-        |flag| check_property_pdr_traced(spec, netlist, property, pdr_options, Some(flag), tracer),
-    )
-}
-
-/// The portfolio with the parallel proof engine as the PDR racer: BMC
-/// falsification races [`check_property_pdr_parallel_traced`]'s
-/// work-stealing round scheduler. One BMC thread plus
-/// [`ParallelPdrOptions::threads`] PDR workers run concurrently; the
-/// first definitive verdict cancels the other engine (the parallel
-/// engine polls its cancel flag between rounds).
-///
-/// The PDR racer keeps its determinism guarantee — for a *fixed winner*,
-/// its verdict, trace and certificate are bit-identical across worker
-/// counts — but which engine wins the race is a wall-clock property, as
-/// in the sequential portfolio.
-///
-/// # Errors
-///
-/// As [`check_property_portfolio`].
-pub fn check_property_portfolio_parallel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    bmc_options: &BmcOptions,
-    pdr_options: &ParallelPdrOptions,
-) -> Result<PortfolioResult, BmcError> {
-    check_property_portfolio_parallel_traced(
-        spec,
-        netlist,
-        property,
-        bmc_options,
-        pdr_options,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`check_property_portfolio_parallel`] with a [`Tracer`]; see
-/// [`check_property_portfolio_traced`] for the race's observability and
-/// the parallel engine's docs for its worker-tagged event stream.
-///
-/// # Errors
-///
-/// As [`check_property_portfolio`].
-pub fn check_property_portfolio_parallel_traced(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    bmc_options: &BmcOptions,
-    pdr_options: &ParallelPdrOptions,
-    tracer: &Tracer,
-) -> Result<PortfolioResult, BmcError> {
-    check_property_portfolio_parallel_with_cancel(
-        spec,
-        netlist,
-        property,
-        bmc_options,
-        pdr_options,
-        None,
-        tracer,
-    )
-}
-
-/// [`check_property_portfolio_parallel_traced`] with an **external**
-/// cancellation flag; see [`check_property_portfolio_with_cancel`].
-///
-/// # Errors
-///
-/// As [`check_property_portfolio`].
-pub fn check_property_portfolio_parallel_with_cancel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    bmc_options: &BmcOptions,
-    pdr_options: &ParallelPdrOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
-) -> Result<PortfolioResult, BmcError> {
-    race_portfolio(
-        spec,
-        netlist,
-        property,
-        bmc_options,
-        cancel,
-        tracer,
-        |flag| {
-            check_property_pdr_parallel_traced(
-                spec,
-                netlist,
-                property,
-                pdr_options,
-                Some(flag),
-                tracer,
-            )
-        },
-    )
-}
-
-/// The shared race body: BMC on one scoped thread, the given PDR racer
-/// (sequential or parallel) on another, first definitive verdict cancels.
-/// An external `cancel` flag, when given, is forwarded into the race's
-/// internal flag by a poller thread, so a job owner can stop both racers
-/// mid-flight without either engine knowing about the extra layer.
-fn race_portfolio<F>(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    bmc_options: &BmcOptions,
     external_cancel: Option<&AtomicBool>,
     tracer: &Tracer,
-    pdr_racer: F,
-) -> Result<PortfolioResult, BmcError>
-where
-    F: FnOnce(&AtomicBool) -> Result<PdrResult, BmcError> + Send,
-{
+) -> Result<PortfolioResult, BmcError> {
     let _span = tracer.span("portfolio.race");
     // Announce the race on the live-progress feed; the racers' own
     // `heartbeat` events (engine = "bmc" / "pdr" / "sat") take over from
@@ -364,7 +244,14 @@ where
             (result, stamp)
         });
         let pdr_handle = scope.spawn(|| {
-            let result = pdr_racer(&cancel);
+            let result = check_property_pdr_traced(
+                spec,
+                netlist,
+                property,
+                pdr_options,
+                Some(&cancel),
+                tracer,
+            );
             let stamp = finish_order.fetch_add(1, Ordering::SeqCst);
             if pdr_definitive(&result) {
                 cancel.store(true, Ordering::Relaxed);

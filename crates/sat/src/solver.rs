@@ -332,6 +332,9 @@ pub struct Solver {
     reduce_limit: u64,
     /// The formula is unsatisfiable independent of assumptions.
     unsat: bool,
+    /// The failed-assumption core of the last solve; see
+    /// [`Solver::failed_assumptions`].
+    failed: Vec<Lit>,
     /// Maximum LBD of locally learned clauses copied into `share_queue`
     /// for export (0 — the default — disables capture entirely).
     share_max_lbd: u32,
@@ -393,6 +396,7 @@ impl Solver {
             learned_count: 0,
             reduce_limit: config.reduce_base.max(1),
             unsat: false,
+            failed: Vec::new(),
             share_max_lbd: 0,
             share_queue: Vec::new(),
             config,
@@ -1204,7 +1208,8 @@ impl Solver {
     /// full reset and an O(clauses) unit re-scan.
     ///
     /// Returns [`SatResult::Unsat`] if the formula is unsatisfiable *under
-    /// the assumptions* (the formula itself may still be satisfiable).
+    /// the assumptions* (the formula itself may still be satisfiable);
+    /// [`Solver::failed_assumptions`] then names the assumptions it used.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
         if !self.tracer.is_enabled() {
             return self.search(assumptions);
@@ -1272,7 +1277,50 @@ impl Solver {
         self.queued_ends = ends;
     }
 
+    /// The UNSAT core of the last solve over its assumptions: a subset of
+    /// them under which the formula is already unsatisfiable. It is empty
+    /// after a satisfiable answer and when the formula is unsatisfiable
+    /// without assumptions. Read it right after the solve whose answer it
+    /// explains; the next solve replaces it.
+    pub fn failed_assumptions(&self) -> &[Lit] {
+        &self.failed
+    }
+
+    /// Collects the core of an assumption found false — MiniSat's
+    /// `analyzeFinal`: walk the trail back from `failed`'s complement and
+    /// keep every assumption pseudo-decision in its implication cone.
+    /// Only reads the search state, so it changes no later answer.
+    fn analyze_final(&mut self, failed: Lit) {
+        self.failed.push(failed);
+        if self.level_of(failed) == 0 {
+            return;
+        }
+        // Every assignment above level 0 is an assumption or follows from
+        // assumptions: no search decision is made before all are placed.
+        self.seen[failed.var() as usize] = true;
+        for pos in (self.trail_lim[0]..self.trail.len()).rev() {
+            let lit = self.trail[pos];
+            let var = lit.var() as usize;
+            if !self.seen[var] {
+                continue;
+            }
+            self.seen[var] = false;
+            match self.reasons[var] {
+                None => self.failed.push(lit),
+                Some(reason) => {
+                    for k in 0..self.clauses[reason as usize].literals.len() {
+                        let other = self.clauses[reason as usize].literals[k].var() as usize;
+                        if other != var && self.levels[other] > 0 {
+                            self.seen[other] = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn search(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.failed.clear();
         self.take_queued();
         if self.unsat {
             return SatResult::Unsat;
@@ -1369,6 +1417,7 @@ impl Solver {
                     Some(false) => {
                         // The formula forces the complement: unsatisfiable
                         // under the assumptions.
+                        self.analyze_final(assumption);
                         return SatResult::Unsat;
                     }
                     None => {
@@ -1869,6 +1918,141 @@ mod tests {
         assert!(solver
             .solve_under_assumptions(&[lit(0, true), lit(2, true)])
             .is_sat());
+    }
+
+    fn brute_force_sat_under(cnf: &Cnf, assumptions: &[Lit]) -> bool {
+        (0u64..(1 << cnf.num_vars)).any(|mask| {
+            let value = |v: u32| mask & (1 << v) != 0;
+            assumptions
+                .iter()
+                .all(|a| value(a.var()) == a.is_positive())
+                && cnf.eval(value)
+        })
+    }
+
+    #[test]
+    fn failed_assumption_cores_agree_with_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let matrix = config_matrix();
+        let mut rng = StdRng::seed_from_u64(0xC02E);
+        let mut small_cores = 0;
+        for _ in 0..150 {
+            let cnf = random_cnf(&mut rng, 10, 30);
+            let assumptions: Vec<Lit> = (0..rng.random_range(1..=6usize))
+                .map(|_| lit(rng.random_range(0..cnf.num_vars), rng.random_bool(0.5)))
+                .collect();
+            let expected = brute_force_sat_under(&cnf, &assumptions);
+            for (name, config) in &matrix {
+                let mut solver = Solver::from_cnf_with_config(&cnf, *config);
+                let result = solver.solve_under_assumptions(&assumptions);
+                assert_eq!(result.is_sat(), expected, "config {name}");
+                let core = solver.failed_assumptions().to_vec();
+                if expected {
+                    assert!(core.is_empty(), "config {name}: SAT with core {core:?}");
+                    continue;
+                }
+                assert!(
+                    core.iter().all(|l| assumptions.contains(l)),
+                    "config {name}: core {core:?} outside {assumptions:?}"
+                );
+                assert!(
+                    !brute_force_sat_under(&cnf, &core),
+                    "config {name}: core {core:?} of {assumptions:?} is satisfiable on {}",
+                    cnf.to_dimacs()
+                );
+                if core.len() < assumptions.len() {
+                    small_cores += 1;
+                }
+            }
+        }
+        assert!(small_cores > 0, "no core ever left an assumption out");
+    }
+
+    #[test]
+    fn a_formula_refuted_without_assumptions_has_an_empty_core() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xE3E7);
+        let mut refuted = 0;
+        while refuted < 40 {
+            let cnf = random_cnf(&mut rng, 10, 40);
+            if brute_force_sat(&cnf) {
+                continue;
+            }
+            refuted += 1;
+            let assumptions: Vec<Lit> = (0..rng.random_range(1..=6usize))
+                .map(|_| lit(rng.random_range(0..cnf.num_vars), rng.random_bool(0.5)))
+                .collect();
+            for (name, config) in config_matrix() {
+                let mut solver = Solver::from_cnf_with_config(&cnf, config);
+                assert_eq!(solver.solve(), SatResult::Unsat, "config {name}");
+                assert!(solver.failed_assumptions().is_empty(), "config {name}");
+                assert_eq!(
+                    solver.solve_under_assumptions(&assumptions),
+                    SatResult::Unsat,
+                    "config {name}"
+                );
+                assert!(solver.failed_assumptions().is_empty(), "config {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_assumption_false_at_level_zero_is_its_own_core() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x1E0);
+        let mut checked = 0;
+        while checked < 40 {
+            let mut cnf = random_cnf(&mut rng, 10, 20);
+            let forced = lit(rng.random_range(0..cnf.num_vars), rng.random_bool(0.5));
+            cnf.add_clause([forced]);
+            if !brute_force_sat(&cnf) {
+                continue;
+            }
+            checked += 1;
+            // Other assumptions range over variables no clause mentions, so
+            // none of them can fail; the forced literal's complement can.
+            let fresh = cnf.num_vars;
+            let mut assumptions: Vec<Lit> = (0..rng.random_range(0..=4u32))
+                .map(|i| lit(fresh + i, rng.random_bool(0.5)))
+                .collect();
+            let at = rng.random_range(0..=assumptions.len());
+            assumptions.insert(at, forced.negated());
+            for (name, config) in config_matrix() {
+                let mut solver = Solver::from_cnf_with_config(&cnf, config);
+                assert_eq!(
+                    solver.solve_under_assumptions(&assumptions),
+                    SatResult::Unsat,
+                    "config {name}"
+                );
+                assert_eq!(
+                    solver.failed_assumptions(),
+                    [forced.negated()],
+                    "config {name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_satisfiable_answer_clears_the_previous_core() {
+        let mut solver = Solver::new(2);
+        solver.add_clause([lit(0, true), lit(1, true)]);
+        let assumptions = [lit(0, false), lit(1, false)];
+        assert_eq!(
+            solver.solve_under_assumptions(&assumptions),
+            SatResult::Unsat
+        );
+        let mut core = solver.failed_assumptions().to_vec();
+        core.sort_unstable();
+        assert_eq!(core, assumptions);
+        assert!(solver.solve_under_assumptions(&[lit(0, false)]).is_sat());
+        assert!(solver.failed_assumptions().is_empty());
     }
 
     #[test]

@@ -59,12 +59,12 @@ pub struct JobRequest {
     pub netlist: Netlist,
     /// Which property to decide.
     pub property: PropertyRequest,
-    /// Proof engine. Note that only [`ProofStrategy::Pdr`] with
-    /// `threads == 1` yields certificates that are deterministic across
-    /// submissions (a portfolio race's winner is timing-dependent).
+    /// Proof engine. Note that only [`ProofStrategy::Pdr`] yields
+    /// certificates that are deterministic across submissions (a
+    /// portfolio race's winner is timing-dependent).
     pub strategy: ProofStrategy,
-    /// Worker threads of the proof engine (see
-    /// [`SequentialOptions::threads`]).
+    /// Ignored, like [`SequentialOptions::threads`]; kept on the wire and
+    /// in the struct for clients that set it.
     pub threads: usize,
 }
 
@@ -94,19 +94,10 @@ impl JobRequest {
         ))
     }
 
-    /// The checker options implied by the job's engine knobs. `threads`
-    /// comes off the wire, so it is capped at the host's parallelism
-    /// ([`ipcl_pdr::default_threads`]); verdicts, traces and certificates
-    /// are the same at every worker count, so the cap changes no answer.
+    /// The checker options implied by the job's engine knobs.
     pub fn options(&self) -> SequentialOptions {
         SequentialOptions {
             strategy: self.strategy,
-            // The host is asked only for a multi-threaded job: on Linux the
-            // answer reads the cgroup limits from the file system.
-            threads: match self.threads {
-                0 | 1 => 1,
-                n => n.min(ipcl_pdr::default_threads()),
-            },
             ..Default::default()
         }
     }
@@ -790,19 +781,13 @@ mod tests {
     }
 
     #[test]
-    fn wire_thread_counts_are_capped_at_the_host_parallelism() {
+    fn a_huge_wire_thread_count_still_parses() {
         let job = JobRequest {
             threads: 1_000_000,
             ..roundtrip_job()
         };
         let parsed = JobRequest::from_json(&Json::parse(&job.to_json_string()).unwrap()).unwrap();
         assert_eq!(parsed.threads, 1_000_000);
-        assert_eq!(parsed.options().threads, ipcl_pdr::default_threads());
-        let zero = JobRequest {
-            threads: 0,
-            ..roundtrip_job()
-        };
-        assert_eq!(zero.options().threads, 1);
     }
 
     #[test]
