@@ -8,9 +8,10 @@
 //! depths prune the deeper searches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::Tracer;
 
 fn bench_depth_sweep(c: &mut Criterion) {
     let spec = ExampleArch::new().functional_spec();
@@ -41,8 +42,16 @@ fn bench_depth_sweep(c: &mut Criterion) {
                     ..Default::default()
                 };
                 b.iter(|| {
-                    let result =
-                        check_property(&spec, synthesized.netlist(), &property, &options).unwrap();
+                    let result = check_properties(
+                        &spec,
+                        synthesized.netlist(),
+                        std::slice::from_ref(&property),
+                        &options,
+                        None,
+                        &Tracer::disabled(),
+                    )
+                    .unwrap()
+                    .remove(0);
                     assert!(!result.outcome.is_falsified());
                     result.stats.solve_calls
                 })
@@ -80,8 +89,16 @@ fn bench_induction_proof(c: &mut Criterion) {
             b.iter(|| {
                 for property in SequentialProperty::for_spec(&spec, PropertyKind::Combined, latency)
                 {
-                    let result =
-                        check_property(&spec, netlist, &property, &BmcOptions::default()).unwrap();
+                    let result = check_properties(
+                        &spec,
+                        netlist,
+                        std::slice::from_ref(&property),
+                        &BmcOptions::default(),
+                        None,
+                        &Tracer::disabled(),
+                    )
+                    .unwrap()
+                    .remove(0);
                     assert!(result.outcome.is_proved());
                 }
             })

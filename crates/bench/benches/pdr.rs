@@ -3,15 +3,16 @@
 //! Two regimes: on registered interlocks both engines prove quickly and the
 //! bench compares their constant factors; on the deep wait-state chains
 //! k-induction runs to its bound without an answer while PDR's cost is the
-//! discovery of the chain lemmas — the gap the portfolio checker exists to
-//! arbitrate.
+//! discovery of the chain lemmas — the gap the portfolio checker closes by
+//! running PDR on what k-induction leaves open.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr, check_property_portfolio, PdrOptions};
+use ipcl_pdr::{check_portfolio, check_property_pdr, PdrOptions};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::Tracer;
 
 fn bench_registered_example(c: &mut Criterion) {
     let spec = ExampleArch::new().functional_spec();
@@ -25,6 +26,7 @@ fn bench_registered_example(c: &mut Criterion) {
     );
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Combined, Latency::Registered);
+    let properties = std::slice::from_ref(&property);
 
     let mut group = c.benchmark_group("proof_engines_registered_example");
     group.sample_size(10);
@@ -32,14 +34,16 @@ fn bench_registered_example(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.bench_function("kinduction", |b| {
         b.iter(|| {
-            let result = check_property(
+            let result = check_properties(
                 &spec,
                 synthesized.netlist(),
-                &property,
+                properties,
                 &BmcOptions::with_depth(8),
+                None,
+                &Tracer::disabled(),
             )
             .unwrap();
-            assert!(result.outcome.is_proved());
+            assert!(result[0].outcome.is_proved());
         })
     });
     group.bench_function("pdr", |b| {
@@ -49,6 +53,8 @@ fn bench_registered_example(c: &mut Criterion) {
                 synthesized.netlist(),
                 &property,
                 &PdrOptions::default(),
+                None,
+                &Tracer::disabled(),
             )
             .unwrap();
             assert!(result.outcome.is_proved());
@@ -56,15 +62,17 @@ fn bench_registered_example(c: &mut Criterion) {
     });
     group.bench_function("portfolio", |b| {
         b.iter(|| {
-            let result = check_property_portfolio(
+            let result = check_portfolio(
                 &spec,
                 synthesized.netlist(),
-                &property,
+                properties,
                 &BmcOptions::with_depth(8),
                 &PdrOptions::default(),
+                None,
+                &Tracer::disabled(),
             )
             .unwrap();
-            assert!(result.is_proved());
+            assert!(result[0].is_proved());
         })
     });
     group.finish();
@@ -83,10 +91,13 @@ fn bench_deep_chain(c: &mut Criterion) {
             PropertyKind::Performance,
             Latency::Combinational,
         );
+        let tracer = Tracer::disabled();
         group.bench_with_input(BenchmarkId::new("pdr_prove", depth), &depth, |b, _| {
             b.iter(|| {
+                let options = PdrOptions::default();
                 let result =
-                    check_property_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
+                    check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
+                        .unwrap();
                 assert!(result.outcome.is_proved());
             })
         });
@@ -97,15 +108,17 @@ fn bench_deep_chain(c: &mut Criterion) {
                 b.iter(|| {
                     // k-induction pays its full bound and still has no
                     // answer — the baseline cost PDR replaces.
-                    let result = check_property(
+                    let result = check_properties(
                         &spec,
                         &netlist,
-                        &property,
+                        std::slice::from_ref(&property),
                         &BmcOptions::with_depth(depth.saturating_sub(3)),
+                        None,
+                        &tracer,
                     )
                     .unwrap();
-                    assert!(!result.outcome.is_proved());
-                    assert!(!result.outcome.is_falsified());
+                    assert!(!result[0].outcome.is_proved());
+                    assert!(!result[0].outcome.is_falsified());
                 })
             },
         );

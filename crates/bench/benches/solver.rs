@@ -13,6 +13,7 @@ use ipcl_expr::Lit;
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{check_property_pdr, PdrOptions};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
+use ipcl_trace::Tracer;
 
 fn configs() -> [(&'static str, SolverConfig); 2] {
     [
@@ -81,7 +82,15 @@ fn bench_pdr_deep_chain(c: &mut Criterion) {
                 ..PdrOptions::default()
             };
             b.iter(|| {
-                let result = check_property_pdr(&spec, &netlist, &property, &options).unwrap();
+                let result = check_property_pdr(
+                    &spec,
+                    &netlist,
+                    &property,
+                    &options,
+                    None,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 assert!(result.outcome.is_proved());
             })
         });

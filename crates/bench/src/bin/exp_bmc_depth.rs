@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, TraceArgs};
-use ipcl_bmc::{check_property_traced, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
@@ -41,12 +41,13 @@ fn main() {
     );
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Combined, Latency::Registered);
+    let properties = std::slice::from_ref(&property);
 
     // One warm-up run so first-touch allocation noise stays out of depth 1.
-    let _ = check_property_traced(
+    let _ = check_properties(
         &spec,
         synthesized.netlist(),
-        &property,
+        properties,
         &BmcOptions::with_depth(2),
         None,
         &ipcl_trace::Tracer::disabled(),
@@ -73,15 +74,16 @@ fn main() {
             let mut last_stats = None;
             for _ in 0..3 {
                 let start = Instant::now();
-                let result = check_property_traced(
+                let result = check_properties(
                     &spec,
                     synthesized.netlist(),
-                    &property,
+                    properties,
                     &options,
                     None,
                     trace.tracer(),
                 )
-                .expect("netlist elaborates");
+                .expect("netlist elaborates")
+                .remove(0);
                 times.push(start.elapsed().as_secs_f64() * 1e3);
                 assert!(
                     !result.outcome.is_falsified(),

@@ -8,10 +8,10 @@
 //!   the sweep measures how their encoding/search overheads scale with
 //!   architecture size.
 //! * **deep wait-state chains** — `ipcl_pdr::deep::deep_pipeline(n)`, the
-//!   workload class k-induction cannot decide below the chain depth. The
-//!   k-induction racer is given a bound of `n − 3` frames (so it runs to
-//!   the bound and returns *unknown*), while PDR proves the property
-//!   outright — the claim of ISSUE 2, asserted by this binary.
+//!   workload class k-induction cannot decide below the chain depth.
+//!   k-induction is given a bound of `n − 3` frames (so it runs to the
+//!   bound and returns *unknown*), while PDR proves the property outright
+//!   — asserted by this binary.
 //!
 //! Each `(workload, engine)` point also runs with SAT phase saving
 //! disabled, quantifying the satellite optimisation of ISSUE 2 (the
@@ -27,13 +27,11 @@ use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, median_ms, TraceArgs};
 use ipcl_bmc::{
-    check_property_traced, BmcOptions, BmcOutcome, Latency, PropertyKind, SequentialProperty,
+    check_properties, BmcOptions, BmcOutcome, Latency, PropertyKind, SequentialProperty,
 };
 use ipcl_core::{ArchSpec, FunctionalSpec};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{
-    check_property_pdr_traced, check_property_portfolio_traced, PdrOptions, PdrOutcome,
-};
+use ipcl_pdr::{check_portfolio, check_property_pdr, PdrOptions, PdrOutcome, PortfolioWinner};
 use ipcl_rtl::Netlist;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
@@ -42,7 +40,7 @@ struct Workload {
     spec: FunctionalSpec,
     netlist: Netlist,
     property: SequentialProperty,
-    /// Depth bound handed to the k-induction racer.
+    /// Depth bound handed to k-induction.
     k_bound: usize,
     /// Whether k-induction is expected to prove the property within the
     /// bound (deep chains: no).
@@ -113,6 +111,7 @@ fn main() {
 
     let mut entries: Vec<String> = Vec::new();
     for workload in &workloads {
+        let properties = std::slice::from_ref(&workload.property);
         for phase_saving in [true, false] {
             let solver = ipcl_sat::SolverConfig {
                 phase_saving,
@@ -130,15 +129,16 @@ fn main() {
             let mut conflicts = 0u64;
             for _ in 0..repeats {
                 let start = Instant::now();
-                let result = check_property_traced(
+                let result = check_properties(
                     &workload.spec,
                     &workload.netlist,
-                    &workload.property,
+                    properties,
                     &bmc_options,
                     None,
                     trace.tracer(),
                 )
-                .expect("netlist elaborates");
+                .expect("netlist elaborates")
+                .remove(0);
                 times.push(start.elapsed().as_secs_f64() * 1e3);
                 verdict = match &result.outcome {
                     BmcOutcome::Proved { induction_depth } => format!("proved@k={induction_depth}"),
@@ -182,7 +182,7 @@ fn main() {
             let mut frame_obligations = Vec::new();
             for _ in 0..repeats {
                 let start = Instant::now();
-                let result = check_property_pdr_traced(
+                let result = check_property_pdr(
                     &workload.spec,
                     &workload.netlist,
                     &workload.property,
@@ -241,21 +241,23 @@ fn main() {
         }
 
         // ---- Portfolio (default phase saving): the verdict must match the
-        // stronger engine's, and the deep chains must be won by PDR.
+        // stronger engine's, and the deep chains must be decided by PDR.
         let bmc_options = BmcOptions {
             max_depth: workload.k_bound,
             ..Default::default()
         };
         let start = Instant::now();
-        let result = check_property_portfolio_traced(
+        let result = check_portfolio(
             &workload.spec,
             &workload.netlist,
-            &workload.property,
+            properties,
             &bmc_options,
             &PdrOptions::default(),
+            None,
             trace.tracer(),
         )
-        .expect("netlist elaborates");
+        .expect("netlist elaborates")
+        .remove(0);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(
             result.is_proved(),
@@ -265,7 +267,7 @@ fn main() {
         if !workload.k_inductive {
             assert_eq!(
                 result.winner,
-                Some(ipcl_pdr::PortfolioWinner::Pdr),
+                Some(PortfolioWinner::Pdr),
                 "{}: only PDR can prove a deep chain",
                 workload.name
             );
@@ -278,8 +280,8 @@ fn main() {
             ),
             workload.name,
             match result.winner {
-                Some(ipcl_pdr::PortfolioWinner::Bmc) => "kinduction",
-                Some(ipcl_pdr::PortfolioWinner::Pdr) => "pdr",
+                Some(PortfolioWinner::Bmc) => "kinduction",
+                Some(PortfolioWinner::Pdr) => "pdr",
                 None => "none",
             },
             ms,

@@ -36,10 +36,10 @@ use std::time::Instant;
 type Runner = Box<dyn Fn(SolverConfig) -> Point>;
 
 use ipcl_bench::{emit_bench_json, pigeonhole_cnf, TraceArgs};
-use ipcl_bmc::{check_property_traced, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr_traced, PdrOptions, PdrOutcome};
+use ipcl_pdr::{check_property_pdr, PdrOptions, PdrOutcome};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
@@ -91,7 +91,7 @@ fn run_deep_pdr(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tra
     let mut detail = String::new();
     for _ in 0..repeats {
         let start = Instant::now();
-        let result = check_property_pdr_traced(&spec, &netlist, &property, &options, None, tracer)
+        let result = check_property_pdr(&spec, &netlist, &property, &options, None, tracer)
             .expect("netlist elaborates");
         times.push(start.elapsed().as_secs_f64() * 1e3);
         let PdrOutcome::Proved { .. } = result.outcome else {
@@ -137,15 +137,16 @@ fn run_bmc_sweep(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tr
     let mut detail = String::new();
     for _ in 0..repeats {
         let start = Instant::now();
-        let result = check_property_traced(
+        let result = check_properties(
             &spec,
             synthesized.netlist(),
-            &property,
+            std::slice::from_ref(&property),
             &options,
             None,
             tracer,
         )
-        .expect("netlist elaborates");
+        .expect("netlist elaborates")
+        .remove(0);
         times.push(start.elapsed().as_secs_f64() * 1e3);
         assert!(
             !result.outcome.is_falsified(),

@@ -4,20 +4,19 @@
 //! deep-chain of E10 — thousands of sub-millisecond SAT queries, the
 //! regime where per-query instrumentation is most expensive):
 //!
-//! * **overhead** — the PDR engine (single-threaded, so wall-clock is not
-//!   at the mercy of two racing threads' scheduling) with
+//! * **overhead** — the PDR engine with
 //!   `Tracer::disabled()` vs. `TraceConfig::enabled()`, timed min-of-N
 //!   interleaved (minimum, not median: tracing cost is a strict additive
 //!   overhead, so the minimum is the cleanest estimator under scheduler
 //!   noise). The full run asserts overhead < 5%; `--smoke` relaxes the
 //!   gate to reporting only — one smoke iteration cannot beat jitter.
-//! * **fidelity** — one fully traced BMC/PDR portfolio run. The span tree
-//!   must cover ≥ 95% of the traced wall-clock, and `trace.jsonl` must
-//!   round-trip: serialised events parse back
+//! * **fidelity** — one fully traced portfolio run (k-induction, then
+//!   PDR). The span tree must cover ≥ 95% of the traced wall-clock, and
+//!   `trace.jsonl` must round-trip: serialised events parse back
 //!   ([`ipcl_trace::report::parse_jsonl`]) equal to the snapshot's, and
-//!   the span events reconstruct into a well-nested per-thread tree
-//!   ([`ipcl_trace::report::reconstruct_spans`]) even with two racer
-//!   threads interleaving their event streams.
+//!   the span events reconstruct into a well-nested tree
+//!   ([`ipcl_trace::report::reconstruct_spans`]) with the engine spans
+//!   under `portfolio.check`.
 //!
 //! Emits a `BENCH_*.json` document with both timings and the derived
 //! overhead ratio. `--trace <dir>` / `--profile` emit the portfolio run's
@@ -28,7 +27,7 @@ use std::time::Instant;
 use ipcl_bench::{emit_bench_json, TraceArgs};
 use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr_traced, check_property_portfolio_traced, PdrOptions};
+use ipcl_pdr::{check_portfolio, check_property_pdr, PdrOptions};
 use ipcl_trace::{report, TraceConfig, Tracer};
 
 const CHAIN_DEPTH: usize = 16;
@@ -50,9 +49,8 @@ fn main() {
     // ---- Overhead: single-threaded PDR, disabled vs. enabled tracer.
     let run_pdr = |tracer: &Tracer| {
         let start = Instant::now();
-        let result =
-            check_property_pdr_traced(&spec, &netlist, &property, &pdr_options, None, tracer)
-                .expect("netlist elaborates");
+        let result = check_property_pdr(&spec, &netlist, &property, &pdr_options, None, tracer)
+            .expect("netlist elaborates");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(
             result.outcome.is_proved(),
@@ -78,15 +76,17 @@ fn main() {
     // ---- Fidelity gates on one fully traced portfolio run.
     let tracer = Tracer::new(TraceConfig::enabled());
     let portfolio_start = Instant::now();
-    let result = check_property_portfolio_traced(
+    let result = check_portfolio(
         &spec,
         &netlist,
-        &property,
+        std::slice::from_ref(&property),
         &bmc_options,
         &pdr_options,
+        None,
         &tracer,
     )
-    .expect("netlist elaborates");
+    .expect("netlist elaborates")
+    .remove(0);
     let portfolio_ms = portfolio_start.elapsed().as_secs_f64() * 1e3;
     assert!(
         result.is_proved(),
@@ -97,19 +97,16 @@ fn main() {
         .snapshot()
         .expect("enabled tracer must produce a snapshot");
 
-    // Span coverage: the root spans (bmc.check / pdr.check on the racer
-    // threads, portfolio.race on the caller) must account for >= 95% of the
-    // traced wall-clock. The racer threads run concurrently under the
-    // portfolio span, so the per-thread roots are compared against the
-    // portfolio.race span itself.
-    let race_us = snapshot
+    // Span coverage: the root span, portfolio.check, must account for
+    // >= 95% of the traced wall-clock.
+    let portfolio_us = snapshot
         .spans
         .iter()
-        .find(|s| s.path == ["portfolio.race"])
+        .find(|s| s.path == ["portfolio.check"])
         .map(|s| s.total_us)
         .expect("the portfolio span is recorded");
     let wall_us = snapshot.wall_us.max(1);
-    let coverage = race_us as f64 / wall_us as f64;
+    let coverage = portfolio_us as f64 / wall_us as f64;
     assert!(
         coverage >= 0.95,
         "span tree covers {:.1}% of traced wall time, need >= 95%",
@@ -124,13 +121,11 @@ fn main() {
         parsed, snapshot.events,
         "trace.jsonl must round-trip through the parser"
     );
-    // Span stacks are per-thread: the racer's tree roots at pdr.check on
-    // its own thread (portfolio.race lives on the caller's).
     let reconstructed = report::reconstruct_spans(&parsed).expect("span events nest correctly");
     assert!(
         reconstructed
             .iter()
-            .any(|s| s.path == ["pdr.check", "pdr.propagate"]),
+            .any(|s| s.path == ["portfolio.check", "pdr.check", "pdr.propagate"]),
         "the reconstructed tree must contain the engine's nested spans"
     );
 

@@ -257,63 +257,6 @@ pub fn missing_property_signals(
     binding.missing_moe(spec, Some(&property.stage))
 }
 
-/// Checks one sequential property on `netlist` against `spec` — a
-/// one-element [`check_properties`] run.
-///
-/// See the module docs for the algorithm. The returned counterexample (if
-/// any) is of minimal length and replays deterministically through
-/// [`ipcl_rtl::Simulator`] (asserted by the caller via
-/// [`Counterexample::replay`]).
-///
-/// # Errors
-///
-/// [`BmcError::MissingSignals`] if the property's stage has no `moe` signal
-/// in the netlist; [`BmcError::Rtl`] if the netlist does not elaborate.
-pub fn check_property(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &BmcOptions,
-) -> Result<BmcResult, BmcError> {
-    check_property_with_cancel(spec, netlist, property, options, None)
-}
-
-/// As [`check_property`], but polls `cancel` between depths and returns the
-/// current [`BmcOutcome::Unknown`] as soon as it is set — the cooperative
-/// cancellation used by `ipcl-pdr`'s portfolio racer to stop the losing
-/// engine once the winner has a verdict.
-pub fn check_property_with_cancel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &BmcOptions,
-    cancel: Option<&AtomicBool>,
-) -> Result<BmcResult, BmcError> {
-    check_property_traced(
-        spec,
-        netlist,
-        property,
-        options,
-        cancel,
-        &Tracer::disabled(),
-    )
-}
-
-/// As [`check_property_with_cancel`], with an observability handle (see
-/// [`check_properties`] for what the run records).
-pub fn check_property_traced(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &BmcOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
-) -> Result<BmcResult, BmcError> {
-    let properties = std::slice::from_ref(property);
-    let mut results = check_properties(spec, netlist, properties, options, cancel, tracer)?;
-    Ok(results.pop().expect("one result per property"))
-}
-
 /// One property's progress through a [`check_properties`] run.
 #[derive(Default)]
 struct Track {
@@ -341,7 +284,13 @@ impl Track {
 /// asks alone: the base query ¬ok(d), then (if that is unsatisfiable and
 /// [`BmcOptions::induction`] is on) the step query with `k = d − first
 /// instance`. So each property keeps its verdict, induction depth and
-/// minimal trace length. Results come back in `properties` order.
+/// minimal trace length. Results come back in `properties` order; to
+/// check one property, pass `std::slice::from_ref(&property)`.
+///
+/// A counterexample is of minimal length and replays deterministically
+/// through [`ipcl_rtl::Simulator`] (see [`Counterexample::replay`]). The
+/// run polls `cancel` between depths and, once it is set, returns every
+/// open property as [`BmcOutcome::Unknown`].
 ///
 /// Traced under one `bmc.check` span (frames under `bmc.encode`, queries
 /// under `sat.solve`), with a `bmc_depth` event per base query and each
@@ -559,7 +508,7 @@ pub struct StallEscapeReport {
 ///
 /// # Errors
 ///
-/// As [`check_property`].
+/// As [`check_properties`].
 pub fn check_stall_escape(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -575,7 +524,7 @@ pub fn check_stall_escape(
 ///
 /// # Errors
 ///
-/// As [`check_property`].
+/// As [`check_properties`].
 pub fn check_stall_escape_traced(
     spec: &FunctionalSpec,
     netlist: &Netlist,

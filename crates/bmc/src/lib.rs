@@ -6,15 +6,14 @@
 //! `ipcl-checker` cannot see and random simulation can only sample. This
 //! crate makes registered interlock implementations provable objects:
 //!
-//! * [`engine::check_property`] unrolls an `ipcl-rtl` [`Netlist`] over time
-//!   frames (via [`ipcl_rtl::unroll`]) and decides each
-//!   [`SequentialProperty`] with the incremental CDCL solver of `ipcl-sat`:
-//!   **falsification** returns a minimal-length, simulator-replayable
-//!   [`Counterexample`]; **k-induction** (base cases + loop-free inductive
-//!   step) returns a proof valid for *all* cycles, not just the unrolled
-//!   ones.
-//! * [`engine::check_properties`] decides a whole property list that way
-//!   over one shared pair of unrollings, encoding the netlist once.
+//! * [`engine::check_properties`] unrolls an `ipcl-rtl` [`Netlist`] over
+//!   time frames (via [`ipcl_rtl::unroll`]) and decides a list of
+//!   [`SequentialProperty`]s with the incremental CDCL solver of
+//!   `ipcl-sat`, over one shared pair of unrollings that encodes the
+//!   netlist once: **falsification** returns a minimal-length,
+//!   simulator-replayable [`Counterexample`]; **k-induction** (base cases +
+//!   loop-free inductive step) returns a proof valid for *all* cycles, not
+//!   just the unrolled ones.
 //! * [`engine::check_stall_escape`] proves the absence of deadlock/livelock:
 //!   from any state in which a stage is stalled, an idle environment
 //!   releases the stall within a bounded number of cycles.
@@ -25,26 +24,27 @@
 //!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`,
 //! which builds the property portfolio, decides it with one
-//! [`engine::check_properties`] run (or, under PDR and the portfolio race,
-//! one engine run per property) and combines the results with the
-//! stall-escape and reset-value checks.
+//! [`engine::check_properties`] run (under PDR, one PDR run per property;
+//! the portfolio strategy runs both, PDR only on what k-induction leaves
+//! open) and combines the results with the stall-escape and reset-value
+//! checks.
 //!
 //! # Example
 //!
 //! ```
-//! use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
+//! use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 //! use ipcl_core::example::ExampleArch;
 //! use ipcl_synth::synthesize_interlock;
+//! use ipcl_trace::Tracer;
 //!
 //! let spec = ExampleArch::new().functional_spec();
 //! let synthesized = synthesize_interlock(&spec);
 //! // The derived combinational interlock is not just bug-free up to a
 //! // bound: k-induction proves it correct on every cycle.
-//! let property = SequentialProperty::for_stage(&spec, 0, PropertyKind::Combined,
-//!     Latency::Combinational);
-//! let result = check_property(&spec, synthesized.netlist(), &property,
-//!     &BmcOptions::default()).unwrap();
-//! assert!(result.outcome.is_proved());
+//! let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
+//! let results = check_properties(&spec, synthesized.netlist(), &properties,
+//!     &BmcOptions::default(), None, &Tracer::disabled()).unwrap();
+//! assert!(results.iter().all(|result| result.outcome.is_proved()));
 //! ```
 
 pub mod binding;
@@ -56,9 +56,9 @@ pub mod trace;
 pub use binding::Binding;
 pub use encode::FrameEncoder;
 pub use engine::{
-    check_properties, check_property, check_property_traced, check_property_with_cancel,
-    check_stall_escape, check_stall_escape_traced, missing_moe_signals, missing_property_signals,
-    BmcError, BmcOptions, BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
+    check_properties, check_stall_escape, check_stall_escape_traced, missing_moe_signals,
+    missing_property_signals, BmcError, BmcOptions, BmcOutcome, BmcResult, BmcStats,
+    StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
 pub use trace::{fuzz, Counterexample, Replay, FUZZ_SEED};
@@ -72,9 +72,29 @@ mod tests {
     use super::*;
     use ipcl_core::example::ExampleArch;
     use ipcl_synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
+    use ipcl_trace::Tracer;
 
     fn spec() -> ipcl_core::FunctionalSpec {
         ExampleArch::new().functional_spec()
+    }
+
+    /// One property, checked alone.
+    fn check_one(
+        spec: &ipcl_core::FunctionalSpec,
+        netlist: &Netlist,
+        property: &SequentialProperty,
+        options: &BmcOptions,
+    ) -> Result<BmcResult, BmcError> {
+        let properties = std::slice::from_ref(property);
+        check_properties(
+            spec,
+            netlist,
+            properties,
+            options,
+            None,
+            &Tracer::disabled(),
+        )
+        .map(|mut results| results.remove(0))
     }
 
     #[test]
@@ -83,7 +103,7 @@ mod tests {
         let synthesized = synthesize_interlock(&spec);
         for kind in PropertyKind::ALL {
             for property in SequentialProperty::for_spec(&spec, kind, Latency::Combinational) {
-                let result = check_property(
+                let result = check_one(
                     &spec,
                     synthesized.netlist(),
                     &property,
@@ -118,7 +138,7 @@ mod tests {
         for property in
             SequentialProperty::for_spec(&spec, PropertyKind::Combined, Latency::Registered)
         {
-            let result = check_property(
+            let result = check_one(
                 &spec,
                 synthesized.netlist(),
                 &property,
@@ -154,7 +174,7 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let result = check_property(
+        let result = check_one(
             &spec,
             synthesized.netlist(),
             &property,
@@ -192,7 +212,7 @@ mod tests {
             PropertyKind::Functional,
             Latency::Combinational,
         );
-        let result = check_property(
+        let result = check_one(
             &spec,
             synthesized.netlist(),
             &property,
@@ -226,7 +246,7 @@ mod tests {
             PropertyKind::Functional,
             Latency::Combinational,
         );
-        let incremental = check_property(
+        let incremental = check_one(
             &spec,
             synthesized.netlist(),
             &property,
@@ -236,7 +256,7 @@ mod tests {
             },
         )
         .unwrap();
-        let scratch = check_property(
+        let scratch = check_one(
             &spec,
             synthesized.netlist(),
             &property,
@@ -285,7 +305,7 @@ mod tests {
             PropertyKind::Functional,
             Latency::Combinational,
         );
-        let err = check_property(&spec, &empty, &property, &BmcOptions::default()).unwrap_err();
+        let err = check_one(&spec, &empty, &property, &BmcOptions::default()).unwrap_err();
         assert!(matches!(err, BmcError::MissingSignals(ref names) if names.len() == 1));
         assert_eq!(missing_moe_signals(&spec, &empty).len(), 6);
         let escape_err = check_stall_escape(&spec, &empty, 2).unwrap_err();

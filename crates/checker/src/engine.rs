@@ -27,8 +27,8 @@ pub enum Engine {
     /// proofs with certified inductive invariants — no unrolling depth to
     /// choose. On combinational queries this degenerates to [`Engine::Sat`].
     Pdr,
-    /// The portfolio checker (`ipcl-pdr`): BMC falsification racing a PDR
-    /// proof per property, first definitive verdict wins. The most robust
+    /// The portfolio checker (`ipcl-pdr`): k-induction over every property,
+    /// then a PDR proof of each property it leaves open. The most robust
     /// sequential choice when it is unknown whether the design is buggy.
     Portfolio,
 }

@@ -14,9 +14,10 @@
 //!   counterexample assignments (unnecessary-stall or missed-stall
 //!   witnesses);
 //! * [`sequential`] decides the properties over input sequences — by
-//!   k-induction, PDR or a race of both — proves every stall escapable and
-//!   checks the reset values of registered implementations; every trace it
-//!   reports replays through the interpreted simulator.
+//!   k-induction, PDR, or k-induction then PDR on what it leaves open —
+//!   proves every stall escapable and checks the reset values of
+//!   registered implementations; every trace it reports replays through
+//!   the interpreted simulator.
 //!
 //! # Example
 //!

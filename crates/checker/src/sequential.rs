@@ -12,31 +12,31 @@
 //! builds the functional/performance property portfolio for the netlist's
 //! latency class, proves or falsifies every property with the configured
 //! [`ProofStrategy`] — k-induction (`ipcl-bmc`), IC3/PDR with certified
-//! inductive invariants (`ipcl-pdr`), or a per-property race of the two —
-//! proves every stall state escapable, and folds in the reset check.
-//! Counterexamples replay deterministically through the simulator and PDR
-//! certificates pass independent SAT validation before a verdict is
-//! reported. k-induction decides the whole portfolio in one
+//! inductive invariants (`ipcl-pdr`), or k-induction followed by PDR on
+//! what it leaves open — proves every stall state escapable, and folds in
+//! the reset check. Counterexamples replay deterministically through the
+//! simulator and PDR certificates pass independent SAT validation before a
+//! verdict is reported. k-induction decides the whole portfolio in one
 //! [`ipcl_bmc::check_properties`] run over one shared pair of unrollings;
-//! its base case finds shallow bugs with a minimal trace. PDR and the
-//! portfolio race check properties in parallel, one OS thread per property
-//! (a race uses two). No strategy runs a random sweep first: a sweep
-//! decides no verdict the engines do not, and the lane fuzzer
-//! ([`ipcl_bmc::fuzz`]) is left to callers that batch many jobs, like
-//! `ipcl-serve`.
+//! its base case finds shallow bugs with a minimal trace. PDR checks the
+//! properties one after another. Every strategy runs on the caller's
+//! thread. No strategy runs a random sweep first: a sweep decides no
+//! verdict the engines do not, and the lane fuzzer ([`ipcl_bmc::fuzz`]) is
+//! left to callers that batch many jobs, like `ipcl-serve`.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 
 use ipcl_bmc::{
-    check_properties, check_property_traced, check_stall_escape_traced, BmcError, BmcOptions,
-    BmcOutcome, BmcResult, BmcStats, Latency, SequentialProperty, StallEscapeReport,
+    check_properties, check_stall_escape_traced, BmcError, BmcOptions, BmcOutcome, BmcResult,
+    BmcStats, Latency, SequentialProperty, StallEscapeReport,
 };
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Assignment;
 use ipcl_pdr::{
-    check_property_pdr_traced, check_property_portfolio_with_cancel, Certificate, PdrOptions,
-    PdrOutcome, PdrResult, PortfolioWinner,
+    check_portfolio, check_property_pdr, Certificate, PdrOptions, PdrOutcome, PdrResult,
+    PortfolioWinner,
 };
 use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
@@ -94,12 +94,12 @@ pub fn check_reset_values(spec: &FunctionalSpec, netlist: &Netlist) -> ResetRepo
 /// k-induction base cases honour [`BmcOptions::quiet_cycles`] (the
 /// post-reset environment is assumed quiet, ruling out counterfeit
 /// "hazard at reset" traces), while PDR — and therefore the portfolio,
-/// which aligns its BMC racer by forcing `quiet_cycles` to 0 — decides the
-/// property **unconditionally**, over every input sequence from reset. A
-/// design that is only correct under the quiet-reset assumption is proved
-/// by [`ProofStrategy::KInduction`] and falsified (with a noisy-reset
-/// trace) by the other two; that trace is a real execution of the netlist,
-/// just one the quiet-cycle discipline chooses to exclude.
+/// which runs its k-induction with `quiet_cycles` forced to 0 — decides
+/// the property **unconditionally**, over every input sequence from reset.
+/// A design that is only correct under the quiet-reset assumption is
+/// proved by [`ProofStrategy::KInduction`] and falsified (with a
+/// noisy-reset trace) by the other two; that trace is a real execution of
+/// the netlist, just one the quiet-cycle discipline chooses to exclude.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ProofStrategy {
     /// BMC falsification with a k-induction proof attempt per depth
@@ -110,10 +110,11 @@ pub enum ProofStrategy {
     /// invariants; counterexamples are replayable but not minimal-length.
     /// Ignores [`BmcOptions::quiet_cycles`] (see the enum docs).
     Pdr,
-    /// Race both per property on scoped threads; the first definitive
-    /// verdict wins and cancels the loser
-    /// ([`ipcl_pdr::check_property_portfolio`]). Both racers run with
-    /// `quiet_cycles = 0` (see the enum docs).
+    /// k-induction over the whole property list, then PDR on each
+    /// property it leaves open ([`ipcl_pdr::check_portfolio`]).
+    /// k-induction runs with `quiet_cycles = 0` (see the enum docs), so
+    /// the verdicts are PDR's, and a falsification within
+    /// [`BmcOptions::max_depth`] comes with k-induction's minimal trace.
     Portfolio,
 }
 
@@ -131,10 +132,8 @@ pub struct SequentialOptions {
     /// PDR knobs (frame budget, generalisation, certificate validation,
     /// and the CDCL heuristics via [`PdrOptions::solver`]).
     pub pdr: PdrOptions,
-    /// Ignored: every strategy runs one engine thread per property (two
-    /// for a portfolio race). Kept for source compatibility with callers
-    /// that set it; see [`SequentialOptions::parallel`] for per-property
-    /// threads.
+    /// Ignored: every strategy runs on the caller's thread. Kept for
+    /// source compatibility with callers that set it.
     pub threads: usize,
     /// Property latency. `None` auto-detects from the netlist
     /// ([`Latency::Registered`] when the `moe` outputs are registers).
@@ -143,8 +142,9 @@ pub struct SequentialOptions {
     /// callers that run one next to the check. The checker itself runs no
     /// sweep under any strategy, so this decides no verdict and no trace.
     pub prepass_cycles: u64,
-    /// Check every property on its own OS thread under PDR and the
-    /// portfolio. k-induction decides the whole portfolio in one run.
+    /// Ignored: every strategy checks the properties on the caller's
+    /// thread, in order. Kept for source compatibility with callers that
+    /// set it.
     pub parallel: bool,
     /// Run the per-stage stall-escape (deadlock/livelock) proof.
     pub deadlock: bool,
@@ -206,7 +206,7 @@ pub struct SequentialReport {
     /// Validated inductive-invariant certificates, keyed by property name —
     /// one per property that PDR proved (empty under
     /// [`ProofStrategy::KInduction`], and absent for portfolio properties
-    /// the BMC racer won).
+    /// k-induction decided).
     pub certificates: BTreeMap<String, Certificate>,
     /// The static reset-value check.
     pub reset: ResetReport,
@@ -220,8 +220,9 @@ pub struct SequentialReport {
 
 impl SequentialReport {
     /// Whether the implementation is *proved* sequentially correct: every
-    /// property proved by k-induction, reset values right and every stall
-    /// escapable. (`Unknown` outcomes count as not proved.)
+    /// property proved (by k-induction or PDR, whichever the strategy ran),
+    /// reset values right and every stall escapable. (`Unknown` outcomes
+    /// count as not proved.)
     pub fn proved(&self) -> bool {
         self.results.iter().all(|r| r.outcome.is_proved())
             && self.reset.ok()
@@ -281,27 +282,7 @@ pub fn check_netlist_sequential_with(
         .unwrap_or_else(|| Latency::detect(spec, netlist));
 
     let properties = SequentialProperty::both_directions(spec, latency);
-    let job = |property| check_property_job(spec, netlist, property, options, None, &tracer);
-    let checked: Vec<(BmcResult, Option<Certificate>)> = match options.strategy {
-        // One shared pair of unrollings decides the whole portfolio.
-        ProofStrategy::KInduction => {
-            check_properties(spec, netlist, &properties, &options.bmc, None, &tracer)?
-                .into_iter()
-                .map(|result| (result, None))
-                .collect()
-        }
-        _ if options.parallel => std::thread::scope(|scope| {
-            let handles: Vec<_> = properties
-                .iter()
-                .map(|property| scope.spawn(move || job(property)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("property checker thread panicked"))
-                .collect::<Result<Vec<_>, _>>()
-        })?,
-        _ => properties.iter().map(job).collect::<Result<Vec<_>, _>>()?,
-    };
+    let checked = check_with_strategy(spec, netlist, &properties, options, None, &tracer)?;
     let mut certificates = BTreeMap::new();
     let mut results = Vec::with_capacity(checked.len());
     for (result, certificate) in checked {
@@ -361,15 +342,16 @@ pub fn check_netlist_sequential_with(
 /// The job-oriented single-property entry point: decides `property` with
 /// the configured [`ProofStrategy`], with an optional **cancellation
 /// token** the owner can raise at any time — the engines poll it between
-/// SAT queries (BMC: per depth; PDR: per obligation; the portfolio
-/// forwards it to both racers), so a cancelled job returns promptly with
-/// an `Unknown` outcome rather than being killed mid-query.
+/// SAT queries (BMC: per depth; PDR: per obligation; the portfolio starts
+/// no PDR run once it is set), so a cancelled job returns promptly with an
+/// `Unknown` outcome rather than being killed mid-query.
 ///
 /// This is what a job server (`ipcl-serve`) schedules onto its worker
 /// pool: one call per queued (netlist, property) pair, one token per job.
-/// [`check_netlist_sequential_with`] gives every property of the full
-/// portfolio the verdict this function gives it (under k-induction, from
-/// one shared [`ipcl_bmc::check_properties`] run).
+/// It is the one-property case of the dispatch
+/// [`check_netlist_sequential_with`] runs over the whole portfolio, which
+/// gives every property the verdict this function gives it (under
+/// k-induction, from one shared [`ipcl_bmc::check_properties`] run).
 ///
 /// Returns the folded [`BmcResult`] plus the validated certificate when
 /// the proof came from PDR.
@@ -387,37 +369,56 @@ pub fn check_property_job(
     netlist: &Netlist,
     property: &SequentialProperty,
     options: &SequentialOptions,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
+    cancel: Option<&AtomicBool>,
     tracer: &Tracer,
 ) -> Result<(BmcResult, Option<Certificate>), BmcError> {
-    match options.strategy {
+    let properties = std::slice::from_ref(property);
+    let mut checked = check_with_strategy(spec, netlist, properties, options, cancel, tracer)?;
+    Ok(checked.remove(0))
+}
+
+/// Decides `properties` with the configured [`ProofStrategy`], in order,
+/// on the caller's thread: one [`ipcl_bmc::check_properties`] run under
+/// k-induction, one [`ipcl_pdr::check_property_pdr`] run per property
+/// under PDR, one [`ipcl_pdr::check_portfolio`] run under the portfolio.
+fn check_with_strategy(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    properties: &[SequentialProperty],
+    options: &SequentialOptions,
+    cancel: Option<&AtomicBool>,
+    tracer: &Tracer,
+) -> Result<Vec<(BmcResult, Option<Certificate>)>, BmcError> {
+    Ok(match options.strategy {
         ProofStrategy::KInduction => {
-            check_property_traced(spec, netlist, property, &options.bmc, cancel, tracer)
-                .map(|r| (r, None))
+            check_properties(spec, netlist, properties, &options.bmc, cancel, tracer)?
+                .into_iter()
+                .map(|result| (result, None))
+                .collect()
         }
-        ProofStrategy::Pdr => {
-            let result =
-                check_property_pdr_traced(spec, netlist, property, &options.pdr, cancel, tracer)?;
-            Ok(fold_pdr_result(result))
-        }
-        ProofStrategy::Portfolio => {
-            let result = check_property_portfolio_with_cancel(
-                spec,
-                netlist,
-                property,
-                &options.bmc,
-                &options.pdr,
-                cancel,
-                tracer,
-            )?;
-            match result.winner {
-                Some(PortfolioWinner::Pdr) => Ok(fold_pdr_result(result.pdr)),
-                // BMC won — or neither engine was definitive, in which case
-                // the BMC result carries the deepest bound checked.
-                Some(PortfolioWinner::Bmc) | None => Ok((result.bmc, None)),
-            }
-        }
-    }
+        ProofStrategy::Pdr => properties
+            .iter()
+            .map(|p| check_property_pdr(spec, netlist, p, &options.pdr, cancel, tracer))
+            .map(|result| result.map(fold_pdr_result))
+            .collect::<Result<_, _>>()?,
+        ProofStrategy::Portfolio => check_portfolio(
+            spec,
+            netlist,
+            properties,
+            &options.bmc,
+            &options.pdr,
+            cancel,
+            tracer,
+        )?
+        .into_iter()
+        .map(|result| match (result.winner, result.pdr) {
+            (Some(PortfolioWinner::Pdr), Some(pdr)) => fold_pdr_result(pdr),
+            // k-induction decided — or neither engine did, in which case
+            // its result carries the deepest bound checked.
+            _ => (result.bmc, None),
+        })
+        .collect(),
+    })
 }
 
 /// Maps a [`PdrResult`] into the report's [`BmcResult`] vocabulary.
@@ -636,7 +637,7 @@ mod tests {
         };
         let report = check_netlist_sequential_with(&spec, buggy.netlist(), &options).unwrap();
         // Replayability is asserted inside check_netlist_sequential_with for
-        // every counterexample, whichever racer produced it.
+        // every counterexample, whichever engine produced it.
         assert!(report.falsified());
         assert!(!report.reset.ok());
     }

@@ -36,8 +36,9 @@
 //!
 //! Unlike the BMC base case, PDR has no quiet-cycle discipline: it decides
 //! the property *unconditionally* — over every input sequence from reset —
-//! which is also what the k-induction step case assumes, so the two engines
-//! agree on every design the portfolio races them on.
+//! which is also what the k-induction step case assumes; the portfolio
+//! runs k-induction with `quiet_cycles = 0`, so both engines decide the
+//! same property there.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -857,49 +858,23 @@ fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
 /// [`PdrOptions::validate_certificate`] (the default) the certificate has
 /// been re-validated by independent SAT checks and the verdicts are in
 /// [`PdrResult::validation`]. A [`PdrOutcome::Falsified`] trace replays
-/// through [`ipcl_rtl::Simulator`] (callers assert this, as with BMC).
+/// through [`ipcl_rtl::Simulator`] (callers assert this, as with BMC). The
+/// run polls `cancel` between queries and returns [`PdrOutcome::Unknown`]
+/// as soon as it is set.
+///
+/// Traced under a `pdr.check` span (encode under `pdr.encode`, clause
+/// propagation under `pdr.propagate`, cube generalisation under
+/// `pdr.generalize`, certificate re-checking under `pdr.validate`, SAT
+/// queries under the solver's own `sat.solve`), with one `pdr_obligation`
+/// event per obligation push/pop carrying its frame and queue depth; the
+/// run's counters fold into the tracer's metrics.
 ///
 /// # Errors
 ///
-/// As [`ipcl_bmc::check_property`]: [`BmcError::MissingSignals`] if the
+/// As [`ipcl_bmc::check_properties`]: [`BmcError::MissingSignals`] if the
 /// property's stage has no `moe` signal in the netlist, [`BmcError::Rtl`]
 /// if the netlist does not elaborate.
 pub fn check_property_pdr(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &PdrOptions,
-) -> Result<PdrResult, BmcError> {
-    check_property_pdr_with_cancel(spec, netlist, property, options, None)
-}
-
-/// As [`check_property_pdr`], but polls `cancel` between queries and
-/// returns [`PdrOutcome::Unknown`] as soon as it is set.
-pub fn check_property_pdr_with_cancel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &PdrOptions,
-    cancel: Option<&AtomicBool>,
-) -> Result<PdrResult, BmcError> {
-    check_property_pdr_traced(
-        spec,
-        netlist,
-        property,
-        options,
-        cancel,
-        &Tracer::disabled(),
-    )
-}
-
-/// As [`check_property_pdr_with_cancel`], with an observability handle:
-/// the run executes under a `pdr.check` span (encode under `pdr.encode`,
-/// clause propagation under `pdr.propagate`, cube generalisation under
-/// `pdr.generalize`, certificate re-checking under `pdr.validate`, SAT
-/// queries under the solver's own `sat.solve`), logs one `pdr_obligation`
-/// event per obligation push/pop with its frame and queue depth, and
-/// folds the run's counters into the tracer's metrics.
-pub fn check_property_pdr_traced(
     spec: &FunctionalSpec,
     netlist: &Netlist,
     property: &SequentialProperty,

@@ -19,10 +19,10 @@
 //!   [`Certificate::validate`] re-checks with independent initiation,
 //!   consecution and safety SAT queries, so a "proved" verdict is
 //!   self-auditing rather than trusted;
-//! * [`check_property_portfolio`] races BMC falsification against PDR proof
-//!   on scoped threads with cooperative cancellation: buggy designs get
-//!   BMC-speed (minimal) counterexamples, correct designs get unbounded
-//!   proofs, whichever engine finishes first.
+//! * [`check_portfolio`] runs k-induction over a whole property list, then
+//!   PDR on each property it leaves open, on the caller's thread: bugs
+//!   within the depth bound get BMC's minimal counterexamples, and what
+//!   k-induction cannot prove gets an unbounded, certified PDR proof.
 //!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`
 //! with `Engine::Pdr` or `Engine::Portfolio`.
@@ -31,20 +31,21 @@
 //!
 //! ```
 //! use ipcl_pdr::{check_property_pdr, deep::deep_pipeline, PdrOptions};
-//! use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
+//! use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+//! use ipcl_trace::Tracer;
 //!
 //! // A sticky wait-state chain: correct from reset, but not k-inductive
 //! // for any k ≤ depth − 2 …
 //! let (spec, netlist) = deep_pipeline(8);
 //! let property = SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance,
 //!     Latency::Combinational);
-//! let bmc = check_property(&spec, &netlist, &property,
-//!     &BmcOptions::with_depth(5)).unwrap();
-//! assert!(!bmc.outcome.is_proved(), "k-induction is stuck below the chain depth");
+//! let bmc = check_properties(&spec, &netlist, std::slice::from_ref(&property),
+//!     &BmcOptions::with_depth(5), None, &Tracer::disabled()).unwrap();
+//! assert!(!bmc[0].outcome.is_proved(), "k-induction is stuck below the chain depth");
 //!
 //! // … while PDR proves it outright, with a validated certificate.
 //! let pdr = check_property_pdr(&spec, &netlist, &property,
-//!     &PdrOptions::default()).unwrap();
+//!     &PdrOptions::default(), None, &Tracer::disabled()).unwrap();
 //! assert!(pdr.outcome.is_proved());
 //! assert!(pdr.validation.unwrap().ok());
 //! ```
@@ -55,14 +56,8 @@ pub mod engine;
 pub mod portfolio;
 
 pub use certificate::{Certificate, CertificateCheck, StateLiteral};
-pub use engine::{
-    check_property_pdr, check_property_pdr_traced, check_property_pdr_with_cancel, PdrOptions,
-    PdrOutcome, PdrResult, PdrStats,
-};
-pub use portfolio::{
-    check_property_portfolio, check_property_portfolio_traced,
-    check_property_portfolio_with_cancel, PortfolioResult, PortfolioWinner,
-};
+pub use engine::{check_property_pdr, PdrOptions, PdrOutcome, PdrResult, PdrStats};
+pub use portfolio::{check_portfolio, PortfolioResult, PortfolioWinner};
 
 // Re-exported so callers can name the shared vocabulary without a direct
 // `ipcl-bmc` dependency.
@@ -72,7 +67,7 @@ pub use ipcl_bmc::{BmcError, Counterexample, Latency, PropertyKind, SequentialPr
 mod tests {
     use super::*;
     use deep::deep_pipeline;
-    use ipcl_bmc::{check_property, BmcOptions, BmcOutcome};
+    use ipcl_bmc::{check_properties, BmcOptions, BmcOutcome};
     use ipcl_core::example::ExampleArch;
     use ipcl_core::FunctionalSpec;
     use ipcl_pipesim::BrokenVariant;
@@ -80,9 +75,20 @@ mod tests {
         synthesize_broken_interlock, synthesize_interlock, synthesize_interlock_with,
         SynthesisOptions,
     };
+    use ipcl_trace::Tracer;
 
     fn spec() -> FunctionalSpec {
         ExampleArch::new().functional_spec()
+    }
+
+    /// PDR on one property, untraced and not cancellable.
+    fn run_pdr(
+        spec: &FunctionalSpec,
+        netlist: &ipcl_bmc::Netlist,
+        property: &SequentialProperty,
+        options: &PdrOptions,
+    ) -> Result<PdrResult, BmcError> {
+        check_property_pdr(spec, netlist, property, options, None, &Tracer::disabled())
     }
 
     #[test]
@@ -90,7 +96,7 @@ mod tests {
         let spec = spec();
         let synthesized = synthesize_interlock(&spec);
         for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
-            let result = check_property_pdr(
+            let result = run_pdr(
                 &spec,
                 synthesized.netlist(),
                 &property,
@@ -120,7 +126,7 @@ mod tests {
             },
         );
         for property in SequentialProperty::both_directions(&spec, Latency::Registered) {
-            let result = check_property_pdr(
+            let result = run_pdr(
                 &spec,
                 synthesized.netlist(),
                 &property,
@@ -154,7 +160,7 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let result = check_property_pdr(
+        let result = run_pdr(
             &spec,
             synthesized.netlist(),
             &property,
@@ -177,8 +183,7 @@ mod tests {
         let mut falsified = 0;
         for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
             let result =
-                check_property_pdr(&spec, broken.netlist(), &property, &PdrOptions::default())
-                    .unwrap();
+                run_pdr(&spec, broken.netlist(), &property, &PdrOptions::default()).unwrap();
             if let Some(cex) = result.outcome.counterexample() {
                 falsified += 1;
                 let replay = cex.replay(&spec, broken.netlist(), &property).unwrap();
@@ -200,14 +205,23 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let bmc = check_property(&spec, &netlist, &property, &BmcOptions::with_depth(10)).unwrap();
+        let bmc = check_properties(
+            &spec,
+            &netlist,
+            std::slice::from_ref(&property),
+            &BmcOptions::with_depth(10),
+            None,
+            &Tracer::disabled(),
+        )
+        .unwrap()
+        .remove(0);
         assert!(
             matches!(bmc.outcome, BmcOutcome::Unknown { .. }),
             "k-induction must be stuck for every k ≤ 10, got {:?}",
             bmc.outcome
         );
 
-        let pdr = check_property_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
+        let pdr = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
         let PdrOutcome::Proved { certificate, .. } = &pdr.outcome else {
             panic!("PDR must prove the deep chain, got {:?}", pdr.outcome);
         };
@@ -226,8 +240,8 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let with = check_property_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
-        let without = check_property_pdr(
+        let with = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
+        let without = run_pdr(
             &spec,
             &netlist,
             &property,
@@ -247,28 +261,35 @@ mod tests {
     fn portfolio_returns_bmc_trace_on_buggy_and_pdr_proof_on_deep() {
         let spec = spec();
         let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
+        let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
+        let results = check_portfolio(
+            &spec,
+            broken.netlist(),
+            &properties,
+            &BmcOptions::default(),
+            &PdrOptions::default(),
+            None,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         let mut falsified = 0;
-        for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
-            let result = check_property_portfolio(
-                &spec,
-                broken.netlist(),
-                &property,
-                &BmcOptions::default(),
-                &PdrOptions::default(),
-            )
-            .unwrap();
+        for result in &results {
             if let Some(cex) = result.counterexample() {
                 falsified += 1;
-                let replay = cex.replay(&spec, broken.netlist(), &property).unwrap();
+                // Within the depth bound, the trace is k-induction's.
+                assert_eq!(result.winner, Some(PortfolioWinner::Bmc));
+                let replay = cex
+                    .replay(&spec, broken.netlist(), &result.property)
+                    .unwrap();
                 assert!(replay.violation_reproduced, "{}", cex.render());
             } else {
-                assert!(result.is_proved(), "{}: no verdict", property.name);
+                assert!(result.is_proved(), "{}: no verdict", result.property.name);
             }
         }
         assert!(falsified > 0);
 
         // On the deep chain only PDR can prove: the portfolio must return
-        // its certificate even though the BMC racer gives up.
+        // its certificate after k-induction gives up.
         let (deep_spec, deep_netlist) = deep_pipeline(12);
         let property = SequentialProperty::for_stage(
             &deep_spec,
@@ -276,17 +297,44 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let result = check_property_portfolio(
+        let result = check_portfolio(
             &deep_spec,
             &deep_netlist,
-            &property,
+            std::slice::from_ref(&property),
             &BmcOptions::with_depth(6),
             &PdrOptions::default(),
+            None,
+            &Tracer::disabled(),
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
+        assert!(matches!(result.bmc.outcome, BmcOutcome::Unknown { .. }));
         assert_eq!(result.winner, Some(PortfolioWinner::Pdr));
         assert!(result.is_proved());
         assert!(!result.certificate().unwrap().is_trivial());
+    }
+
+    #[test]
+    fn a_cancelled_portfolio_starts_no_pdr_run() {
+        let (spec, netlist) = deep_pipeline(12);
+        let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
+        let cancel = std::sync::atomic::AtomicBool::new(true);
+        let results = check_portfolio(
+            &spec,
+            &netlist,
+            &properties,
+            &BmcOptions::with_depth(6),
+            &PdrOptions::default(),
+            Some(&cancel),
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        assert_eq!(results.len(), properties.len());
+        for result in results {
+            assert!(result.pdr.is_none(), "{}", result.property.name);
+            assert_eq!(result.winner, None);
+            assert!(matches!(result.bmc.outcome, BmcOutcome::Unknown { .. }));
+        }
     }
 
     #[test]
@@ -299,7 +347,7 @@ mod tests {
             PropertyKind::Functional,
             Latency::Combinational,
         );
-        let err = check_property_pdr(&spec, &empty, &property, &PdrOptions::default()).unwrap_err();
+        let err = run_pdr(&spec, &empty, &property, &PdrOptions::default()).unwrap_err();
         assert!(matches!(err, BmcError::MissingSignals(ref names) if names.len() == 1));
     }
 }

@@ -1,323 +1,165 @@
-//! The portfolio checker: BMC falsification racing PDR proof.
+//! The portfolio checker: k-induction first, then PDR on what it leaves
+//! open.
 //!
-//! BMC finds counterexamples fast (and minimal) but can only prove up to
-//! its unrolling bound via k-induction; PDR proves unboundedly but its
-//! traces are not minimal. The portfolio runs both engines on scoped
-//! threads against the same property, cooperatively cancelling the loser
-//! through the engines' `cancel` flags once either has a *definitive*
-//! verdict (falsified or proved) — so buggy designs get BMC-speed
-//! falsification and correct designs get PDR-strength proofs, whichever
-//! is available first. Cancellation is polled *between* SAT queries
-//! (BMC: per depth; PDR: per obligation), not inside one, so the race's
-//! wall-clock is the winner's time plus the loser's single in-flight
-//! query — tight for the small queries interlock controllers generate.
+//! BMC finds counterexamples fast (and minimal) but proves only what some
+//! depth within its bound makes inductive; PDR proves unboundedly but its
+//! traces are not minimal. [`check_portfolio`] runs one
+//! [`ipcl_bmc::check_properties`] run over the whole property list, then
+//! [`check_property_pdr`] on each property that run left unknown, in list
+//! order, all on the caller's thread. So a bug within the depth bound gets
+//! BMC's minimal trace, a property k-induction proves costs no PDR run, a
+//! deep one still gets a certified PDR proof, and the same input always
+//! gives the same result.
 //!
-//! Both engines are run on the *unconditional* property semantics (any
-//! input sequence from reset): the BMC racer's `quiet_cycles` is forced to
-//! zero, because PDR has no quiet-cycle discipline and two engines racing
-//! on different questions could otherwise disagree. Consequently a
-//! portfolio counterexample may be shorter than the default BMC engine's
-//! (it may exercise a noisy reset frame), but it replays all the same.
+//! Both engines decide the *unconditional* property (any input sequence
+//! from reset): the k-induction run's `quiet_cycles` is forced to zero,
+//! because PDR has no quiet-cycle discipline. A portfolio counterexample
+//! may therefore be shorter than the default k-induction engine's (it may
+//! exercise a noisy reset frame), but it replays all the same.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use ipcl_bmc::{
-    check_property_traced, BmcError, BmcOptions, BmcOutcome, BmcResult, Counterexample,
-};
+use ipcl_bmc::{check_properties, BmcError, BmcOptions, BmcOutcome, BmcResult, Counterexample};
 use ipcl_bmc::{Netlist, SequentialProperty};
 use ipcl_core::FunctionalSpec;
 use ipcl_trace::{Tracer, Value};
 
 use crate::certificate::Certificate;
-use crate::engine::{check_property_pdr_traced, PdrOptions, PdrOutcome, PdrResult};
+use crate::engine::{check_property_pdr, PdrOptions, PdrOutcome, PdrResult};
 
-/// Which engine produced the portfolio's verdict.
+/// Which engine decided a portfolio property.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PortfolioWinner {
-    /// The BMC / k-induction racer finished first.
+    /// The k-induction run decided it.
     Bmc,
-    /// The PDR racer finished first.
+    /// PDR decided it after k-induction left it open.
     Pdr,
 }
 
-/// Result of racing both engines on one property.
+/// One property's result of a [`check_portfolio`] run.
 #[derive(Clone, Debug)]
 pub struct PortfolioResult {
     /// The property that was checked.
     pub property: SequentialProperty,
-    /// The engine whose definitive verdict won the race (`None` when both
-    /// came back unknown).
+    /// The engine that decided the property (`None` when neither did).
     pub winner: Option<PortfolioWinner>,
-    /// The BMC racer's result.
+    /// The k-induction result; the report when neither engine decided.
     pub bmc: BmcResult,
-    /// The PDR racer's result.
-    pub pdr: PdrResult,
+    /// The PDR result, present when k-induction left the property open
+    /// and the run was not cancelled before PDR started.
+    pub pdr: Option<PdrResult>,
 }
 
 impl PortfolioResult {
-    /// Whether the winning verdict is a proof.
+    /// Whether the deciding verdict is a proof.
     pub fn is_proved(&self) -> bool {
-        match self.winner {
-            Some(PortfolioWinner::Bmc) => self.bmc.outcome.is_proved(),
-            Some(PortfolioWinner::Pdr) => self.pdr.outcome.is_proved(),
-            None => false,
-        }
+        self.bmc.outcome.is_proved() || self.pdr.as_ref().is_some_and(|r| r.outcome.is_proved())
     }
 
-    /// Whether the winning verdict is a falsification.
+    /// Whether the deciding verdict is a falsification.
     pub fn is_falsified(&self) -> bool {
         self.counterexample().is_some()
     }
 
-    /// The winning counterexample, if any.
+    /// The deciding counterexample, if any.
     pub fn counterexample(&self) -> Option<&Counterexample> {
-        match self.winner {
-            Some(PortfolioWinner::Bmc) => self.bmc.outcome.counterexample(),
-            Some(PortfolioWinner::Pdr) => self.pdr.outcome.counterexample(),
-            None => None,
-        }
+        self.bmc
+            .outcome
+            .counterexample()
+            .or_else(|| self.pdr.as_ref()?.outcome.counterexample())
     }
 
     /// The inductive-invariant certificate, when the proof came from PDR.
     /// (A k-induction proof carries no certificate; its witness is the
     /// unsatisfiability of the step case.)
     pub fn certificate(&self) -> Option<&Certificate> {
-        match self.winner {
-            Some(PortfolioWinner::Pdr) => self.pdr.outcome.certificate(),
-            _ => None,
-        }
+        self.pdr.as_ref()?.outcome.certificate()
     }
 }
 
-fn verdict_name(proved: bool) -> &'static str {
-    if proved {
-        "proved"
-    } else {
-        "falsified"
-    }
-}
-
-fn bmc_definitive(result: &Result<BmcResult, BmcError>) -> bool {
-    matches!(
-        result,
-        Ok(BmcResult {
-            outcome: BmcOutcome::Falsified(_) | BmcOutcome::Proved { .. },
-            ..
-        })
-    )
-}
-
-fn pdr_definitive(result: &Result<PdrResult, BmcError>) -> bool {
-    matches!(
-        result,
-        Ok(PdrResult {
-            outcome: PdrOutcome::Falsified(_) | PdrOutcome::Proved { .. },
-            ..
-        })
-    )
-}
-
-/// Races BMC falsification (with k-induction) against a PDR proof on two
-/// scoped threads; the first definitive verdict cancels the other engine.
+/// Decides every property of `properties` with one k-induction run over
+/// the whole list, then a PDR run on each property it left unknown, in
+/// list order. Results come back in `properties` order.
 ///
-/// See the module docs for the exact semantics (`quiet_cycles` is forced
-/// to zero so both racers decide the same unconditional property).
+/// See the module docs for the semantics (`quiet_cycles` is forced to
+/// zero so both engines decide the same unconditional property). `cancel`
+/// is polled by both engines; once it is set no further PDR run starts,
+/// and the remaining properties report k-induction's unknown.
+///
+/// Traced under one `portfolio.check` span with the engines' `bmc.check`
+/// and `pdr.check` spans nested under it, a start `heartbeat` and one
+/// `portfolio_verdict` event per property.
 ///
 /// # Errors
 ///
-/// As [`ipcl_bmc::check_property`]; if either racer errors, the error is
-/// propagated (both racers validate the same netlist, so they fail
-/// together).
-pub fn check_property_portfolio(
+/// As [`ipcl_bmc::check_properties`].
+pub fn check_portfolio(
     spec: &FunctionalSpec,
     netlist: &Netlist,
-    property: &SequentialProperty,
+    properties: &[SequentialProperty],
     bmc_options: &BmcOptions,
     pdr_options: &PdrOptions,
-) -> Result<PortfolioResult, BmcError> {
-    check_property_portfolio_traced(
-        spec,
-        netlist,
-        property,
-        bmc_options,
-        pdr_options,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`check_property_portfolio`] with a [`Tracer`]: the race itself runs
-/// under a `portfolio.race` span on the caller's thread, each racer opens
-/// its own engine span (`bmc.check` / `pdr.check`) on its scoped thread,
-/// and the cancellation handshake is logged as `portfolio_cancel` /
-/// `portfolio_verdict` events — so one trace interleaves both engines'
-/// event streams, distinguishable by thread id.
-///
-/// # Errors
-///
-/// As [`check_property_portfolio`].
-pub fn check_property_portfolio_traced(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    bmc_options: &BmcOptions,
-    pdr_options: &PdrOptions,
+    cancel: Option<&AtomicBool>,
     tracer: &Tracer,
-) -> Result<PortfolioResult, BmcError> {
-    check_property_portfolio_with_cancel(
-        spec,
-        netlist,
-        property,
-        bmc_options,
-        pdr_options,
-        None,
-        tracer,
-    )
-}
-
-/// [`check_property_portfolio_traced`] with an **external** cancellation
-/// flag: when the caller raises `external_cancel`, both racers stop at
-/// their next poll point and the race returns with whatever (possibly
-/// `Unknown`) results are in hand. This is the job-cancellation hook of
-/// `ipcl-serve` — the same cooperative machinery the race itself uses to
-/// cancel the losing engine, re-exposed to the job owner: a poller thread
-/// forwards the external flag into the race's internal one, so neither
-/// engine knows about the extra layer.
-///
-/// # Errors
-///
-/// As [`check_property_portfolio`].
-pub fn check_property_portfolio_with_cancel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    bmc_options: &BmcOptions,
-    pdr_options: &PdrOptions,
-    external_cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
-) -> Result<PortfolioResult, BmcError> {
-    let _span = tracer.span("portfolio.race");
-    // Announce the race on the live-progress feed; the racers' own
-    // `heartbeat` events (engine = "bmc" / "pdr" / "sat") take over from
-    // here, and `portfolio_cancel` / `portfolio_verdict` close it out.
+) -> Result<Vec<PortfolioResult>, BmcError> {
+    let _span = tracer.span("portfolio.check");
+    // Announce the run on the live-progress feed; the engines' own
+    // `heartbeat` events (engine = "bmc" / "pdr" / "sat") take over.
     tracer.event(
         "heartbeat",
         &[
             ("engine", Value::from("portfolio")),
-            ("property", Value::Str(property.name.clone().into())),
+            ("properties", Value::U64(properties.len() as u64)),
         ],
     );
 
-    // Align the BMC racer with PDR's unconditional semantics.
+    // Align k-induction with PDR's unconditional semantics.
     let bmc_options = BmcOptions {
         quiet_cycles: 0,
         ..*bmc_options
     };
-
-    let cancel = AtomicBool::new(false);
-    let finish_order = AtomicUsize::new(0);
-
-    let (bmc, bmc_stamp, pdr, pdr_stamp) = std::thread::scope(|scope| {
-        // Forward the owner's cancellation into the race's internal flag.
-        // The poller exits as soon as the internal flag is set — by the
-        // owner (via this thread), by the winning racer, or by the final
-        // store below once both racers have returned.
-        if let Some(external) = external_cancel {
-            scope.spawn(|| {
-                while !cancel.load(Ordering::Relaxed) {
-                    if external.load(Ordering::Relaxed) {
-                        cancel.store(true, Ordering::Relaxed);
-                        tracer.event("portfolio_cancel", &[("engine", Value::from("external"))]);
-                        break;
-                    }
-                    std::thread::park_timeout(std::time::Duration::from_millis(2));
-                }
-            });
-        }
-        let bmc_handle = scope.spawn(|| {
-            let result =
-                check_property_traced(spec, netlist, property, &bmc_options, Some(&cancel), tracer);
-            let stamp = finish_order.fetch_add(1, Ordering::SeqCst);
-            if bmc_definitive(&result) {
-                cancel.store(true, Ordering::Relaxed);
-                tracer.event("portfolio_cancel", &[("engine", Value::from("bmc"))]);
+    let bmc_results = check_properties(spec, netlist, properties, &bmc_options, cancel, tracer)?;
+    let mut results = Vec::with_capacity(bmc_results.len());
+    for bmc in bmc_results {
+        let (winner, pdr) = match bmc.outcome {
+            BmcOutcome::Unknown { .. } if !cancel.is_some_and(|f| f.load(Ordering::Relaxed)) => {
+                let pdr =
+                    check_property_pdr(spec, netlist, &bmc.property, pdr_options, cancel, tracer)?;
+                let decided = !matches!(pdr.outcome, PdrOutcome::Unknown { .. });
+                (decided.then_some(PortfolioWinner::Pdr), Some(pdr))
             }
-            (result, stamp)
-        });
-        let pdr_handle = scope.spawn(|| {
-            let result = check_property_pdr_traced(
-                spec,
-                netlist,
-                property,
-                pdr_options,
-                Some(&cancel),
-                tracer,
-            );
-            let stamp = finish_order.fetch_add(1, Ordering::SeqCst);
-            if pdr_definitive(&result) {
-                cancel.store(true, Ordering::Relaxed);
-                tracer.event("portfolio_cancel", &[("engine", Value::from("pdr"))]);
-            }
-            (result, stamp)
-        });
-        let (bmc, bmc_stamp) = bmc_handle.join().expect("BMC racer thread panicked");
-        let (pdr, pdr_stamp) = pdr_handle.join().expect("PDR racer thread panicked");
-        // Release the external-cancel poller (both racers may have come
-        // back Unknown without anyone setting the flag).
-        cancel.store(true, Ordering::Relaxed);
-        (bmc, bmc_stamp, pdr, pdr_stamp)
-    });
-
-    let bmc = bmc?;
-    let pdr = pdr?;
-
-    let bmc_def = matches!(
-        bmc.outcome,
-        BmcOutcome::Falsified(_) | BmcOutcome::Proved { .. }
-    );
-    let pdr_def = matches!(
-        pdr.outcome,
-        PdrOutcome::Falsified(_) | PdrOutcome::Proved { .. }
-    );
-    let winner = match (bmc_def, pdr_def) {
-        (true, true) => {
-            // Both engines decided the same unconditional property: a
-            // proved/falsified split would mean one of them is unsound.
-            assert_eq!(
-                bmc.outcome.is_proved(),
-                pdr.outcome.is_proved(),
-                "BMC and PDR disagree on {}",
-                property.name
-            );
-            if bmc_stamp < pdr_stamp {
-                Some(PortfolioWinner::Bmc)
-            } else {
-                Some(PortfolioWinner::Pdr)
-            }
-        }
-        (true, false) => Some(PortfolioWinner::Bmc),
-        (false, true) => Some(PortfolioWinner::Pdr),
-        (false, false) => None,
-    };
-
-    if tracer.is_enabled() {
-        let (winner_name, verdict) = match winner {
-            Some(PortfolioWinner::Bmc) => ("bmc", verdict_name(bmc.outcome.is_proved())),
-            Some(PortfolioWinner::Pdr) => ("pdr", verdict_name(pdr.outcome.is_proved())),
-            None => ("none", "unknown"),
+            BmcOutcome::Unknown { .. } => (None, None),
+            _ => (Some(PortfolioWinner::Bmc), None),
         };
-        tracer.event(
-            "portfolio_verdict",
-            &[
-                ("winner", Value::from(winner_name)),
-                ("verdict", Value::from(verdict)),
-            ],
-        );
+        let result = PortfolioResult {
+            property: bmc.property.clone(),
+            winner,
+            bmc,
+            pdr,
+        };
+        if tracer.is_enabled() {
+            let verdict = if result.is_proved() {
+                "proved"
+            } else if result.is_falsified() {
+                "falsified"
+            } else {
+                "unknown"
+            };
+            let winner = match result.winner {
+                Some(PortfolioWinner::Bmc) => "bmc",
+                Some(PortfolioWinner::Pdr) => "pdr",
+                None => "none",
+            };
+            tracer.event(
+                "portfolio_verdict",
+                &[
+                    ("property", Value::from(result.property.name.clone())),
+                    ("winner", Value::from(winner)),
+                    ("verdict", Value::from(verdict)),
+                ],
+            );
+        }
+        results.push(result);
     }
-
-    Ok(PortfolioResult {
-        property: property.clone(),
-        winner,
-        bmc,
-        pdr,
-    })
+    Ok(results)
 }

@@ -25,9 +25,7 @@
 
 pub mod solver;
 
-pub use solver::{
-    RestartStrategy, SatResult, Solver, SolverConfig, SolverStats, HEARTBEAT_MS, SHARE_MAX_LEN,
-};
+pub use solver::{RestartStrategy, SatResult, Solver, SolverConfig, SolverStats, HEARTBEAT_MS};
 
 use ipcl_expr::{Expr, TseitinEncoder};
 

@@ -181,12 +181,6 @@ pub struct SolverStats {
     pub removed_clauses: u64,
     /// Literals removed from learned clauses by minimization.
     pub minimized_literals: u64,
-    /// Clauses learned *elsewhere* and injected via
-    /// [`Solver::import_clause`] (parallel clause exchange).
-    pub imported_clauses: u64,
-    /// Locally learned clauses handed out through
-    /// [`Solver::take_shared`] for other solvers to import.
-    pub exported_clauses: u64,
 }
 
 impl SolverStats {
@@ -212,8 +206,6 @@ impl SolverStats {
             minimized_literals: self
                 .minimized_literals
                 .saturating_sub(prev.minimized_literals),
-            imported_clauses: self.imported_clauses.saturating_sub(prev.imported_clauses),
-            exported_clauses: self.exported_clauses.saturating_sub(prev.exported_clauses),
         }
     }
 
@@ -233,20 +225,10 @@ impl SolverStats {
             &format!("{prefix}.minimized_literals"),
             self.minimized_literals,
         );
-        sink.counter(&format!("{prefix}.imported_clauses"), self.imported_clauses);
-        sink.counter(&format!("{prefix}.exported_clauses"), self.exported_clauses);
     }
 }
 
 const UNASSIGNED_LEVEL: u32 = u32::MAX;
-
-/// Longest clause the sharing capture will stage for export: long clauses
-/// prune little and cost every importer watch-list work.
-pub const SHARE_MAX_LEN: usize = 8;
-
-/// Bound on the export staging queue; candidates learned past it are
-/// silently dropped until the owner drains with [`Solver::take_shared`].
-const SHARE_QUEUE_CAP: usize = 1024;
 
 #[derive(Clone, Debug)]
 struct Clause {
@@ -335,14 +317,6 @@ pub struct Solver {
     /// The failed-assumption core of the last solve; see
     /// [`Solver::failed_assumptions`].
     failed: Vec<Lit>,
-    /// Maximum LBD of locally learned clauses copied into `share_queue`
-    /// for export (0 — the default — disables capture entirely).
-    share_max_lbd: u32,
-    /// Export staging: freshly learned clauses passing the LBD/length
-    /// filter, drained by [`Solver::take_shared`]. Bounded; overflow drops
-    /// the candidate (sharing is best-effort, never required for
-    /// soundness).
-    share_queue: Vec<(Vec<Lit>, u32)>,
     config: SolverConfig,
     stats: SolverStats,
     /// Observability handle; [`Tracer::disabled`] (the default) costs one
@@ -397,8 +371,6 @@ impl Solver {
             reduce_limit: config.reduce_base.max(1),
             unsat: false,
             failed: Vec::new(),
-            share_max_lbd: 0,
-            share_queue: Vec::new(),
             config,
             stats: SolverStats::default(),
             tracer: Tracer::disabled(),
@@ -518,68 +490,16 @@ impl Solver {
         // Mutating the database invalidates any in-flight search state above
         // level 0; level-0 consequences stay valid (clauses are only added).
         self.backtrack_to(0);
-        if self.insert_clause(literals, 0) {
+        if self.insert_clause(literals) {
             self.original_clauses += 1;
         }
-    }
-
-    /// Injects a clause learned *elsewhere* — by another solver working on
-    /// the same (or a weaker) formula, typically a parallel-PDR sibling
-    /// worker. The clause is stored permanently with the given literal-block
-    /// distance: unlike locally learned clauses it is **not** eligible for
-    /// database reduction, because a foreign lemma cannot be re-derived by
-    /// this solver's own conflict analysis, and parallel engines rely on an
-    /// imported frame lemma staying in force for determinism.
-    ///
-    /// The caller is responsible for soundness: the clause must be implied
-    /// by (a sound extension of) this solver's formula. Returns whether the
-    /// clause was kept (tautologies and clauses satisfied at level 0
-    /// simplify away exactly like [`Solver::add_clause`]).
-    pub fn import_clause<I: IntoIterator<Item = Lit>>(&mut self, literals: I, lbd: u32) -> bool {
-        let literals: Vec<Lit> = literals.into_iter().collect();
-        if let Some(max_var) = literals.iter().map(|l| l.var()).max() {
-            self.reserve_vars(max_var as usize + 1);
-        }
-        self.backtrack_to(0);
-        let kept = self.insert_clause(literals, lbd);
-        if kept {
-            // Imports count as "original" for the reduction bookkeeping
-            // (they are never removed), but separately in the stats.
-            self.original_clauses += 1;
-            self.stats.imported_clauses += 1;
-        }
-        kept
-    }
-
-    /// Arms the clause-sharing capture: locally learned clauses with
-    /// `LBD ≤ max_lbd` (and at most [`SHARE_MAX_LEN`] literals) are copied
-    /// into an internal bounded queue as they are learned, to be drained by
-    /// [`Solver::take_shared`] and offered to sibling solvers. `0` (the
-    /// default) disables capture — the search loop then never touches the
-    /// queue.
-    pub fn set_clause_sharing(&mut self, max_lbd: u32) {
-        self.share_max_lbd = max_lbd;
-    }
-
-    /// Drains the captured share candidates: `(literals, lbd)` pairs of
-    /// locally learned clauses that passed the [`Solver::set_clause_sharing`]
-    /// filter since the last drain. The clauses are implied by the clause
-    /// database as it stood when they were learned, so they are sound to
-    /// [`Solver::import_clause`] into any solver whose database is a
-    /// superset of this one's *at the time of learning* — parallel-PDR
-    /// callers additionally filter by variable range to stay within the
-    /// encoding region all workers share.
-    pub fn take_shared(&mut self) -> Vec<(Vec<Lit>, u32)> {
-        self.stats.exported_clauses += self.share_queue.len() as u64;
-        std::mem::take(&mut self.share_queue)
     }
 
     /// Stores a (deduplicated, non-tautological, level-0-simplified)
     /// clause; returns whether it was kept. Units are enqueued at level 0
     /// immediately, which is what lets `solve` skip the per-call unit
-    /// re-scan of the whole database. `lbd` is recorded on the stored
-    /// clause (0 for original clauses, the foreign LBD for imports).
-    fn insert_clause(&mut self, mut literals: Vec<Lit>, lbd: u32) -> bool {
+    /// re-scan of the whole database.
+    fn insert_clause(&mut self, mut literals: Vec<Lit>) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         literals.sort_unstable();
         literals.dedup();
@@ -604,7 +524,7 @@ impl Solver {
                 self.clauses.push(Clause {
                     literals,
                     learned: false,
-                    lbd,
+                    lbd: 0,
                 });
                 if !self.enqueue(unit, Some(index)) {
                     self.unsat = true;
@@ -616,7 +536,7 @@ impl Solver {
                 self.clauses.push(Clause {
                     literals,
                     learned: false,
-                    lbd,
+                    lbd: 0,
                 });
                 self.attach_clause(index);
                 true
@@ -1361,13 +1281,6 @@ impl Solver {
                         return SatResult::Unsat;
                     }
                 } else {
-                    if self.share_max_lbd > 0
-                        && lbd <= self.share_max_lbd
-                        && learned.len() <= SHARE_MAX_LEN
-                        && self.share_queue.len() < SHARE_QUEUE_CAP
-                    {
-                        self.share_queue.push((learned.clone(), lbd));
-                    }
                     let index = self.clauses.len() as u32;
                     self.clauses.push(Clause {
                         literals: learned,
@@ -1451,8 +1364,8 @@ impl Solver {
 /// An encoder can write its formula straight into the solver. Clauses
 /// are queued in one flat buffer and go in at the next solve, after the
 /// variables created since the last one; see [`Solver::solve`]. Clauses
-/// added with [`Solver::add_clause`] or [`Solver::import_clause`] go in
-/// at once, ahead of anything queued.
+/// added with [`Solver::add_clause`] go in at once, ahead of anything
+/// queued.
 impl ClauseSink for Solver {
     fn new_var(&mut self) -> u32 {
         let var = self.sink_vars.max(self.num_vars);
@@ -2272,102 +2185,5 @@ mod tests {
         solver.stats().emit(&tracer, "sat");
         let snapshot = tracer.snapshot().unwrap();
         assert_eq!(snapshot.counters["sat.conflicts"], solver.stats().conflicts);
-    }
-
-    #[test]
-    fn imported_clauses_constrain_and_count() {
-        // x0 ∨ x1 alone is satisfiable; importing the two unit lemmas
-        // ¬x0 and ¬x1 (implied by nothing here, but the caller vouches)
-        // makes the formula unsat — imports participate in propagation.
-        let mut cnf = Cnf::new(2);
-        cnf.add_clause([lit(0, true), lit(1, true)]);
-        let mut solver = Solver::from_cnf(&cnf);
-        assert!(solver.solve().is_sat());
-        assert!(solver.import_clause([lit(0, false)], 1));
-        assert!(solver.import_clause([lit(1, false)], 1));
-        assert_eq!(solver.stats().imported_clauses, 2);
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        // Tautologies are dropped and not counted.
-        assert!(!solver.import_clause([lit(3, true), lit(3, false)], 2));
-        assert_eq!(solver.stats().imported_clauses, 2);
-    }
-
-    #[test]
-    fn imported_clauses_grow_the_universe() {
-        let mut solver = Solver::new(1);
-        assert!(solver.import_clause([lit(7, true)], 1));
-        match solver.solve() {
-            SatResult::Sat(model) => assert!(model[7]),
-            other => panic!("expected sat, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn imported_clauses_survive_database_reduction() {
-        // Run pigeonhole with an aggressive reduction schedule, with an
-        // imported (redundant) lemma in place: reductions must fire and the
-        // import must survive them, per the permanence contract.
-        let config = SolverConfig {
-            reduce_base: 1,
-            ..SolverConfig::default()
-        };
-        let cnf = pigeonhole_cnf(6);
-        let mut solver = Solver::from_cnf_with_config(&cnf, config);
-        // A redundant-but-sound lemma: the first pigeon sits somewhere.
-        let mut lemma: Vec<Lit> = cnf.clauses[0].clone();
-        lemma.sort_unstable();
-        assert!(solver.import_clause(lemma.clone(), 3));
-        // The watch lists reorder literals in place, so count by sorted set.
-        let count_lemma = |solver: &Solver| {
-            solver
-                .clauses
-                .iter()
-                .filter(|c| {
-                    let mut lits = c.literals.clone();
-                    lits.sort_unstable();
-                    lits == lemma
-                })
-                .count()
-        };
-        let before = count_lemma(&solver);
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        assert!(solver.stats().reductions > 0, "reduction never fired");
-        let after = count_lemma(&solver);
-        assert_eq!(before, after, "imported lemma dropped by reduce_db");
-    }
-
-    #[test]
-    fn clause_sharing_captures_good_lemmas_and_drains() {
-        let mut solver = Solver::from_cnf(&pigeonhole_cnf(6));
-        solver.set_clause_sharing(4);
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        let shared = solver.take_shared();
-        assert!(
-            !shared.is_empty(),
-            "pigeonhole(6) learns low-LBD clauses: {:?}",
-            solver.stats()
-        );
-        for (literals, lbd) in &shared {
-            assert!(*lbd <= 4, "LBD filter violated: {lbd}");
-            assert!(literals.len() <= SHARE_MAX_LEN);
-        }
-        assert_eq!(solver.stats().exported_clauses, shared.len() as u64);
-        // Drained: a second take returns nothing new.
-        assert!(solver.take_shared().is_empty());
-        // Round-trip: importing the shared lemmas into a fresh solver on the
-        // same formula keeps it sound (still unsat).
-        let mut sibling = Solver::from_cnf(&pigeonhole_cnf(6));
-        for (literals, lbd) in shared {
-            sibling.import_clause(literals, lbd);
-        }
-        assert_eq!(sibling.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn clause_sharing_disabled_by_default() {
-        let mut solver = Solver::from_cnf(&pigeonhole_cnf(6));
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        assert!(solver.take_shared().is_empty());
-        assert_eq!(solver.stats().exported_clauses, 0);
     }
 }

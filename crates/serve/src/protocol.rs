@@ -59,9 +59,9 @@ pub struct JobRequest {
     pub netlist: Netlist,
     /// Which property to decide.
     pub property: PropertyRequest,
-    /// Proof engine. Note that only [`ProofStrategy::Pdr`] yields
-    /// certificates that are deterministic across submissions (a
-    /// portfolio race's winner is timing-dependent).
+    /// Proof engine. Certificates come with PDR proofs: every proof under
+    /// [`ProofStrategy::Pdr`], and under [`ProofStrategy::Portfolio`] the
+    /// proofs of properties k-induction left open.
     pub strategy: ProofStrategy,
     /// Ignored, like [`SequentialOptions::threads`]; kept on the wire and
     /// in the struct for clients that set it.

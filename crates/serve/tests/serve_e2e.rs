@@ -1,8 +1,9 @@
 //! End-to-end service tests over real TCP: certificates served from the
 //! cache must re-validate against the submitted payload, falsification
 //! hits must replay through the simulator, the cache must survive a server
-//! restart, cancellation/stats/shutdown must behave, and request lines
-//! must survive read timeouts but not grow without bound.
+//! restart, portfolio jobs (the wire default) must answer like a direct
+//! check, cancellation/stats/shutdown must behave, and request lines must
+//! survive read timeouts but not grow without bound.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -11,12 +12,13 @@ use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 use ipcl_bmc::PropertyKind;
-use ipcl_checker::ProofStrategy;
+use ipcl_checker::{check_property_job, ProofStrategy};
 use ipcl_core::example::ExampleArch;
+use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pipesim::BrokenVariant;
 use ipcl_serve::{
-    process_job, Client, JobRequest, ProofCache, PropertyRequest, Server, ServerConfig, Verdict,
-    MAX_LINE_BYTES,
+    process_job, Client, JobOutcome, JobRequest, ProofCache, PropertyRequest, Server, ServerConfig,
+    Verdict, MAX_LINE_BYTES,
 };
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
@@ -152,6 +154,91 @@ fn served_falsification_hit_replays_through_the_simulator() {
         replay.violation_reproduced,
         "served trace does not reproduce the violation"
     );
+    server.shutdown();
+}
+
+/// The outcome of `job` checked directly, without a server or a cache.
+fn direct_outcome(job: &JobRequest) -> JobOutcome {
+    let property = job.resolve_property().expect("stage resolves");
+    let (result, certificate) = check_property_job(
+        &job.spec,
+        &job.netlist,
+        &property,
+        &job.options(),
+        None,
+        &Tracer::disabled(),
+    )
+    .expect("the netlist elaborates");
+    JobOutcome::from_result(&result, certificate, false)
+}
+
+#[test]
+fn portfolio_jobs_answer_like_a_direct_check() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+
+    // A request without a strategy field is a portfolio job. k-induction
+    // proves this property, so no certificate comes back.
+    let paper = JobRequest {
+        strategy: ProofStrategy::Portfolio,
+        ..correct_job(0)
+    };
+    let line = format!(
+        "{{\"cmd\": \"submit\", \"job\": {}}}",
+        paper.to_json_string()
+    );
+    let defaulted = line.replace("\"strategy\": \"portfolio\", ", "");
+    assert_ne!(defaulted, line, "the strategy field was dropped");
+    let id = client.request(&defaulted).expect("submit");
+    let id = id.get("id").and_then(Json::as_u64).expect("an id");
+    let served = client.wait(id).expect("wait");
+    let direct = direct_outcome(&paper);
+    assert_eq!(served.verdict, Verdict::Proved);
+    assert_eq!(
+        (served.verdict, &served.detail),
+        (direct.verdict, &direct.detail)
+    );
+    assert!(served.certificate.is_none() && direct.certificate.is_none());
+
+    // k-induction cannot prove the deep chain, so PDR does, with a
+    // certificate.
+    let (spec, netlist) = deep_pipeline(12);
+    let deep = JobRequest {
+        spec,
+        netlist,
+        property: PropertyRequest {
+            stage_index: 0,
+            kind: PropertyKind::Performance,
+            latency: None,
+        },
+        strategy: ProofStrategy::Portfolio,
+        threads: 1,
+    };
+    let id = client.submit(&deep).expect("submit");
+    let served = client.wait(id).expect("wait");
+    let direct = direct_outcome(&deep);
+    assert_eq!(served.verdict, Verdict::Proved);
+    assert!(!served.cached);
+    assert_eq!(
+        (served.verdict, &served.detail),
+        (direct.verdict, &direct.detail)
+    );
+    let render = |outcome: &JobOutcome| outcome.certificate.as_ref().map(|c| c.render());
+    assert!(render(&served).is_some(), "PDR proofs ship a certificate");
+    assert_eq!(render(&served), render(&direct));
+
+    // Asked again, the proof comes from the cache and still validates.
+    let id = client.submit(&deep).expect("submit");
+    let warm = client.wait(id).expect("wait");
+    assert!(warm.cached, "second ask must hit");
+    let property = deep.resolve_property().expect("stage resolves");
+    let check = warm
+        .certificate
+        .as_ref()
+        .expect("the cached proof keeps its certificate")
+        .validate(&deep.spec, &deep.netlist, &property)
+        .expect("validation runs");
+    assert!(check.ok(), "{check}");
     server.shutdown();
 }
 

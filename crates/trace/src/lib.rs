@@ -1,18 +1,18 @@
 //! Structured observability for the solve stack: spans, events, metrics.
 //!
 //! Every engine in the workspace — the CDCL solver, BMC/k-induction, PDR,
-//! the portfolio racer and the sequential checker — accepts a [`Tracer`].
-//! A tracer is a cheap cloneable handle (engines and racer threads share
-//! one) recording three kinds of data:
+//! the portfolio and the sequential checker — accepts a [`Tracer`].
+//! A tracer is a cheap cloneable handle (engines, and threads, share one)
+//! recording three kinds of data:
 //!
 //! * **Spans** ([`Tracer::span`]): scoped wall-clock timers forming a
 //!   hierarchical profile tree (`bmc.check → bmc.encode → sat.solve` …).
-//!   Nesting is tracked per thread, so the portfolio's racing engines each
-//!   grow their own subtree; exit times merge into one thread-safe profile
+//!   Nesting is tracked per thread, so runs on different threads each grow
+//!   their own subtree; exit times merge into one thread-safe profile
 //!   keyed by span path.
 //! * **Events** ([`Tracer::event`]): a bounded, append-only structured log
 //!   (solver restarts, learned-clause reductions, PDR obligation push/pop,
-//!   portfolio cancellation, replay verdicts). Every event carries a
+//!   portfolio verdicts, replay verdicts). Every event carries a
 //!   sequence number from one atomic counter — strictly monotone per
 //!   thread (and globally unique) — plus a thread id and a microsecond
 //!   timestamp, so interleaved engine activity can be reconstructed
@@ -251,7 +251,7 @@ impl Drop for LocalProfile {
 thread_local! {
     /// Compact per-process thread id, assigned on first traced activity.
     static THREAD_ID: u64 = THREAD_COUNTER.fetch_add(1, Ordering::Relaxed);
-    /// Logical worker id of this thread (parallel engines), stamped onto
+    /// Logical worker id of this thread (a worker pool's), stamped onto
     /// every recorded event as a trailing `worker` field. See
     /// [`set_worker`].
     static WORKER_ID: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
@@ -267,12 +267,12 @@ fn thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// Declares the current thread a logical worker of a parallel engine:
-/// until cleared with `set_worker(None)`, every event this thread records
-/// (through any tracer) carries a trailing `worker` field with the given
-/// id. Thread ids already distinguish event streams, but they are assigned
-/// in first-use order and so differ run to run; the worker id is the
-/// stable scheduler-level identity (worker 0 is the parallel PDR master).
+/// Declares the current thread a logical worker of a pool (`ipcl-serve`
+/// tags its worker threads): until cleared with `set_worker(None)`, every
+/// event this thread records (through any tracer) carries a trailing
+/// `worker` field with the given id. Thread ids already distinguish event
+/// streams, but they are assigned in first-use order and so differ run to
+/// run; the worker id is the stable scheduler-level identity.
 pub fn set_worker(id: Option<u64>) {
     WORKER_ID.with(|w| w.set(id));
 }
@@ -677,7 +677,7 @@ impl TraceSnapshot {
     }
 
     /// Total microseconds of the root spans (paths of length 1) — the
-    /// portion of the run covered by the profile tree. With racing engine
+    /// portion of the run covered by the profile tree. With concurrent
     /// threads each contributing a root, this may exceed `wall_us`.
     pub fn root_span_us(&self) -> u64 {
         self.spans

@@ -13,7 +13,7 @@
 //! re-reads a JSONL dump and replays each thread's `span_enter`/`span_exit`
 //! events through a stack machine, recovering the per-thread span nesting
 //! post-hoc. This is what the round-trip acceptance test exercises across
-//! the portfolio's racing engine threads.
+//! engine runs on concurrent threads.
 //!
 //! Everything here is hand-rolled: the workspace builds offline with no
 //! serialisation crate, so this crate carries the workspace's JSON string
@@ -425,8 +425,8 @@ pub struct ReconstructedSpan {
 
 /// Replays `span_enter`/`span_exit` events through a per-thread stack
 /// machine, recovering each thread's span nesting. Events may arrive
-/// interleaved across threads (as they do under the portfolio's racing
-/// engines); within a thread they are replayed in sequence-number order.
+/// interleaved across threads (as they do when engines run on several
+/// threads); within a thread they are replayed in sequence-number order.
 /// Fails on mismatched enter/exit pairs.
 pub fn reconstruct_spans(events: &[Event]) -> Result<Vec<ReconstructedSpan>, String> {
     let mut by_thread: BTreeMap<u64, Vec<&Event>> = BTreeMap::new();

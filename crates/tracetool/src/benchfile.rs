@@ -36,8 +36,8 @@ pub struct BenchEntry {
 
 impl BenchEntry {
     /// The entry's identity: its non-numeric fields as `key=value`, sorted
-    /// by key, skipping any key in `ignore` (volatile fields like the
-    /// portfolio's race `winner`), plus any metric named in `numeric_ids`
+    /// by key, skipping any key in `ignore` (fields a gate chooses not to
+    /// pin), plus any metric named in `numeric_ids`
     /// — the sweep parameters (`depth`, …) that distinguish points but
     /// parse as numbers.
     pub fn id(&self, ignore: &[String], numeric_ids: &[String]) -> String {

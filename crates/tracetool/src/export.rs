@@ -87,8 +87,8 @@ fn write_chrome_event(
 /// on the source thread's track; every other event kind becomes a
 /// thread-scoped instant (`i`) carrying its fields as `args`. Events are
 /// grouped per thread and replayed in sequence-number order — the order
-/// the thread recorded them — so begin/end nesting is exact even when the
-/// portfolio's racing engines interleaved their streams.
+/// the thread recorded them — so begin/end nesting is exact even when
+/// engines on several threads interleaved their streams.
 ///
 /// # Errors
 ///

@@ -26,7 +26,7 @@ pub struct ProfileSpan {
 pub struct ProfileDoc {
     /// Microseconds from tracer creation to the snapshot.
     pub wall_us: u64,
-    /// Total of the root spans (may exceed `wall_us` under racing threads).
+    /// Total of the root spans (may exceed `wall_us` with concurrent threads).
     pub root_span_us: u64,
     /// The flattened span tree, in path order.
     pub spans: Vec<ProfileSpan>,

@@ -24,8 +24,8 @@ pub struct Tolerances {
     /// a `_`-separated suffix (`"ms"` covers `solve_ms` and `total_ms`);
     /// exact beats suffix, longer suffix beats shorter.
     pub per_metric: Vec<(String, f64)>,
-    /// Identity fields excluded from entry alignment (e.g. the
-    /// portfolio's nondeterministic `winner`).
+    /// Identity fields excluded from entry alignment (fields a gate
+    /// chooses not to pin).
     pub ignore_fields: Vec<String>,
     /// Metrics never checked (noisy or informational).
     pub ignore_metrics: Vec<String>,

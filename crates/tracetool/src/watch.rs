@@ -1,7 +1,7 @@
 //! Live proof progress: render the engines' `heartbeat` events as an
 //! in-flight status line.
 //!
-//! The engines (`ipcl-sat`, `ipcl-bmc`, `ipcl-pdr`, the portfolio racer)
+//! The engines (`ipcl-sat`, `ipcl-bmc`, `ipcl-pdr`, the portfolio)
 //! emit rate-limited `heartbeat` events through their [`Tracer`] while
 //! solving. [`Watcher::spawn`] polls the tracer's event log from a
 //! background thread and redraws one status line on stderr — stdout

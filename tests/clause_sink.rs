@@ -18,9 +18,9 @@
 //! The streams are shaped like the engines' own: k-induction's lockstep
 //! base and step queries on the `BrokenVariant` matrix at both latencies,
 //! and PDR's consecution pattern (a fresh literal, a temporary clause
-//! under it, a unit that retires it) on deep wait-state chains, with the
-//! parallel engine's round boundary (a new activation literal, then a
-//! sibling's lemma imported at once).
+//! under it, a unit that retires it) on deep wait-state chains, with a
+//! round boundary that adds a new activation literal, then puts a lemma
+//! into the solver at once.
 
 use ipcl::bmc::{Binding, FrameEncoder, Latency, SequentialProperty};
 use ipcl::core::example::ExampleArch;
@@ -193,8 +193,8 @@ fn kinduction_stream<S: Discipline>(
 /// cube and for each cube with one literal dropped (generalisation), every
 /// query under a throw-away literal that a unit retires afterwards, and
 /// block the cube at the frame — until no bad state is left or the budget
-/// runs out. Each round ends like a parallel worker's: a new activation
-/// literal, then the blocking lemma imported at once, as from a sibling.
+/// runs out. Each round ends with a new activation literal, then the
+/// blocking lemma added to the solver at once, ahead of anything queued.
 fn pdr_stream<S: Discipline>(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -259,9 +259,7 @@ fn pdr_stream<S: Discipline>(
         block.extend(cube.iter().map(|&entry| lit(&now, entry).negated()));
         enc.unroller_mut().add_clause(&block);
         enc.unroller_mut().fresh_lit();
-        enc.sink_mut()
-            .solver()
-            .import_clause(block.iter().copied(), 2);
+        enc.sink_mut().solver().add_clause(block.iter().copied());
     }
     transcript
 }

@@ -20,7 +20,8 @@ use ipcl::pdr::{check_property_pdr, PdrOptions, PdrOutcome};
 use ipcl::pipesim::BrokenVariant;
 use ipcl::rtl::Netlist;
 use ipcl::synth::{synthesize_broken_interlock, synthesize_interlock};
-use ipcl_bmc::{check_property, BmcOptions, BmcOutcome, PropertyKind, SequentialProperty};
+use ipcl::trace::Tracer;
+use ipcl_bmc::{check_properties, BmcOptions, BmcOutcome, PropertyKind, SequentialProperty};
 
 fn example_spec() -> FunctionalSpec {
     ExampleArch::new().functional_spec()
@@ -137,7 +138,16 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
 
     // k-induction: stuck at every k ≤ 10.
-    let bmc = check_property(&spec, &netlist, &property, &BmcOptions::with_depth(10)).unwrap();
+    let bmc = check_properties(
+        &spec,
+        &netlist,
+        std::slice::from_ref(&property),
+        &BmcOptions::with_depth(10),
+        None,
+        &Tracer::disabled(),
+    )
+    .unwrap()
+    .remove(0);
     let BmcOutcome::Unknown { depth_checked } = bmc.outcome else {
         panic!(
             "k-induction must not decide the deep chain: {:?}",
@@ -147,7 +157,15 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
     assert_eq!(depth_checked, 10);
 
     // PDR: unbounded proof with a real (non-trivial) invariant.
-    let pdr = check_property_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
+    let pdr = check_property_pdr(
+        &spec,
+        &netlist,
+        &property,
+        &PdrOptions::default(),
+        None,
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let PdrOutcome::Proved { certificate, .. } = &pdr.outcome else {
         panic!("PDR must prove the deep chain: {:?}", pdr.outcome);
     };
@@ -207,9 +225,15 @@ fn solver_config_variants_are_deterministic() {
         };
         let renders: Vec<String> = (0..2)
             .map(|_| {
-                let result =
-                    check_property_pdr(&deep_spec, &deep_netlist, &deep_property, &pdr_options)
-                        .unwrap();
+                let result = check_property_pdr(
+                    &deep_spec,
+                    &deep_netlist,
+                    &deep_property,
+                    &pdr_options,
+                    None,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 let PdrOutcome::Proved { certificate, .. } = &result.outcome else {
                     panic!("{name}: deep chain must be proved");
                 };

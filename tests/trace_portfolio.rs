@@ -1,5 +1,6 @@
 //! Integration tests of the observability layer (ISSUE 6): a fully traced
-//! BMC/PDR portfolio race on the `deep_pipeline(16)` workload.
+//! portfolio check (k-induction, then PDR) of the `deep_pipeline(16)`
+//! workload, alone and next to two engine runs on threads the test spawns.
 //!
 //! The acceptance criteria exercised here:
 //!
@@ -7,7 +8,7 @@
 //! * `trace.jsonl` round-trips through the report renderer (serialise →
 //!   parse → identical events);
 //! * span nesting reconstructs into a well-nested per-thread tree from the
-//!   JSONL alone, under the portfolio's two racing engine threads;
+//!   JSONL alone, with three threads recording under one tracer;
 //! * sequence numbers are strictly monotone per thread;
 //! * the unified metrics cover all three stat families (solver, PDR,
 //!   encoder) plus the satellite obligation-queue statistics;
@@ -18,63 +19,119 @@ use ipcl::checker::{
     check_netlist_sequential_with, Engine, Latency, SequentialOptions, TraceConfig, Tracer,
 };
 use ipcl::core::example::ExampleArch;
+use ipcl::core::FunctionalSpec;
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{check_property_portfolio_traced, PdrOptions, PortfolioWinner};
+use ipcl::pdr::{check_portfolio, check_property_pdr, PdrOptions, PortfolioWinner};
 use ipcl::pipesim::BrokenVariant;
+use ipcl::rtl::Netlist;
 use ipcl::synth::synthesize_broken_interlock;
-use ipcl::trace::report;
-use ipcl_bmc::{BmcOptions, PropertyKind, SequentialProperty};
+use ipcl::trace::{report, TraceSnapshot};
+use ipcl_bmc::{check_properties, BmcOptions, PropertyKind, SequentialProperty};
 
-/// One traced deep-chain-16 portfolio run, shared by the assertions below.
-fn traced_deep_chain_snapshot() -> ipcl::trace::TraceSnapshot {
+/// The deep-chain-16 stage-0 performance property, which only PDR proves.
+fn deep_chain() -> (FunctionalSpec, Netlist, SequentialProperty) {
     let (spec, netlist) = deep_pipeline(16);
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
-    let tracer = Tracer::new(TraceConfig::enabled());
-    let result = check_property_portfolio_traced(
-        &spec,
-        &netlist,
-        &property,
+    (spec, netlist, property)
+}
+
+/// One portfolio check of the deep chain on the calling thread.
+fn portfolio(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    property: &SequentialProperty,
+    tracer: &Tracer,
+) {
+    let result = check_portfolio(
+        spec,
+        netlist,
+        std::slice::from_ref(property),
         &BmcOptions::with_depth(13),
         &PdrOptions::default(),
-        &tracer,
+        None,
+        tracer,
     )
-    .expect("netlist elaborates");
+    .expect("netlist elaborates")
+    .remove(0);
     assert_eq!(
         result.winner,
         Some(PortfolioWinner::Pdr),
         "only PDR can prove deep-chain-16"
     );
+}
+
+/// One traced portfolio check of the deep chain.
+fn traced_portfolio_snapshot() -> TraceSnapshot {
+    let (spec, netlist, property) = deep_chain();
+    let tracer = Tracer::new(TraceConfig::enabled());
+    portfolio(&spec, &netlist, &property, &tracer);
+    tracer.snapshot().expect("enabled tracer yields a snapshot")
+}
+
+/// Three threads under one tracer: the portfolio check on this thread,
+/// and a PDR run and a k-induction run of the same property on two
+/// threads spawned here.
+fn traced_concurrent_snapshot() -> TraceSnapshot {
+    let (spec, netlist, property) = deep_chain();
+    let tracer = Tracer::new(TraceConfig::enabled());
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let result = check_property_pdr(
+                &spec,
+                &netlist,
+                &property,
+                &PdrOptions::default(),
+                None,
+                &tracer,
+            )
+            .expect("netlist elaborates");
+            assert!(result.outcome.is_proved());
+        });
+        scope.spawn(|| {
+            let properties = std::slice::from_ref(&property);
+            check_properties(
+                &spec,
+                &netlist,
+                properties,
+                &BmcOptions::with_depth(13),
+                None,
+                &tracer,
+            )
+            .expect("netlist elaborates");
+        });
+        portfolio(&spec, &netlist, &property, &tracer);
+    });
     tracer.snapshot().expect("enabled tracer yields a snapshot")
 }
 
 #[test]
 fn traced_portfolio_covers_wall_time_and_round_trips() {
-    let snapshot = traced_deep_chain_snapshot();
+    let snapshot = traced_portfolio_snapshot();
 
-    // ---- Span coverage: the portfolio.race span on the caller thread must
-    // account for >= 95% of everything the tracer saw.
-    let race_us = snapshot
+    // ---- Span coverage: the portfolio.check span must account for >= 95%
+    // of everything the tracer saw.
+    let portfolio_us = snapshot
         .spans
         .iter()
-        .find(|s| s.path == ["portfolio.race"])
+        .find(|s| s.path == ["portfolio.check"])
         .map(|s| s.total_us)
-        .expect("the race span is profiled");
-    let coverage = race_us as f64 / snapshot.wall_us.max(1) as f64;
+        .expect("the portfolio span is profiled");
+    let coverage = portfolio_us as f64 / snapshot.wall_us.max(1) as f64;
     assert!(
         coverage >= 0.95,
         "span tree covers {:.1}% of wall time",
         coverage * 100.0
     );
 
-    // Both engines' spans are present, nested under their own threads.
+    // Both engines' spans are present, nested under the portfolio's.
     for path in [
-        vec!["bmc.check"],
-        vec!["bmc.check", "bmc.encode"],
-        vec!["pdr.check"],
-        vec!["pdr.check", "pdr.generalize"],
-        vec!["pdr.check", "pdr.propagate"],
-        vec!["pdr.check", "pdr.validate"],
+        vec!["portfolio.check", "bmc.check"],
+        vec!["portfolio.check", "bmc.check", "bmc.encode"],
+        vec!["portfolio.check", "pdr.check"],
+        vec!["portfolio.check", "pdr.check", "pdr.generalize"],
+        vec!["portfolio.check", "pdr.check", "pdr.propagate"],
+        vec!["portfolio.check", "pdr.check", "pdr.validate"],
     ] {
         assert!(
             snapshot.spans.iter().any(|s| s.path == path),
@@ -87,41 +144,43 @@ fn traced_portfolio_covers_wall_time_and_round_trips() {
     let parsed = report::parse_jsonl(&jsonl).expect("trace.jsonl parses");
     assert_eq!(parsed, snapshot.events);
 
-    // The profile JSON renders and mentions the race span.
+    // The profile JSON renders and mentions the portfolio span.
     let profile = report::profile_json(&snapshot);
-    assert!(profile.contains("portfolio.race"));
+    assert!(profile.contains("portfolio.check"));
     assert!(report::render_profile(&snapshot).contains("pdr.generalize"));
 }
 
 #[test]
 fn traced_portfolio_spans_nest_per_thread_and_seqs_are_monotone() {
-    let snapshot = traced_deep_chain_snapshot();
+    let snapshot = traced_concurrent_snapshot();
 
-    // ---- Well-nested span reconstruction from the JSONL alone, with two
-    // engine threads racing: enter/exit pairs must balance per thread.
+    // ---- Well-nested span reconstruction from the JSONL alone, with three
+    // threads recording at once: enter/exit pairs must balance per thread.
     let jsonl = report::events_jsonl(&snapshot);
     let parsed = report::parse_jsonl(&jsonl).expect("trace.jsonl parses");
     let reconstructed =
         report::reconstruct_spans(&parsed).expect("span events are well-nested per thread");
     assert!(
-        reconstructed.iter().any(|s| s.path == ["portfolio.race"]),
-        "caller thread's race span reconstructs"
+        reconstructed
+            .iter()
+            .any(|s| s.path == ["portfolio.check", "pdr.check", "pdr.propagate"]),
+        "the caller thread's portfolio spans reconstruct"
     );
     assert!(
         reconstructed
             .iter()
             .any(|s| s.path == ["pdr.check", "pdr.propagate"]),
-        "PDR racer's nested spans reconstruct"
+        "the PDR thread's nested spans reconstruct"
     );
     assert!(
         reconstructed.iter().any(|s| s.path == ["bmc.check"]),
-        "BMC racer's span reconstructs"
+        "the k-induction thread's span reconstructs"
     );
-    // The two racers ran on distinct threads.
+    // The three runs recorded on distinct threads.
     let threads: std::collections::BTreeSet<u64> = reconstructed.iter().map(|s| s.thread).collect();
     assert!(
         threads.len() >= 3,
-        "caller + two racers, got threads {threads:?}"
+        "caller + two spawned threads, got threads {threads:?}"
     );
 
     // ---- Sequence numbers: strictly monotone per thread (and globally
@@ -141,16 +200,11 @@ fn traced_portfolio_spans_nest_per_thread_and_seqs_are_monotone() {
         assert!(all_seqs.insert(event.seq), "duplicate seq {}", event.seq);
     }
 
-    // ---- The event log carries the portfolio handshake and the per-frame
+    // ---- The event log carries the portfolio verdict and the per-frame
     // obligation traffic.
     let kinds: std::collections::BTreeSet<&str> =
         snapshot.events.iter().map(|e| e.kind.as_ref()).collect();
-    for kind in [
-        "portfolio_cancel",
-        "portfolio_verdict",
-        "pdr_obligation",
-        "bmc_depth",
-    ] {
+    for kind in ["portfolio_verdict", "pdr_obligation", "bmc_depth"] {
         assert!(kinds.contains(kind), "missing event kind {kind}: {kinds:?}");
     }
 

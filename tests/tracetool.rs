@@ -3,8 +3,9 @@
 //!
 //! The acceptance criteria exercised here:
 //!
-//! * the Chrome Trace Event export of a real traced portfolio run is
-//!   valid JSON in which every `B` has a matching `E` on the same thread
+//! * the Chrome Trace Event export of a real traced portfolio check, next
+//!   to a PDR and a k-induction run on two spawned threads, is valid JSON
+//!   in which every `B` has a matching `E` on the same thread
 //!   (well-nested, verified with an independent stack machine);
 //! * the folded-stack export's totals equal the span profile's totals;
 //! * `ProfileDiff` on two real deep-chain-16 PDR profiles attributes
@@ -16,30 +17,46 @@
 use std::collections::BTreeMap;
 
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{
-    check_property_pdr_traced, check_property_portfolio_traced, PdrOptions, PortfolioWinner,
-};
+use ipcl::pdr::{check_portfolio, check_property_pdr, PdrOptions, PortfolioWinner};
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
 use ipcl::tracetool::json::Json;
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
-use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 
-/// One traced deep-chain-16 portfolio run.
-fn traced_portfolio_snapshot() -> TraceSnapshot {
+/// Three threads under one tracer on deep-chain-16: a portfolio check on
+/// this thread, and a PDR run and a k-induction run of the same property
+/// on two threads spawned here.
+fn traced_concurrent_snapshot() -> TraceSnapshot {
     let (spec, netlist) = deep_pipeline(16);
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
+    let properties = std::slice::from_ref(&property);
+    let bmc_options = BmcOptions::with_depth(13);
     let tracer = Tracer::new(TraceConfig::enabled());
-    let result = check_property_portfolio_traced(
-        &spec,
-        &netlist,
-        &property,
-        &BmcOptions::with_depth(13),
-        &PdrOptions::default(),
-        &tracer,
-    )
-    .expect("netlist elaborates");
-    assert_eq!(result.winner, Some(PortfolioWinner::Pdr));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let options = PdrOptions::default();
+            let result = check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
+                .expect("netlist elaborates");
+            assert!(result.outcome.is_proved());
+        });
+        scope.spawn(|| {
+            check_properties(&spec, &netlist, properties, &bmc_options, None, &tracer)
+                .expect("netlist elaborates");
+        });
+        let result = check_portfolio(
+            &spec,
+            &netlist,
+            properties,
+            &bmc_options,
+            &PdrOptions::default(),
+            None,
+            &tracer,
+        )
+        .expect("netlist elaborates")
+        .remove(0);
+        assert_eq!(result.winner, Some(PortfolioWinner::Pdr));
+    });
     tracer.snapshot().expect("enabled tracer yields a snapshot")
 }
 
@@ -51,7 +68,7 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
     let tracer = Tracer::new(TraceConfig::enabled());
     for _ in 0..runs {
-        let result = check_property_pdr_traced(
+        let result = check_property_pdr(
             &spec,
             &netlist,
             &property,
@@ -70,7 +87,7 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
 
 #[test]
 fn chrome_export_of_a_real_portfolio_run_is_well_paired() {
-    let snapshot = traced_portfolio_snapshot();
+    let snapshot = traced_concurrent_snapshot();
     let text = chrome_trace(&snapshot.events).expect("the event stream is balanced");
     let doc = Json::parse(&text).expect("the export is valid JSON");
     let events = doc
@@ -109,14 +126,14 @@ fn chrome_export_of_a_real_portfolio_run_is_well_paired() {
         assert!(stack.is_empty(), "thread {tid} left spans open: {stack:?}");
     }
 
-    // The portfolio race produces the engine spans on at least three
-    // threads (caller + two racers).
+    // The engine spans land on at least three threads (the caller and the
+    // two spawned ones).
     assert!(stacks.len() >= 3, "threads seen: {:?}", stacks.keys());
 }
 
 #[test]
 fn folded_stack_totals_equal_the_profile_totals() {
-    let snapshot = traced_portfolio_snapshot();
+    let snapshot = traced_concurrent_snapshot();
     let folded = folded_stacks(&snapshot);
     let parse_line = |line: &str| -> (String, u64) {
         let (path, us) = line.rsplit_once(' ').expect("`path us` lines");
@@ -221,7 +238,7 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
     // Events on: the PDR and SAT engines beat at least once (the first
     // heartbeat of a run is always due), carrying their progress fields.
     let tracer = Tracer::new(TraceConfig::enabled());
-    let result = check_property_pdr_traced(
+    let result = check_property_pdr(
         &spec,
         &netlist,
         &property,
@@ -260,7 +277,7 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
         events: false,
         ..TraceConfig::enabled()
     });
-    let result = check_property_pdr_traced(
+    let result = check_property_pdr(
         &spec,
         &netlist,
         &property,
