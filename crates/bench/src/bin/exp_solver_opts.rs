@@ -1,18 +1,7 @@
-//! Experiment E11: the solver-stack overhaul, before vs. after.
+//! Experiment E11: a counter pin on the CDCL solver.
 //!
-//! Three workloads, each run with two [`SolverConfig`]s:
-//!
-//! * **optimized** — the new defaults: heap VSIDS decisions, blocking
-//!   literals + inline binary watches, recursive conflict-clause
-//!   minimization, LBD-scored learned-clause database reduction, Luby
-//!   restarts, and persistent level-0 assignments across incremental
-//!   calls;
-//! * **baseline** — [`SolverConfig::baseline`], reproducing the pre-PR
-//!   solver behaviour: linear-scan decisions, no minimization, no
-//!   reduction, geometric restarts, and a full per-call reset plus
-//!   O(clauses) unit re-scan.
-//!
-//! The workloads cover the three regimes the repository's engines live in:
+//! Three workloads, each run under the default [`ipcl_sat::SolverConfig`],
+//! cover the three regimes the repository's engines live in:
 //!
 //! * `pigeonhole(n)` — a pure CDCL stress test (one hard UNSAT call);
 //! * `deep_pipeline(n)` PDR proof — thousands of tiny incremental
@@ -22,25 +11,24 @@
 //!   — repeated re-solves under assumptions with clause addition between
 //!   calls.
 //!
-//! Emits a `BENCH_*.json` document (one entry per `(workload, config)`
-//! point); BMC rows include the final depth's isolated solve counts
-//! (`last_depth_*`, via `SolverStats::delta`). `--smoke` shrinks the
-//! sweep for CI; the full run asserts the acceptance criterion of
-//! ISSUE 3: at least one workload speeds up ≥ 2× and none regresses by
-//! more than 10%. `--trace <dir>` / `--profile` / `--watch` enable the
-//! `ipcl-trace` observability layer (see [`ipcl_bench::TraceArgs`]).
+//! Emits a `BENCH_*.json` document, one entry per workload, with the
+//! medianized time and the solver's deterministic counters; BMC rows
+//! include the final depth's isolated solve counts (`last_depth_*`, via
+//! `SolverStats::delta`). CI's counter gate compares the `--smoke`
+//! entries with `baselines/BENCH_solver_opts.json` exactly, so any change
+//! to the search shows up there. Every entry keeps `"config":
+//! "optimized"`, the name the committed baseline rows carry. `--smoke`
+//! shrinks the sweep; `--trace <dir>` / `--profile` / `--watch` enable
+//! the `ipcl-trace` observability layer (see [`ipcl_bench::TraceArgs`]).
 
 use std::time::Instant;
-
-/// A boxed workload runner: `SolverConfig` in, measured point out.
-type Runner = Box<dyn Fn(SolverConfig) -> Point>;
 
 use ipcl_bench::{emit_bench_json, pigeonhole_cnf, TraceArgs};
 use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{check_property_pdr, PdrOptions, PdrOutcome};
-use ipcl_sat::{SatResult, Solver, SolverConfig};
+use ipcl_sat::{SatResult, Solver};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
 
@@ -56,12 +44,12 @@ struct Point {
     detail: String,
 }
 
-fn run_pigeonhole(pigeons: u32, config: SolverConfig, repeats: usize, tracer: &Tracer) -> Point {
+fn run_pigeonhole(pigeons: u32, repeats: usize, tracer: &Tracer) -> Point {
     let cnf = pigeonhole_cnf(pigeons);
     let mut times = Vec::new();
     let mut detail = String::new();
     for _ in 0..repeats {
-        let mut solver = Solver::from_cnf_with_config(&cnf, config);
+        let mut solver = Solver::from_cnf(&cnf);
         solver.set_tracer(tracer.clone());
         let start = Instant::now();
         let result = solver.solve();
@@ -79,14 +67,11 @@ fn run_pigeonhole(pigeons: u32, config: SolverConfig, repeats: usize, tracer: &T
     }
 }
 
-fn run_deep_pdr(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tracer) -> Point {
+fn run_deep_pdr(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
     let (spec, netlist) = deep_pipeline(depth);
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
-    let options = PdrOptions {
-        solver: config,
-        ..PdrOptions::default()
-    };
+    let options = PdrOptions::default();
     let mut times = Vec::new();
     let mut detail = String::new();
     for _ in 0..repeats {
@@ -115,7 +100,7 @@ fn run_deep_pdr(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tra
     }
 }
 
-fn run_bmc_sweep(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tracer) -> Point {
+fn run_bmc_sweep(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
     let spec = ExampleArch::new().functional_spec();
     let synthesized = synthesize_interlock_with(
         &spec,
@@ -130,7 +115,6 @@ fn run_bmc_sweep(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tr
     let options = BmcOptions {
         max_depth: depth,
         induction: false,
-        solver: config,
         ..Default::default()
     };
     let mut times = Vec::new();
@@ -176,107 +160,41 @@ fn main() {
     let smoke = std::env::args().any(|arg| arg == "--smoke");
     let repeats = if smoke { 1 } else { 3 };
     let trace = TraceArgs::from_env();
-    let configs = [
-        ("optimized", SolverConfig::default()),
-        ("baseline", SolverConfig::baseline()),
-    ];
+    let tracer = trace.tracer();
 
-    // (name, runner) per workload; sizes chosen so the full run's
-    // slowest point stays within seconds. Each runner captures its own
-    // handle on the shared tracer (clones share one core).
-    let workloads: Vec<(String, Runner)> = if smoke {
+    // Sizes chosen so the full run's slowest point stays within seconds.
+    let points: Vec<(&str, Point)> = if smoke {
         vec![
-            ("pigeonhole-7".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_pigeonhole(7, c, repeats, &tracer))
-            }),
-            ("deep-pipeline-8-pdr".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_deep_pdr(8, c, repeats, &tracer))
-            }),
-            ("bmc-depth-8-incremental".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_bmc_sweep(8, c, repeats, &tracer))
-            }),
+            ("pigeonhole-7", run_pigeonhole(7, repeats, tracer)),
+            ("deep-pipeline-8-pdr", run_deep_pdr(8, repeats, tracer)),
+            ("bmc-depth-8-incremental", run_bmc_sweep(8, repeats, tracer)),
         ]
     } else {
         vec![
-            ("pigeonhole-8".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_pigeonhole(8, c, repeats, &tracer))
-            }),
-            ("pigeonhole-9".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_pigeonhole(9, c, repeats, &tracer))
-            }),
-            ("deep-pipeline-12-pdr".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_deep_pdr(12, c, repeats, &tracer))
-            }),
-            ("deep-pipeline-16-pdr".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_deep_pdr(16, c, repeats, &tracer))
-            }),
-            ("bmc-depth-20-incremental".into(), {
-                let tracer = trace.tracer().clone();
-                Box::new(move |c| run_bmc_sweep(20, c, repeats, &tracer))
-            }),
+            ("pigeonhole-8", run_pigeonhole(8, repeats, tracer)),
+            ("pigeonhole-9", run_pigeonhole(9, repeats, tracer)),
+            ("deep-pipeline-12-pdr", run_deep_pdr(12, repeats, tracer)),
+            ("deep-pipeline-16-pdr", run_deep_pdr(16, repeats, tracer)),
+            (
+                "bmc-depth-20-incremental",
+                run_bmc_sweep(20, repeats, tracer),
+            ),
         ]
     };
 
-    let mut entries = Vec::new();
-    let mut speedups: Vec<(String, f64, f64)> = Vec::new();
-    for (name, runner) in &workloads {
-        let mut per_config = Vec::new();
-        for (config_name, config) in configs {
-            let point = runner(config);
-            entries.push(format!(
+    let entries: Vec<String> = points
+        .iter()
+        .map(|(name, point)| {
+            eprintln!("{name}: {:.3} ms", point.ms);
+            format!(
                 concat!(
                     "  {{\"experiment\": \"solver_opts\", \"workload\": \"{}\", ",
-                    "\"config\": \"{}\", \"ms\": {:.3}, {}}}"
+                    "\"config\": \"optimized\", \"ms\": {:.3}, {}}}"
                 ),
-                name, config_name, point.ms, point.detail
-            ));
-            per_config.push(point.ms);
-        }
-        let speedup = per_config[1] / per_config[0].max(1e-9);
-        speedups.push((name.clone(), speedup, per_config[1]));
-        eprintln!("{name}: baseline/optimized = {speedup:.2}x");
-    }
-
+                name, point.ms, point.detail
+            )
+        })
+        .collect();
     emit_bench_json("solver_opts", smoke, &entries);
-
-    if !smoke {
-        let best = speedups
-            .iter()
-            .cloned()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("non-empty sweep");
-        eprintln!("best speedup: {} at {:.2}x", best.0, best.1);
-        assert!(
-            best.1 >= 2.0,
-            "acceptance: at least one workload must speed up >= 2x, best was {} at {:.2}x",
-            best.0,
-            best.1
-        );
-        // Regression gate with a noise floor: a 10% relative bound on a
-        // sub-5ms point is scheduler jitter, not a verdict — those points
-        // are informational (and covered by the `solver` criterion bench,
-        // which iterates them thousands of times).
-        const NOISE_FLOOR_MS: f64 = 5.0;
-        for (name, speedup, baseline_ms) in &speedups {
-            if *baseline_ms < NOISE_FLOOR_MS {
-                eprintln!(
-                    "{name}: below the {NOISE_FLOOR_MS} ms noise floor, \
-                     regression gate skipped"
-                );
-                continue;
-            }
-            assert!(
-                *speedup >= 0.90,
-                "acceptance: no workload may regress by more than 10%, {name} at {speedup:.2}x"
-            );
-        }
-    }
     trace.finish();
 }

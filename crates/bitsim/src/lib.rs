@@ -11,6 +11,8 @@
 //! into an instruction stream, with the SIMD width of an ordinary machine
 //! word.
 //!
+//! [`Netlist`]: ipcl_rtl::Netlist
+//!
 //! [`BitSimulator`] wraps a program with the two-phase step semantics of
 //! the interpreter (combinational settle, simultaneous double-buffered
 //! register update), per-lane reset ([`BitSimulator::reset_lanes`]),

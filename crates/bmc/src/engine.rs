@@ -87,11 +87,9 @@ pub struct BmcOptions {
     pub incremental: bool,
     /// Attempt a k-induction proof after each passed base depth.
     pub induction: bool,
-    /// Heuristic configuration of the CDCL solvers (heap decisions,
-    /// clause minimization, database reduction, restarts, phase saving —
-    /// see [`ipcl_sat::SolverConfig`]). Defaults to the optimized
-    /// configuration; [`ipcl_sat::SolverConfig::baseline`] reproduces the
-    /// pre-optimization solver for the `exp_solver_opts` ablation.
+    /// Heuristic configuration of the CDCL solvers: phase saving, the
+    /// learned-clause reduction base and the Luby restart unit (see
+    /// [`ipcl_sat::SolverConfig`]). The E10 phase-saving ablation sets it.
     pub solver: SolverConfig,
 }
 

@@ -126,8 +126,8 @@ pub struct SequentialOptions {
     /// honours [`BmcOptions::quiet_cycles`].
     pub strategy: ProofStrategy,
     /// BMC / k-induction knobs (depth bound, quiet cycles, incrementality,
-    /// and the CDCL heuristics via [`BmcOptions::solver`] — heap decisions,
-    /// clause minimization, database reduction, restarts, phase saving).
+    /// and the CDCL heuristics via [`BmcOptions::solver`] — phase saving,
+    /// reduction base, restart unit).
     pub bmc: BmcOptions,
     /// PDR knobs (frame budget, generalisation, certificate validation,
     /// and the CDCL heuristics via [`PdrOptions::solver`]).

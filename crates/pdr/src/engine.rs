@@ -69,8 +69,8 @@ pub struct PdrOptions {
     /// Re-validate the certificate of every proof with independent SAT
     /// checks (the default; see [`Certificate::validate`]).
     pub validate_certificate: bool,
-    /// Heuristic configuration of the CDCL solver (heap decisions, clause
-    /// minimization, database reduction, restarts, phase saving — see
+    /// Heuristic configuration of the CDCL solver: phase saving, the
+    /// learned-clause reduction base and the Luby restart unit (see
     /// [`ipcl_sat::SolverConfig`]). PDR leans hardest on the incremental
     /// hot paths: every consecution/generalisation query is one
     /// `solve_under_assumptions` call against the same solver.

@@ -2,7 +2,7 @@
 
 use crate::netlist::{Gate, Netlist, RtlError, SignalId, SignalKind};
 
-/// A cycle-accurate simulator for one [`Netlist`].
+/// A cycle-accurate simulator for one borrowed [`Netlist`].
 ///
 /// Semantics per [`Simulator::step`]:
 ///
@@ -15,24 +15,24 @@ use crate::netlist::{Gate, Netlist, RtlError, SignalId, SignalKind};
 /// [`Simulator::reset`]) registers hold their reset values and the
 /// combinational network is already settled.
 #[derive(Clone, Debug)]
-pub struct Simulator {
-    netlist: Netlist,
+pub struct Simulator<'n> {
+    netlist: &'n Netlist,
     eval_order: Vec<SignalId>,
     values: Vec<bool>,
     cycle: u64,
 }
 
-impl Simulator {
+impl<'n> Simulator<'n> {
     /// Builds a simulator, elaborating the netlist.
     ///
     /// # Errors
     ///
     /// Propagates [`RtlError`]s from [`Netlist::elaborate`] (unconnected
     /// registers, combinational cycles).
-    pub fn new(netlist: &Netlist) -> Result<Self, RtlError> {
+    pub fn new(netlist: &'n Netlist) -> Result<Self, RtlError> {
         let eval_order = netlist.elaborate()?;
         let mut sim = Simulator {
-            netlist: netlist.clone(),
+            netlist,
             eval_order,
             values: vec![false; netlist.len()],
             cycle: 0,
@@ -42,8 +42,8 @@ impl Simulator {
     }
 
     /// The simulated netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+    pub fn netlist(&self) -> &'n Netlist {
+        self.netlist
     }
 
     /// The number of completed cycles since construction or the last reset.

@@ -4,7 +4,12 @@
 //! over the [`Cnf`] formulas produced by `ipcl-expr`'s Tseitin encoder. It is
 //! the second exhaustive engine of the workspace (next to `ipcl-bdd`); the
 //! property checker in `ipcl-checker` answers validity and implication
-//! queries by checking the *negation* for unsatisfiability.
+//! queries by checking the *negation* for unsatisfiability. BMC,
+//! k-induction, PDR and certificate validation all run this one solver;
+//! [`SolverConfig`] sets its phase saving, reduction base and restart
+//! unit.
+//!
+//! [`Cnf`]: ipcl_expr::Cnf
 //!
 //! # Example
 //!
@@ -25,7 +30,7 @@
 
 pub mod solver;
 
-pub use solver::{RestartStrategy, SatResult, Solver, SolverConfig, SolverStats, HEARTBEAT_MS};
+pub use solver::{SatResult, Solver, SolverConfig, SolverStats, HEARTBEAT_MS};
 
 use ipcl_expr::{Expr, TseitinEncoder};
 

@@ -7,10 +7,9 @@
 //! recursive (self-subsuming) clause minimization, non-chronological
 //! backjumping, exponential VSIDS variable activity served from an
 //! indexed binary max-heap, LBD ("glue") scoring with periodic learned
-//! clause database reduction, phase saving and Luby (or geometric)
-//! restarts. Every heuristic is a [`SolverConfig`] knob, so engines can
-//! ablate them individually; [`SolverConfig::baseline`] reproduces the
-//! pre-optimization behaviour for the `exp_solver_opts` experiment.
+//! clause database reduction, phase saving and Luby restarts.
+//! [`SolverConfig`] holds the three values callers set: phase saving, the
+//! reduction base and the restart unit.
 //!
 //! Incrementality is first-class: level-0 assignments (unit consequences)
 //! persist across [`Solver::solve_under_assumptions`] calls, so a query
@@ -42,44 +41,6 @@ impl SatResult {
     }
 }
 
-/// Restart schedule of the CDCL search.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RestartStrategy {
-    /// Luby sequence scaled by `unit` conflicts (the default): the
-    /// universally near-optimal schedule for unknown runtime
-    /// distributions, and measurably better than geometric on the hard
-    /// combinatorial instances (pigeonhole) of the E11 experiment.
-    Luby {
-        /// Conflicts per Luby unit.
-        unit: u64,
-    },
-    /// Geometric schedule: restart after `first` conflicts, growing by
-    /// `factor_percent`/100 each time. The pre-optimization default,
-    /// kept as an ablation option.
-    Geometric {
-        /// Conflicts before the first restart.
-        first: u64,
-        /// Growth factor in percent (150 = ×1.5).
-        factor_percent: u64,
-    },
-}
-
-impl RestartStrategy {
-    fn initial(self) -> u64 {
-        match self {
-            RestartStrategy::Luby { unit } => luby(0) * unit,
-            RestartStrategy::Geometric { first, .. } => first,
-        }
-    }
-
-    fn next(self, restarts_done: u64, current: u64) -> u64 {
-        match self {
-            RestartStrategy::Luby { unit } => luby(restarts_done) * unit,
-            RestartStrategy::Geometric { factor_percent, .. } => (current * factor_percent) / 100,
-        }
-    }
-}
-
 /// The Luby sequence 1, 1, 2, 1, 1, 2, 4, … (0-indexed).
 fn luby(x: u64) -> u64 {
     let (mut size, mut seq) = (1u64, 0u32);
@@ -96,66 +57,29 @@ fn luby(x: u64) -> u64 {
     1u64 << seq
 }
 
-/// Heuristic knobs of the CDCL search. All default to the optimized
-/// configuration; [`SolverConfig::baseline`] reproduces the
-/// pre-optimization solver for ablation experiments.
+/// Heuristic knobs of the CDCL search. Every other heuristic (heap
+/// decisions, conflict-clause minimization, learned-clause reduction,
+/// Luby restarts) always runs.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SolverConfig {
     /// Reuse each variable's last polarity for decisions (on by default).
     /// With it off, decisions always try `false` first.
     pub phase_saving: bool,
-    /// Serve decisions from an indexed binary max-heap on VSIDS activity
-    /// (on by default). With it off, every decision pays an O(vars) scan.
-    pub heap_decisions: bool,
-    /// Recursive self-subsuming conflict-clause minimization (on by
-    /// default): literals of the learned clause whose reason chains are
-    /// dominated by the remaining literals are dropped.
-    pub minimize: bool,
-    /// Periodically delete the worst half of the learned clauses, keeping
-    /// glue (LBD ≤ 2), binary and locked clauses (on by default).
-    pub reduce_db: bool,
     /// Learned-clause count that arms the first reduction; the limit
-    /// grows ×1.5 after each reduction.
+    /// grows ×1.5 after each reduction. A reduction deletes the worst
+    /// half of the learned clauses, keeping glue (LBD ≤ 2), binary and
+    /// locked clauses.
     pub reduce_base: u64,
-    /// Restart schedule.
-    pub restart: RestartStrategy,
-    /// Emulate the pre-optimization per-call overhead: clear *all*
-    /// assignments (including level 0) and re-scan every clause for units
-    /// on each `solve` call. Off by default; `baseline()` turns it on so
-    /// `exp_solver_opts` can quantify the cost on PDR's query stream.
-    pub legacy_reset: bool,
+    /// Conflicts per unit of the Luby restart schedule.
+    pub restart_unit: u64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             phase_saving: true,
-            heap_decisions: true,
-            minimize: true,
-            reduce_db: true,
             reduce_base: 2000,
-            restart: RestartStrategy::Luby { unit: 100 },
-            legacy_reset: false,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The pre-optimization solver: linear-scan decisions, no
-    /// minimization, no database reduction, geometric restarts, and the
-    /// full per-call reset + unit re-scan.
-    pub fn baseline() -> Self {
-        SolverConfig {
-            phase_saving: true,
-            heap_decisions: false,
-            minimize: false,
-            reduce_db: false,
-            reduce_base: 2000,
-            restart: RestartStrategy::Geometric {
-                first: 100,
-                factor_percent: 150,
-            },
-            legacy_reset: true,
+            restart_unit: 100,
         }
     }
 }
@@ -413,45 +337,12 @@ impl Solver {
         self.clauses.len()
     }
 
-    /// The active heuristic configuration.
-    pub fn config(&self) -> SolverConfig {
-        self.config
-    }
-
     /// Installs an observability handle. Each [`Solver::solve`] call then
     /// runs under a profile-only `sat.solve` span and logs
     /// `solver_restart` / `learned_reduction` events. The default
     /// [`Tracer::disabled`] costs one branch per site.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Replaces the heuristic configuration (callable between `solve`s).
-    /// The learned-clause reduction limit re-arms from the new
-    /// `reduce_base`, so switching to a smaller base takes effect at the
-    /// next restart (growth from earlier reductions is discarded).
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-        self.reduce_limit = config.reduce_base.max(1);
-        self.rebuild_heap();
-    }
-
-    /// Enables or disables phase saving (on by default).
-    ///
-    /// With phase saving on, a decision variable is assigned the polarity it
-    /// last held, so after a restart or backjump the search re-enters the
-    /// part of the space it was exploring — the standard MiniSat heuristic,
-    /// and a measurable win on the incremental workloads of BMC and PDR
-    /// where consecutive queries differ only in their assumptions (see
-    /// `exp_pdr_vs_kinduction` in EXPERIMENTS.md for the ablation). With it
-    /// off, decisions always try `false` first.
-    pub fn set_phase_saving(&mut self, enabled: bool) {
-        self.config.phase_saving = enabled;
-    }
-
-    /// Whether phase saving is enabled.
-    pub fn phase_saving(&self) -> bool {
-        self.config.phase_saving
     }
 
     /// Grows the variable universe to at least `num_vars` variables.
@@ -655,24 +546,6 @@ impl Solver {
         Some(top)
     }
 
-    fn rebuild_heap(&mut self) {
-        for p in &mut self.heap_pos {
-            *p = -1;
-        }
-        self.heap.clear();
-        for var in 0..self.num_vars {
-            if self.values[var].is_none() {
-                self.heap_pos[var] = self.heap.len() as i32;
-                self.heap.push(var as u32);
-            }
-        }
-        if self.heap.len() > 1 {
-            for i in (0..self.heap.len() / 2).rev() {
-                self.heap_sift_down(i);
-            }
-        }
-    }
-
     // ---- propagation -----------------------------------------------------
 
     /// Unit propagation; returns the index of a conflicting clause, if any.
@@ -795,7 +668,7 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis with (optional) recursive minimization.
+    /// First-UIP conflict analysis with recursive minimization.
     /// Returns the learned clause (asserting literal first, a
     /// backjump-level literal second), the level to backjump to and the
     /// clause's LBD.
@@ -848,7 +721,7 @@ impl Solver {
                 as usize;
         }
 
-        if self.config.minimize && learned.len() > 1 {
+        if learned.len() > 1 {
             let before = learned.len();
             let mut keep = 1;
             for i in 1..learned.len() {
@@ -1049,9 +922,7 @@ impl Solver {
             self.values[var] = None;
             self.levels[var] = UNASSIGNED_LEVEL;
             self.reasons[var] = None;
-            if self.config.heap_decisions {
-                self.heap_insert(var as u32);
-            }
+            self.heap_insert(var as u32);
             self.trail.pop();
         }
         self.trail_lim.truncate(level as usize);
@@ -1059,49 +930,12 @@ impl Solver {
     }
 
     fn pick_branch_variable(&mut self) -> Option<usize> {
-        if self.config.heap_decisions {
-            while let Some(var) = self.heap_pop() {
-                if self.values[var as usize].is_none() {
-                    return Some(var as usize);
-                }
-            }
-            return None;
-        }
-        (0..self.num_vars)
-            .filter(|&v| self.values[v].is_none())
-            .max_by(|&a, &b| {
-                self.activity[a]
-                    .partial_cmp(&self.activity[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-    }
-
-    /// The pre-optimization per-call reset: clear *every* assignment
-    /// (including level 0) and re-derive the units by scanning the whole
-    /// clause database. Kept behind [`SolverConfig::legacy_reset`] so the
-    /// E11 experiment can measure what the persistent-level-0 scheme
-    /// saves; returns `false` on an immediate unit conflict.
-    fn legacy_reset_search(&mut self) -> bool {
-        self.trail_lim.clear();
-        for var in 0..self.num_vars {
-            self.values[var] = None;
-            self.levels[var] = UNASSIGNED_LEVEL;
-            self.reasons[var] = None;
-        }
-        self.trail.clear();
-        self.propagate_head = 0;
-        if self.config.heap_decisions {
-            self.rebuild_heap();
-        }
-        for index in 0..self.clauses.len() {
-            if self.clauses[index].literals.len() == 1 {
-                let unit = self.clauses[index].literals[0];
-                if !self.enqueue(unit, Some(index as u32)) {
-                    return false;
-                }
+        while let Some(var) = self.heap_pop() {
+            if self.values[var as usize].is_none() {
+                return Some(var as usize);
             }
         }
-        true
+        None
     }
 
     /// Decides satisfiability of the formula.
@@ -1248,17 +1082,10 @@ impl Solver {
         if let Some(max_var) = assumptions.iter().map(|l| l.var()).max() {
             self.reserve_vars(max_var as usize + 1);
         }
-        if self.config.legacy_reset {
-            if !self.legacy_reset_search() {
-                self.unsat = true;
-                return SatResult::Unsat;
-            }
-        } else {
-            self.backtrack_to(0);
-        }
+        self.backtrack_to(0);
 
         let mut restarts_done = 0u64;
-        let mut conflicts_until_restart = self.config.restart.initial().max(1);
+        let mut conflicts_until_restart = (luby(0) * self.config.restart_unit).max(1);
         let mut conflicts_since_restart = 0u64;
 
         loop {
@@ -1307,13 +1134,10 @@ impl Solver {
                     );
                     self.emit_heartbeat();
                     conflicts_since_restart = 0;
-                    conflicts_until_restart = self
-                        .config
-                        .restart
-                        .next(restarts_done, conflicts_until_restart)
-                        .max(1);
+                    conflicts_until_restart =
+                        (luby(restarts_done) * self.config.restart_unit).max(1);
                     self.backtrack_to(0);
-                    if self.config.reduce_db && self.learned_count >= self.reduce_limit {
+                    if self.learned_count >= self.reduce_limit {
                         self.reduce_db();
                         self.reduce_limit += self.reduce_limit / 2;
                     }
@@ -1388,27 +1212,13 @@ mod tests {
         Lit::new(v, positive)
     }
 
-    /// The named configuration points of the feature matrix: every new
-    /// heuristic individually off against the optimized default, plus the
-    /// full pre-optimization baseline.
+    /// The named configuration points of the feature matrix: the
+    /// default, reduction and restarts firing as often as they can, and
+    /// phase saving off.
     fn config_matrix() -> Vec<(&'static str, SolverConfig)> {
         let default = SolverConfig::default();
         vec![
             ("default", default),
-            (
-                "no-heap",
-                SolverConfig {
-                    heap_decisions: false,
-                    ..default
-                },
-            ),
-            (
-                "no-minimize",
-                SolverConfig {
-                    minimize: false,
-                    ..default
-                },
-            ),
             (
                 "reduce-every-clause",
                 SolverConfig {
@@ -1417,30 +1227,19 @@ mod tests {
                 },
             ),
             (
-                "no-reduce",
-                SolverConfig {
-                    reduce_db: false,
-                    ..default
-                },
-            ),
-            (
-                "geometric",
-                SolverConfig {
-                    restart: RestartStrategy::Geometric {
-                        first: 2,
-                        factor_percent: 150,
-                    },
-                    ..default
-                },
-            ),
-            (
                 "tiny-luby",
                 SolverConfig {
-                    restart: RestartStrategy::Luby { unit: 1 },
+                    restart_unit: 1,
                     ..default
                 },
             ),
-            ("baseline", SolverConfig::baseline()),
+            (
+                "no-phase-saving",
+                SolverConfig {
+                    phase_saving: false,
+                    ..default
+                },
+            ),
         ]
     }
 
@@ -1969,47 +1768,24 @@ mod tests {
     }
 
     #[test]
-    fn phase_saving_toggle_preserves_verdicts() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(0x9A5E);
-        for _ in 0..60 {
-            let num_vars = rng.random_range(1..=7u32);
-            let num_clauses = rng.random_range(1..=20usize);
-            let mut cnf = Cnf::new(num_vars);
-            for _ in 0..num_clauses {
-                let width = rng.random_range(1..=3usize);
-                let clause: Vec<Lit> = (0..width)
-                    .map(|_| lit(rng.random_range(0..num_vars), rng.random_bool(0.5)))
-                    .collect();
-                cnf.add_clause(clause);
-            }
-            let mut saved = Solver::from_cnf(&cnf);
-            assert!(saved.phase_saving());
-            let mut fixed = Solver::from_cnf(&cnf);
-            fixed.set_phase_saving(false);
-            assert_eq!(saved.solve().is_sat(), fixed.solve().is_sat());
-        }
-    }
-
-    #[test]
     fn phase_saving_revisits_last_polarity() {
         // Assuming an otherwise-unconstrained variable true records its
         // phase; with phase saving on the next unassumed solve re-decides it
         // true, with phase saving off it falls back to the `false` default.
-        let mut cnf = Cnf::new(2);
-        cnf.add_clause([lit(0, true), lit(1, true)]);
-        let mut solver = Solver::from_cnf(&cnf);
-        assert!(solver.solve_under_assumptions(&[lit(1, true)]).is_sat());
-        match solver.solve() {
-            SatResult::Sat(model) => assert!(model[1], "saved phase is reused"),
-            SatResult::Unsat => panic!("expected sat"),
-        }
-        solver.set_phase_saving(false);
-        match solver.solve() {
-            SatResult::Sat(model) => assert!(!model[1], "default polarity is false"),
-            SatResult::Unsat => panic!("expected sat"),
+        for (phase_saving, expected) in [(true, true), (false, false)] {
+            let config = SolverConfig {
+                phase_saving,
+                ..SolverConfig::default()
+            };
+            let mut solver = Solver::with_config(2, config);
+            solver.add_clause([lit(0, true)]);
+            assert!(solver.solve_under_assumptions(&[lit(1, true)]).is_sat());
+            match solver.solve() {
+                SatResult::Sat(model) => {
+                    assert_eq!(model[1], expected, "phase saving {phase_saving}")
+                }
+                SatResult::Unsat => panic!("expected sat"),
+            }
         }
     }
 
@@ -2026,23 +1802,14 @@ mod tests {
     fn minimization_shrinks_learned_clauses() {
         // Pigeonhole conflicts produce learned clauses with redundant
         // literals; the recursive minimization must fire (and the verdict
-        // stay correct). The no-minimize config must report zero.
-        let mut on = Solver::from_cnf(&pigeonhole_cnf(6));
-        assert_eq!(on.solve(), SatResult::Unsat);
+        // stay correct).
+        let mut solver = Solver::from_cnf(&pigeonhole_cnf(6));
+        assert_eq!(solver.solve(), SatResult::Unsat);
         assert!(
-            on.stats().minimized_literals > 0,
+            solver.stats().minimized_literals > 0,
             "minimization never fired: {:?}",
-            on.stats()
+            solver.stats()
         );
-        let mut off = Solver::from_cnf_with_config(
-            &pigeonhole_cnf(6),
-            SolverConfig {
-                minimize: false,
-                ..SolverConfig::default()
-            },
-        );
-        assert_eq!(off.solve(), SatResult::Unsat);
-        assert_eq!(off.stats().minimized_literals, 0);
     }
 
     #[test]
@@ -2085,55 +1852,6 @@ mod tests {
             after_first.propagations + after_first.binary_propagations,
             after_second.propagations + after_second.binary_propagations,
             "re-solve repeated level-0 propagation"
-        );
-    }
-
-    #[test]
-    fn legacy_reset_repeats_unit_propagation() {
-        // The baseline configuration must pay the per-call re-scan (that is
-        // the overhead E11 measures).
-        let mut solver = Solver::with_config(2, SolverConfig::baseline());
-        solver.add_clause([lit(0, false), lit(1, true)]);
-        solver.add_clause([lit(0, true)]);
-        assert!(solver.solve().is_sat());
-        let first = solver.stats();
-        assert!(solver.solve().is_sat());
-        let second = solver.stats();
-        assert!(
-            second.propagations + second.binary_propagations
-                > first.propagations + first.binary_propagations,
-            "legacy reset should repeat level-0 propagation"
-        );
-    }
-
-    #[test]
-    fn set_config_between_solves_is_sound() {
-        let cnf = pigeonhole_cnf(5);
-        let mut solver = Solver::from_cnf(&cnf);
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        let mut solver = Solver::from_cnf(&cnf);
-        solver.set_config(SolverConfig::baseline());
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        solver.set_config(SolverConfig::default());
-        assert_eq!(solver.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn set_config_can_lower_the_reduction_limit() {
-        // Lowering `reduce_base` after construction must re-arm the
-        // reduction threshold, not stay clamped at the constructor's
-        // (higher) limit.
-        let cnf = pigeonhole_cnf(6);
-        let mut solver = Solver::from_cnf(&cnf);
-        solver.set_config(SolverConfig {
-            reduce_base: 1,
-            ..SolverConfig::default()
-        });
-        assert_eq!(solver.solve(), SatResult::Unsat);
-        assert!(
-            solver.stats().reductions > 0,
-            "lowered base must arm reduction: {:?}",
-            solver.stats()
         );
     }
 

@@ -19,6 +19,8 @@
 //! overwritten by the fresh result, so a corrupted cache can cost time but
 //! never soundness.
 //!
+//! [`Certificate::validate`]: ipcl_pdr::Certificate::validate
+//!
 //! Entries live in memory and, when a cache directory is configured, as
 //! one `<key>.json` file per entry (the [`JobOutcome`] wire format), so a
 //! restarted server keeps its warm proofs.

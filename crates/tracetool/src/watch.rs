@@ -35,18 +35,14 @@ fn field_text(event: &Event, name: &str) -> Option<String> {
 /// [12.3s] bmc depth=7/40 | pdr frame=4 queue=3 | sat conflicts=+812 restarts=+3
 /// ```
 ///
-/// The parallel PDR engine's heartbeats carry a `worker` field (the master
-/// scheduler is worker 0, each solver thread its own id); those render as
-/// one entry per worker:
-///
-/// ```text
-/// [4.2s] pdr:w0 frame=6 queue=2 clauses=911 | pdr:w1 queue=3 solved=48 imported=12 exported=9
-/// ```
+/// PDR heartbeats recorded on an `ipcl-serve` worker thread carry a
+/// `worker` field (see `ipcl_trace::set_worker`) and render as one
+/// `pdr:w<id>` entry per worker.
 ///
 /// Returns `None` when `events` holds no heartbeats yet.
 pub fn progress_line(events: &[Event]) -> Option<String> {
-    // Freshest heartbeat per engine (split per worker for the parallel
-    // PDR engine), in first-seen order.
+    // Freshest heartbeat per engine (split per worker for PDR), in
+    // first-seen order.
     let mut latest: BTreeMap<String, &Event> = BTreeMap::new();
     let mut order: Vec<String> = Vec::new();
     for event in events.iter().filter(|e| e.kind == "heartbeat") {
@@ -75,12 +71,7 @@ pub fn progress_line(events: &[Event]) -> Option<String> {
                 }
             }
             "pdr" => {
-                // The master's beat carries frame/queue/clauses; a solver
-                // worker's beat carries queue/solved and its clause-exchange
-                // counters. Render whichever are present.
-                for field in [
-                    "frame", "queue", "clauses", "solved", "imported", "exported",
-                ] {
+                for field in ["frame", "queue", "clauses"] {
                     if let Some(v) = field_text(event, field) {
                         let _ = write!(out, " {field}={v}");
                     }
@@ -252,57 +243,38 @@ mod tests {
     }
 
     #[test]
-    fn progress_line_splits_parallel_pdr_heartbeats_per_worker() {
+    fn progress_line_splits_pdr_heartbeats_per_serve_worker() {
         let tracer = Tracer::new(TraceConfig::enabled());
-        // The master scheduler's beat (worker 0) and two solver workers',
-        // as tagged by `ipcl_trace::set_worker` in the parallel engine.
-        tracer.event(
-            "heartbeat",
-            &[
-                ("engine", Value::from("pdr")),
-                ("frame", Value::U64(6)),
-                ("queue", Value::U64(2)),
-                ("worker", Value::U64(0)),
-            ],
-        );
-        tracer.event(
-            "heartbeat",
-            &[
-                ("engine", Value::from("pdr")),
-                ("queue", Value::U64(3)),
-                ("solved", Value::U64(40)),
-                ("imported", Value::U64(12)),
-                ("worker", Value::U64(1)),
-            ],
-        );
-        tracer.event(
-            "heartbeat",
-            &[
-                ("engine", Value::from("pdr")),
-                ("queue", Value::U64(1)),
-                ("solved", Value::U64(48)),
-                ("worker", Value::U64(1)),
-            ],
-        );
-        tracer.event(
-            "heartbeat",
-            &[
-                ("engine", Value::from("pdr")),
-                ("queue", Value::U64(5)),
-                ("solved", Value::U64(39)),
-                ("worker", Value::U64(2)),
-            ],
-        );
+        // PDR's heartbeat fields, recorded as on serve worker `worker`:
+        // the pool tags its threads with `set_worker`, and the tracer
+        // appends the `worker` field.
+        let pdr_beat = |worker: u64, frame: u64, queue: u64, clauses: u64| {
+            ipcl_trace::set_worker(Some(worker));
+            tracer.event(
+                "heartbeat",
+                &[
+                    ("engine", Value::from("pdr")),
+                    ("frame", Value::U64(frame)),
+                    ("top_frame", Value::U64(frame)),
+                    ("queue", Value::U64(queue)),
+                    ("obligations", Value::U64(10 * frame)),
+                    ("clauses", Value::U64(clauses)),
+                ],
+            );
+            ipcl_trace::set_worker(None);
+        };
+        pdr_beat(0, 3, 2, 40);
+        pdr_beat(1, 2, 1, 12);
+        pdr_beat(0, 5, 4, 96);
         let snapshot = tracer.snapshot().unwrap();
         let line = progress_line(&snapshot.events).expect("heartbeats present");
-        assert!(line.contains("pdr:w0 frame=6 queue=2"), "{line}");
         assert!(
-            line.contains("pdr:w1 queue=1 solved=48"),
+            line.contains("pdr:w0 frame=5 queue=4 clauses=96"),
             "freshest beat per worker wins: {line}"
         );
-        assert!(!line.contains("solved=40"), "stale worker beat: {line}");
-        assert!(line.contains("pdr:w2 queue=5 solved=39"), "{line}");
-        // An untagged (sequential-engine) beat keeps its plain key.
+        assert!(!line.contains("clauses=40"), "stale worker beat: {line}");
+        assert!(line.contains("pdr:w1 frame=2 queue=1 clauses=12"), "{line}");
+        // An untagged beat (PDR off the serve pool) keeps its plain key.
         tracer.event(
             "heartbeat",
             &[("engine", Value::from("pdr")), ("frame", Value::U64(9))],

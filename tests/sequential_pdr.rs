@@ -185,14 +185,13 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
     assert!(report.certificates.contains_key(&property.name));
 }
 
-/// Determinism across the new solver heuristics (ISSUE 3): two runs with
-/// the same `SolverConfig` — including variants that stress the heap,
-/// minimization, aggressive database reduction and both restart schedules
-/// — produce byte-identical verdicts, counterexample traces and
-/// certificates.
+/// Determinism across the solver heuristics: two runs with the same
+/// `SolverConfig` — the default, aggressive database reduction with
+/// one-conflict Luby restarts, and phase saving off — produce
+/// byte-identical verdicts, counterexample traces and certificates.
 #[test]
 fn solver_config_variants_are_deterministic() {
-    use ipcl::sat::{RestartStrategy, SolverConfig};
+    use ipcl::sat::SolverConfig;
 
     let spec = example_spec();
     let correct = synthesize_interlock(&spec);
@@ -211,11 +210,17 @@ fn solver_config_variants_are_deterministic() {
             "stress-reduction",
             SolverConfig {
                 reduce_base: 1,
-                restart: RestartStrategy::Luby { unit: 1 },
+                restart_unit: 1,
                 ..SolverConfig::default()
             },
         ),
-        ("baseline", SolverConfig::baseline()),
+        (
+            "no-phase-saving",
+            SolverConfig {
+                phase_saving: false,
+                ..SolverConfig::default()
+            },
+        ),
     ];
     for (name, solver) in variants {
         // PDR proof of the deep chain: identical certificate text.

@@ -1,6 +1,6 @@
-//! Property-based tests of the solver heuristics and the encodings
-//! (ISSUE 3): every [`SolverConfig`] feature combination must agree with
-//! brute force on random CNFs (monolithic *and* incremental streams), and
+//! Property-based tests of the solver heuristics and the encodings: every
+//! [`SolverConfig`] point of the matrix must agree with brute force on
+//! random CNFs (monolithic *and* incremental streams), and
 //! the Plaisted–Greenbaum encoding must be equisatisfiable with the full
 //! Tseitin encoding — on random formulas and on the paper-example netlist
 //! properties the engines actually solve.
@@ -10,55 +10,30 @@ use proptest::prelude::*;
 use ipcl::bmc::{Latency, PropertyKind, SequentialProperty};
 use ipcl::core::example::ExampleArch;
 use ipcl::expr::{Cnf, Expr, Lit, TseitinEncoder};
-use ipcl::sat::{RestartStrategy, SatResult, Solver, SolverConfig};
+use ipcl::sat::{SatResult, Solver, SolverConfig};
 
-/// The named configuration points of the matrix: each new heuristic
-/// individually off against the optimized default, restart-schedule
-/// variants, and the full pre-optimization baseline.
+/// The named configuration points of the matrix: the default, database
+/// reduction and restarts firing as often as they can, and phase saving
+/// off.
 fn config_matrix() -> Vec<(&'static str, SolverConfig)> {
     let default = SolverConfig::default();
     vec![
         ("default", default),
         (
-            "no-heap",
-            SolverConfig {
-                heap_decisions: false,
-                ..default
-            },
-        ),
-        (
-            "no-minimize",
-            SolverConfig {
-                minimize: false,
-                ..default
-            },
-        ),
-        (
-            "no-reduce",
-            SolverConfig {
-                reduce_db: false,
-                ..default
-            },
-        ),
-        (
             "reduce-aggressively",
             SolverConfig {
                 reduce_base: 1,
-                restart: RestartStrategy::Luby { unit: 1 },
+                restart_unit: 1,
                 ..default
             },
         ),
         (
-            "geometric-restarts",
+            "no-phase-saving",
             SolverConfig {
-                restart: RestartStrategy::Geometric {
-                    first: 2,
-                    factor_percent: 150,
-                },
+                phase_saving: false,
                 ..default
             },
         ),
-        ("baseline", SolverConfig::baseline()),
     ]
 }
 
@@ -91,10 +66,9 @@ fn brute_force_sat(cnf: &Cnf) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Whatever heuristics are on — heap decisions, minimization, database
-    /// reduction (even firing constantly), Luby or geometric restarts, or
-    /// the full pre-optimization baseline — the verdict matches brute
-    /// force and every model satisfies the formula.
+    /// Whatever the configuration — database reduction and restarts firing
+    /// constantly, or phase saving off — the verdict matches brute force
+    /// and every model satisfies the formula.
     #[test]
     fn every_config_agrees_with_brute_force(input in arbitrary_clauses()) {
         let (num_vars, clauses) = input;
