@@ -21,11 +21,11 @@
 //!
 //! **Oracle discipline.** The interpreter stays authoritative: the lane
 //! fuzzer (`ipcl_bmc::fuzz`) extracts each violating lane into a standard
-//! counterexample, and its callers (the sequential checker, the serve
-//! batch pre-solver) replay it gate-by-gate through
-//! [`ipcl_rtl::Simulator`] before reporting anything. The differential
-//! test suite (`tests/differential.rs`) additionally asserts bit-identical
-//! per-cycle values across all 64 lanes on random netlists and the full
+//! counterexample, and its library caller (the serve batch pre-solver)
+//! replays it gate-by-gate through [`ipcl_rtl::Simulator`] before
+//! reporting anything. The differential test suite
+//! (`tests/differential.rs`) additionally asserts bit-identical per-cycle
+//! values across all 64 lanes on random netlists and the full
 //! bug-injection matrix.
 //!
 //! # Example

@@ -19,7 +19,7 @@ use ipcl_bitsim::{eval_expr_word, BitSimulator};
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::VarId;
 use ipcl_rtl::{Netlist, RtlError, SignalKind, Simulator};
-use ipcl_trace::report::write_json_string;
+use ipcl_trace::json::{write_json_string, Json};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -132,9 +132,9 @@ impl Counterexample {
     ///  "frames": [{"long.req": true, "c.gnt": false, ...}, ...]}
     /// ```
     ///
-    /// The format is the storage side of the `ipcl-serve` result cache;
-    /// the matching parser lives there (`ipcl_serve::protocol`). Signal
-    /// names are JSON-escaped, so any netlist naming round-trips.
+    /// The format is the storage side of the `ipcl-serve` result cache,
+    /// and [`Counterexample::from_json`] reads it back. Signal names are
+    /// JSON-escaped, so any netlist naming round-trips.
     pub fn to_json_string(&self) -> String {
         let mut out = String::from("{\"property\": ");
         write_json_string(&mut out, &self.property);
@@ -158,6 +158,47 @@ impl Counterexample {
         }
         out.push_str("]}");
         out
+    }
+
+    /// Parses the JSON emitted by [`Counterexample::to_json_string`].
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the offending field.
+    pub fn from_json(json: &Json) -> Result<Counterexample, String> {
+        let property = json
+            .get("property")
+            .and_then(Json::as_str)
+            .ok_or("counterexample misses 'property'")?
+            .to_owned();
+        let violation_frame = json
+            .get("violation_frame")
+            .and_then(Json::as_u64)
+            .and_then(|frame| usize::try_from(frame).ok())
+            .ok_or("counterexample misses 'violation_frame'")?;
+        let mut frames = Vec::new();
+        for frame in json
+            .get("frames")
+            .and_then(Json::as_array)
+            .ok_or("counterexample misses 'frames'")?
+        {
+            let members = frame.as_object().ok_or("trace frame not an object")?;
+            let mut values = BTreeMap::new();
+            for (name, value) in members {
+                values.insert(
+                    name.clone(),
+                    value
+                        .as_bool()
+                        .ok_or_else(|| format!("non-boolean trace value for '{name}'"))?,
+                );
+            }
+            frames.push(values);
+        }
+        Ok(Counterexample {
+            property,
+            violation_frame,
+            frames,
+        })
     }
 
     /// Renders the trace as a waveform-style table for reports.

@@ -27,7 +27,7 @@ use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
 use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver};
-use ipcl_trace::report::write_json_string;
+use ipcl_trace::json::{write_json_string, Json};
 
 /// One literal of a certificate clause: a register and the polarity it must
 /// have for the literal to be true.
@@ -127,9 +127,9 @@ impl Certificate {
     ///  "clauses": [[{"register": "wait[0]", "positive": false}, ...], ...]}
     /// ```
     ///
-    /// The format is the storage side of the `ipcl-serve` proof cache;
-    /// the matching parser lives there (`ipcl_serve::protocol`). Register
-    /// names are JSON-escaped, so any netlist naming round-trips.
+    /// The format is the storage side of the `ipcl-serve` proof cache, and
+    /// [`Certificate::from_json`] reads it back. Register names are
+    /// JSON-escaped, so any netlist naming round-trips.
     pub fn to_json_string(&self) -> String {
         let mut out = String::from("{\"property\": ");
         write_json_string(&mut out, &self.property);
@@ -151,6 +151,43 @@ impl Certificate {
         }
         out.push_str("]}");
         out
+    }
+
+    /// Parses the JSON emitted by [`Certificate::to_json_string`].
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the offending field.
+    pub fn from_json(json: &Json) -> Result<Certificate, String> {
+        let property = json
+            .get("property")
+            .and_then(Json::as_str)
+            .ok_or("certificate misses 'property'")?
+            .to_owned();
+        let mut clauses = Vec::new();
+        for clause in json
+            .get("clauses")
+            .and_then(Json::as_array)
+            .ok_or("certificate misses 'clauses'")?
+        {
+            let lits = clause.as_array().ok_or("certificate clause not an array")?;
+            let mut parsed = Vec::with_capacity(lits.len());
+            for lit in lits {
+                parsed.push(StateLiteral {
+                    register: lit
+                        .get("register")
+                        .and_then(Json::as_str)
+                        .ok_or("literal misses 'register'")?
+                        .to_owned(),
+                    positive: lit
+                        .get("positive")
+                        .and_then(Json::as_bool)
+                        .ok_or("literal misses 'positive'")?,
+                });
+            }
+            clauses.push(parsed);
+        }
+        Ok(Certificate { property, clauses })
     }
 
     /// Independently re-validates the certificate against `netlist` and

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 use ipcl_bmc::SequentialProperty;
 use ipcl_core::FunctionalSpec;
 use ipcl_rtl::{sha256_hex, structural_digest, Netlist};
-use ipcl_tracetool::json::Json;
+use ipcl_trace::json::Json;
 
 use crate::protocol::{JobOutcome, Verdict};
 

@@ -8,7 +8,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use ipcl_tracetool::json::Json;
+use ipcl_trace::json::Json;
 
 use crate::protocol::{JobOutcome, JobRequest};
 

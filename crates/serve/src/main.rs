@@ -27,8 +27,8 @@ use ipcl_pipesim::BrokenVariant;
 use ipcl_serve::cache::ProofCache;
 use ipcl_serve::{process_job, Client, JobRequest, PropertyRequest, Server, ServerConfig, Verdict};
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::json::Json;
 use ipcl_trace::{TraceConfig, Tracer};
-use ipcl_tracetool::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

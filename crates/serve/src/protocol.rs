@@ -23,20 +23,19 @@
 //! duplicate names, since serialised names are already unique.
 //!
 //! The same module holds the storage format of the proof cache: a
-//! [`JobOutcome`] embeds the certificate / counterexample JSON emitted by
-//! [`Certificate::to_json_string`] and
-//! [`ipcl_bmc::Counterexample::to_json_string`], and [`JobOutcome::from_json`]
-//! is the matching parser.
-
-use std::collections::BTreeMap;
+//! [`JobOutcome`] embeds the certificate / counterexample JSON that
+//! [`Certificate::to_json_string`] and [`Counterexample::to_json_string`]
+//! write and [`Certificate::from_json`] and [`Counterexample::from_json`]
+//! read back, and [`JobOutcome::from_json`] is the matching parser.
+//! Every document is written and parsed with [`ipcl_trace::json`].
 
 use ipcl_bmc::{BmcOutcome, BmcResult, Counterexample, Latency, PropertyKind, SequentialProperty};
 use ipcl_checker::{ProofStrategy, SequentialOptions};
 use ipcl_core::model::StageRef;
 use ipcl_core::{FunctionalSpec, FunctionalSpecBuilder};
-use ipcl_pdr::{Certificate, StateLiteral};
+use ipcl_pdr::Certificate;
 use ipcl_rtl::{Gate, Netlist, SignalId, SignalKind};
-use ipcl_tracetool::json::{write_json_string, Json};
+use ipcl_trace::json::{write_json_string, Json};
 
 /// Which property of the specification a job asks about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -611,10 +610,13 @@ impl JobOutcome {
             .unwrap_or_default()
             .to_owned();
         let cached = json.get("cached").and_then(Json::as_bool).unwrap_or(false);
-        let certificate = json.get("certificate").map(parse_certificate).transpose()?;
+        let certificate = json
+            .get("certificate")
+            .map(Certificate::from_json)
+            .transpose()?;
         let counterexample = json
             .get("counterexample")
-            .map(parse_counterexample)
+            .map(Counterexample::from_json)
             .transpose()?;
         Ok(JobOutcome {
             property,
@@ -627,80 +629,13 @@ impl JobOutcome {
     }
 }
 
-/// Parses the JSON emitted by [`Certificate::to_json_string`].
-pub fn parse_certificate(json: &Json) -> Result<Certificate, String> {
-    let property = json
-        .get("property")
-        .and_then(Json::as_str)
-        .ok_or("certificate misses 'property'")?
-        .to_owned();
-    let mut clauses = Vec::new();
-    for clause in json
-        .get("clauses")
-        .and_then(Json::as_array)
-        .ok_or("certificate misses 'clauses'")?
-    {
-        let lits = clause.as_array().ok_or("certificate clause not an array")?;
-        let mut parsed = Vec::with_capacity(lits.len());
-        for lit in lits {
-            parsed.push(StateLiteral {
-                register: lit
-                    .get("register")
-                    .and_then(Json::as_str)
-                    .ok_or("literal misses 'register'")?
-                    .to_owned(),
-                positive: lit
-                    .get("positive")
-                    .and_then(Json::as_bool)
-                    .ok_or("literal misses 'positive'")?,
-            });
-        }
-        clauses.push(parsed);
-    }
-    Ok(Certificate { property, clauses })
-}
-
-/// Parses the JSON emitted by [`ipcl_bmc::Counterexample::to_json_string`].
-pub fn parse_counterexample(json: &Json) -> Result<Counterexample, String> {
-    let property = json
-        .get("property")
-        .and_then(Json::as_str)
-        .ok_or("counterexample misses 'property'")?
-        .to_owned();
-    let violation_frame = json
-        .get("violation_frame")
-        .and_then(Json::as_u64)
-        .ok_or("counterexample misses 'violation_frame'")? as usize;
-    let mut frames = Vec::new();
-    for frame in json
-        .get("frames")
-        .and_then(Json::as_array)
-        .ok_or("counterexample misses 'frames'")?
-    {
-        let members = frame.as_object().ok_or("trace frame not an object")?;
-        let mut values = BTreeMap::new();
-        for (name, value) in members {
-            values.insert(
-                name.clone(),
-                value
-                    .as_bool()
-                    .ok_or_else(|| format!("non-boolean trace value for '{name}'"))?,
-            );
-        }
-        frames.push(values);
-    }
-    Ok(Counterexample {
-        property,
-        violation_frame,
-        frames,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ipcl_core::example::ExampleArch;
+    use ipcl_pdr::StateLiteral;
     use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
+    use std::collections::BTreeMap;
 
     fn roundtrip_job() -> JobRequest {
         let spec = ExampleArch::new().functional_spec();

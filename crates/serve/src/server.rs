@@ -29,8 +29,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ipcl_trace::json::{write_json_string, Json};
 use ipcl_trace::{Tracer, Value};
-use ipcl_tracetool::json::{write_json_string, Json};
 
 use crate::batch::presolve_batch;
 use crate::cache::{CacheLimits, ProofCache};

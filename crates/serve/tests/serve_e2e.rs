@@ -21,8 +21,8 @@ use ipcl_serve::{
     Verdict, MAX_LINE_BYTES,
 };
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::json::Json;
 use ipcl_trace::Tracer;
-use ipcl_tracetool::json::Json;
 
 fn correct_job(stage_index: usize) -> JobRequest {
     let spec = ExampleArch::new().functional_spec();
@@ -309,7 +309,11 @@ fn malformed_requests_get_json_errors_not_disconnects() {
     assert!(client.request("not json at all").is_err());
     assert!(client.request("{\"cmd\": \"frobnicate\"}").is_err());
     assert!(client.request("{\"no_cmd\": 1}").is_err());
-    // The connection survives all three: a well-formed request still works.
+    let nested = client
+        .request(&"[".repeat(100_000))
+        .expect_err("a nesting flood is refused");
+    assert!(nested.contains("nesting"), "{nested}");
+    // The connection survives all four: a well-formed request still works.
     let stats = client
         .stats()
         .expect("connection must survive bad requests");

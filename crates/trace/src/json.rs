@@ -1,17 +1,66 @@
-//! A small recursive-descent JSON parser for the artifacts this crate
-//! consumes (`profile.json`, `BENCH_*.json`, its own Chrome-trace output
-//! in tests).
+//! The workspace's one JSON module: the string and [`Value`] writers every
+//! JSON-emitting crate uses, and the [`Json`] parser every JSON-reading
+//! crate uses — for `trace.jsonl` ([`crate::report::parse_jsonl`]),
+//! `profile.json` and `BENCH_*.json` (`ipcl-tracetool`), and the wire
+//! format and proof cache of `ipcl-serve`.
 //!
-//! The workspace builds offline with no serialisation crate, so — like
-//! `ipcl_trace::report`'s flat-object JSONL parser — this module is
-//! hand-rolled. Unlike that parser it handles the full recursive grammar
-//! (nested arrays/objects), which the profile and bench documents need.
-//! Numbers are held as `f64`: every metric in the artifacts is a count or
-//! a duration well inside the 2^53 exact-integer range.
+//! The workspace builds offline with no serialisation crate, so the parser
+//! is a hand-rolled recursive descent over the full grammar. Integers stay
+//! exact: integer text becomes [`Json::U64`] if it fits, else
+//! [`Json::I64`], else [`Json::F64`] — the split [`Value`] makes — so event
+//! fields round-trip through JSONL unchanged. Nesting is bounded
+//! ([`Json::parse`]), so an untrusted request line cannot overflow the
+//! parsing thread's stack.
 
-// The workspace's one JSON string writer, re-exported for this crate's
-// writers and its dependents.
-pub use ipcl_trace::report::write_json_string;
+use std::fmt::Write as _;
+
+use crate::Value;
+
+/// Containers a document may nest. The deepest document the workspace
+/// writes is a `submit_batch` request, whose stall rules sit at level 8.
+const MAX_DEPTH: usize = 64;
+
+/// Escapes `s` into `out` as a JSON string literal (with quotes).
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes `value` as a JSON scalar; a non-finite float becomes `null`.
+pub fn write_json_value(out: &mut String, value: &Value) {
+    match value {
+        Value::U64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::I64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::F64(v) => {
+            if v.is_finite() {
+                let _ = write!(out, "{v}");
+            } else {
+                out.push_str("null");
+            }
+        }
+        Value::Bool(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::Str(v) => write_json_string(out, v),
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -20,8 +69,12 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (exact for integers up to 2^53).
-    Num(f64),
+    /// An integer that fits a `u64`.
+    U64(u64),
+    /// A negative integer that fits an `i64`.
+    I64(i64),
+    /// Any other number.
+    F64(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -32,10 +85,12 @@ pub enum Json {
 
 impl Json {
     /// Parses `text` as one JSON document (trailing whitespace allowed).
+    /// A document nesting more than 64 arrays and objects is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -56,15 +111,20 @@ impl Json {
     /// The value as a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(v) => Some(*v),
+            Json::U64(v) => Some(*v as f64),
+            Json::I64(v) => Some(*v as f64),
+            Json::F64(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer (must be exact).
+    /// The value as a non-negative integer: any `u64`, or a float with no
+    /// fraction up to 2^53 (where floats stop being exact).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9.007_199_254_740_992e15 => {
+            Json::U64(v) => Some(*v),
+            Json::I64(v) => u64::try_from(*v).ok(),
+            Json::F64(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9.007_199_254_740_992e15 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -107,6 +167,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -129,6 +191,24 @@ impl<'a> Parser<'a> {
         } else {
             Err(format!("expected '{}' at byte {}", c as char, self.pos))
         }
+    }
+
+    /// Consumes the opening bracket `c` of a container, one level deeper.
+    fn open(&mut self, c: u8) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        self.expect(c)
+    }
+
+    /// Consumes the closing bracket `c` of a container, one level up.
+    fn close(&mut self, c: u8) -> Result<(), String> {
+        self.depth -= 1;
+        self.expect(c)
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
@@ -155,10 +235,10 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut members = Vec::new();
         if self.peek() == Some(b'}') {
-            self.expect(b'}')?;
+            self.close(b'}')?;
             return Ok(Json::Obj(members));
         }
         loop {
@@ -171,7 +251,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.expect(b',')?,
                 Some(b'}') => {
-                    self.expect(b'}')?;
+                    self.close(b'}')?;
                     return Ok(Json::Obj(members));
                 }
                 other => return Err(format!("expected ',' or '}}', got {other:?}")),
@@ -180,10 +260,10 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
-            self.expect(b']')?;
+            self.close(b']')?;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -191,7 +271,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.expect(b',')?,
                 Some(b']') => {
-                    self.expect(b']')?;
+                    self.close(b']')?;
                     return Ok(Json::Arr(items));
                 }
                 other => return Err(format!("expected ',' or ']', got {other:?}")),
@@ -240,6 +320,8 @@ impl<'a> Parser<'a> {
                     }
                 }
                 b => {
+                    // Re-sync on UTF-8 boundaries: collect the full code
+                    // point starting at `b`.
                     let start = self.pos - 1;
                     let width = match b {
                         b if b < 0x80 => 1,
@@ -272,8 +354,16 @@ impl<'a> Parser<'a> {
         if text.is_empty() {
             return Err(format!("expected a value at byte {start}"));
         }
+        if !text.contains(['.', 'e', 'E']) {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::U64(v));
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Json::I64(v));
+            }
+        }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Json::F64)
             .map_err(|e| format!("bad number {text:?}: {e}"))
     }
 }
@@ -314,8 +404,54 @@ mod tests {
     }
 
     #[test]
+    fn integers_stay_exact_and_as_u64_accepts_integral_floats() {
+        let doc = Json::parse("[18446744073709551615, -3, -0, 1.0, 1e3, 2.5, -1, 1e300]").unwrap();
+        let items = doc.as_array().unwrap();
+        assert_eq!(items[0], Json::U64(u64::MAX));
+        assert_eq!(items[1], Json::I64(-3));
+        let as_u64: Vec<Option<u64>> = items.iter().map(Json::as_u64).collect();
+        assert_eq!(
+            as_u64,
+            [
+                Some(u64::MAX),
+                None,
+                Some(0),
+                Some(1),
+                Some(1000),
+                None,
+                None,
+                None
+            ]
+        );
+        assert_eq!(items[1].as_f64(), Some(-3.0));
+        // Past i64's range, integer text falls back to a float.
+        assert_eq!(
+            Json::parse("-9223372036854775809").unwrap(),
+            Json::F64(-9_223_372_036_854_775_809.0)
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past).unwrap_err().contains("nesting deeper"));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .contains("nesting deeper"));
+        // An unclosed flood is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
     fn round_trips_the_trace_crates_profile_output() {
-        // The exact shape `ipcl_trace::report::profile_json` emits.
+        // The exact shape `crate::report::profile_json` emits.
         let text = "{\n  \"wall_us\": 123,\n  \"root_span_us\": 100,\n  \"dropped_events\": 0,\n  \
                     \"spans\": [\n    {\"path\": [\"solve\"], \"total_us\": 100, \"self_us\": 40, \
                     \"count\": 1}\n  ],\n  \"counters\": {\n    \"sat.conflicts\": 12\n  },\n  \

@@ -37,7 +37,10 @@
 //! [`TraceSnapshot`]; [`report`] renders it as a human-readable profile
 //! summary and as machine-readable `trace.jsonl` / `profile.json`
 //! artifacts, and parses the JSONL back for post-hoc reconstruction.
+//! [`json`] is the workspace's one JSON module: its string writer and
+//! parser serve every crate that writes or reads JSON.
 
+pub mod json;
 pub mod report;
 
 use std::borrow::Cow;

@@ -15,61 +15,14 @@
 //! post-hoc. This is what the round-trip acceptance test exercises across
 //! engine runs on concurrent threads.
 //!
-//! Everything here is hand-rolled: the workspace builds offline with no
-//! serialisation crate, so this crate carries the workspace's JSON string
-//! writer ([`write_json_string`], which every JSON-emitting crate uses) and
-//! a small (flat-object) parser.
+//! Writing and parsing go through [`crate::json`], the workspace's one
+//! JSON module.
 
+use crate::json::{write_json_string, write_json_value, Json};
 use crate::{Event, TraceSnapshot, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// JSON writing
-// ---------------------------------------------------------------------------
-
-/// Escapes `s` into `out` as a JSON string literal (with quotes). The one
-/// JSON string writer of the workspace: every crate that emits JSON uses it.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_json_value(out: &mut String, value: &Value) {
-    match value {
-        Value::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::I64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::F64(v) => {
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Bool(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::Str(v) => write_json_string(out, v),
-    }
-}
 
 fn write_event_json(out: &mut String, event: &Event) {
     out.push('{');
@@ -207,190 +160,40 @@ pub fn render_profile(snapshot: &TraceSnapshot) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// JSONL parsing (flat objects, as produced by `events_jsonl`)
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Parses a `trace.jsonl` dump (as produced by [`events_jsonl`]) back into
+/// events. Blank lines are skipped; any malformed line is an error.
+pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
+    text.lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| Json::parse(line).and_then(event_from_json))
+        .collect()
 }
 
-impl<'a> Parser<'a> {
-    fn new(line: &'a str) -> Self {
-        Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} of {:?}",
-                c as char,
-                self.pos,
-                String::from_utf8_lossy(self.bytes)
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".to_owned());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".to_owned());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                b => {
-                    // Re-sync on UTF-8 boundaries: collect the full code
-                    // point starting at `b`.
-                    let start = self.pos - 1;
-                    let width = match b {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xf0 => 4,
-                        b if b >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + width)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + width;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(Cow::Owned(self.parse_string()?))),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(_) => self.parse_number(),
-            None => Err("unexpected end of line".to_owned()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected literal {lit}"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        if text.is_empty() {
-            return Err(format!("expected number at byte {start}"));
-        }
-        if !text.contains(['.', 'e', 'E']) {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U64(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Value::I64(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Parses one `trace.jsonl` line back into an [`Event`].
-fn parse_event_line(line: &str) -> Result<Event, String> {
-    let mut p = Parser::new(line);
-    p.expect(b'{')?;
-    let mut seq = None;
-    let mut thread = None;
-    let mut t_us = None;
-    let mut kind = None;
+/// Maps one parsed `trace.jsonl` line back to its [`Event`]: the envelope
+/// members by name, every other member a field, in line order.
+fn event_from_json(line: Json) -> Result<Event, String> {
+    let Json::Obj(members) = line else {
+        return Err("event line is not an object".to_owned());
+    };
+    let (mut seq, mut thread, mut t_us, mut kind) = (None, None, None, None);
     let mut fields = Vec::new();
-    loop {
-        if p.peek() == Some(b'}') {
-            p.expect(b'}')?;
-            break;
-        }
-        let name = p.parse_string()?;
-        p.expect(b':')?;
-        let value = p.parse_value()?;
-        match (name.as_str(), &value) {
-            ("seq", Value::U64(v)) => seq = Some(*v),
-            ("thread", Value::U64(v)) => thread = Some(*v),
-            ("t_us", Value::U64(v)) => t_us = Some(*v),
-            ("kind", Value::Str(s)) => kind = Some(s.clone().into_owned()),
-            _ => fields.push((Cow::Owned(name), value)),
-        }
-        match p.peek() {
-            Some(b',') => p.expect(b',')?,
-            Some(b'}') => {}
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
+    for (name, value) in members {
+        match (name.as_str(), value) {
+            ("seq", Json::U64(v)) => seq = Some(v),
+            ("thread", Json::U64(v)) => thread = Some(v),
+            ("t_us", Json::U64(v)) => t_us = Some(v),
+            ("kind", Json::Str(s)) => kind = Some(s),
+            (_, value) => {
+                let value = match value {
+                    Json::U64(v) => Value::U64(v),
+                    Json::I64(v) => Value::I64(v),
+                    Json::F64(v) => Value::F64(v),
+                    Json::Bool(v) => Value::Bool(v),
+                    Json::Str(v) => Value::Str(Cow::Owned(v)),
+                    other => return Err(format!("field '{name}' is not a scalar: {other:?}")),
+                };
+                fields.push((Cow::Owned(name), value));
+            }
         }
     }
     Ok(Event {
@@ -400,15 +203,6 @@ fn parse_event_line(line: &str) -> Result<Event, String> {
         kind: Cow::Owned(kind.ok_or("missing kind")?),
         fields,
     })
-}
-
-/// Parses a `trace.jsonl` dump (as produced by [`events_jsonl`]) back into
-/// events. Blank lines are skipped; any malformed line is an error.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(parse_event_line)
-        .collect()
 }
 
 /// One completed span recovered from an event stream by
@@ -498,6 +292,10 @@ mod tests {
                 &[
                     ("conflicts", Value::U64(12)),
                     ("note", Value::Str("a \"q\"\n".into())),
+                    ("max", Value::U64(u64::MAX)),
+                    ("delta", Value::I64(-7)),
+                    ("rate", Value::F64(0.25)),
+                    ("forced", Value::Bool(false)),
                 ],
             );
             let _inner = tracer.span("propagate");
@@ -556,7 +354,7 @@ mod tests {
     fn parser_handles_escapes_and_numbers() {
         let line =
             r#"{"seq":1,"thread":0,"t_us":5,"kind":"x","s":"a\t\"b\"é","n":-3,"f":1.5,"b":true}"#;
-        let event = parse_event_line(line).unwrap();
+        let event = parse_jsonl(line).unwrap().remove(0);
         assert_eq!(event.field("s"), Some(&Value::Str("a\t\"b\"\u{e9}".into())));
         assert_eq!(event.field("n"), Some(&Value::I64(-3)));
         assert_eq!(event.field("f"), Some(&Value::F64(1.5)));

@@ -1,7 +1,5 @@
-//! The parsed form of a `BENCH_*.json` experiment artifact.
-//!
-//! Since the shared-header satellite of ISSUE 7, every experiment binary
-//! emits one object (`ipcl_bench::emit_bench_json`):
+//! The parsed form of a `BENCH_*.json` experiment artifact: the v1 header
+//! object every experiment binary emits (`ipcl_bench::emit_bench_json`):
 //!
 //! ```json
 //! {
@@ -12,15 +10,10 @@
 //!   "entries": [ { ... one measurement point ... }, ... ]
 //! }
 //! ```
-//!
-//! Earlier commits' artifacts were a bare JSON array of entries; those
-//! parse as `schema_version` 0 with the experiment name recovered from
-//! the entries' own `"experiment"` field, so `tracetool regress` ingests
-//! the whole history uniformly.
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use ipcl_trace::json::Json;
 
 /// One measurement point of an experiment run, split into its identity
 /// fields (strings/bools — workload, engine, mode, …) and its numeric
@@ -61,8 +54,6 @@ impl BenchEntry {
 /// One parsed `BENCH_*.json` file.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct BenchFile {
-    /// Header schema version (0 for pre-header bare-array files).
-    pub schema_version: u64,
     /// Experiment id (`bmc_depth`, `pdr_vs_kinduction`, …).
     pub experiment: String,
     /// Whether the run was a CI smoke (shrunk sweep).
@@ -77,67 +68,41 @@ fn parse_entry(value: &Json) -> Option<BenchEntry> {
     let members = value.as_object()?;
     let mut entry = BenchEntry::default();
     for (key, value) in members {
-        match value {
-            Json::Num(v) => {
-                entry.metrics.insert(key.clone(), *v);
-            }
-            Json::Str(s) if key != "experiment" => {
-                entry.fields.insert(key.clone(), s.clone());
-            }
-            Json::Bool(b) => {
-                entry.fields.insert(key.clone(), b.to_string());
-            }
-            _ => {} // arrays, nulls, nested objects, the experiment tag
+        if let Some(v) = value.as_f64() {
+            entry.metrics.insert(key.clone(), v);
+        } else if let Some(b) = value.as_bool() {
+            entry.fields.insert(key.clone(), b.to_string());
+        } else if let Some(s) = value.as_str().filter(|_| key != "experiment") {
+            entry.fields.insert(key.clone(), s.to_owned());
         }
+        // Arrays, nulls, nested objects and the experiment tag are dropped.
     }
     Some(entry)
 }
 
 impl BenchFile {
-    /// Parses a `BENCH_*.json` document — the v1 header object or a
-    /// legacy bare array.
+    /// Parses a `BENCH_*.json` document with a v1 header.
     pub fn parse(text: &str) -> Result<BenchFile, String> {
         let doc = Json::parse(text)?;
-        let (header, raw_entries) = match &doc {
-            Json::Obj(_) => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(Json::as_array)
-                    .ok_or("BENCH header without entries")?;
-                (Some(&doc), entries)
-            }
-            Json::Arr(items) => (None, items.as_slice()),
-            _ => return Err("BENCH file is neither an object nor an array".to_owned()),
-        };
-        let entries: Vec<BenchEntry> = raw_entries.iter().filter_map(parse_entry).collect();
-        let experiment = header
-            .and_then(|h| h.get("experiment"))
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .or_else(|| {
-                // Legacy files tag each entry instead.
-                raw_entries
-                    .first()
-                    .and_then(|e| e.get("experiment"))
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-            })
-            .ok_or("cannot determine the experiment id")?;
+        match doc.get("schema_version").and_then(Json::as_u64) {
+            Some(1) => {}
+            other => return Err(format!("BENCH header has schema_version {other:?}, not 1")),
+        }
         Ok(BenchFile {
-            schema_version: header
-                .and_then(|h| h.get("schema_version"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            experiment,
-            smoke: header
-                .and_then(|h| h.get("smoke"))
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            commit: header
-                .and_then(|h| h.get("commit"))
+            experiment: doc
+                .get("experiment")
                 .and_then(Json::as_str)
-                .map(str::to_owned),
-            entries,
+                .ok_or("BENCH header without experiment")?
+                .to_owned(),
+            smoke: doc.get("smoke").and_then(Json::as_bool).unwrap_or(false),
+            commit: doc.get("commit").and_then(Json::as_str).map(str::to_owned),
+            entries: doc
+                .get("entries")
+                .and_then(Json::as_array)
+                .ok_or("BENCH header without entries")?
+                .iter()
+                .filter_map(parse_entry)
+                .collect(),
         })
     }
 }
@@ -161,7 +126,6 @@ mod tests {
             }"#,
         )
         .unwrap();
-        assert_eq!(file.schema_version, 1);
         assert_eq!(file.experiment, "bmc_depth");
         assert!(file.smoke);
         assert_eq!(file.commit.as_deref(), Some("abc123"));
@@ -182,22 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_legacy_bare_arrays_as_schema_zero() {
-        let file = BenchFile::parse(
-            r#"[
-              {"experiment": "pdr_vs_kinduction", "workload": "deep-chain-16",
-               "engine": "pdr", "phase_saving": true, "ms": 77.0, "winner": "pdr"}
-            ]"#,
-        )
-        .unwrap();
-        assert_eq!(file.schema_version, 0);
-        assert_eq!(file.experiment, "pdr_vs_kinduction");
-        assert!(!file.smoke);
-        assert_eq!(file.commit, None);
-        let entry = &file.entries[0];
-        assert_eq!(
-            entry.id(&["winner".to_owned()], &[]),
-            "engine=pdr,phase_saving=true,workload=deep-chain-16"
-        );
+    fn rejects_files_without_a_v1_header() {
+        let bare = r#"[{"experiment": "pdr_vs_kinduction", "ms": 77.0}]"#;
+        assert!(BenchFile::parse(bare).is_err());
+        let v2 = r#"{"schema_version": 2, "experiment": "x", "entries": []}"#;
+        assert!(BenchFile::parse(v2).unwrap_err().contains("schema_version"));
     }
 }

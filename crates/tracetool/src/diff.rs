@@ -12,7 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::json::write_json_string;
+use ipcl_trace::json::write_json_string;
+
 use crate::profile::ProfileDoc;
 
 /// Before/after comparison of one span path.
@@ -427,7 +428,7 @@ mod tests {
         let before = doc(&[(&["a"], 100, 100, 1)], 100);
         let after = doc(&[(&["a"], 150, 150, 1)], 150);
         let diff = ProfileDiff::compute(&before, &after);
-        let doc = crate::json::Json::parse(&diff.to_json()).expect("diff JSON parses");
+        let doc = ipcl_trace::json::Json::parse(&diff.to_json()).expect("diff JSON parses");
         assert_eq!(doc.get("wall_delta_us").unwrap().as_f64(), Some(50.0));
     }
 }

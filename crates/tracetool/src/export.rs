@@ -14,31 +14,8 @@
 
 use std::fmt::Write as _;
 
+use ipcl_trace::json::{write_json_string, write_json_value};
 use ipcl_trace::{Event, TraceSnapshot, Value};
-
-use crate::json::write_json_string;
-
-fn write_value_json(out: &mut String, value: &Value) {
-    match value {
-        Value::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::I64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::F64(v) => {
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Bool(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::Str(v) => write_json_string(out, v),
-    }
-}
 
 /// One Chrome trace event line: the common envelope plus `ph`-specific
 /// fields. `args` members come from the source event's typed fields.
@@ -73,7 +50,7 @@ fn write_chrome_event(
             }
             write_json_string(out, key);
             out.push_str(": ");
-            write_value_json(out, value);
+            write_json_value(out, value);
         }
         out.push('}');
     }
@@ -186,8 +163,8 @@ pub fn folded_stacks_from_profile(doc: &crate::profile::ProfileDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use crate::profile::ProfileDoc;
+    use ipcl_trace::json::Json;
     use ipcl_trace::{TraceConfig, Tracer};
 
     fn sample_snapshot() -> TraceSnapshot {

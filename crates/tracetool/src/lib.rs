@@ -15,12 +15,12 @@
 //!
 //! The `ipcl-tracetool` binary exposes export/diff/regress on the command
 //! line; [`watch::Watcher`] is embedded by the experiment binaries'
-//! `--watch` flag.
+//! `--watch` flag. Every document is read and written with
+//! [`ipcl_trace::json`], the workspace's one JSON module.
 
 pub mod benchfile;
 pub mod diff;
 pub mod export;
-pub mod json;
 pub mod profile;
 pub mod regress;
 pub mod watch;

@@ -4,9 +4,8 @@
 
 use std::collections::BTreeMap;
 
+use ipcl_trace::json::Json;
 use ipcl_trace::TraceSnapshot;
-
-use crate::json::Json;
 
 /// One span path of a profile document.
 #[derive(Clone, PartialEq, Eq, Debug)]

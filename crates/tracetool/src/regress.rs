@@ -3,16 +3,17 @@
 //! tolerances.
 //!
 //! Entries are aligned by their identity fields ([`BenchEntry::id`]), so
-//! a sweep that adds points is fine — only entries present in **both**
-//! files are compared. A metric regresses when its relative change past
-//! the baseline is **strictly** greater than the tolerance: a metric
-//! sitting exactly on the boundary passes, which keeps the gate's
-//! behaviour exact and testable.
+//! a sweep that adds points is fine, but every baseline entry, and every
+//! checked metric of it, must reappear in the current run. A metric
+//! regresses when its relative change past the baseline is **strictly**
+//! greater than the tolerance: a metric sitting exactly on the boundary
+//! passes, which keeps the gate's behaviour exact and testable.
 
 use std::fmt::Write as _;
 
+use ipcl_trace::json::{write_json_string, Json};
+
 use crate::benchfile::{BenchEntry, BenchFile};
-use crate::json::{write_json_string, Json};
 
 /// Tolerance configuration for [`check`].
 #[derive(Clone, PartialEq, Debug)]
@@ -143,13 +144,16 @@ pub struct RegressReport {
     pub checked: usize,
     /// Baseline entry ids with no counterpart in the current run.
     pub missing: Vec<String>,
+    /// Checked baseline metrics absent from their matched current entry,
+    /// as `(entry id, metric)`.
+    pub missing_metrics: Vec<(String, String)>,
 }
 
 impl RegressReport {
     /// True when the gate passes: nothing regressed and every baseline
-    /// entry was matched.
+    /// entry and checked metric was matched.
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+        self.regressions.is_empty() && self.missing.is_empty() && self.missing_metrics.is_empty()
     }
 
     /// A human-readable summary, one line per finding.
@@ -158,12 +162,13 @@ impl RegressReport {
         let verdict = if self.passed() { "PASS" } else { "FAIL" };
         let _ = writeln!(
             out,
-            "regress {}: {} ({} checks, {} regressions, {} missing entries)",
+            "regress {}: {} ({} checks, {} regressions, {} missing entries, {} missing metrics)",
             self.experiment,
             verdict,
             self.checked,
             self.regressions.len(),
-            self.missing.len()
+            self.missing.len(),
+            self.missing_metrics.len()
         );
         for r in &self.regressions {
             let _ = writeln!(
@@ -179,6 +184,9 @@ impl RegressReport {
         }
         for entry in &self.missing {
             let _ = writeln!(out, "  MISSING baseline entry [{entry}]");
+        }
+        for (entry, metric) in &self.missing_metrics {
+            let _ = writeln!(out, "  MISSING baseline metric {metric} [{entry}]");
         }
         out
     }
@@ -217,6 +225,17 @@ impl RegressReport {
             }
             write_json_string(&mut out, entry);
         }
+        out.push_str("],\n  \"missing_metrics\": [");
+        for (i, (entry, metric)) in self.missing_metrics.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str("{\"entry\": ");
+            write_json_string(&mut out, entry);
+            out.push_str(", \"metric\": ");
+            write_json_string(&mut out, metric);
+            out.push('}');
+        }
         out.push_str("]\n}\n");
         out
     }
@@ -235,8 +254,8 @@ fn entry_with_id<'a>(
 /// Compares `current` against `baseline` under `tolerances`.
 ///
 /// Every baseline entry must reappear in the current run (extra current
-/// entries are ignored — sweeps may grow). For each shared entry, each
-/// non-ignored metric present in both regresses when
+/// entries are ignored — sweeps may grow), and so must each of its
+/// non-ignored metrics. Each such metric regresses when
 /// `(current - baseline) / baseline` is strictly greater than its
 /// tolerance; a zero baseline regresses only if the current value is
 /// positive and the tolerance is finite.
@@ -256,6 +275,7 @@ pub fn check(baseline: &BenchFile, current: &BenchFile, tolerances: &Tolerances)
                 continue;
             }
             let Some(&cur_value) = cur_entry.metrics.get(metric) else {
+                report.missing_metrics.push((id.clone(), metric.clone()));
                 continue;
             };
             report.checked += 1;
@@ -348,6 +368,36 @@ mod tests {
         assert_eq!(report.missing, vec!["w=b".to_owned()]);
         assert!(report.regressions.is_empty());
         assert!(!report.passed());
+    }
+
+    #[test]
+    fn missing_metrics_fail_unless_ignored() {
+        let baseline = bench(r#"[{"w": "a", "ms": 10, "clauses": 5}]"#);
+        let current = bench(r#"[{"w": "a", "ms": 10, "conflicts": 3}]"#);
+        let report = check(&baseline, &current, &Tolerances::default());
+        assert_eq!(
+            report.missing_metrics,
+            vec![("w=a".to_owned(), "clauses".to_owned())]
+        );
+        assert_eq!(report.checked, 1);
+        assert!(!report.passed());
+        assert!(report
+            .render()
+            .contains("MISSING baseline metric clauses [w=a]"));
+        let json = Json::parse(&report.to_json()).expect("valid JSON");
+        assert_eq!(
+            json.get("missing_metrics")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .len(),
+            1
+        );
+        let tolerances = Tolerances {
+            ignore_metrics: vec!["clauses".to_owned()],
+            ..Tolerances::default()
+        };
+        assert!(check(&baseline, &current, &tolerances).passed());
     }
 
     #[test]

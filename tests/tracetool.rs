@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 
 use ipcl::pdr::deep::deep_pipeline;
 use ipcl::pdr::{check_portfolio, check_property_pdr, PdrOptions, PortfolioWinner};
+use ipcl::trace::json::Json;
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
-use ipcl::tracetool::json::Json;
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
 use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 
