@@ -7,10 +7,10 @@
 //! per cycle; the compiled engine executes one levelized straight-line
 //! pass over packed `u64` words and advances 64 scenarios at a time.
 //!
-//! Three design families, matching where the lane fuzzer actually runs:
+//! Three design families, matching where the lane fuzzer runs:
 //!
-//! * `interlock` — the paper's registered interlock controller (a design
-//!   `ipcl-serve`'s batch stage fuzzes before dispatching SAT);
+//! * `interlock` — the paper's registered interlock controller (the
+//!   design the `synthesize_interlock` example fuzzes);
 //! * `deep_chain` — the deep wait-state chains of `ipcl_pdr::deep`, swept
 //!   over `depth` (the id metric); long levelized register chains are the
 //!   compiled engine's best case and the family the headline claim is

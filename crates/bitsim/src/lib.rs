@@ -21,9 +21,9 @@
 //!
 //! **Oracle discipline.** The interpreter stays authoritative: the lane
 //! fuzzer (`ipcl_bmc::fuzz`) extracts each violating lane into a standard
-//! counterexample, and its library caller (the serve batch pre-solver)
-//! replays it gate-by-gate through [`ipcl_rtl::Simulator`] before
-//! reporting anything. The differential test suite
+//! counterexample, which a caller replays gate-by-gate through
+//! [`ipcl_rtl::Simulator`] before trusting it (the workspace's fuzz test,
+//! `tests/shared_unrolling.rs`, does). The differential test suite
 //! (`tests/differential.rs`) additionally asserts bit-identical per-cycle
 //! values across all 64 lanes on random netlists and the full
 //! bug-injection matrix.

@@ -21,8 +21,8 @@
 //! its base case finds shallow bugs with a minimal trace. PDR checks the
 //! properties one after another. Every strategy runs on the caller's
 //! thread. No strategy runs a random sweep first: a sweep decides no
-//! verdict the engines do not, and the lane fuzzer ([`ipcl_bmc::fuzz`]) is
-//! left to callers that batch many jobs, like `ipcl-serve`.
+//! verdict the engines do not. The lane fuzzer ([`ipcl_bmc::fuzz`]) stays
+//! a library function for callers that want a quick, unsound smoke signal.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;

@@ -77,9 +77,9 @@ pub fn cache_key(
     sha256_hex(preimage.as_bytes())
 }
 
-/// Re-checks a stored outcome against the *submitted* problem. Only
-/// definitive verdicts are servable from cache; inconclusive entries are
-/// never stored in the first place.
+/// Re-checks a stored outcome against the *submitted* problem. Only a
+/// proof with its certificate and a falsification with its trace are
+/// servable, and [`ProofCache::store`] keeps nothing else.
 pub fn revalidate(
     outcome: &JobOutcome,
     spec: &FunctionalSpec,
@@ -218,9 +218,17 @@ impl ProofCache {
     }
 
     /// Stores `outcome` under `key` (memory and, when configured, disk).
-    /// Only definitive verdicts are worth storing; others are ignored.
+    /// Only outcomes [`revalidate`] can accept are stored: a proof with its
+    /// certificate, a falsification with its trace. Anything else (an
+    /// inconclusive verdict, a k-induction proof) is ignored, since it
+    /// could never be served.
     pub fn store(&self, key: &str, outcome: &JobOutcome) {
-        if !matches!(outcome.verdict, Verdict::Proved | Verdict::Falsified) {
+        let servable = match outcome.verdict {
+            Verdict::Proved => outcome.certificate.is_some(),
+            Verdict::Falsified => outcome.counterexample.is_some(),
+            _ => false,
+        };
+        if !servable {
             return;
         }
         // Stored entries never carry the served-from-cache flag.
@@ -358,17 +366,22 @@ mod tests {
     #[test]
     fn only_definitive_outcomes_are_stored() {
         let cache = ProofCache::new(None);
-        let unknown = JobOutcome {
-            property: "p".to_owned(),
-            verdict: Verdict::Unknown,
-            detail: String::new(),
-            cached: false,
-            certificate: None,
-            counterexample: None,
-        };
-        cache.store("k", &unknown);
-        assert!(cache.load("k").is_none());
-        assert!(cache.is_empty());
+        // An inconclusive verdict, a proof without a certificate (every
+        // k-induction proof) and a falsification without a trace:
+        // `revalidate` rejects each, so none may take a slot.
+        for verdict in [Verdict::Unknown, Verdict::Proved, Verdict::Falsified] {
+            let unservable = JobOutcome {
+                property: "p".to_owned(),
+                verdict,
+                detail: String::new(),
+                cached: false,
+                certificate: None,
+                counterexample: None,
+            };
+            cache.store("k", &unservable);
+            assert!(cache.load("k").is_none(), "{verdict:?}");
+            assert!(cache.is_empty(), "{verdict:?}");
+        }
     }
 
     fn falsified(detail: &str) -> JobOutcome {

@@ -76,7 +76,8 @@ impl Client {
             .ok_or_else(|| "submit response misses 'id'".to_owned())
     }
 
-    /// Submits a batch; returns `(ids, presolved count)`.
+    /// Submits a batch; returns `(ids, presolved count)`, where the count is
+    /// the jobs the server answered from its cache at submit.
     pub fn submit_batch(&mut self, jobs: &[JobRequest]) -> Result<(Vec<u64>, u64), String> {
         let rendered: Vec<String> = jobs.iter().map(JobRequest::to_json_string).collect();
         let line = format!(

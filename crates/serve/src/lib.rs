@@ -18,14 +18,12 @@
 //!   certificate checker ([`ipcl_pdr::Certificate::validate`]),
 //!   falsifications by replaying the stored trace through the simulator —
 //!   so the digest only ever decides where to look, never what to trust;
-//! * [`batch`] — a batch endpoint that groups submitted properties by
-//!   shared cone of influence and settles the cheap verdicts (cache hits,
-//!   bounded falsifications) on one shared encoding before anything
-//!   reaches the worker pool;
 //! * [`queue`] / [`pool`] — the job table with per-job cancellation tokens
 //!   wired into the engines' cooperative-cancellation machinery, so client
 //!   cancels and graceful shutdown interrupt in-flight solves at SAT-query
-//!   boundaries;
+//!   boundaries. The workers' [`process_job`] decides every job; a
+//!   `submit_batch` only answers its cache hits at submit time, through
+//!   the same revalidated lookup;
 //! * [`client`] — the thin blocking client the `ipcl-serve` binary's
 //!   `submit` / `status` modes and the `exp_serve_load` benchmark use.
 //!
@@ -62,7 +60,6 @@
 //! server.shutdown();
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod pool;
@@ -70,7 +67,6 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use batch::{presolve_batch, solve_batch_inline, BatchResolution};
 pub use cache::{cache_key, revalidate, CacheLimits, CacheStats, ProofCache};
 pub use client::Client;
 pub use pool::{process_job, WorkerPool};

@@ -7,8 +7,8 @@
 //! engine. On a miss the worker runs
 //! [`ipcl_checker::check_property_job`] with the job's cancellation token,
 //! so client `cancel` requests and server shutdown interrupt the solve at
-//! the next SAT-query boundary, then stores any definitive verdict back
-//! into the cache.
+//! the next SAT-query boundary, then stores any servable outcome back
+//! into the cache. Every solve the server runs happens here.
 //!
 //! Observability: workers emit rate-limited `heartbeat` events with
 //! `engine: "serve"` (queue depth, running/done counts, cache hit/miss
@@ -20,6 +20,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use ipcl_bmc::SequentialProperty;
 use ipcl_checker::check_property_job;
 use ipcl_trace::{set_worker, Heartbeat, MetricSink, Tracer, Value};
 
@@ -103,8 +104,8 @@ fn beat(tracer: &Tracer, heartbeat: &mut Heartbeat, queue: &JobQueue, cache: &Pr
 }
 
 /// Decides one job: cache hit (revalidated) or a fresh engine run. Public
-/// so the batch pre-solver and in-process tests share the exact code path
-/// the workers use.
+/// so in-process tests and benchmarks run the exact code path the workers
+/// use.
 pub fn process_job(
     request: &JobRequest,
     cancel: &AtomicBool,
@@ -116,24 +117,8 @@ pub fn process_job(
         Err(message) => return JobOutcome::error("", message),
     };
     let key = cache_key(&request.spec, &request.netlist, &property);
-
-    if let Some(stored) = cache.load(&key) {
-        if stored.property == property.name
-            && revalidate(&stored, &request.spec, &request.netlist, &property)
-        {
-            cache.record_hit();
-            tracer.counter("serve.cache.hits", 1);
-            tracer.event(
-                "serve.cache_hit",
-                &[("verdict", Value::from(stored.verdict.name()))],
-            );
-            let mut served = stored;
-            served.cached = true;
-            return served;
-        }
-        cache.record_revalidation_failure();
-        tracer.counter("serve.cache.revalidation_failures", 1);
-        tracer.event("serve.cache_revalidation_failed", &[]);
+    if let Some(served) = cached_outcome(request, &property, &key, cache, tracer) {
+        return served;
     }
     cache.record_miss();
     tracer.counter("serve.cache.misses", 1);
@@ -156,6 +141,38 @@ pub fn process_job(
     };
     cache.store(&key, &outcome);
     outcome
+}
+
+/// The entry stored under `key`, served as a hit if it survives
+/// revalidation against `request`; an entry that fails is counted and
+/// ignored. Workers call it through [`process_job`], and `submit_batch`
+/// calls it to answer hits at submit time.
+pub(crate) fn cached_outcome(
+    request: &JobRequest,
+    property: &SequentialProperty,
+    key: &str,
+    cache: &ProofCache,
+    tracer: &Tracer,
+) -> Option<JobOutcome> {
+    let stored = cache.load(key)?;
+    if stored.property == property.name
+        && revalidate(&stored, &request.spec, &request.netlist, property)
+    {
+        cache.record_hit();
+        tracer.counter("serve.cache.hits", 1);
+        tracer.event(
+            "serve.cache_hit",
+            &[("verdict", Value::from(stored.verdict.name()))],
+        );
+        return Some(JobOutcome {
+            cached: true,
+            ..stored
+        });
+    }
+    cache.record_revalidation_failure();
+    tracer.counter("serve.cache.revalidation_failures", 1);
+    tracer.event("serve.cache_revalidation_failed", &[]);
+    None
 }
 
 #[cfg(test)]
@@ -209,6 +226,25 @@ mod tests {
         assert_eq!(warm_as_cold.to_json_string(), cold.to_json_string());
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn certificate_less_proofs_are_not_cached() {
+        let cache = ProofCache::new(None);
+        let tracer = Tracer::disabled();
+        let cancel = AtomicBool::new(false);
+        let job = JobRequest {
+            strategy: ProofStrategy::KInduction,
+            ..correct_job(0)
+        };
+        for _ in 0..2 {
+            let outcome = process_job(&job, &cancel, &cache, &tracer);
+            assert_eq!(outcome.verdict, Verdict::Proved);
+            assert!(!outcome.cached && outcome.certificate.is_none());
+        }
+        assert!(cache.is_empty(), "an unservable proof takes no slot");
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().revalidation_failures, 0);
     }
 
     #[test]

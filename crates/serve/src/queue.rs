@@ -112,8 +112,8 @@ impl JobQueue {
         id
     }
 
-    /// Records an already-finished job (the batch pre-solver's fast path);
-    /// returns its id.
+    /// Records an already-finished job (a `submit_batch` job answered from
+    /// the cache); returns its id.
     pub fn submit_resolved(&self, request: Arc<JobRequest>, outcome: JobOutcome) -> u64 {
         let mut state = self.state.lock().expect("queue lock");
         let id = state.next_id;

@@ -10,9 +10,9 @@
 //! Request vocabulary (`{"cmd": ...}`):
 //!
 //! * `submit` — enqueue one job, answer `{"ok": true, "id": N}`;
-//! * `submit_batch` — pre-solve shared-cone jobs on this connection
-//!   ([`crate::batch`]), enqueue the rest, answer ids plus the pre-solved
-//!   count;
+//! * `submit_batch` — answer each job the cache holds at once, enqueue
+//!   the rest as `submit` would, answer the ids plus the count of cached
+//!   jobs (`presolved`);
 //! * `status` — job state and, when done, the result;
 //! * `wait` — block until the job finishes, answer the result;
 //! * `cancel` — flag a job's cancellation token;
@@ -32,9 +32,8 @@ use std::time::Duration;
 use ipcl_trace::json::{write_json_string, Json};
 use ipcl_trace::{Tracer, Value};
 
-use crate::batch::presolve_batch;
-use crate::cache::{CacheLimits, ProofCache};
-use crate::pool::WorkerPool;
+use crate::cache::{cache_key, CacheLimits, ProofCache};
+use crate::pool::{cached_outcome, WorkerPool};
 use crate::protocol::JobRequest;
 use crate::queue::{JobQueue, JobState};
 
@@ -49,8 +48,6 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
     /// LRU size bounds of the proof cache (default: unbounded).
     pub cache_limits: CacheLimits,
-    /// Frame bound of the shared batch falsification sweep.
-    pub batch_depth: usize,
 }
 
 impl Default for ServerConfig {
@@ -60,7 +57,6 @@ impl Default for ServerConfig {
             workers: 2,
             cache_dir: None,
             cache_limits: CacheLimits::default(),
-            batch_depth: 5,
         }
     }
 }
@@ -108,7 +104,6 @@ impl Server {
             let shutdown = Arc::clone(&shutdown);
             let connections = Arc::clone(&connections);
             let tracer = tracer.clone();
-            let batch_depth = config.batch_depth;
             std::thread::Builder::new()
                 .name("ipcl-serve-accept".to_owned())
                 .spawn(move || {
@@ -124,14 +119,7 @@ impl Server {
                         let handle = std::thread::Builder::new()
                             .name("ipcl-serve-conn".to_owned())
                             .spawn(move || {
-                                handle_connection(
-                                    stream,
-                                    &queue,
-                                    &cache,
-                                    &shutdown,
-                                    batch_depth,
-                                    &tracer,
-                                );
+                                handle_connection(stream, &queue, &cache, &shutdown, &tracer);
                             })
                             .expect("spawn connection thread");
                         connections.lock().expect("connections lock").push(handle);
@@ -210,7 +198,6 @@ fn handle_connection(
     queue: &JobQueue,
     cache: &ProofCache,
     shutdown: &AtomicBool,
-    batch_depth: usize,
     tracer: &Tracer,
 ) {
     // Short read timeouts keep the handler responsive to shutdown; no
@@ -258,7 +245,7 @@ fn handle_connection(
                 line.clear();
                 continue;
             }
-            Ok(text) => respond(text.trim(), queue, cache, shutdown, batch_depth, tracer),
+            Ok(text) => respond(text.trim(), queue, cache, shutdown, tracer),
             Err(e) => error_response(&format!("bad request: {e}")),
         };
         line.clear();
@@ -286,7 +273,6 @@ fn respond(
     queue: &JobQueue,
     cache: &ProofCache,
     shutdown: &AtomicBool,
-    batch_depth: usize,
     tracer: &Tracer,
 ) -> String {
     let request = match Json::parse(line) {
@@ -318,16 +304,24 @@ fn respond(
                     Err(message) => return error_response(&format!("job {i}: {message}")),
                 }
             }
-            let resolution = presolve_batch(&parsed, batch_depth, cache, tracer);
-            let presolved = resolution.resolved.len();
-            let mut ids = vec![0u64; parsed.len()];
-            for (index, outcome) in resolution.resolved {
-                ids[index] = queue.submit_resolved(Arc::clone(&parsed[index]), outcome);
+            // A job the cache holds is answered now, through the workers'
+            // own revalidated lookup; every other job is queued.
+            let mut presolved = 0;
+            let mut rendered = Vec::with_capacity(parsed.len());
+            for job in parsed {
+                let hit = job.resolve_property().ok().and_then(|property| {
+                    let key = cache_key(&job.spec, &job.netlist, &property);
+                    cached_outcome(&job, &property, &key, cache, tracer)
+                });
+                let id = match hit {
+                    Some(outcome) => {
+                        presolved += 1;
+                        queue.submit_resolved(job, outcome)
+                    }
+                    None => queue.submit(job),
+                };
+                rendered.push(id.to_string());
             }
-            for index in resolution.unresolved {
-                ids[index] = queue.submit(Arc::clone(&parsed[index]));
-            }
-            let rendered: Vec<String> = ids.iter().map(u64::to_string).collect();
             format!(
                 "{{\"ok\": true, \"ids\": [{}], \"presolved\": {presolved}}}",
                 rendered.join(", ")

@@ -1,9 +1,10 @@
 //! End-to-end service tests over real TCP: certificates served from the
 //! cache must re-validate against the submitted payload, falsification
 //! hits must replay through the simulator, the cache must survive a server
-//! restart, portfolio jobs (the wire default) must answer like a direct
-//! check, cancellation/stats/shutdown must behave, and request lines must
-//! survive read timeouts but not grow without bound.
+//! restart, a batch must answer like its jobs sent alone, portfolio jobs
+//! (the wire default) must answer like a direct check,
+//! cancellation/stats/shutdown must behave, and request lines must survive
+//! read timeouts but not grow without bound.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -154,6 +155,54 @@ fn served_falsification_hit_replays_through_the_simulator() {
         replay.violation_reproduced,
         "served trace does not reproduce the violation"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_batch_answers_like_its_jobs_alone_and_serves_its_hits_at_submit() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+
+    // Every stage of the broken design, one correct job and one job whose
+    // stage index is out of range.
+    let stages = ExampleArch::new().functional_spec().stages().len();
+    let batch: Vec<JobRequest> = (0..stages)
+        .map(broken_job)
+        .chain([correct_job(0), broken_job(stages)])
+        .collect();
+    let alone: Vec<String> = batch
+        .iter()
+        .map(|job| {
+            let cache = ProofCache::new(None);
+            process_job(job, &AtomicBool::new(false), &cache, &Tracer::disabled()).to_json_string()
+        })
+        .collect();
+
+    let (ids, presolved) = client.submit_batch(&batch).expect("cold batch");
+    assert_eq!(presolved, 0, "a fresh server has nothing cached");
+    let cold: Vec<JobOutcome> = ids
+        .iter()
+        .map(|&id| client.wait(id).expect("wait"))
+        .collect();
+    for (served, expected) in cold.iter().zip(&alone) {
+        assert_eq!(&served.to_json_string(), expected);
+    }
+    assert_eq!(cold[stages + 1].verdict, Verdict::Error);
+
+    // Asked again, every servable answer comes from the cache at submit.
+    let servable =
+        |outcome: &JobOutcome| outcome.certificate.is_some() || outcome.counterexample.is_some();
+    let (ids, presolved) = client.submit_batch(&batch).expect("warm batch");
+    assert_eq!(
+        presolved,
+        cold.iter().filter(|o| servable(o)).count() as u64
+    );
+    for ((&id, first), expected) in ids.iter().zip(&cold).zip(&alone) {
+        let mut warm = client.wait(id).expect("wait");
+        assert_eq!(warm.cached, servable(first), "{}", first.property);
+        warm.cached = false;
+        assert_eq!(&warm.to_json_string(), expected);
+    }
     server.shutdown();
 }
 

@@ -97,7 +97,7 @@ fn assert_shared_matches_alone(
 
 /// The option sets every design is checked under: both quiet-cycle
 /// disciplines, with and without induction (`induction: false` is the
-/// base-only sweep `ipcl-serve` runs on a batch).
+/// base-only bounded model check that E9's depth sweep runs).
 fn option_sets(max_depth: usize) -> Vec<BmcOptions> {
     let mut sets = Vec::new();
     for quiet_cycles in [0, 1] {
