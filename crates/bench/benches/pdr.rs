@@ -3,14 +3,15 @@
 //! Two regimes: on registered interlocks both engines prove quickly and the
 //! bench compares their constant factors; on the deep wait-state chains
 //! k-induction runs to its bound without an answer while PDR's cost is the
-//! discovery of the chain lemmas — the gap the portfolio checker closes by
-//! running PDR on what k-induction leaves open.
+//! discovery of the chain lemmas — the gap the checker's portfolio
+//! strategy closes by running PDR on what k-induction leaves open.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_portfolio, check_property_pdr, PdrOptions};
+use ipcl_pdr::{check_property_pdr, PdrOptions};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
 
@@ -60,19 +61,23 @@ fn bench_registered_example(c: &mut Criterion) {
             assert!(result.outcome.is_proved());
         })
     });
+    let portfolio = SequentialOptions {
+        strategy: ProofStrategy::Portfolio,
+        bmc: BmcOptions::with_depth(8),
+        ..Default::default()
+    };
     group.bench_function("portfolio", |b| {
         b.iter(|| {
-            let result = check_portfolio(
+            let (result, _) = check_property_job(
                 &spec,
                 synthesized.netlist(),
-                properties,
-                &BmcOptions::with_depth(8),
-                &PdrOptions::default(),
+                &property,
+                &portfolio,
                 None,
                 &Tracer::disabled(),
             )
             .unwrap();
-            assert!(result[0].is_proved());
+            assert!(result.outcome.is_proved());
         })
     });
     group.finish();

@@ -29,9 +29,10 @@ use ipcl_bench::{emit_bench_json, median_ms, TraceArgs};
 use ipcl_bmc::{
     check_properties, BmcOptions, BmcOutcome, Latency, PropertyKind, SequentialProperty,
 };
+use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_core::{ArchSpec, FunctionalSpec};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_portfolio, check_property_pdr, PdrOptions, PdrOutcome, PortfolioWinner};
+use ipcl_pdr::{check_property_pdr, PdrOptions, PdrOutcome};
 use ipcl_rtl::Netlist;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
@@ -203,7 +204,7 @@ fn main() {
                     );
                 };
                 assert!(
-                    result.validation.expect("validation requested").ok(),
+                    result.validation.expect("every proof is validated").ok(),
                     "{}: certificate failed validation",
                     workload.name
                 );
@@ -241,37 +242,37 @@ fn main() {
         }
 
         // ---- Portfolio (default phase saving): the verdict must match the
-        // stronger engine's, and the deep chains must be decided by PDR.
-        let bmc_options = BmcOptions {
-            max_depth: workload.k_bound,
+        // stronger engine's, and the deep chains must be decided by PDR,
+        // which is what a certificate in the answer says.
+        let options = SequentialOptions {
+            strategy: ProofStrategy::Portfolio,
+            bmc: BmcOptions {
+                max_depth: workload.k_bound,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let start = Instant::now();
-        let result = check_portfolio(
+        let (result, certificate) = check_property_job(
             &workload.spec,
             &workload.netlist,
-            properties,
-            &bmc_options,
-            &PdrOptions::default(),
+            &workload.property,
+            &options,
             None,
             trace.tracer(),
         )
-        .expect("netlist elaborates")
-        .remove(0);
+        .expect("netlist elaborates");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(
-            result.is_proved(),
+            result.outcome.is_proved(),
             "{}: the portfolio must prove every correct workload",
             workload.name
         );
-        if !workload.k_inductive {
-            assert_eq!(
-                result.winner,
-                Some(PortfolioWinner::Pdr),
-                "{}: only PDR can prove a deep chain",
-                workload.name
-            );
-        }
+        assert!(
+            workload.k_inductive || certificate.is_some(),
+            "{}: only PDR can prove a deep chain",
+            workload.name
+        );
         entries.push(format!(
             concat!(
                 "  {{\"experiment\": \"pdr_vs_kinduction\", \"workload\": \"{}\", ",
@@ -279,10 +280,10 @@ fn main() {
                 "\"winner\": \"{}\", \"ms\": {:.3}}}"
             ),
             workload.name,
-            match result.winner {
-                Some(PortfolioWinner::Bmc) => "kinduction",
-                Some(PortfolioWinner::Pdr) => "pdr",
-                None => "none",
+            if certificate.is_some() {
+                "pdr"
+            } else {
+                "kinduction"
             },
             ms,
         ));

@@ -85,7 +85,7 @@ fn run_deep_pdr(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
                 result.outcome
             );
         };
-        assert!(result.validation.expect("validation requested").ok());
+        assert!(result.validation.expect("every proof is validated").ok());
         detail = format!(
             "\"solve_calls\": {}, \"obligations\": {}, \"conflicts\": {}, \"propagations\": {}",
             result.stats.solve_calls,

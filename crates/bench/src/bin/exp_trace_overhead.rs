@@ -19,15 +19,17 @@
 //!   under `portfolio.check`.
 //!
 //! Emits a `BENCH_*.json` document with both timings and the derived
-//! overhead ratio. `--trace <dir>` / `--profile` emit the portfolio run's
-//! artifacts.
+//! overhead ratio before any gate asserts, so a failed gate still leaves
+//! the document behind. `--trace <dir>` / `--profile` emit the portfolio
+//! run's artifacts.
 
 use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, TraceArgs};
 use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_portfolio, check_property_pdr, PdrOptions};
+use ipcl_pdr::{check_property_pdr, PdrOptions};
 use ipcl_trace::{report, TraceConfig, Tracer};
 
 const CHAIN_DEPTH: usize = 16;
@@ -40,8 +42,12 @@ fn main() {
     let (spec, netlist) = deep_pipeline(CHAIN_DEPTH);
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
-    let bmc_options = BmcOptions {
-        max_depth: CHAIN_DEPTH.saturating_sub(3),
+    let portfolio_options = SequentialOptions {
+        strategy: ProofStrategy::Portfolio,
+        bmc: BmcOptions {
+            max_depth: CHAIN_DEPTH.saturating_sub(3),
+            ..Default::default()
+        },
         ..Default::default()
     };
     let pdr_options = PdrOptions::default();
@@ -73,32 +79,30 @@ fn main() {
     }
     let overhead = enabled_ms / disabled_ms.max(1e-9) - 1.0;
 
-    // ---- Fidelity gates on one fully traced portfolio run.
+    // ---- Fidelity: one fully traced portfolio run.
     let tracer = Tracer::new(TraceConfig::enabled());
     let portfolio_start = Instant::now();
-    let result = check_portfolio(
+    let (result, _) = check_property_job(
         &spec,
         &netlist,
-        std::slice::from_ref(&property),
-        &bmc_options,
-        &pdr_options,
+        &property,
+        &portfolio_options,
         None,
         &tracer,
     )
-    .expect("netlist elaborates")
-    .remove(0);
+    .expect("netlist elaborates");
     let portfolio_ms = portfolio_start.elapsed().as_secs_f64() * 1e3;
     assert!(
-        result.is_proved(),
-        "deep-chain-{CHAIN_DEPTH} must be proved, got winner {:?}",
-        result.winner
+        result.outcome.is_proved(),
+        "deep-chain-{CHAIN_DEPTH} must be proved, got {:?}",
+        result.outcome
     );
     let snapshot = tracer
         .snapshot()
         .expect("enabled tracer must produce a snapshot");
 
-    // Span coverage: the root span, portfolio.check, must account for
-    // >= 95% of the traced wall-clock.
+    // Span coverage: the share of the traced wall-clock under the root
+    // span, portfolio.check.
     let portfolio_us = snapshot
         .spans
         .iter()
@@ -107,38 +111,6 @@ fn main() {
         .expect("the portfolio span is recorded");
     let wall_us = snapshot.wall_us.max(1);
     let coverage = portfolio_us as f64 / wall_us as f64;
-    assert!(
-        coverage >= 0.95,
-        "span tree covers {:.1}% of traced wall time, need >= 95%",
-        coverage * 100.0
-    );
-
-    // Round-trip: serialised JSONL parses back to the identical events and
-    // the span events reconstruct into a well-nested per-thread tree.
-    let jsonl = report::events_jsonl(&snapshot);
-    let parsed = report::parse_jsonl(&jsonl).expect("trace.jsonl parses");
-    assert_eq!(
-        parsed, snapshot.events,
-        "trace.jsonl must round-trip through the parser"
-    );
-    let reconstructed = report::reconstruct_spans(&parsed).expect("span events nest correctly");
-    assert!(
-        reconstructed
-            .iter()
-            .any(|s| s.path == ["portfolio.check", "pdr.check", "pdr.propagate"]),
-        "the reconstructed tree must contain the engine's nested spans"
-    );
-
-    // ---- Overhead gate. One smoke iteration cannot out-vote scheduler
-    // jitter on a sub-100ms run, so the gate only arms on the full run.
-    if !smoke {
-        assert!(
-            overhead < 0.05,
-            "tracing overhead {:.2}% exceeds the 5% budget \
-             (disabled {disabled_ms:.2} ms, enabled {enabled_ms:.2} ms)",
-            overhead * 100.0
-        );
-    }
 
     let entries = vec![format!(
         concat!(
@@ -181,5 +153,38 @@ fn main() {
         if trace.profile {
             eprint!("{}", report::render_profile(&snapshot));
         }
+    }
+
+    // ---- Fidelity gates: the span tree covers >= 95% of the traced
+    // wall-clock, serialised JSONL parses back to the identical events,
+    // and the span events reconstruct into a well-nested per-thread tree.
+    assert!(
+        coverage >= 0.95,
+        "span tree covers {:.1}% of traced wall time, need >= 95%",
+        coverage * 100.0
+    );
+    let jsonl = report::events_jsonl(&snapshot);
+    let parsed = report::parse_jsonl(&jsonl).expect("trace.jsonl parses");
+    assert_eq!(
+        parsed, snapshot.events,
+        "trace.jsonl must round-trip through the parser"
+    );
+    let reconstructed = report::reconstruct_spans(&parsed).expect("span events nest correctly");
+    assert!(
+        reconstructed
+            .iter()
+            .any(|s| s.path == ["portfolio.check", "pdr.check", "pdr.propagate"]),
+        "the reconstructed tree must contain the engine's nested spans"
+    );
+
+    // ---- Overhead gate. One smoke iteration cannot out-vote scheduler
+    // jitter on a sub-100ms run, so the gate only arms on the full run.
+    if !smoke {
+        assert!(
+            overhead < 0.05,
+            "tracing overhead {:.2}% exceeds the 5% budget \
+             (disabled {disabled_ms:.2} ms, enabled {enabled_ms:.2} ms)",
+            overhead * 100.0
+        );
     }
 }

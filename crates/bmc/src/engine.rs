@@ -73,7 +73,8 @@ impl From<RtlError> for BmcError {
 /// Knobs of one BMC / k-induction run.
 #[derive(Clone, Copy, Debug)]
 pub struct BmcOptions {
-    /// Maximum unroll depth (frames − 1). `Engine::Bmc { k }` maps here.
+    /// Maximum unroll depth (frames − 1): the `k` of k-induction.
+    /// [`BmcOptions::with_depth`] sets it.
     pub max_depth: usize,
     /// Number of leading frames whose inputs are forced to zero. The
     /// post-reset environment of an interlocked pipeline is quiet (the

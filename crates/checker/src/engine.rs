@@ -14,27 +14,10 @@ pub enum Engine {
     /// Conflict-driven clause learning SAT (`ipcl-sat`). Usually faster on
     /// large, irregular formulas.
     Sat,
-    /// SAT-based bounded model checking with k-induction (`ipcl-bmc`), the
-    /// default sequential engine of
-    /// [`crate::sequential::check_netlist_sequential`]. `k` bounds the
-    /// unroll depth. On purely combinational validity queries this engine
-    /// degenerates to [`Engine::Sat`] (a one-frame unrolling).
-    Bmc {
-        /// Maximum number of time frames to unroll.
-        k: usize,
-    },
-    /// IC3/property-directed reachability (`ipcl-pdr`): unbounded sequential
-    /// proofs with certified inductive invariants — no unrolling depth to
-    /// choose. On combinational queries this degenerates to [`Engine::Sat`].
-    Pdr,
-    /// The portfolio checker (`ipcl-pdr`): k-induction over every property,
-    /// then a PDR proof of each property it leaves open. The most robust
-    /// sequential choice when it is unknown whether the design is buggy.
-    Portfolio,
 }
 
 impl Engine {
-    /// The combinational engines, for ablation experiments.
+    /// Both engines, for ablation experiments.
     pub const ALL: [Engine; 2] = [Engine::Bdd, Engine::Sat];
 
     /// Short name used in experiment output.
@@ -42,9 +25,6 @@ impl Engine {
         match self {
             Engine::Bdd => "bdd",
             Engine::Sat => "sat",
-            Engine::Bmc { .. } => "bmc",
-            Engine::Pdr => "pdr",
-            Engine::Portfolio => "portfolio",
         }
     }
 }
@@ -85,10 +65,9 @@ pub fn check_validity(formula: &Expr, engine: Engine) -> CheckOutcome {
                 Some(model) => CheckOutcome::CounterExample(model),
             }
         }
-        // A combinational query is a one-frame BMC/PDR problem: answer it
-        // with the plain SAT path (Plaisted–Greenbaum encoding of the
-        // negation — the refutation only ever asserts the root positively).
-        Engine::Sat | Engine::Bmc { .. } | Engine::Pdr | Engine::Portfolio => {
+        // Plaisted–Greenbaum encoding of the negation: the refutation only
+        // ever asserts the root positively.
+        Engine::Sat => {
             let negated = Expr::not(formula.clone());
             let mut encoder = TseitinEncoder::new();
             encoder.assert_expr(&negated);

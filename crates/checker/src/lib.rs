@@ -7,17 +7,18 @@
 //!
 //! * [`engine`] answers validity / implication / equivalence queries over
 //!   specification expressions, with either the BDD package (`ipcl-bdd`) or
-//!   the CDCL SAT solver (`ipcl-sat`) as a backend;
+//!   the CDCL SAT solver (`ipcl-sat`) as a backend ([`Engine`]);
 //! * [`implementation`] checks a concrete interlock implementation — given as
 //!   closed-form `moe` expressions or as an `ipcl-rtl` netlist — against the
 //!   functional, performance and combined specifications, producing
 //!   counterexample assignments (unnecessary-stall or missed-stall
 //!   witnesses);
-//! * [`sequential`] decides the properties over input sequences — by
-//!   k-induction, PDR, or k-induction then PDR on what it leaves open —
-//!   proves every stall escapable and checks the reset values of
-//!   registered implementations; every trace it reports replays through
-//!   the interpreted simulator.
+//! * [`sequential`] decides the properties over input sequences with the
+//!   [`ProofStrategy`] the caller picks — k-induction (`ipcl-bmc`), PDR
+//!   (`ipcl-pdr`), or the portfolio, which this crate runs itself:
+//!   k-induction, then PDR on what it leaves open — proves every stall
+//!   escapable and checks the reset values of registered implementations;
+//!   every trace it reports replays through the interpreted simulator.
 //!
 //! # Example
 //!
@@ -52,8 +53,7 @@ pub use ipcl_bmc::{
     SequentialProperty, StallEscapeReport,
 };
 pub use ipcl_pdr::{
-    Certificate, CertificateCheck, PdrOptions, PdrOutcome, PdrResult, PortfolioResult,
-    PortfolioWinner, StateLiteral,
+    Certificate, CertificateCheck, PdrOptions, PdrOutcome, PdrResult, StateLiteral,
 };
 // Observability vocabulary, so callers can configure tracing on
 // `SequentialOptions` and consume the snapshot without naming `ipcl-trace`.

@@ -25,7 +25,7 @@
 //! a library function for callers that want a quick, unsound smoke signal.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use ipcl_bmc::{
     check_properties, check_stall_escape_traced, BmcError, BmcOptions, BmcOutcome, BmcResult,
@@ -34,14 +34,9 @@ use ipcl_bmc::{
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Assignment;
-use ipcl_pdr::{
-    check_portfolio, check_property_pdr, Certificate, PdrOptions, PdrOutcome, PdrResult,
-    PortfolioWinner,
-};
+use ipcl_pdr::{check_property_pdr, Certificate, PdrOptions, PdrOutcome, PdrResult};
 use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
-
-use crate::engine::Engine;
 
 /// Result of a reset-value check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,10 +106,11 @@ pub enum ProofStrategy {
     /// Ignores [`BmcOptions::quiet_cycles`] (see the enum docs).
     Pdr,
     /// k-induction over the whole property list, then PDR on each
-    /// property it leaves open ([`ipcl_pdr::check_portfolio`]).
-    /// k-induction runs with `quiet_cycles = 0` (see the enum docs), so
-    /// the verdicts are PDR's, and a falsification within
-    /// [`BmcOptions::max_depth`] comes with k-induction's minimal trace.
+    /// property it leaves open, in list order. k-induction runs with
+    /// `quiet_cycles = 0` (see the enum docs), so the verdicts are PDR's,
+    /// and a falsification within [`BmcOptions::max_depth`] comes with
+    /// k-induction's minimal trace. Only the properties PDR decided carry
+    /// a certificate.
     Portfolio,
 }
 
@@ -129,8 +125,8 @@ pub struct SequentialOptions {
     /// and the CDCL heuristics via [`BmcOptions::solver`] — phase saving,
     /// reduction base, restart unit).
     pub bmc: BmcOptions,
-    /// PDR knobs (frame budget, generalisation, certificate validation,
-    /// and the CDCL heuristics via [`PdrOptions::solver`]).
+    /// PDR knobs (frame budget and the CDCL heuristics via
+    /// [`PdrOptions::solver`]).
     pub pdr: PdrOptions,
     /// Ignored: every strategy runs on the caller's thread. Kept for
     /// source compatibility with callers that set it.
@@ -169,27 +165,6 @@ impl Default for SequentialOptions {
             deadlock: true,
             escape_cycles: 2,
             trace: TraceConfig::disabled(),
-        }
-    }
-}
-
-impl From<Engine> for SequentialOptions {
-    /// Maps an [`Engine`] selection onto sequential options:
-    /// [`Engine::Bmc`]'s `k` becomes the k-induction depth bound,
-    /// [`Engine::Pdr`] / [`Engine::Portfolio`] select the matching
-    /// [`ProofStrategy`], and the combinational engines get the k-induction
-    /// default.
-    fn from(engine: Engine) -> Self {
-        let (strategy, bmc) = match engine {
-            Engine::Bmc { k } => (ProofStrategy::KInduction, BmcOptions::with_depth(k)),
-            Engine::Pdr => (ProofStrategy::Pdr, BmcOptions::default()),
-            Engine::Portfolio => (ProofStrategy::Portfolio, BmcOptions::default()),
-            Engine::Bdd | Engine::Sat => (ProofStrategy::KInduction, BmcOptions::default()),
-        };
-        SequentialOptions {
-            strategy,
-            bmc,
-            ..Default::default()
         }
     }
 }
@@ -258,9 +233,13 @@ impl SequentialReport {
 pub fn check_netlist_sequential(
     spec: &FunctionalSpec,
     netlist: &Netlist,
-    engine: Engine,
+    strategy: ProofStrategy,
 ) -> Result<SequentialReport, BmcError> {
-    check_netlist_sequential_with(spec, netlist, &SequentialOptions::from(engine))
+    let options = SequentialOptions {
+        strategy,
+        ..Default::default()
+    };
+    check_netlist_sequential_with(spec, netlist, &options)
 }
 
 /// As [`check_netlist_sequential`], with explicit options.
@@ -380,7 +359,15 @@ pub fn check_property_job(
 /// Decides `properties` with the configured [`ProofStrategy`], in order,
 /// on the caller's thread: one [`ipcl_bmc::check_properties`] run under
 /// k-induction, one [`ipcl_pdr::check_property_pdr`] run per property
-/// under PDR, one [`ipcl_pdr::check_portfolio`] run under the portfolio.
+/// under PDR.
+///
+/// The portfolio runs k-induction over the whole list at
+/// `quiet_cycles: 0`, then PDR on each property it left unknown, unless
+/// `cancel` is set by then; a property neither engine decides keeps
+/// k-induction's unknown. It is traced under one `portfolio.check` span
+/// around the engines' own spans, with a start `heartbeat` and a
+/// `portfolio_verdict` event per property naming the engine that decided
+/// it (`winner`: `bmc`, `pdr` or `none`).
 fn check_with_strategy(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -389,6 +376,9 @@ fn check_with_strategy(
     cancel: Option<&AtomicBool>,
     tracer: &Tracer,
 ) -> Result<Vec<(BmcResult, Option<Certificate>)>, BmcError> {
+    let run_pdr = |property: &SequentialProperty| {
+        check_property_pdr(spec, netlist, property, &options.pdr, cancel, tracer)
+    };
     Ok(match options.strategy {
         ProofStrategy::KInduction => {
             check_properties(spec, netlist, properties, &options.bmc, cancel, tracer)?
@@ -398,26 +388,60 @@ fn check_with_strategy(
         }
         ProofStrategy::Pdr => properties
             .iter()
-            .map(|p| check_property_pdr(spec, netlist, p, &options.pdr, cancel, tracer))
-            .map(|result| result.map(fold_pdr_result))
+            .map(|property| run_pdr(property).map(fold_pdr_result))
             .collect::<Result<_, _>>()?,
-        ProofStrategy::Portfolio => check_portfolio(
-            spec,
-            netlist,
-            properties,
-            &options.bmc,
-            &options.pdr,
-            cancel,
-            tracer,
-        )?
-        .into_iter()
-        .map(|result| match (result.winner, result.pdr) {
-            (Some(PortfolioWinner::Pdr), Some(pdr)) => fold_pdr_result(pdr),
-            // k-induction decided — or neither engine did, in which case
-            // its result carries the deepest bound checked.
-            _ => (result.bmc, None),
-        })
-        .collect(),
+        ProofStrategy::Portfolio => {
+            let _span = tracer.span("portfolio.check");
+            // Announce the run on the live-progress feed; the engines' own
+            // `heartbeat` events (engine = "bmc" / "pdr" / "sat") take over.
+            tracer.event(
+                "heartbeat",
+                &[
+                    ("engine", Value::from("portfolio")),
+                    ("properties", Value::U64(properties.len() as u64)),
+                ],
+            );
+            let bmc = BmcOptions {
+                quiet_cycles: 0,
+                ..options.bmc
+            };
+            let mut checked = Vec::with_capacity(properties.len());
+            for result in check_properties(spec, netlist, properties, &bmc, cancel, tracer)? {
+                let (winner, (result, certificate)) = match result.outcome {
+                    BmcOutcome::Unknown { .. }
+                        if !cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) =>
+                    {
+                        let pdr = run_pdr(&result.property)?;
+                        if matches!(pdr.outcome, PdrOutcome::Unknown { .. }) {
+                            ("none", (result, None))
+                        } else {
+                            ("pdr", fold_pdr_result(pdr))
+                        }
+                    }
+                    BmcOutcome::Unknown { .. } => ("none", (result, None)),
+                    _ => ("bmc", (result, None)),
+                };
+                if tracer.is_enabled() {
+                    let verdict = if result.outcome.is_proved() {
+                        "proved"
+                    } else if result.outcome.is_falsified() {
+                        "falsified"
+                    } else {
+                        "unknown"
+                    };
+                    tracer.event(
+                        "portfolio_verdict",
+                        &[
+                            ("property", Value::from(result.property.name.clone())),
+                            ("winner", Value::from(winner)),
+                            ("verdict", Value::from(verdict)),
+                        ],
+                    );
+                }
+                checked.push((result, certificate));
+            }
+            checked
+        }
     })
 }
 
@@ -490,6 +514,14 @@ mod tests {
     use ipcl_core::example::ExampleArch;
     use ipcl_synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
 
+    /// k-induction with depth bound `k`, every other option at its default.
+    fn with_depth(k: usize) -> SequentialOptions {
+        SequentialOptions {
+            bmc: BmcOptions::with_depth(k),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn correct_reset_values_pass() {
         let spec = ExampleArch::new().functional_spec();
@@ -541,8 +573,7 @@ mod tests {
         // Combinational synthesis: proved at combinational latency.
         let combinational = synthesize_interlock(&spec);
         let report =
-            check_netlist_sequential(&spec, combinational.netlist(), crate::Engine::Bmc { k: 6 })
-                .unwrap();
+            check_netlist_sequential_with(&spec, combinational.netlist(), &with_depth(6)).unwrap();
         assert_eq!(report.latency, Latency::Combinational);
         assert!(report.proved(), "{:?}", report.results);
         assert!(!report.falsified());
@@ -558,8 +589,7 @@ mod tests {
             },
         );
         let report =
-            check_netlist_sequential(&spec, registered.netlist(), crate::Engine::Bmc { k: 6 })
-                .unwrap();
+            check_netlist_sequential_with(&spec, registered.netlist(), &with_depth(6)).unwrap();
         assert_eq!(report.latency, Latency::Registered);
         assert!(report.proved(), "{:?}", report.results);
     }
@@ -579,7 +609,7 @@ mod tests {
         // the cycle it occurs in.
         let options = SequentialOptions {
             latency: Some(Latency::Combinational),
-            ..SequentialOptions::from(crate::Engine::Bmc { k: 4 })
+            ..with_depth(4)
         };
         let report = check_netlist_sequential_with(&spec, buggy.netlist(), &options).unwrap();
         assert!(report.falsified());
@@ -606,7 +636,7 @@ mod tests {
             },
         );
         let report =
-            check_netlist_sequential(&spec, registered.netlist(), crate::Engine::Pdr).unwrap();
+            check_netlist_sequential(&spec, registered.netlist(), ProofStrategy::Pdr).unwrap();
         assert_eq!(report.latency, Latency::Registered);
         assert!(report.proved(), "{:?}", report.results);
         // Every proved property carries a certificate (independently
@@ -633,7 +663,8 @@ mod tests {
         );
         let options = SequentialOptions {
             latency: Some(Latency::Combinational),
-            ..SequentialOptions::from(crate::Engine::Portfolio)
+            strategy: ProofStrategy::Portfolio,
+            ..Default::default()
         };
         let report = check_netlist_sequential_with(&spec, buggy.netlist(), &options).unwrap();
         // Replayability is asserted inside check_netlist_sequential_with for
@@ -646,7 +677,7 @@ mod tests {
     fn sequential_check_rejects_netlists_without_moe_outputs() {
         let spec = ExampleArch::new().functional_spec();
         let empty = Netlist::new("empty");
-        let err = check_netlist_sequential(&spec, &empty, crate::Engine::default()).unwrap_err();
+        let err = check_netlist_sequential(&spec, &empty, ProofStrategy::default()).unwrap_err();
         assert!(matches!(err, BmcError::MissingSignals(ref names) if names.len() == 6));
     }
 }

@@ -36,9 +36,9 @@
 //!
 //! Unlike the BMC base case, PDR has no quiet-cycle discipline: it decides
 //! the property *unconditionally* — over every input sequence from reset —
-//! which is also what the k-induction step case assumes; the portfolio
-//! runs k-induction with `quiet_cycles = 0`, so both engines decide the
-//! same property there.
+//! which is also what the k-induction step case assumes; the checker's
+//! portfolio strategy runs k-induction with `quiet_cycles = 0`, so both
+//! engines decide the same property there.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -61,14 +61,6 @@ pub struct PdrOptions {
     /// are small, so running out of frames indicates a diverging
     /// abstraction rather than a hard problem.
     pub max_frames: usize,
-    /// Generalise blocked cubes (the default): cut each to its
-    /// consecution query's UNSAT core, then drop literals by SAT checks.
-    /// `false` blocks the full state cube — kept for the ablation
-    /// benchmark.
-    pub generalize: bool,
-    /// Re-validate the certificate of every proof with independent SAT
-    /// checks (the default; see [`Certificate::validate`]).
-    pub validate_certificate: bool,
     /// Heuristic configuration of the CDCL solver: phase saving, the
     /// learned-clause reduction base and the Luby restart unit (see
     /// [`ipcl_sat::SolverConfig`]). PDR leans hardest on the incremental
@@ -81,8 +73,6 @@ impl Default for PdrOptions {
     fn default() -> Self {
         PdrOptions {
             max_frames: 64,
-            generalize: true,
-            validate_certificate: true,
             solver: SolverConfig::default(),
         }
     }
@@ -140,9 +130,7 @@ pub enum PdrOutcome {
     /// The property holds on every cycle; the certificate is the inductive
     /// invariant that proves it.
     Proved {
-        /// The invariant (validated iff
-        /// [`PdrOptions::validate_certificate`]; see
-        /// [`PdrResult::validation`]).
+        /// The invariant (see [`PdrResult::validation`]).
         certificate: Certificate,
         /// The frame at which the trailing sequence closed.
         fixpoint_frame: usize,
@@ -193,7 +181,7 @@ pub struct PdrResult {
     /// The verdict.
     pub outcome: PdrOutcome,
     /// The independent certificate validation (`Some` exactly when the
-    /// outcome is a proof and validation was requested).
+    /// outcome is a proof).
     pub validation: Option<CertificateCheck>,
     /// Search statistics.
     pub stats: PdrStats,
@@ -219,11 +207,13 @@ enum BlockOutcome {
     Cancelled,
 }
 
-/// The encoder, writing into its incremental solver, plus the trailing
-/// frame sequence of one PDR search: everything needed to answer frame
-/// queries (consecution, generalisation, propagation, certificates).
-struct FrameCtx<'n> {
-    enc: FrameEncoder<'n, Solver>,
+/// One PDR search: the encoder, writing into its incremental solver, and
+/// the trailing frame sequence over it.
+struct Pdr<'a> {
+    spec: &'a FunctionalSpec,
+    property: &'a SequentialProperty,
+    max_frames: usize,
+    enc: FrameEncoder<'a, Solver>,
     /// The registers (state variables), in [`Netlist::registers`] order.
     regs: Vec<SignalId>,
     /// Reset value per register.
@@ -242,26 +232,24 @@ struct FrameCtx<'n> {
     /// Delta-encoded frame clauses: `frame_cubes[k]` holds the cubes whose
     /// negations are stored at frame `k`.
     frame_cubes: Vec<Vec<Cube>>,
-    /// SAT queries issued through this context.
-    solve_calls: u64,
-    /// Frame clauses committed (before propagation dedup).
-    clauses: usize,
-    /// Literals removed from blocked cubes (see
-    /// [`PdrStats::generalization_drops`]).
-    generalization_drops: u64,
+    stats: PdrStats,
     tracer: Tracer,
+    /// Live-progress beats (rate-limited), checked per obligation pop and
+    /// per frame open — a deep proof reports its frontier while running.
+    heartbeat: Heartbeat,
 }
 
-impl<'n> FrameCtx<'n> {
+impl<'a> Pdr<'a> {
     fn new(
-        netlist: &'n Netlist,
-        binding: &'n Binding,
-        property: &SequentialProperty,
-        solver_config: SolverConfig,
+        spec: &'a FunctionalSpec,
+        netlist: &'a Netlist,
+        binding: &'a Binding,
+        property: &'a SequentialProperty,
+        options: &PdrOptions,
         tracer: &Tracer,
-    ) -> Result<FrameCtx<'n>, BmcError> {
+    ) -> Result<Self, BmcError> {
         let _encode = tracer.span("pdr.encode");
-        let mut solver = Solver::with_config(0, solver_config);
+        let mut solver = Solver::with_config(0, options.solver);
         solver.set_tracer(tracer.clone());
         let mut enc = FrameEncoder::new(netlist, binding, InitialState::Free, 0, solver)?;
         // Two frames: the transition `s → s'` and (for registered latency)
@@ -289,7 +277,10 @@ impl<'n> FrameCtx<'n> {
         }
 
         let placeholder = act_init; // never assumed via `act[0]`
-        Ok(FrameCtx {
+        Ok(Pdr {
+            spec,
+            property,
+            max_frames: options.max_frames,
             enc,
             regs,
             reg_init,
@@ -299,10 +290,9 @@ impl<'n> FrameCtx<'n> {
             act_init,
             act: vec![placeholder],
             frame_cubes: vec![Vec::new()],
-            solve_calls: 0,
-            clauses: 0,
-            generalization_drops: 0,
+            stats: PdrStats::default(),
             tracer: tracer.clone(),
+            heartbeat: Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS),
         })
     }
 
@@ -323,13 +313,9 @@ impl<'n> FrameCtx<'n> {
         self.enc.sink()
     }
 
-    fn solver_mut(&mut self) -> &mut Solver {
-        self.enc.sink_mut()
-    }
-
     fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_calls += 1;
-        self.solver_mut().solve_under_assumptions(assumptions)
+        self.stats.solve_calls += 1;
+        self.enc.sink_mut().solve_under_assumptions(assumptions)
     }
 
     /// Assumptions activating the clauses of `F_k`.
@@ -383,7 +369,7 @@ impl<'n> FrameCtx<'n> {
         );
         self.enc.unroller_mut().add_clause(&clause);
         self.frame_cubes[k].push(cube);
-        self.clauses += 1;
+        self.stats.clauses += 1;
     }
 
     /// The relative-induction query `F_{k-1} ∧ ¬cube ∧ T ∧ cube'`.
@@ -447,7 +433,7 @@ impl<'n> FrameCtx<'n> {
                 continue; // initiation would break
             }
             if let Ok(cut) = self.consecution(&candidate, k) {
-                self.generalization_drops += (current.len() - cut.len()) as u64;
+                self.stats.generalization_drops += (current.len() - cut.len()) as u64;
                 current = cut;
             }
         }
@@ -468,78 +454,34 @@ impl<'n> FrameCtx<'n> {
     /// above `k` (delta encoding: that conjunction *is* `F_{k+1} = F_k`).
     /// The same cube can be blocked at several frames above the fixpoint,
     /// so the clause list is deduplicated for the certificate.
-    fn certificate(&self, property_name: &str, fixpoint: usize) -> Certificate {
+    fn certificate(&self, fixpoint: usize) -> Certificate {
         let mut cubes: Vec<&Cube> = self.frame_cubes[fixpoint + 1..].iter().flatten().collect();
         cubes.sort();
         cubes.dedup();
+        let netlist = self.enc.unroller().netlist();
         let clauses = cubes
             .into_iter()
             .map(|cube| {
                 cube.iter()
                     .map(|&(index, value)| StateLiteral {
-                        register: self
-                            .enc
-                            .unroller()
-                            .netlist()
-                            .signal(self.regs[index])
-                            .name
-                            .clone(),
+                        register: netlist.signal(self.regs[index]).name.clone(),
                         positive: !value,
                     })
                     .collect()
             })
             .collect();
         Certificate {
-            property: property_name.to_owned(),
+            property: self.property.name.clone(),
             clauses,
         }
     }
 
     /// Decodes the property window (frames `0..=offset`) of a bad-state
     /// model.
-    fn window(
-        &self,
-        spec: &FunctionalSpec,
-        property: &SequentialProperty,
-        model: &[bool],
-    ) -> Vec<BTreeMap<String, bool>> {
-        (0..=property.latency.offset())
-            .map(|frame| self.enc.decode_frame(spec, model, frame))
+    fn window(&self, model: &[bool]) -> Vec<BTreeMap<String, bool>> {
+        (0..=self.property.latency.offset())
+            .map(|frame| self.enc.decode_frame(self.spec, model, frame))
             .collect()
-    }
-}
-
-struct Pdr<'a> {
-    spec: &'a FunctionalSpec,
-    property: &'a SequentialProperty,
-    options: PdrOptions,
-    ctx: FrameCtx<'a>,
-    stats: PdrStats,
-    tracer: Tracer,
-    /// Live-progress beats (rate-limited), checked per obligation pop and
-    /// per frame open — a deep proof reports its frontier while running.
-    heartbeat: Heartbeat,
-}
-
-impl<'a> Pdr<'a> {
-    fn new(
-        spec: &'a FunctionalSpec,
-        netlist: &'a Netlist,
-        binding: &'a Binding,
-        property: &'a SequentialProperty,
-        options: PdrOptions,
-        tracer: &Tracer,
-    ) -> Result<Self, BmcError> {
-        let ctx = FrameCtx::new(netlist, binding, property, options.solver, tracer)?;
-        Ok(Pdr {
-            spec,
-            property,
-            options,
-            ctx,
-            stats: PdrStats::default(),
-            tracer: tracer.clone(),
-            heartbeat: Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS),
-        })
     }
 
     /// Blocks the bad cube at the top frame, recursively discharging the
@@ -551,7 +493,7 @@ impl<'a> Pdr<'a> {
         window: Vec<BTreeMap<String, bool>>,
         cancel: Option<&AtomicBool>,
     ) -> BlockOutcome {
-        let top = self.ctx.top();
+        let top = self.top();
         let mut arena: Vec<Obligation> = vec![Obligation {
             cube: root,
             parent: None,
@@ -574,7 +516,7 @@ impl<'a> Pdr<'a> {
                 return BlockOutcome::Counterexample(self.trace(&arena, index, None, &window));
             }
             let cube = arena[index].cube.clone();
-            if self.ctx.is_blocked(&cube, k) {
+            if self.is_blocked(&cube, k) {
                 // Already excluded from F_k by a stronger clause; keep
                 // pushing the obligation towards the top frame.
                 if k < top {
@@ -583,24 +525,20 @@ impl<'a> Pdr<'a> {
                 }
                 continue;
             }
-            match self.ctx.consecution(&cube, k) {
+            match self.consecution(&cube, k) {
                 Ok(cut) => {
-                    let lemma = if self.options.generalize {
-                        self.ctx.generalization_drops += (cube.len() - cut.len()) as u64;
-                        self.ctx.generalize(cut, k)
-                    } else {
-                        cube
-                    };
-                    self.ctx.add_frame_clause(lemma, k);
+                    self.stats.generalization_drops += (cube.len() - cut.len()) as u64;
+                    let lemma = self.generalize(cut, k);
+                    self.add_frame_clause(lemma, k);
                     if k < top {
                         queue.push(Reverse((k + 1, index)));
                         self.note_push(k + 1, queue.len());
                     }
                 }
                 Err(model) => {
-                    let predecessor = self.ctx.state_cube(&model);
-                    let step_inputs = self.ctx.enc.decode_frame(self.spec, &model, 0);
-                    if self.ctx.intersects_init(&predecessor) {
+                    let predecessor = self.state_cube(&model);
+                    let step_inputs = self.enc.decode_frame(self.spec, &model, 0);
+                    if self.intersects_init(&predecessor) {
                         // The predecessor is the reset state: the obligation
                         // chain is a concrete trace.
                         return BlockOutcome::Counterexample(self.trace(
@@ -624,7 +562,6 @@ impl<'a> Pdr<'a> {
         }
         BlockOutcome::Blocked
     }
-
     /// Records an obligation entering the queue at `frame`, with the
     /// queue length right after the push.
     fn note_push(&mut self, frame: usize, queue_len: usize) {
@@ -671,10 +608,10 @@ impl<'a> Pdr<'a> {
             &[
                 ("engine", Value::from("pdr")),
                 ("frame", Value::U64(frame as u64)),
-                ("top_frame", Value::U64(self.ctx.top() as u64)),
+                ("top_frame", Value::U64(self.top() as u64)),
                 ("queue", Value::U64(queue_len as u64)),
                 ("obligations", Value::U64(self.stats.obligations)),
-                ("clauses", Value::U64(self.ctx.clauses as u64)),
+                ("clauses", Value::U64(self.stats.clauses as u64)),
             ],
         );
     }
@@ -710,20 +647,20 @@ impl<'a> Pdr<'a> {
     /// Returns the fixpoint frame if two adjacent frames became equal.
     fn propagate(&mut self) -> Option<usize> {
         let _span = self.tracer.span("pdr.propagate");
-        let top = self.ctx.top();
+        let top = self.top();
         for k in 1..top {
-            let cubes = std::mem::take(&mut self.ctx.frame_cubes[k]);
+            let cubes = std::mem::take(&mut self.frame_cubes[k]);
             for cube in cubes {
                 // F_k ∧ T ∧ cube' unsatisfiable ⇒ ¬cube also holds at k+1.
-                let mut assumptions = self.ctx.frame_assumptions(k);
-                assumptions.extend(cube.iter().map(|&entry| self.ctx.cube_lit(entry, true)));
-                if self.ctx.solve(&assumptions) == SatResult::Unsat {
-                    self.ctx.add_frame_clause(cube, k + 1);
+                let mut assumptions = self.frame_assumptions(k);
+                assumptions.extend(cube.iter().map(|&entry| self.cube_lit(entry, true)));
+                if self.solve(&assumptions) == SatResult::Unsat {
+                    self.add_frame_clause(cube, k + 1);
                 } else {
-                    self.ctx.frame_cubes[k].push(cube);
+                    self.frame_cubes[k].push(cube);
                 }
             }
-            if self.ctx.frame_cubes[k].is_empty() {
+            if self.frame_cubes[k].is_empty() {
                 // F_k = F_{k+1}: the trailing sequence closed.
                 return Some(k);
             }
@@ -734,9 +671,9 @@ impl<'a> Pdr<'a> {
     fn run(&mut self, cancel: Option<&AtomicBool>) -> PdrOutcome {
         // Stateless netlist: the single (empty) state is initial, so the
         // property is equivalent to the one-window combinational query.
-        if self.ctx.regs.is_empty() {
-            let bad = self.ctx.bad;
-            return match self.ctx.solve(&[bad]) {
+        if self.regs.is_empty() {
+            let bad = self.bad;
+            return match self.solve(&[bad]) {
                 SatResult::Unsat => PdrOutcome::Proved {
                     certificate: Certificate {
                         property: self.property.name.clone(),
@@ -745,7 +682,7 @@ impl<'a> Pdr<'a> {
                     fixpoint_frame: 0,
                 },
                 SatResult::Sat(model) => {
-                    let frames = self.ctx.window(self.spec, self.property, &model);
+                    let frames = self.window(&model);
                     PdrOutcome::Falsified(Counterexample {
                         property: self.property.name.clone(),
                         violation_frame: frames.len() - 1,
@@ -755,24 +692,24 @@ impl<'a> Pdr<'a> {
             };
         }
 
-        self.ctx.push_frame(); // F_1
+        self.push_frame(); // F_1
         loop {
             if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
                 return PdrOutcome::Unknown {
-                    frames_explored: self.ctx.top(),
+                    frames_explored: self.top(),
                 };
             }
             // Block every bad state reachable within the current bound.
             loop {
-                let top = self.ctx.top();
-                let mut assumptions = self.ctx.frame_assumptions(top);
-                assumptions.push(self.ctx.bad);
-                match self.ctx.solve(&assumptions) {
+                let top = self.top();
+                let mut assumptions = self.frame_assumptions(top);
+                assumptions.push(self.bad);
+                match self.solve(&assumptions) {
                     SatResult::Unsat => break,
                     SatResult::Sat(model) => {
-                        let cube = self.ctx.state_cube(&model);
-                        let window = self.ctx.window(self.spec, self.property, &model);
-                        if self.ctx.intersects_init(&cube) {
+                        let cube = self.state_cube(&model);
+                        let window = self.window(&model);
+                        if self.intersects_init(&cube) {
                             // The reset state itself violates the property.
                             return PdrOutcome::Falsified(Counterexample {
                                 property: self.property.name.clone(),
@@ -785,24 +722,24 @@ impl<'a> Pdr<'a> {
                             BlockOutcome::Counterexample(cex) => return PdrOutcome::Falsified(cex),
                             BlockOutcome::Cancelled => {
                                 return PdrOutcome::Unknown {
-                                    frames_explored: self.ctx.top(),
+                                    frames_explored: self.top(),
                                 }
                             }
                         }
                     }
                 }
             }
-            if self.ctx.top() >= self.options.max_frames {
+            if self.top() >= self.max_frames {
                 return PdrOutcome::Unknown {
-                    frames_explored: self.ctx.top(),
+                    frames_explored: self.top(),
                 };
             }
-            self.ctx.push_frame();
-            let top = self.ctx.top();
+            self.push_frame();
+            let top = self.top();
             self.emit_heartbeat(top, 0);
             if let Some(fixpoint) = self.propagate() {
                 return PdrOutcome::Proved {
-                    certificate: self.ctx.certificate(&self.property.name, fixpoint),
+                    certificate: self.certificate(fixpoint),
                     fixpoint_frame: fixpoint,
                 };
             }
@@ -854,10 +791,9 @@ fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
 /// Checks one sequential property on `netlist` against `spec` with IC3/PDR.
 ///
 /// See the module docs for the algorithm. A [`PdrOutcome::Proved`] verdict
-/// carries an explicit inductive-invariant [`Certificate`]; with
-/// [`PdrOptions::validate_certificate`] (the default) the certificate has
-/// been re-validated by independent SAT checks and the verdicts are in
-/// [`PdrResult::validation`]. A [`PdrOutcome::Falsified`] trace replays
+/// carries an explicit inductive-invariant [`Certificate`], re-validated
+/// by independent SAT checks ([`Certificate::validate`]); the verdicts are
+/// in [`PdrResult::validation`]. A [`PdrOutcome::Falsified`] trace replays
 /// through [`ipcl_rtl::Simulator`] (callers assert this, as with BMC). The
 /// run polls `cancel` between queries and returns [`PdrOutcome::Unknown`]
 /// as soon as it is set.
@@ -889,26 +825,23 @@ pub fn check_property_pdr(
         return Err(BmcError::MissingSignals(missing));
     }
 
-    let mut pdr = Pdr::new(spec, netlist, &binding, property, *options, tracer)?;
+    let mut pdr = Pdr::new(spec, netlist, &binding, property, options, tracer)?;
     let outcome = pdr.run(cancel);
     let mut stats = pdr.stats.clone();
-    stats.frames = pdr.ctx.top();
-    stats.clauses = pdr.ctx.clauses;
-    stats.solve_calls = pdr.ctx.solve_calls;
-    stats.generalization_drops = pdr.ctx.generalization_drops;
-    stats.conflicts = pdr.ctx.solver().stats().conflicts;
-    stats.propagations = pdr.ctx.solver().stats().propagations;
+    stats.frames = pdr.top();
+    stats.conflicts = pdr.solver().stats().conflicts;
+    stats.propagations = pdr.solver().stats().propagations;
     if tracer.is_enabled() {
         stats.emit(tracer, "pdr");
-        pdr.ctx.solver().stats().emit(tracer, "sat");
-        let u = pdr.ctx.enc.unroller().stats();
+        pdr.solver().stats().emit(tracer, "sat");
+        let u = pdr.enc.unroller().stats();
         tracer.counter("unroll.pdr.frames", u.frames);
         tracer.counter("unroll.pdr.gates", u.gates);
         tracer.counter("unroll.pdr.cache_hits", u.cache_hits);
     }
 
-    let validation = match (&outcome, options.validate_certificate) {
-        (PdrOutcome::Proved { certificate, .. }, true) => {
+    let validation = match &outcome {
+        PdrOutcome::Proved { certificate, .. } => {
             let _validate = tracer.span("pdr.validate");
             Some(certificate.validate(spec, netlist, property)?)
         }

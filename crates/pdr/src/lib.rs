@@ -1,6 +1,5 @@
 //! IC3 / property-directed reachability for sequential interlock
-//! verification, with certified inductive invariants and a BMC/PDR
-//! portfolio checker.
+//! verification, with certified inductive invariants.
 //!
 //! The k-induction engine of `ipcl-bmc` proves a property only when some
 //! small unrolling depth makes it inductive. Deep wait-state interactions —
@@ -18,14 +17,12 @@
 //!   invariant as clauses over the netlist's registers — which
 //!   [`Certificate::validate`] re-checks with independent initiation,
 //!   consecution and safety SAT queries, so a "proved" verdict is
-//!   self-auditing rather than trusted;
-//! * [`check_portfolio`] runs k-induction over a whole property list, then
-//!   PDR on each property it leaves open, on the caller's thread: bugs
-//!   within the depth bound get BMC's minimal counterexamples, and what
-//!   k-induction cannot prove gets an unbounded, certified PDR proof.
+//!   self-auditing rather than trusted.
 //!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`
-//! with `Engine::Pdr` or `Engine::Portfolio`.
+//! with `ProofStrategy::Pdr`, or `ProofStrategy::Portfolio`, which runs
+//! k-induction over the whole property list and then this engine on each
+//! property it leaves open.
 //!
 //! # Example
 //!
@@ -53,11 +50,9 @@
 pub mod certificate;
 pub mod deep;
 pub mod engine;
-pub mod portfolio;
 
 pub use certificate::{Certificate, CertificateCheck, StateLiteral};
 pub use engine::{check_property_pdr, PdrOptions, PdrOutcome, PdrResult, PdrStats};
-pub use portfolio::{check_portfolio, PortfolioResult, PortfolioWinner};
 
 // Re-exported so callers can name the shared vocabulary without a direct
 // `ipcl-bmc` dependency.
@@ -232,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn generalization_ablation_agrees_and_drops_literals() {
+    fn generalization_drops_literals() {
         let (spec, netlist) = deep_pipeline(7);
         let property = SequentialProperty::for_stage(
             &spec,
@@ -240,101 +235,9 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let with = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
-        let without = run_pdr(
-            &spec,
-            &netlist,
-            &property,
-            &PdrOptions {
-                generalize: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(with.outcome.is_proved());
-        assert!(without.outcome.is_proved());
-        assert!(with.stats.generalization_drops > 0);
-        assert_eq!(without.stats.generalization_drops, 0);
-    }
-
-    #[test]
-    fn portfolio_returns_bmc_trace_on_buggy_and_pdr_proof_on_deep() {
-        let spec = spec();
-        let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
-        let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
-        let results = check_portfolio(
-            &spec,
-            broken.netlist(),
-            &properties,
-            &BmcOptions::default(),
-            &PdrOptions::default(),
-            None,
-            &Tracer::disabled(),
-        )
-        .unwrap();
-        let mut falsified = 0;
-        for result in &results {
-            if let Some(cex) = result.counterexample() {
-                falsified += 1;
-                // Within the depth bound, the trace is k-induction's.
-                assert_eq!(result.winner, Some(PortfolioWinner::Bmc));
-                let replay = cex
-                    .replay(&spec, broken.netlist(), &result.property)
-                    .unwrap();
-                assert!(replay.violation_reproduced, "{}", cex.render());
-            } else {
-                assert!(result.is_proved(), "{}: no verdict", result.property.name);
-            }
-        }
-        assert!(falsified > 0);
-
-        // On the deep chain only PDR can prove: the portfolio must return
-        // its certificate after k-induction gives up.
-        let (deep_spec, deep_netlist) = deep_pipeline(12);
-        let property = SequentialProperty::for_stage(
-            &deep_spec,
-            0,
-            PropertyKind::Performance,
-            Latency::Combinational,
-        );
-        let result = check_portfolio(
-            &deep_spec,
-            &deep_netlist,
-            std::slice::from_ref(&property),
-            &BmcOptions::with_depth(6),
-            &PdrOptions::default(),
-            None,
-            &Tracer::disabled(),
-        )
-        .unwrap()
-        .remove(0);
-        assert!(matches!(result.bmc.outcome, BmcOutcome::Unknown { .. }));
-        assert_eq!(result.winner, Some(PortfolioWinner::Pdr));
-        assert!(result.is_proved());
-        assert!(!result.certificate().unwrap().is_trivial());
-    }
-
-    #[test]
-    fn a_cancelled_portfolio_starts_no_pdr_run() {
-        let (spec, netlist) = deep_pipeline(12);
-        let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
-        let cancel = std::sync::atomic::AtomicBool::new(true);
-        let results = check_portfolio(
-            &spec,
-            &netlist,
-            &properties,
-            &BmcOptions::with_depth(6),
-            &PdrOptions::default(),
-            Some(&cancel),
-            &Tracer::disabled(),
-        )
-        .unwrap();
-        assert_eq!(results.len(), properties.len());
-        for result in results {
-            assert!(result.pdr.is_none(), "{}", result.property.name);
-            assert_eq!(result.winner, None);
-            assert!(matches!(result.bmc.outcome, BmcOutcome::Unknown { .. }));
-        }
+        let result = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
+        assert!(result.outcome.is_proved());
+        assert!(result.stats.generalization_drops > 0);
     }
 
     #[test]

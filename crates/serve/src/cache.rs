@@ -15,9 +15,9 @@
 //! initiation/consecution/safety SAT checks, a falsified entry must replay
 //! its trace through the cycle-accurate simulator and reproduce the
 //! violation. An entry that fails revalidation (hash collision, stale
-//! store, renamed registers outside the interface) is treated as a miss and
-//! overwritten by the fresh result, so a corrupted cache can cost time but
-//! never soundness.
+//! store, renamed registers outside the interface) is dropped, from memory
+//! and disk, and the lookup is a miss; the fresh result takes its slot, so
+//! a corrupted cache can cost time but never soundness.
 //!
 //! [`Certificate::validate`]: ipcl_pdr::Certificate::validate
 //!
@@ -268,12 +268,25 @@ impl ProofCache {
             else {
                 break;
             };
-            let entry = store.entries.remove(&victim).expect("victim resident");
-            store.bytes -= entry.text.len();
-            if let Some(dir) = &self.dir {
-                let _ = fs::remove_file(dir.join(format!("{victim}.json")));
-            }
+            self.remove_locked(store, &victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drops the entry under `key` from memory and disk, as eviction does.
+    /// A lookup calls it on an entry that failed revalidation, so the
+    /// next lookup of `key` is a plain miss.
+    pub(crate) fn remove(&self, key: &str) {
+        let mut store = self.store.lock().expect("cache lock");
+        self.remove_locked(&mut store, key);
+    }
+
+    fn remove_locked(&self, store: &mut Store, key: &str) {
+        if let Some(entry) = store.entries.remove(key) {
+            store.bytes -= entry.text.len();
+        }
+        if let Some(dir) = &self.dir {
+            let _ = fs::remove_file(dir.join(format!("{key}.json")));
         }
     }
 

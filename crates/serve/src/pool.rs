@@ -145,8 +145,9 @@ pub fn process_job(
 
 /// The entry stored under `key`, served as a hit if it survives
 /// revalidation against `request`; an entry that fails is counted and
-/// ignored. Workers call it through [`process_job`], and `submit_batch`
-/// calls it to answer hits at submit time.
+/// dropped from the cache, so it is revalidated once, not once per lookup.
+/// Workers call it through [`process_job`], and `submit_batch` calls it to
+/// answer hits at submit time.
 pub(crate) fn cached_outcome(
     request: &JobRequest,
     property: &SequentialProperty,
@@ -169,6 +170,7 @@ pub(crate) fn cached_outcome(
             ..stored
         });
     }
+    cache.remove(key);
     cache.record_revalidation_failure();
     tracer.counter("serve.cache.revalidation_failures", 1);
     tracer.event("serve.cache_revalidation_failed", &[]);

@@ -1,7 +1,8 @@
 //! End-to-end service tests over real TCP: certificates served from the
 //! cache must re-validate against the submitted payload, falsification
 //! hits must replay through the simulator, the cache must survive a server
-//! restart, a batch must answer like its jobs sent alone, portfolio jobs
+//! restart, a rejected entry must be revalidated once and then replaced,
+//! a batch must answer like its jobs sent alone, portfolio jobs
 //! (the wire default) must answer like a direct check,
 //! cancellation/stats/shutdown must behave, and request lines must survive
 //! read timeouts but not grow without bound.
@@ -18,8 +19,8 @@ use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pipesim::BrokenVariant;
 use ipcl_serve::{
-    process_job, Client, JobOutcome, JobRequest, ProofCache, PropertyRequest, Server, ServerConfig,
-    Verdict, MAX_LINE_BYTES,
+    cache_key, process_job, Client, JobOutcome, JobRequest, ProofCache, PropertyRequest, Server,
+    ServerConfig, Verdict, MAX_LINE_BYTES,
 };
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::json::Json;
@@ -204,6 +205,67 @@ fn a_batch_answers_like_its_jobs_alone_and_serves_its_hits_at_submit() {
         assert_eq!(&warm.to_json_string(), expected);
     }
     server.shutdown();
+}
+
+#[test]
+fn a_rejected_cache_entry_is_revalidated_once() {
+    // Plant, under a correct PDR job's key, the falsification of the same
+    // property on the broken design: its trace does not replay on the
+    // correct netlist, so revalidation rejects it.
+    let stages = ExampleArch::new().functional_spec().stages().len();
+    let (job, planted) = (0..stages)
+        .find_map(|stage| {
+            let cache = ProofCache::new(None);
+            let broken = process_job(
+                &broken_job(stage),
+                &AtomicBool::new(false),
+                &cache,
+                &Tracer::disabled(),
+            );
+            (broken.verdict == Verdict::Falsified).then(|| (correct_job(stage), broken))
+        })
+        .expect("IgnoreScoreboard must falsify some stage");
+    let property = job.resolve_property().expect("stage resolves");
+    let cache_dir = temp_cache_dir("rejected");
+    let key = cache_key(&job.spec, &job.netlist, &property);
+    ProofCache::new(Some(cache_dir.clone())).store(&key, &planted);
+    let fresh = {
+        let cache = ProofCache::new(None);
+        process_job(&job, &AtomicBool::new(false), &cache, &Tracer::disabled())
+    };
+    assert_eq!(fresh.verdict, Verdict::Proved);
+
+    let server = Server::start(
+        ServerConfig {
+            cache_dir: Some(cache_dir.clone()),
+            ..ServerConfig::default()
+        },
+        Tracer::disabled(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let batch = [job];
+    let (ids, presolved) = client.submit_batch(&batch).expect("batch");
+    assert_eq!(presolved, 0, "the planted entry is not served");
+    let answer = client.wait(ids[0]).expect("wait");
+    assert_eq!(answer.to_json_string(), fresh.to_json_string());
+    let count = |client: &mut Client, field: &str| {
+        client
+            .stats()
+            .expect("stats")
+            .get(field)
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(count(&mut client, "revalidation_failures"), Some(1));
+    assert_eq!(count(&mut client, "cache_misses"), Some(1));
+
+    // The fresh proof took the planted entry's slot.
+    let (ids, presolved) = client.submit_batch(&batch).expect("batch again");
+    assert_eq!(presolved, 1);
+    assert!(client.wait(ids[0]).expect("wait").cached);
+    assert_eq!(count(&mut client, "revalidation_failures"), Some(1));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 /// The outcome of `job` checked directly, without a server or a cache.

@@ -7,7 +7,8 @@
 //! checked metric of it, must reappear in the current run. A metric
 //! regresses when its relative change past the baseline is **strictly**
 //! greater than the tolerance: a metric sitting exactly on the boundary
-//! passes, which keeps the gate's behaviour exact and testable.
+//! passes, which keeps the gate's behaviour exact and testable. A zero
+//! tolerance means exact: any change, up or down, is flagged.
 
 use std::fmt::Write as _;
 
@@ -116,7 +117,8 @@ impl Tolerances {
     }
 }
 
-/// One metric of one entry that moved past its tolerance.
+/// One metric of one entry that moved past its tolerance (or, under a
+/// zero tolerance, moved at all).
 #[derive(Clone, PartialEq, Debug)]
 pub struct Regression {
     /// The entry's identity (`key=value,...`).
@@ -171,15 +173,22 @@ impl RegressReport {
             self.missing_metrics.len()
         );
         for r in &self.regressions {
+            let (verdict, allowed) = if r.tolerance == 0.0 {
+                ("CHANGED", ", must be exact".to_owned())
+            } else {
+                (
+                    "REGRESSED",
+                    format!(" > {:.1}% allowed", r.tolerance * 100.0),
+                )
+            };
             let _ = writeln!(
                 out,
-                "  REGRESSED {} [{}]: {} -> {} ({:+.1}% > {:.1}% allowed)",
+                "  {verdict} {} [{}]: {} -> {} ({:+.1}%{allowed})",
                 r.metric,
                 r.entry,
                 r.baseline,
                 r.current,
                 r.rel_change * 100.0,
-                r.tolerance * 100.0
             );
         }
         for entry in &self.missing {
@@ -258,7 +267,8 @@ fn entry_with_id<'a>(
 /// non-ignored metrics. Each such metric regresses when
 /// `(current - baseline) / baseline` is strictly greater than its
 /// tolerance; a zero baseline regresses only if the current value is
-/// positive and the tolerance is finite.
+/// positive and the tolerance is finite. Under a zero tolerance, any
+/// change of the value, in either direction, is a regression.
 pub fn check(baseline: &BenchFile, current: &BenchFile, tolerances: &Tolerances) -> RegressReport {
     let mut report = RegressReport {
         experiment: baseline.experiment.clone(),
@@ -282,12 +292,17 @@ pub fn check(baseline: &BenchFile, current: &BenchFile, tolerances: &Tolerances)
             let tolerance = tolerances.tolerance_for(metric);
             let rel_change = if base_value != 0.0 {
                 (cur_value - base_value) / base_value.abs()
-            } else if cur_value > 0.0 {
-                f64::INFINITY
+            } else if cur_value != 0.0 {
+                f64::INFINITY.copysign(cur_value)
             } else {
                 0.0
             };
-            if rel_change > tolerance {
+            let regressed = if tolerance == 0.0 {
+                cur_value != base_value
+            } else {
+                rel_change > tolerance
+            };
+            if regressed {
                 report.regressions.push(Regression {
                     entry: id.clone(),
                     metric: metric.clone(),
@@ -339,6 +354,22 @@ mod tests {
         let report = check(&baseline, &just_over, &tolerances);
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].metric, "solve_ms");
+
+        // A zero tolerance means exact: a counter that falls is flagged
+        // too, and renders as a change.
+        let fewer = bench(r#"[{"w": "a", "solve_ms": 100, "clauses": 900}]"#);
+        let report = check(&baseline, &fewer, &tolerances);
+        assert_eq!(report.regressions.len(), 1);
+        assert_eq!(report.regressions[0].metric, "clauses");
+        assert_eq!(report.regressions[0].rel_change, -0.1);
+        assert!(!report.passed());
+        assert!(
+            report
+                .render()
+                .contains("CHANGED clauses [w=a]: 1000 -> 900"),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

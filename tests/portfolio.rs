@@ -7,12 +7,19 @@
 //!   caller's thread.
 //! * **Agreement.** Both engines decide the unconditional property, so the
 //!   portfolio's verdict on every property is PDR's.
+//! * **Who decides.** A falsification within the depth bound is
+//!   k-induction's, with its trace and no certificate; a property
+//!   k-induction leaves open gets PDR's certified proof; once the cancel
+//!   flag is set, no PDR run starts.
 
 use std::fmt::Write as _;
+use std::sync::atomic::AtomicBool;
 
+use ipcl::bmc::check_properties;
 use ipcl::checker::{
-    check_netlist_sequential_with, Engine, ProofStrategy, SequentialOptions, SequentialReport,
-    TraceConfig,
+    check_netlist_sequential_with, check_property_job, BmcOptions, BmcOutcome, Latency,
+    ProofStrategy, PropertyKind, SequentialOptions, SequentialProperty, SequentialReport,
+    TraceConfig, Tracer,
 };
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
@@ -97,8 +104,9 @@ fn a_traced_portfolio_check_stays_on_the_callers_thread() {
     let (_, spec, netlist) = preset("firepath", ArchSpec::firepath_like(), true);
     for (spec, netlist) in [(&spec, &netlist), (&deep_spec, &deep_netlist)] {
         let options = SequentialOptions {
+            strategy: ProofStrategy::Portfolio,
             trace: TraceConfig::enabled(),
-            ..SequentialOptions::from(Engine::Portfolio)
+            ..Default::default()
         };
         let report = check_netlist_sequential_with(spec, netlist, &options).unwrap();
         let snapshot = report.trace.expect("tracing was enabled");
@@ -168,4 +176,131 @@ fn portfolio_verdicts_equal_pdr_verdicts() {
     }
     assert_eq!(designs.len(), 14);
     assert!(checked > 100, "{checked} properties");
+}
+
+#[test]
+fn portfolio_falsifications_carry_k_inductions_trace() {
+    let spec = ExampleArch::new().functional_spec();
+    let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
+    let netlist = broken.netlist();
+    let portfolio = options(ProofStrategy::Portfolio);
+    let report = check_netlist_sequential_with(&spec, netlist, &portfolio).unwrap();
+    // k-induction alone, at the portfolio's quiet_cycles: the trace render
+    // of each property it falsifies.
+    let k_induction = |properties: &[SequentialProperty]| -> Vec<Option<String>> {
+        let options = BmcOptions {
+            quiet_cycles: 0,
+            ..BmcOptions::default()
+        };
+        check_properties(
+            &spec,
+            netlist,
+            properties,
+            &options,
+            None,
+            &Tracer::disabled(),
+        )
+        .unwrap()
+        .iter()
+        .map(|result| result.outcome.counterexample().map(|cex| cex.render()))
+        .collect()
+    };
+    let alone = k_induction(&SequentialProperty::both_directions(&spec, report.latency));
+    assert_eq!(report.results.len(), alone.len());
+    let mut falsified = 0;
+    for (result, alone) in report.results.iter().zip(alone) {
+        let name = &result.property.name;
+        let Some(cex) = result.outcome.counterexample() else {
+            assert!(result.outcome.is_proved(), "{name}: no verdict");
+            continue;
+        };
+        falsified += 1;
+        assert!(!report.certificates.contains_key(name), "{name}");
+        assert_eq!(Some(cex.render()), alone, "{name}");
+
+        // One property through the job entry point: k-induction's trace
+        // for that property alone, and no certificate.
+        let (job, certificate) = check_property_job(
+            &spec,
+            netlist,
+            &result.property,
+            &portfolio,
+            None,
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        assert!(certificate.is_none(), "{name}");
+        assert_eq!(
+            job.outcome.counterexample().map(|cex| cex.render()),
+            k_induction(std::slice::from_ref(&result.property)).remove(0),
+            "{name}"
+        );
+    }
+    assert!(falsified > 0);
+}
+
+/// The deep-chain-12 stage-0 performance property, which k-induction
+/// cannot prove at depth 6.
+fn deep_chain_property() -> (FunctionalSpec, Netlist, SequentialProperty) {
+    let (spec, netlist) = deep_pipeline(12);
+    let property =
+        SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
+    (spec, netlist, property)
+}
+
+#[test]
+fn portfolio_proves_a_deep_chain_with_a_certificate() {
+    let (spec, netlist, property) = deep_chain_property();
+    let check = |strategy| {
+        let options = SequentialOptions {
+            bmc: BmcOptions::with_depth(6),
+            ..options(strategy)
+        };
+        check_property_job(
+            &spec,
+            &netlist,
+            &property,
+            &options,
+            None,
+            &Tracer::disabled(),
+        )
+        .unwrap()
+    };
+    let (alone, _) = check(ProofStrategy::KInduction);
+    assert!(matches!(alone.outcome, BmcOutcome::Unknown { .. }));
+    let (result, certificate) = check(ProofStrategy::Portfolio);
+    assert!(result.outcome.is_proved(), "{:?}", result.outcome);
+    assert!(!certificate.expect("PDR proved it").is_trivial());
+}
+
+#[test]
+fn a_cancelled_portfolio_starts_no_pdr_run() {
+    let (spec, netlist, _) = deep_chain_property();
+    let options = SequentialOptions {
+        bmc: BmcOptions::with_depth(6),
+        ..options(ProofStrategy::Portfolio)
+    };
+    let cancel = AtomicBool::new(true);
+    let tracer = Tracer::new(TraceConfig::enabled());
+    for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
+        let (result, certificate) =
+            check_property_job(&spec, &netlist, &property, &options, Some(&cancel), &tracer)
+                .unwrap();
+        assert!(
+            matches!(result.outcome, BmcOutcome::Unknown { .. }),
+            "{}: {:?}",
+            property.name,
+            result.outcome
+        );
+        assert!(certificate.is_none(), "{}", property.name);
+    }
+    let snapshot = tracer.snapshot().expect("tracing was enabled");
+    assert!(snapshot.spans.iter().any(|s| s.path == ["portfolio.check"]));
+    assert!(
+        snapshot
+            .spans
+            .iter()
+            .all(|s| !s.path.iter().any(|name| name == "pdr.check")),
+        "a cancelled portfolio ran PDR"
+    );
 }

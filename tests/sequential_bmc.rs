@@ -5,8 +5,7 @@
 //! architecture and on the FirePath-like configuration.
 
 use ipcl::checker::{
-    check_netlist_sequential, check_netlist_sequential_with, BmcOutcome, Engine, Latency,
-    PropertyKind, SequentialOptions,
+    check_netlist_sequential_with, BmcOptions, BmcOutcome, Latency, PropertyKind, SequentialOptions,
 };
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
@@ -18,6 +17,14 @@ use ipcl::synth::{
 
 fn example_spec() -> FunctionalSpec {
     ExampleArch::new().functional_spec()
+}
+
+/// k-induction with depth bound `k`, every other option at its default.
+fn with_depth(k: usize) -> SequentialOptions {
+    SequentialOptions {
+        bmc: BmcOptions::with_depth(k),
+        ..Default::default()
+    }
 }
 
 /// Asserts that every counterexample in the report replays through the
@@ -65,7 +72,7 @@ fn bmc_finds_wrong_reset_with_minimal_counterexample() {
     );
     let options = SequentialOptions {
         latency: Some(Latency::Combinational),
-        ..SequentialOptions::from(Engine::Bmc { k: 4 })
+        ..with_depth(4)
     };
     let report = check_netlist_sequential_with(&spec, wrong_reset.netlist(), &options).unwrap();
     assert!(report.falsified());
@@ -77,7 +84,7 @@ fn bmc_finds_wrong_reset_with_minimal_counterexample() {
     // (pipesim's BadResetValues), invisible at cycle 0 (quiet) but caught at
     // cycle 1.
     let forced = synthesize_broken_interlock(&spec, BrokenVariant::BadResetValues { cycles: 2 });
-    let report = check_netlist_sequential(&spec, forced.netlist(), Engine::Bmc { k: 6 }).unwrap();
+    let report = check_netlist_sequential_with(&spec, forced.netlist(), &with_depth(6)).unwrap();
     assert!(report.falsified());
     let functional_falsified: Vec<_> = report
         .counterexamples()
@@ -108,7 +115,7 @@ fn bmc_finds_late_stall_with_minimal_counterexample() {
     );
     let options = SequentialOptions {
         latency: Some(Latency::Combinational),
-        ..SequentialOptions::from(Engine::Bmc { k: 4 })
+        ..with_depth(4)
     };
     let report = check_netlist_sequential_with(&spec, late.netlist(), &options).unwrap();
     assert!(report.falsified());
@@ -131,7 +138,7 @@ fn bmc_falsifies_every_broken_variant_with_replayable_traces() {
     ] {
         let broken = synthesize_broken_interlock(&spec, variant);
         let report =
-            check_netlist_sequential(&spec, broken.netlist(), Engine::Bmc { k: 6 }).unwrap();
+            check_netlist_sequential_with(&spec, broken.netlist(), &with_depth(6)).unwrap();
         assert!(report.falsified(), "{variant:?} must be falsified");
         let min_length = assert_replayable_and_minimal_length(&spec, broken.netlist(), &report);
         // All three bugs need one event frame after the quiet reset frame.
@@ -158,7 +165,7 @@ fn k_induction_proves_example_interlocks() {
 
     let combinational = synthesize_interlock(&spec);
     let report =
-        check_netlist_sequential(&spec, combinational.netlist(), Engine::Bmc { k: 8 }).unwrap();
+        check_netlist_sequential_with(&spec, combinational.netlist(), &with_depth(8)).unwrap();
     assert_eq!(report.latency, Latency::Combinational);
     assert!(report.proved(), "combinational: {:?}", summaries(&report));
     assert!(report.stall_escape.iter().all(|s| s.escapable));
@@ -172,7 +179,7 @@ fn k_induction_proves_example_interlocks() {
         },
     );
     let report =
-        check_netlist_sequential(&spec, registered.netlist(), Engine::Bmc { k: 8 }).unwrap();
+        check_netlist_sequential_with(&spec, registered.netlist(), &with_depth(8)).unwrap();
     assert_eq!(report.latency, Latency::Registered);
     assert!(report.proved(), "registered: {:?}", summaries(&report));
     assert!(report.reset.ok());
@@ -190,7 +197,7 @@ fn k_induction_proves_firepath_like_interlock() {
         // example-arch test) and a small depth bound; induction closes at
         // depth 0 for a correct combinational netlist.
         deadlock: false,
-        ..SequentialOptions::from(Engine::Bmc { k: 3 })
+        ..with_depth(3)
     };
     let report = check_netlist_sequential_with(&spec, synthesized.netlist(), &options).unwrap();
     assert_eq!(report.results.len(), 48);
@@ -218,7 +225,7 @@ fn incremental_and_scratch_modes_agree() {
     let base = SequentialOptions {
         latency: Some(Latency::Combinational),
         deadlock: false,
-        ..SequentialOptions::from(Engine::Bmc { k: 4 })
+        ..with_depth(4)
     };
     let incremental = check_netlist_sequential_with(&spec, late.netlist(), &base).unwrap();
     let mut scratch_options = base;

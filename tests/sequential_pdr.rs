@@ -10,7 +10,7 @@
 //! but that PDR proves outright.
 
 use ipcl::checker::{
-    check_netlist_sequential, check_netlist_sequential_with, Engine, Latency, ProofStrategy,
+    check_netlist_sequential, check_netlist_sequential_with, Latency, ProofStrategy,
     SequentialOptions, SequentialReport,
 };
 use ipcl::core::example::ExampleArch;
@@ -43,7 +43,7 @@ fn assert_replayable(spec: &FunctionalSpec, netlist: &Netlist, report: &Sequenti
 }
 
 /// Every broken variant × every sequential strategy: falsified with
-/// replayable traces. (BMC with `Engine::Bmc` is already covered by
+/// replayable traces. (k-induction is already covered by
 /// `sequential_bmc.rs`; here the same bugs must fall to PDR and to the
 /// portfolio.)
 #[test]
@@ -100,8 +100,9 @@ fn every_unbroken_preset_is_proved_by_pdr_with_validated_certificates() {
     for (name, spec) in presets {
         let synthesized = synthesize_interlock(&spec);
         let options = SequentialOptions {
+            strategy: ProofStrategy::Pdr,
             deadlock: false,
-            ..SequentialOptions::from(Engine::Pdr)
+            ..Default::default()
         };
         let report = check_netlist_sequential_with(&spec, synthesized.netlist(), &options).unwrap();
         assert!(
@@ -174,11 +175,12 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
     let check = certificate.validate(&spec, &netlist, &property).unwrap();
     assert!(check.ok(), "{check}");
 
-    // The full sequential flow with Engine::Portfolio agrees.
+    // The full sequential flow with the portfolio strategy agrees.
     let options = SequentialOptions {
+        strategy: ProofStrategy::Portfolio,
         deadlock: false,
         bmc: BmcOptions::with_depth(6),
-        ..SequentialOptions::from(Engine::Portfolio)
+        ..Default::default()
     };
     let report = check_netlist_sequential_with(&spec, &netlist, &options).unwrap();
     assert!(report.proved(), "{:?}", report.results);
@@ -292,14 +294,18 @@ fn solver_config_variants_are_deterministic() {
     }
 }
 
-/// `Engine::Pdr` and `Engine::Bmc` agree on the paper example end to end
-/// (proved properties, reset verdicts, stall-escape verdicts).
+/// PDR and k-induction agree on the paper example end to end (proved
+/// properties, reset verdicts, stall-escape verdicts).
 #[test]
 fn pdr_and_k_induction_agree_on_the_paper_example() {
     let spec = example_spec();
     let synthesized = synthesize_interlock(&spec);
-    let bmc = check_netlist_sequential(&spec, synthesized.netlist(), Engine::Bmc { k: 6 }).unwrap();
-    let pdr = check_netlist_sequential(&spec, synthesized.netlist(), Engine::Pdr).unwrap();
+    let options = SequentialOptions {
+        bmc: BmcOptions::with_depth(6),
+        ..Default::default()
+    };
+    let bmc = check_netlist_sequential_with(&spec, synthesized.netlist(), &options).unwrap();
+    let pdr = check_netlist_sequential(&spec, synthesized.netlist(), ProofStrategy::Pdr).unwrap();
     assert_eq!(bmc.proved(), pdr.proved());
     assert_eq!(bmc.results.len(), pdr.results.len());
     for (b, p) in bmc.results.iter().zip(&pdr.results) {

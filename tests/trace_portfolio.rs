@@ -16,12 +16,13 @@
 //!   snapshot with replayable structure on a falsified design.
 
 use ipcl::checker::{
-    check_netlist_sequential_with, Engine, Latency, SequentialOptions, TraceConfig, Tracer,
+    check_netlist_sequential_with, check_property_job, Latency, ProofStrategy, SequentialOptions,
+    TraceConfig, Tracer,
 };
 use ipcl::core::example::ExampleArch;
 use ipcl::core::FunctionalSpec;
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{check_portfolio, check_property_pdr, PdrOptions, PortfolioWinner};
+use ipcl::pdr::{check_property_pdr, PdrOptions};
 use ipcl::pipesim::BrokenVariant;
 use ipcl::rtl::Netlist;
 use ipcl::synth::synthesize_broken_interlock;
@@ -43,22 +44,15 @@ fn portfolio(
     property: &SequentialProperty,
     tracer: &Tracer,
 ) {
-    let result = check_portfolio(
-        spec,
-        netlist,
-        std::slice::from_ref(property),
-        &BmcOptions::with_depth(13),
-        &PdrOptions::default(),
-        None,
-        tracer,
-    )
-    .expect("netlist elaborates")
-    .remove(0);
-    assert_eq!(
-        result.winner,
-        Some(PortfolioWinner::Pdr),
-        "only PDR can prove deep-chain-16"
-    );
+    let options = SequentialOptions {
+        strategy: ProofStrategy::Portfolio,
+        bmc: BmcOptions::with_depth(13),
+        ..Default::default()
+    };
+    let (result, certificate) = check_property_job(spec, netlist, property, &options, None, tracer)
+        .expect("netlist elaborates");
+    assert!(result.outcome.is_proved());
+    assert!(certificate.is_some(), "only PDR can prove deep-chain-16");
 }
 
 /// One traced portfolio check of the deep chain.
@@ -237,8 +231,9 @@ fn sequential_checker_trace_config_produces_snapshot_with_replays() {
     let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
 
     let options = SequentialOptions {
+        strategy: ProofStrategy::Portfolio,
         trace: TraceConfig::enabled(),
-        ..SequentialOptions::from(Engine::Portfolio)
+        ..Default::default()
     };
     let report = check_netlist_sequential_with(&spec, broken.netlist(), &options).unwrap();
     assert!(report.falsified());

@@ -16,8 +16,9 @@
 
 use std::collections::BTreeMap;
 
+use ipcl::checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{check_portfolio, check_property_pdr, PdrOptions, PortfolioWinner};
+use ipcl::pdr::{check_property_pdr, PdrOptions};
 use ipcl::trace::json::Json;
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
@@ -44,18 +45,15 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
             check_properties(&spec, &netlist, properties, &bmc_options, None, &tracer)
                 .expect("netlist elaborates");
         });
-        let result = check_portfolio(
-            &spec,
-            &netlist,
-            properties,
-            &bmc_options,
-            &PdrOptions::default(),
-            None,
-            &tracer,
-        )
-        .expect("netlist elaborates")
-        .remove(0);
-        assert_eq!(result.winner, Some(PortfolioWinner::Pdr));
+        let options = SequentialOptions {
+            strategy: ProofStrategy::Portfolio,
+            bmc: bmc_options,
+            ..Default::default()
+        };
+        let (_, certificate) =
+            check_property_job(&spec, &netlist, &property, &options, None, &tracer)
+                .expect("netlist elaborates");
+        assert!(certificate.is_some(), "PDR proved it");
     });
     tracer.snapshot().expect("enabled tracer yields a snapshot")
 }
