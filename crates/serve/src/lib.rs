@@ -18,12 +18,14 @@
 //!   certificate checker ([`ipcl_pdr::Certificate::validate`]),
 //!   falsifications by replaying the stored trace through the simulator —
 //!   so the digest only ever decides where to look, never what to trust;
-//! * [`queue`] / [`pool`] — the job table with per-job cancellation tokens
-//!   wired into the engines' cooperative-cancellation machinery, so client
-//!   cancels and graceful shutdown interrupt in-flight solves at SAT-query
-//!   boundaries. The workers' [`process_job`] decides every job; a
-//!   `submit_batch` only answers its cache hits at submit time, through
-//!   the same revalidated lookup;
+//! * [`queue`] / [`pool`] — the bounded job table with per-job
+//!   cancellation tokens wired into the engines' cooperative-cancellation
+//!   machinery, so client cancels and graceful shutdown interrupt
+//!   in-flight solves at SAT-query boundaries. The workers'
+//!   [`process_job`] decides every job, and a job that panics gets an
+//!   error answer instead of taking its worker down; a `submit_batch` only
+//!   answers its cache hits at submit time, through the same revalidated
+//!   lookup;
 //! * [`client`] — the thin blocking client the `ipcl-serve` binary's
 //!   `submit` / `status` modes and the `exp_serve_load` benchmark use.
 //!
@@ -71,5 +73,5 @@ pub use cache::{cache_key, revalidate, CacheLimits, CacheStats, ProofCache};
 pub use client::Client;
 pub use pool::{process_job, WorkerPool};
 pub use protocol::{JobOutcome, JobRequest, PropertyRequest, Verdict};
-pub use queue::{JobQueue, JobState, QueueStats};
+pub use queue::{JobQueue, JobState, Missing, QueueStats, RETAINED_FINISHED};
 pub use server::{Server, ServerConfig, MAX_LINE_BYTES};

@@ -14,8 +14,8 @@
 //! see `ipcl_serve::protocol`), submits it and by default waits for the
 //! result. `smoke-check` is the self-contained end-to-end check CI runs:
 //! in-process server, a miss/hit pair, a batch, whole-answer comparison
-//! against direct checker invocations, graceful shutdown; exits non-zero
-//! on any mismatch.
+//! against direct checker invocations, the job table's counts and release
+//! of delivered jobs, graceful shutdown; exits non-zero on any mismatch.
 
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
@@ -300,6 +300,23 @@ fn cmd_smoke_check(args: &[String]) -> i32 {
                 served.to_json_string() == reference(j).to_json_string(),
             );
         }
+
+        // Bounded job table: every job sent is done, no delivered job's
+        // record is kept, and a delivered id answers "expired".
+        let sent = 3 + batch.len() as u64;
+        let stats = client.stats()?;
+        check(
+            "stats counts every job sent as done",
+            stats.get("done").and_then(Json::as_u64) == Some(sent),
+        );
+        check(
+            "the job table retains no delivered job",
+            stats.get("retained").and_then(Json::as_u64) == Some(0),
+        );
+        check(
+            "a second wait on a delivered id answers expired",
+            client.wait(cold_id).err() == Some(format!("job {cold_id} expired")),
+        );
 
         // Graceful shutdown: acknowledged, then the server drains.
         client.shutdown()?;

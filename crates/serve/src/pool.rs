@@ -10,12 +10,20 @@
 //! the next SAT-query boundary, then stores any servable outcome back
 //! into the cache. Every solve the server runs happens here.
 //!
+//! A job that panics is contained: the worker catches the panic, finishes
+//! the job with [`Verdict::Error`](crate::Verdict::Error) and the detail
+//! `internal error: <panic message>`, and goes on claiming jobs, so a
+//! `wait` on that job answers instead of blocking for good.
+//!
 //! Observability: workers emit rate-limited `heartbeat` events with
 //! `engine: "serve"` (queue depth, running/done counts, cache hit/miss
 //! totals — rendered by `ipcl-tracetool watch` as a server progress line),
-//! per-job `serve.job_*` events, and the `serve.cache.*` counters /
-//! `serve.queue_depth` gauge through the unified metric sink.
+//! per-job `serve.job_*` events, a `serve.jobs_panicked` event per
+//! contained panic, and the `serve.cache.*` and `serve.jobs_panicked`
+//! counters / `serve.queue_depth` gauge through the unified metric sink.
 
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -27,6 +35,11 @@ use ipcl_trace::{set_worker, Heartbeat, MetricSink, Tracer, Value};
 use crate::cache::{cache_key, revalidate, ProofCache};
 use crate::protocol::{JobOutcome, JobRequest};
 use crate::queue::JobQueue;
+
+/// A job asking for this stage index panics in its worker: the hook the
+/// panic-isolation test uses.
+#[cfg(test)]
+const PANIC_STAGE: usize = 0xdead;
 
 /// A pool of `n` solver workers draining `queue`.
 pub struct WorkerPool {
@@ -53,7 +66,7 @@ impl WorkerPool {
                         let mut heartbeat = Heartbeat::every_ms(200);
                         while let Some((id, request, cancel)) = queue.claim() {
                             beat(&tracer, &mut heartbeat, &queue, &cache);
-                            let outcome = process_job(&request, &cancel, &cache, &tracer);
+                            let outcome = contained_job(id, &request, &cancel, &cache, &tracer);
                             tracer.event(
                                 "serve.job_done",
                                 &[
@@ -79,6 +92,48 @@ impl WorkerPool {
             let _ = handle.join();
         }
     }
+}
+
+/// [`process_job`], with a panic turned into an error outcome, counted and
+/// reported.
+fn contained_job(
+    id: u64,
+    request: &JobRequest,
+    cancel: &AtomicBool,
+    cache: &ProofCache,
+    tracer: &Tracer,
+) -> JobOutcome {
+    let run = || {
+        #[cfg(test)]
+        if request.property.stage_index == PANIC_STAGE {
+            panic!("injected panic");
+        }
+        process_job(request, cancel, cache, tracer)
+    };
+    let payload = match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(outcome) => return outcome,
+        Err(payload) => payload,
+    };
+    let message = panic_message(payload.as_ref());
+    tracer.counter("serve.jobs_panicked", 1);
+    tracer.event(
+        "serve.jobs_panicked",
+        &[
+            ("id", Value::U64(id)),
+            ("message", Value::Str(message.to_owned().into())),
+        ],
+    );
+    // No property name: resolving the property may be what panicked.
+    JobOutcome::error("", format!("internal error: {message}"))
+}
+
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message")
 }
 
 fn beat(tracer: &Tracer, heartbeat: &mut Heartbeat, queue: &JobQueue, cache: &ProofCache) {
@@ -285,6 +340,44 @@ mod tests {
             break;
         }
         assert!(hit_checked, "the broken variant must falsify some stage");
+    }
+
+    #[test]
+    fn a_panicking_job_gets_an_error_and_its_worker_goes_on() {
+        let queue = Arc::new(JobQueue::new());
+        let cache = Arc::new(ProofCache::new(None));
+        let tracer = Tracer::new(ipcl_trace::TraceConfig::enabled());
+        let pool = WorkerPool::spawn(1, Arc::clone(&queue), cache, tracer.clone());
+        let mut panicking = correct_job(0);
+        panicking.property.stage_index = PANIC_STAGE;
+        let failed = queue.submit(Arc::new(panicking));
+        let next = queue.submit(Arc::new(correct_job(0)));
+
+        // Without containment the worker dies and this wait never returns.
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&queue);
+        std::thread::spawn(move || {
+            let _ = sender.send(waiter.wait(failed));
+        });
+        let outcome = receiver
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the panicking job finishes")
+            .expect("its outcome is delivered");
+        assert_eq!(outcome.verdict, Verdict::Error);
+        assert_eq!(outcome.detail, "internal error: injected panic");
+        let decided = queue.wait(next).expect("the one worker survives");
+        assert_eq!(decided.verdict, Verdict::Proved);
+        queue.shutdown();
+        pool.join();
+
+        let snapshot = tracer.snapshot().expect("tracing is on");
+        assert_eq!(snapshot.counters.get("serve.jobs_panicked"), Some(&1));
+        let events: Vec<_> = snapshot
+            .events
+            .iter()
+            .filter(|event| event.kind == "serve.jobs_panicked")
+            .collect();
+        assert_eq!(events.len(), 1);
     }
 
     #[test]

@@ -13,13 +13,23 @@
 //! * `submit_batch` — answer each job the cache holds at once, enqueue
 //!   the rest as `submit` would, answer the ids plus the count of cached
 //!   jobs (`presolved`);
-//! * `status` — job state and, when done, the result;
-//! * `wait` — block until the job finishes, answer the result;
+//! * `status` — job state and, when done, the result, without releasing
+//!   the job;
+//! * `wait` — block until the job finishes, answer the result and release
+//!   the job's record;
 //! * `cancel` — flag a job's cancellation token;
-//! * `stats` — queue and cache counters;
+//! * `stats` — queue and cache counters, with `retained`, the job records
+//!   the server holds;
 //! * `shutdown` — acknowledge, then begin graceful shutdown: cancel
 //!   in-flight jobs cooperatively, drain and join workers, join
 //!   connections, release the listener.
+//!
+//! The job table is bounded ([`crate::queue`]). A job's record is released
+//! when a `wait` delivers its result, or, if nobody waits for it, once
+//! [`RETAINED_FINISHED`](crate::RETAINED_FINISHED) (4,096) later jobs have
+//! finished. `wait` or `status` on a released id answers
+//! `{"ok": false, "error": "job N expired"}`; an id the server never issued
+//! answers the unknown-id error, and `cancel` on either answers `false`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,7 +45,7 @@ use ipcl_trace::{Tracer, Value};
 use crate::cache::{cache_key, CacheLimits, ProofCache};
 use crate::pool::{cached_outcome, WorkerPool};
 use crate::protocol::JobRequest;
-use crate::queue::{JobQueue, JobState};
+use crate::queue::{JobQueue, JobState, Missing};
 
 /// Server knobs.
 #[derive(Clone, Debug)]
@@ -268,6 +278,11 @@ fn error_response(message: &str) -> String {
     out
 }
 
+/// The answer to `wait` or `status` on an id whose record was released.
+fn expired_response(id: u64) -> String {
+    error_response(&format!("job {id} expired"))
+}
+
 fn respond(
     line: &str,
     queue: &JobQueue,
@@ -316,7 +331,7 @@ fn respond(
                 let id = match hit {
                     Some(outcome) => {
                         presolved += 1;
-                        queue.submit_resolved(job, outcome)
+                        queue.submit_resolved(outcome)
                     }
                     None => queue.submit(job),
                 };
@@ -329,7 +344,7 @@ fn respond(
         }
         Some("status") => match request.get("id").and_then(Json::as_u64) {
             Some(id) => match queue.status(id) {
-                Some((state, outcome)) => {
+                Ok((state, outcome)) => {
                     let mut out = format!("{{\"ok\": true, \"state\": \"{}\"", state.name());
                     if let (JobState::Done, Some(outcome)) = (state, outcome) {
                         out.push_str(", \"result\": ");
@@ -338,16 +353,18 @@ fn respond(
                     out.push('}');
                     out
                 }
-                None => error_response("unknown job id"),
+                Err(Missing::Expired) => expired_response(id),
+                Err(_) => error_response("unknown job id"),
             },
             None => error_response("status misses 'id'"),
         },
         Some("wait") => match request.get("id").and_then(Json::as_u64) {
             Some(id) => match queue.wait(id) {
-                Some(outcome) => {
+                Ok(outcome) => {
                     format!("{{\"ok\": true, \"result\": {}}}", outcome.to_json_string())
                 }
-                None => error_response("unknown job id (or server shut down mid-job)"),
+                Err(Missing::Expired) => expired_response(id),
+                Err(_) => error_response("unknown job id (or server shut down mid-job)"),
             },
             None => error_response("wait misses 'id'"),
         },
@@ -360,11 +377,13 @@ fn respond(
             let cache_stats = cache.stats();
             format!(
                 "{{\"ok\": true, \"queued\": {}, \"running\": {}, \"done\": {}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"revalidation_failures\": {}, \
-                 \"cache_evictions\": {}, \"cache_entries\": {}, \"cache_bytes\": {}}}",
+                 \"retained\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
+                 \"revalidation_failures\": {}, \"cache_evictions\": {}, \
+                 \"cache_entries\": {}, \"cache_bytes\": {}}}",
                 queue_stats.queued,
                 queue_stats.running,
                 queue_stats.done,
+                queue_stats.retained,
                 cache_stats.hits,
                 cache_stats.misses,
                 cache_stats.revalidation_failures,

@@ -88,6 +88,7 @@ impl Json {
     /// A document nesting more than 64 arrays and objects is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -165,6 +166,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open at `pos`.
@@ -283,59 +285,48 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
+            // Copy the run up to the next quote or backslash at once. Both
+            // stop bytes are ASCII, and a run starts right after one or
+            // after an escape's ASCII bytes, so it is whole UTF-8.
+            let start = self.pos;
+            let Some(run) = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
                 return Err("unterminated string".to_owned());
             };
+            out.push_str(&self.text[start..start + run]);
+            self.pos = start + run + 1;
+            if self.bytes[start + run] == b'"' {
+                return Ok(out);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err("unterminated escape".to_owned());
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".to_owned());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                b => {
-                    // Re-sync on UTF-8 boundaries: collect the full code
-                    // point starting at `b`.
-                    let start = self.pos - 1;
-                    let width = match b {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xf0 => 4,
-                        b if b >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(start..start + width)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + width;
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                        16,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
                 }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
@@ -370,6 +361,9 @@ impl<'a> Parser<'a> {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -447,6 +441,151 @@ mod tests {
             .contains("nesting deeper"));
         // An unclosed flood is an error, not a stack overflow.
         assert!(Json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn strings_copy_multibyte_runs_next_to_escapes() {
+        let cases = [
+            // 2-, 3- and 4-byte characters, alone and in runs.
+            (r#""é""#, "é"),
+            (r#""€中😀𝄞""#, "€中😀𝄞"),
+            // Runs that end at an escape, and escapes between runs.
+            (r#""aé\n€\"中\\😀\/x""#, "aé\n€\"中\\😀/x"),
+            (r#""\b\f\r\té""#, "\u{8}\u{c}\r\té"),
+            (r#""😀\t""#, "😀\t"),
+            // \u escapes next to raw multi-byte runs.
+            (r#""\u00e9é\u20ac€😀\u0041""#, "éé€€😀A"),
+            (r#""\u00E9é""#, "éé"),
+            (r#""\u20AC""#, "€"),
+            (r#""""#, ""),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(
+                Json::parse(text),
+                Ok(Json::Str(expected.to_owned())),
+                "{text}"
+            );
+        }
+        let doc = Json::parse(r#"{"ключ": ["値", "xéy"]}"#).unwrap();
+        let items = doc.get("ключ").unwrap().as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("値"));
+        assert_eq!(items[1].as_str(), Some("xéy"));
+    }
+
+    #[test]
+    fn string_errors_keep_their_texts() {
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(err(r#""abc"#), "unterminated string");
+        assert_eq!(err(r#""é€😀"#), "unterminated string");
+        assert_eq!(err(r#""a\n"#), "unterminated string");
+        assert_eq!(err(r#""abc\"#), "unterminated escape");
+        assert_eq!(err(r#""é\"#), "unterminated escape");
+        assert_eq!(err(r#""\u12"#), "truncated \\u escape");
+        assert_eq!(err(r#""€\u0"#), "truncated \\u escape");
+        assert_eq!(err(r#""\q""#), "bad escape '\\q'");
+        assert_eq!(err(r#""😀\x""#), "bad escape '\\x'");
+        assert_eq!(err(r#""\ud83d""#), "invalid \\u escape");
+    }
+
+    /// The string scanner before runs were copied at once: one code point
+    /// per step. The parity test holds the scanner to it.
+    fn per_code_point_string(bytes: &[u8], mut pos: usize) -> (Result<String, String>, usize) {
+        let mut out = String::new();
+        loop {
+            let Some(&b) = bytes.get(pos) else {
+                return (Err("unterminated string".to_owned()), pos);
+            };
+            pos += 1;
+            match b {
+                b'"' => return (Ok(out), pos),
+                b'\\' => {
+                    let Some(&esc) = bytes.get(pos) else {
+                        return (Err("unterminated escape".to_owned()), pos);
+                    };
+                    pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let Some(hex) = bytes.get(pos..pos + 4) else {
+                                return (Err("truncated \\u escape".to_owned()), pos);
+                            };
+                            pos += 4;
+                            let code = std::str::from_utf8(hex)
+                                .map_err(|e| e.to_string())
+                                .and_then(|hex| {
+                                    u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
+                                })
+                                .and_then(|code| {
+                                    char::from_u32(code).ok_or("invalid \\u escape".to_owned())
+                                });
+                            match code {
+                                Ok(c) => out.push(c),
+                                Err(e) => return (Err(e), pos),
+                            }
+                        }
+                        other => {
+                            return (Err(format!("bad escape '\\{}'", other as char)), pos);
+                        }
+                    }
+                }
+                b => {
+                    let width = match b {
+                        b if b < 0x80 => 1,
+                        b if b >= 0xf0 => 4,
+                        b if b >= 0xe0 => 3,
+                        _ => 2,
+                    };
+                    let chunk = &bytes[pos - 1..pos - 1 + width];
+                    out.push_str(std::str::from_utf8(chunk).unwrap());
+                    pos += width - 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_run_scanner_matches_the_per_code_point_scanner() {
+        let pieces = [
+            "a", "xyz", " ", "é", "ß", "€", "中", "😀", "𝄞", "\\n", "\\\"", "\\\\", "\\/", "\\t",
+            "\\u00e9", "\\u20AC", "\\u0041", "\\ud83d", "\\u+0e9", "\\uzz12", "\\q", "\\é", "\"",
+            "\\u12",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x2545_f491);
+        let mut compared = 0;
+        for _ in 0..2_000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.random_range(0..8) {
+                text.push_str(pieces[rng.random_range(0..pieces.len())]);
+            }
+            if rng.random_bool(0.5) {
+                text.push('"');
+            }
+            // Every prefix that is a whole `str`, as a cut request line is.
+            for end in (1..=text.len()).filter(|&end| text.is_char_boundary(end)) {
+                let prefix = &text[..end];
+                let mut parser = Parser {
+                    text: prefix,
+                    bytes: prefix.as_bytes(),
+                    pos: 0,
+                    depth: 0,
+                };
+                let scanned = parser.string();
+                let reference = per_code_point_string(prefix.as_bytes(), 1);
+                assert_eq!(scanned, reference.0, "{prefix:?}");
+                if scanned.is_ok() {
+                    assert_eq!(parser.pos, reference.1, "{prefix:?}");
+                }
+                compared += 1;
+            }
+        }
+        assert!(compared > 10_000, "{compared}");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   recording is on — and **zero** when it is off.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ipcl::checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl::pdr::deep::deep_pipeline;
@@ -23,6 +24,15 @@ use ipcl::trace::json::Json;
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
 use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+
+/// The tests of this file run one at a time: the wall-delta test times
+/// engine runs, and the others' threads would share the host with it.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Holds [`SERIAL`] for one test, also after another test failed.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Three threads under one tracer on deep-chain-16: a portfolio check on
 /// this thread, and a PDR run and a k-induction run of the same property
@@ -85,6 +95,7 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
 
 #[test]
 fn chrome_export_of_a_real_portfolio_run_is_well_paired() {
+    let _serial = serial();
     let snapshot = traced_concurrent_snapshot();
     let text = chrome_trace(&snapshot.events).expect("the event stream is balanced");
     let doc = Json::parse(&text).expect("the export is valid JSON");
@@ -131,6 +142,7 @@ fn chrome_export_of_a_real_portfolio_run_is_well_paired() {
 
 #[test]
 fn folded_stack_totals_equal_the_profile_totals() {
+    let _serial = serial();
     let snapshot = traced_concurrent_snapshot();
     let folded = folded_stacks(&snapshot);
     let parse_line = |line: &str| -> (String, u64) {
@@ -165,6 +177,7 @@ fn folded_stack_totals_equal_the_profile_totals() {
 
 #[test]
 fn diff_of_two_real_pdr_profiles_attributes_the_wall_delta() {
+    let _serial = serial();
     // A deep-chain-16 proof takes a few milliseconds, so one proof against
     // two hides inside host jitter; ten against twenty is the doubling.
     // The host's speed also drifts by up to 1.5x in phases of about a
@@ -229,6 +242,7 @@ fn diff_of_two_real_pdr_profiles_attributes_the_wall_delta() {
 
 #[test]
 fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
+    let _serial = serial();
     let (spec, netlist) = deep_pipeline(16);
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
