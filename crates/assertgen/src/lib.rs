@@ -9,7 +9,7 @@
 //!   to be bound to the RTL signals of the design under verification;
 //! * [`monitor`] provides runtime monitors that evaluate the same assertions
 //!   over per-cycle signal snapshots — the form used with `ipcl-pipesim`'s
-//!   observer hook and with `ipcl-rtl` traces.
+//!   observer hook.
 //!
 //! # Example
 //!

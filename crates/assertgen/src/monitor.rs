@@ -3,9 +3,9 @@
 //!
 //! A [`SpecMonitor`] is the executable form of the testbench assertions: it
 //! is attached to a simulation (the observer hook of
-//! `ipcl_pipesim::Machine::run_program_with_observer`, or an `ipcl-rtl`
-//! trace) and checks, cycle by cycle, the functional direction (missed
-//! stalls), the performance direction (unnecessary stalls), or both.
+//! `ipcl_pipesim::Machine::run_program_with_observer`) and checks, cycle by
+//! cycle, the functional direction (missed stalls), the performance
+//! direction (unnecessary stalls), or both.
 
 use std::collections::BTreeMap;
 

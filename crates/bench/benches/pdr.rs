@@ -49,7 +49,7 @@ fn bench_registered_example(c: &mut Criterion) {
     });
     group.bench_function("pdr", |b| {
         b.iter(|| {
-            let result = check_property_pdr(
+            let pdr = check_property_pdr(
                 &spec,
                 synthesized.netlist(),
                 &property,
@@ -58,7 +58,7 @@ fn bench_registered_example(c: &mut Criterion) {
                 &Tracer::disabled(),
             )
             .unwrap();
-            assert!(result.outcome.is_proved());
+            assert!(pdr.result.outcome.is_proved());
         })
     });
     let portfolio = SequentialOptions {
@@ -100,10 +100,9 @@ fn bench_deep_chain(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pdr_prove", depth), &depth, |b, _| {
             b.iter(|| {
                 let options = PdrOptions::default();
-                let result =
-                    check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
-                        .unwrap();
-                assert!(result.outcome.is_proved());
+                let pdr = check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
+                    .unwrap();
+                assert!(pdr.result.outcome.is_proved());
             })
         });
         group.bench_with_input(

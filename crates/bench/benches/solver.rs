@@ -67,7 +67,7 @@ fn bench_pdr_deep_chain(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.bench_function("default", |b| {
         b.iter(|| {
-            let result = check_property_pdr(
+            let pdr = check_property_pdr(
                 &spec,
                 &netlist,
                 &property,
@@ -76,7 +76,7 @@ fn bench_pdr_deep_chain(c: &mut Criterion) {
                 &Tracer::disabled(),
             )
             .unwrap();
-            assert!(result.outcome.is_proved());
+            assert!(pdr.result.outcome.is_proved());
         })
     });
     group.finish();

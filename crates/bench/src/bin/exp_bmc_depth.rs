@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use ipcl_bench::{emit_bench_json, TraceArgs};
+use ipcl_bench::{emit_bench_json, median_ms, TraceArgs};
 use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
@@ -91,13 +91,12 @@ fn main() {
                 );
                 last_stats = Some(result.stats);
             }
-            times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            let median_ms = times[1];
+            let solve_ms = median_ms(times);
             let stats = last_stats.expect("three runs completed");
             if incremental {
-                incremental_total += median_ms;
+                incremental_total += solve_ms;
             } else {
-                scratch_total += median_ms;
+                scratch_total += solve_ms;
             }
             entries.push(format!(
                 concat!(
@@ -108,7 +107,7 @@ fn main() {
                 ),
                 mode,
                 depth,
-                median_ms,
+                solve_ms,
                 stats.base_clauses,
                 stats.solve_calls,
                 stats.conflicts,

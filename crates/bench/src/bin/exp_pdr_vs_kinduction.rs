@@ -32,7 +32,7 @@ use ipcl_bmc::{
 use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_core::{ArchSpec, FunctionalSpec};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr, PdrOptions, PdrOutcome};
+use ipcl_pdr::{check_property_pdr, PdrOptions};
 use ipcl_rtl::Netlist;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
@@ -183,7 +183,7 @@ fn main() {
             let mut frame_obligations = Vec::new();
             for _ in 0..repeats {
                 let start = Instant::now();
-                let result = check_property_pdr(
+                let pdr = check_property_pdr(
                     &workload.spec,
                     &workload.netlist,
                     &workload.property,
@@ -193,18 +193,20 @@ fn main() {
                 )
                 .expect("netlist elaborates");
                 times.push(start.elapsed().as_secs_f64() * 1e3);
-                let PdrOutcome::Proved {
-                    certificate,
-                    fixpoint_frame,
-                } = &result.outcome
+                let (
+                    BmcOutcome::Proved {
+                        induction_depth: fixpoint_frame,
+                    },
+                    Some(certificate),
+                ) = (&pdr.result.outcome, &pdr.certificate)
                 else {
                     panic!(
                         "{}: PDR must prove, got {:?}",
-                        workload.name, result.outcome
+                        workload.name, pdr.result.outcome
                     );
                 };
                 assert!(
-                    result.validation.expect("every proof is validated").ok(),
+                    pdr.validation.expect("every proof is validated").ok(),
                     "{}: certificate failed validation",
                     workload.name
                 );
@@ -212,11 +214,11 @@ fn main() {
                     "proved@F{fixpoint_frame} ({} clauses)",
                     certificate.clauses.len()
                 );
-                clauses = result.stats.clauses;
-                obligations = result.stats.obligations;
-                conflicts = result.stats.conflicts;
-                max_queue_depth = result.stats.max_queue_depth;
-                frame_obligations = result.stats.obligations_per_frame.clone();
+                clauses = pdr.stats.clauses;
+                obligations = pdr.stats.obligations;
+                conflicts = pdr.stats.conflicts;
+                max_queue_depth = pdr.stats.max_queue_depth;
+                frame_obligations = pdr.stats.obligations_per_frame.clone();
             }
             entries.push(format!(
                 concat!(

@@ -73,6 +73,7 @@ fn main() {
          conservative variants trigger performance assertions (and only those); the broken\n\
          variants trigger functional assertions and produce ground-truth hazards. Assertion\n\
          counts can differ from ground-truth stall counts because per-stage assertions only\n\
-         see the signals of one cycle (see the cyclic-control caveat in DESIGN.md)."
+         see the signals of one cycle: the stalls of a lock-step issue group justify each\n\
+         other, so a spurious group stall raises no performance assertion."
     );
 }

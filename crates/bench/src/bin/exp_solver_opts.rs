@@ -23,19 +23,14 @@
 
 use std::time::Instant;
 
-use ipcl_bench::{emit_bench_json, pigeonhole_cnf, TraceArgs};
+use ipcl_bench::{emit_bench_json, median_ms, pigeonhole_cnf, TraceArgs};
 use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr, PdrOptions, PdrOutcome};
+use ipcl_pdr::{check_property_pdr, PdrOptions};
 use ipcl_sat::{SatResult, Solver};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
-
-fn median_ms(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    times[times.len() / 2]
-}
 
 /// One measured point: medianized wall-clock plus the counters that
 /// explain it.
@@ -76,22 +71,21 @@ fn run_deep_pdr(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
     let mut detail = String::new();
     for _ in 0..repeats {
         let start = Instant::now();
-        let result = check_property_pdr(&spec, &netlist, &property, &options, None, tracer)
+        let pdr = check_property_pdr(&spec, &netlist, &property, &options, None, tracer)
             .expect("netlist elaborates");
         times.push(start.elapsed().as_secs_f64() * 1e3);
-        let PdrOutcome::Proved { .. } = result.outcome else {
-            panic!(
-                "deep_pipeline({depth}) must be proved, got {:?}",
-                result.outcome
-            );
-        };
-        assert!(result.validation.expect("every proof is validated").ok());
+        assert!(
+            pdr.result.outcome.is_proved(),
+            "deep_pipeline({depth}) must be proved, got {:?}",
+            pdr.result.outcome
+        );
+        assert!(pdr.validation.expect("every proof is validated").ok());
         detail = format!(
             "\"solve_calls\": {}, \"obligations\": {}, \"conflicts\": {}, \"propagations\": {}",
-            result.stats.solve_calls,
-            result.stats.obligations,
-            result.stats.conflicts,
-            result.stats.propagations
+            pdr.stats.solve_calls,
+            pdr.stats.obligations,
+            pdr.stats.conflicts,
+            pdr.stats.propagations
         );
     }
     Point {

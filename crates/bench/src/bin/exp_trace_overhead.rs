@@ -55,13 +55,13 @@ fn main() {
     // ---- Overhead: single-threaded PDR, disabled vs. enabled tracer.
     let run_pdr = |tracer: &Tracer| {
         let start = Instant::now();
-        let result = check_property_pdr(&spec, &netlist, &property, &pdr_options, None, tracer)
+        let pdr = check_property_pdr(&spec, &netlist, &property, &pdr_options, None, tracer)
             .expect("netlist elaborates");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(
-            result.outcome.is_proved(),
+            pdr.result.outcome.is_proved(),
             "deep-chain-{CHAIN_DEPTH} must be proved, got {:?}",
-            result.outcome
+            pdr.result.outcome
         );
         ms
     };

@@ -242,11 +242,11 @@ pub fn performance_bug_matrix(spec: &FunctionalSpec) -> Vec<(String, String, Exp
     // stage is free — the "no bubble collapse" class of performance bug.
     //
     // (Issue stages are deliberately not used here: a spurious stall of a
-    // lock-step issue group is *mutually justified* by the lock-step rules
+    // lock-step issue group is *mutually justified* by the lock-step rules —
+    // each issue stage's stall condition holds because the others stall —
     // and therefore does not violate the per-stage Figure-3 performance
-    // specification — see the cyclic-control caveat in DESIGN.md. Those bugs
-    // are caught by comparison against the derived maximal assignment, which
-    // the simulation experiments perform.)
+    // specification. Those bugs are caught by comparison against the
+    // derived maximal assignment, which the simulation experiments perform.)
     for stage in spec.stages() {
         let is_intermediate =
             stage.stage.stage > 1 && !stage.rules.iter().any(|r| r.label == "completion-bus-lost");

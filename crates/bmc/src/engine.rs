@@ -239,23 +239,6 @@ impl<'n> Run<'n> {
     }
 }
 
-/// Validates that every `moe` signal the property portfolio mentions exists
-/// in the netlist.
-pub fn missing_moe_signals(spec: &FunctionalSpec, netlist: &Netlist) -> Vec<String> {
-    Binding::new(spec, netlist).missing_moe(spec, None)
-}
-
-/// As [`missing_moe_signals`], restricted to the stage one `property` talks
-/// about — the prologue check shared by the BMC and PDR engines, over the
-/// run's [`Binding`].
-pub fn missing_property_signals(
-    spec: &FunctionalSpec,
-    binding: &Binding,
-    property: &SequentialProperty,
-) -> Vec<String> {
-    binding.missing_moe(spec, Some(&property.stage))
-}
-
 /// One property's progress through a [`check_properties`] run.
 #[derive(Default)]
 struct Track {
@@ -311,7 +294,7 @@ pub fn check_properties(
     let binding = Binding::new(spec, netlist);
     let mut missing: Vec<String> = properties
         .iter()
-        .flat_map(|property| missing_property_signals(spec, &binding, property))
+        .flat_map(|property| binding.missing_moe(spec, Some(&property.stage)))
         .collect();
     missing.sort();
     missing.dedup();

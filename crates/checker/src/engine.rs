@@ -1,8 +1,7 @@
 //! Validity, implication and equivalence engines (BDD- and SAT-backed).
 
 use ipcl_bdd::BddManager;
-use ipcl_expr::{Assignment, Expr, TseitinEncoder};
-use ipcl_sat::{SatResult, Solver};
+use ipcl_expr::{Assignment, Expr};
 
 /// Which exhaustive engine answers a query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -55,35 +54,20 @@ impl CheckOutcome {
 
 /// Decides whether `formula` is valid, returning a counterexample when not.
 pub fn check_validity(formula: &Expr, engine: Engine) -> CheckOutcome {
-    match engine {
+    // A model of the negation refutes the formula.
+    let negated = Expr::not(formula.clone());
+    let model = match engine {
         Engine::Bdd => {
             let mut manager = BddManager::new();
-            let negated = Expr::not(formula.clone());
             let f = manager.from_expr(&negated);
-            match manager.any_model(f) {
-                None => CheckOutcome::Valid,
-                Some(model) => CheckOutcome::CounterExample(model),
-            }
+            manager.any_model(f)
         }
-        // Plaisted–Greenbaum encoding of the negation: the refutation only
-        // ever asserts the root positively.
-        Engine::Sat => {
-            let negated = Expr::not(formula.clone());
-            let mut encoder = TseitinEncoder::new();
-            encoder.assert_expr(&negated);
-            let var_map = encoder.var_map().clone();
-            let mut solver = Solver::from_cnf(encoder.cnf());
-            match solver.solve() {
-                SatResult::Unsat => CheckOutcome::Valid,
-                SatResult::Sat(model) => {
-                    let assignment = var_map
-                        .into_iter()
-                        .map(|(spec_var, cnf_var)| (spec_var, model[cnf_var as usize]))
-                        .collect();
-                    CheckOutcome::CounterExample(assignment)
-                }
-            }
-        }
+        // Plaisted–Greenbaum encoded: the refutation only asserts the root.
+        Engine::Sat => ipcl_sat::satisfying_assignment(&negated),
+    };
+    match model {
+        None => CheckOutcome::Valid,
+        Some(model) => CheckOutcome::CounterExample(model),
     }
 }
 

@@ -52,9 +52,7 @@ pub use ipcl_bmc::{
     BmcError, BmcOptions, BmcOutcome, BmcResult, Counterexample, Latency, PropertyKind,
     SequentialProperty, StallEscapeReport,
 };
-pub use ipcl_pdr::{
-    Certificate, CertificateCheck, PdrOptions, PdrOutcome, PdrResult, StateLiteral,
-};
+pub use ipcl_pdr::{Certificate, CertificateCheck, PdrOptions, PdrResult, StateLiteral};
 // Observability vocabulary, so callers can configure tracing on
 // `SequentialOptions` and consume the snapshot without naming `ipcl-trace`.
 pub use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer};

@@ -28,13 +28,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ipcl_bmc::{
-    check_properties, check_stall_escape_traced, BmcError, BmcOptions, BmcOutcome, BmcResult,
-    BmcStats, Latency, SequentialProperty, StallEscapeReport,
+    check_properties, check_stall_escape_traced, Binding, BmcError, BmcOptions, BmcOutcome,
+    BmcResult, Latency, SequentialProperty, StallEscapeReport,
 };
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Assignment;
-use ipcl_pdr::{check_property_pdr, Certificate, PdrOptions, PdrOutcome, PdrResult};
+use ipcl_pdr::{check_property_pdr, Certificate, CertificateCheck, PdrOptions};
 use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
 
@@ -149,6 +149,8 @@ pub struct SequentialOptions {
     /// Observability configuration. Disabled by default (and zero-cost when
     /// disabled); when enabled, [`SequentialReport::trace`] carries the
     /// frozen profile tree, metrics and event log of the whole run.
+    /// [`check_property_job`] ignores it and traces through its `tracer`
+    /// argument.
     pub trace: TraceConfig,
 }
 
@@ -174,9 +176,9 @@ impl Default for SequentialOptions {
 pub struct SequentialReport {
     /// The latency class the properties were checked at.
     pub latency: Latency,
-    /// One result per property, in portfolio order. Properties decided by
-    /// PDR are folded into the BMC vocabulary (`Proved`'s depth is the PDR
-    /// fixpoint frame).
+    /// One result per property, in portfolio order. Both engines answer in
+    /// this one vocabulary: a PDR proof's `Proved` depth is its fixpoint
+    /// frame.
     pub results: Vec<BmcResult>,
     /// Validated inductive-invariant certificates, keyed by property name —
     /// one per property that PDR proved (empty under
@@ -248,7 +250,7 @@ pub fn check_netlist_sequential_with(
     netlist: &Netlist,
     options: &SequentialOptions,
 ) -> Result<SequentialReport, BmcError> {
-    let missing = ipcl_bmc::missing_moe_signals(spec, netlist);
+    let missing = Binding::new(spec, netlist).missing_moe(spec, None);
     if !missing.is_empty() {
         return Err(BmcError::MissingSignals(missing));
     }
@@ -261,43 +263,15 @@ pub fn check_netlist_sequential_with(
         .unwrap_or_else(|| Latency::detect(spec, netlist));
 
     let properties = SequentialProperty::both_directions(spec, latency);
-    let checked = check_with_strategy(spec, netlist, &properties, options, None, &tracer)?;
     let mut certificates = BTreeMap::new();
-    let mut results = Vec::with_capacity(checked.len());
-    for (result, certificate) in checked {
+    let mut results = Vec::with_capacity(properties.len());
+    for (result, certificate) in
+        check_with_strategy(spec, netlist, &properties, options, None, &tracer)?
+    {
         if let Some(certificate) = certificate {
             certificates.insert(result.property.name.clone(), certificate);
         }
         results.push(result);
-    }
-
-    // Counterexamples must replay: a trace that does not reproduce through
-    // the simulator would mean the CNF encoding or the compiled simulator
-    // diverged from the netlist semantics, which is a checker bug, not a
-    // property verdict.
-    for result in &results {
-        if let BmcOutcome::Falsified(cex) = &result.outcome {
-            let _replay_span = tracer.span("checker.replay");
-            let replay = cex
-                .replay(spec, netlist, &result.property)
-                .map_err(BmcError::Rtl)?;
-            if tracer.is_enabled() {
-                tracer.event(
-                    "replay_verdict",
-                    &[
-                        ("property", Value::from(result.property.name.clone())),
-                        ("length", Value::from(cex.length() as u64)),
-                        ("reproduced", Value::from(replay.violation_reproduced)),
-                    ],
-                );
-            }
-            assert!(
-                replay.violation_reproduced,
-                "counterexample for {} failed to replay:\n{}",
-                result.property.name,
-                cex.render()
-            );
-        }
     }
 
     let stall_escape = if options.deadlock {
@@ -330,10 +304,13 @@ pub fn check_netlist_sequential_with(
 /// It is the one-property case of the dispatch
 /// [`check_netlist_sequential_with`] runs over the whole portfolio, which
 /// gives every property the verdict this function gives it (under
-/// k-induction, from one shared [`ipcl_bmc::check_properties`] run).
+/// k-induction, from one shared [`ipcl_bmc::check_properties`] run) and
+/// checks its evidence the same way: a returned counterexample has been
+/// replayed through [`ipcl_rtl::Simulator`] and reproduced its violation,
+/// traced under `checker.replay` with a `replay_verdict` event.
 ///
-/// Returns the folded [`BmcResult`] plus the validated certificate when
-/// the proof came from PDR.
+/// Returns the [`BmcResult`] plus the validated certificate when the proof
+/// came from PDR.
 ///
 /// # Errors
 ///
@@ -342,7 +319,8 @@ pub fn check_netlist_sequential_with(
 /// # Panics
 ///
 /// Like the full checker, on a PDR certificate that fails its independent
-/// validation (an engine bug, not a verdict).
+/// validation or a counterexample that does not replay (engine bugs, not
+/// verdicts).
 pub fn check_property_job(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -357,9 +335,11 @@ pub fn check_property_job(
 }
 
 /// Decides `properties` with the configured [`ProofStrategy`], in order,
-/// on the caller's thread: one [`ipcl_bmc::check_properties`] run under
-/// k-induction, one [`ipcl_pdr::check_property_pdr`] run per property
-/// under PDR.
+/// on the caller's thread, and checks every answer's evidence: the one
+/// place an engine answer becomes a verdict, for both
+/// [`check_netlist_sequential_with`] and [`check_property_job`]. It runs
+/// one [`ipcl_bmc::check_properties`] run under k-induction, one
+/// [`ipcl_pdr::check_property_pdr`] run per property under PDR.
 ///
 /// The portfolio runs k-induction over the whole list at
 /// `quiet_cycles: 0`, then PDR on each property it left unknown, unless
@@ -368,6 +348,14 @@ pub fn check_property_job(
 /// around the engines' own spans, with a start `heartbeat` and a
 /// `portfolio_verdict` event per property naming the engine that decided
 /// it (`winner`: `bmc`, `pdr` or `none`).
+///
+/// Once every property is decided, each answer's evidence is checked in
+/// list order. A certificate that failed its independent validation
+/// panics. Each counterexample is replayed through [`ipcl_rtl::Simulator`]
+/// under a `checker.replay` span, with a `replay_verdict` event, and must
+/// reproduce its violation (asserted): a trace that does not would mean
+/// the CNF encoding diverged from the netlist semantics. Either failure
+/// is an engine bug, not a verdict.
 fn check_with_strategy(
     spec: &FunctionalSpec,
     netlist: &Netlist,
@@ -376,20 +364,20 @@ fn check_with_strategy(
     cancel: Option<&AtomicBool>,
     tracer: &Tracer,
 ) -> Result<Vec<(BmcResult, Option<Certificate>)>, BmcError> {
+    // Each answer with a PDR proof's certificate and its validation.
+    type Decided = (BmcResult, Option<(Certificate, CertificateCheck)>);
     let run_pdr = |property: &SequentialProperty| {
         check_property_pdr(spec, netlist, property, &options.pdr, cancel, tracer)
+            .map(|pdr| (pdr.result, pdr.certificate.zip(pdr.validation)))
     };
-    Ok(match options.strategy {
+    let decided: Vec<Decided> = match options.strategy {
         ProofStrategy::KInduction => {
             check_properties(spec, netlist, properties, &options.bmc, cancel, tracer)?
                 .into_iter()
                 .map(|result| (result, None))
                 .collect()
         }
-        ProofStrategy::Pdr => properties
-            .iter()
-            .map(|property| run_pdr(property).map(fold_pdr_result))
-            .collect::<Result<_, _>>()?,
+        ProofStrategy::Pdr => properties.iter().map(run_pdr).collect::<Result<_, _>>()?,
         ProofStrategy::Portfolio => {
             let _span = tracer.span("portfolio.check");
             // Announce the run on the live-progress feed; the engines' own
@@ -405,17 +393,17 @@ fn check_with_strategy(
                 quiet_cycles: 0,
                 ..options.bmc
             };
-            let mut checked = Vec::with_capacity(properties.len());
+            let mut decided = Vec::with_capacity(properties.len());
             for result in check_properties(spec, netlist, properties, &bmc, cancel, tracer)? {
-                let (winner, (result, certificate)) = match result.outcome {
+                let (winner, (result, proof)) = match result.outcome {
                     BmcOutcome::Unknown { .. }
                         if !cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) =>
                     {
-                        let pdr = run_pdr(&result.property)?;
-                        if matches!(pdr.outcome, PdrOutcome::Unknown { .. }) {
+                        let (pdr, proof) = run_pdr(&result.property)?;
+                        if matches!(pdr.outcome, BmcOutcome::Unknown { .. }) {
                             ("none", (result, None))
                         } else {
-                            ("pdr", fold_pdr_result(pdr))
+                            ("pdr", (pdr, proof))
                         }
                     }
                     BmcOutcome::Unknown { .. } => ("none", (result, None)),
@@ -438,74 +426,46 @@ fn check_with_strategy(
                         ],
                     );
                 }
-                checked.push((result, certificate));
+                decided.push((result, proof));
             }
-            checked
+            decided
         }
-    })
-}
-
-/// Maps a [`PdrResult`] into the report's [`BmcResult`] vocabulary.
-///
-/// A PDR proof whose certificate fails the independent validation is an
-/// engine bug, not a verdict — like a counterexample that fails to replay,
-/// it panics rather than being reported as "proved".
-fn fold_pdr_result(result: PdrResult) -> (BmcResult, Option<Certificate>) {
-    if let Some(check) = &result.validation {
-        assert!(
-            check.ok(),
-            "certificate for {} failed independent validation ({check}):\n{}",
-            result.property.name,
-            result
-                .outcome
-                .certificate()
-                .map(|c| c.render())
-                .unwrap_or_default()
-        );
-    }
-    let stats = BmcStats {
-        depth_reached: result.stats.frames,
-        solve_calls: result.stats.solve_calls as usize,
-        base_clauses: result.stats.clauses,
-        induction_clauses: 0,
-        conflicts: result.stats.conflicts,
-        propagations: result.stats.propagations,
-        last_depth_conflicts: 0,
-        last_depth_propagations: 0,
     };
-    match result.outcome {
-        PdrOutcome::Proved {
-            certificate,
-            fixpoint_frame,
-        } => (
-            BmcResult {
-                property: result.property,
-                outcome: BmcOutcome::Proved {
-                    induction_depth: fixpoint_frame,
-                },
-                stats,
-            },
-            Some(certificate),
-        ),
-        PdrOutcome::Falsified(cex) => (
-            BmcResult {
-                property: result.property,
-                outcome: BmcOutcome::Falsified(cex),
-                stats,
-            },
-            None,
-        ),
-        PdrOutcome::Unknown { frames_explored } => (
-            BmcResult {
-                property: result.property,
-                outcome: BmcOutcome::Unknown {
-                    depth_checked: frames_explored,
-                },
-                stats,
-            },
-            None,
-        ),
+
+    let mut checked = Vec::with_capacity(decided.len());
+    for (result, proof) in decided {
+        let certificate = proof.map(|(certificate, check)| {
+            assert!(
+                check.ok(),
+                "certificate for {} failed independent validation ({check}):\n{}",
+                result.property.name,
+                certificate.render()
+            );
+            certificate
+        });
+        if let BmcOutcome::Falsified(cex) = &result.outcome {
+            let _replay_span = tracer.span("checker.replay");
+            let replay = cex.replay(spec, netlist, &result.property)?;
+            if tracer.is_enabled() {
+                tracer.event(
+                    "replay_verdict",
+                    &[
+                        ("property", Value::from(result.property.name.clone())),
+                        ("length", Value::from(cex.length() as u64)),
+                        ("reproduced", Value::from(replay.violation_reproduced)),
+                    ],
+                );
+            }
+            assert!(
+                replay.violation_reproduced,
+                "counterexample for {} failed to replay:\n{}",
+                result.property.name,
+                cex.render()
+            );
+        }
+        checked.push((result, certificate));
     }
+    Ok(checked)
 }
 
 #[cfg(test)]

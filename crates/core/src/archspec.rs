@@ -110,8 +110,9 @@ impl ArchSpec {
     /// short pipe), one completion bus per side, a 64-entry scoreboard and
     /// lock-step issue across all pipes.
     ///
-    /// This is the synthetic stand-in for the proprietary processor the paper
-    /// verified; see `DESIGN.md` for the substitution rationale.
+    /// This is a synthetic stand-in for the proprietary processor the paper
+    /// verified: that design is not public, so this configuration only
+    /// reproduces the kinds of structure listed above.
     pub fn firepath_like() -> Self {
         let mut pipes = Vec::new();
         let mut buses = Vec::new();

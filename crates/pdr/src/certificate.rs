@@ -1,8 +1,8 @@
 //! Inductive invariant certificates and their independent validation.
 //!
 //! A PDR proof is only as trustworthy as the frame bookkeeping that produced
-//! it, so the engine does not ask to be trusted: every
-//! [`PdrOutcome::Proved`](crate::PdrOutcome::Proved) verdict carries an
+//! it, so the engine does not ask to be trusted: every proof
+//! ([`PdrResult::certificate`](crate::PdrResult::certificate)) carries an
 //! explicit [`Certificate`] — a conjunction of clauses over the netlist's
 //! register state — and [`Certificate::validate`] re-establishes from
 //! scratch, with a fresh unrolling and a fresh SAT solver that share nothing

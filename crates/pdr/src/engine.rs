@@ -44,7 +44,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ipcl_bmc::{Binding, BmcError, Counterexample, FrameEncoder, SequentialProperty};
+use ipcl_bmc::{
+    Binding, BmcError, BmcOutcome, BmcResult, BmcStats, Counterexample, FrameEncoder,
+    SequentialProperty,
+};
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
 use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
@@ -57,7 +60,7 @@ use crate::certificate::{Certificate, CertificateCheck, StateLiteral};
 #[derive(Clone, Copy, Debug)]
 pub struct PdrOptions {
     /// Maximum number of frames before giving up with
-    /// [`PdrOutcome::Unknown`]. The state spaces of interlock controllers
+    /// [`BmcOutcome::Unknown`]. The state spaces of interlock controllers
     /// are small, so running out of frames indicates a diverging
     /// abstraction rather than a hard problem.
     pub max_frames: usize,
@@ -124,64 +127,23 @@ impl PdrStats {
     }
 }
 
-/// The verdict of one PDR run.
-#[derive(Clone, Debug)]
-pub enum PdrOutcome {
-    /// The property holds on every cycle; the certificate is the inductive
-    /// invariant that proves it.
-    Proved {
-        /// The invariant (see [`PdrResult::validation`]).
-        certificate: Certificate,
-        /// The frame at which the trailing sequence closed.
-        fixpoint_frame: usize,
-    },
-    /// The property fails; the trace is simulator-replayable (but, unlike
-    /// BMC's, not necessarily of minimal length).
-    Falsified(Counterexample),
-    /// Frame budget exhausted or run cancelled.
-    Unknown {
-        /// Frames explored before giving up.
-        frames_explored: usize,
-    },
-}
-
-impl PdrOutcome {
-    /// Whether the outcome is a proof.
-    pub fn is_proved(&self) -> bool {
-        matches!(self, PdrOutcome::Proved { .. })
-    }
-
-    /// Whether the outcome is a falsification.
-    pub fn is_falsified(&self) -> bool {
-        matches!(self, PdrOutcome::Falsified(_))
-    }
-
-    /// The counterexample, if falsified.
-    pub fn counterexample(&self) -> Option<&Counterexample> {
-        match self {
-            PdrOutcome::Falsified(cex) => Some(cex),
-            _ => None,
-        }
-    }
-
-    /// The certificate, if proved.
-    pub fn certificate(&self) -> Option<&Certificate> {
-        match self {
-            PdrOutcome::Proved { certificate, .. } => Some(certificate),
-            _ => None,
-        }
-    }
-}
-
-/// Result of checking one property with PDR.
+/// Result of checking one property with PDR: the verdict in the engines'
+/// shared vocabulary, with the proof's certificate beside it.
 #[derive(Clone, Debug)]
 pub struct PdrResult {
-    /// The property that was checked.
-    pub property: SequentialProperty,
-    /// The verdict.
-    pub outcome: PdrOutcome,
-    /// The independent certificate validation (`Some` exactly when the
-    /// outcome is a proof).
+    /// The verdict. A proof's `induction_depth` is the frame at which the
+    /// trailing sequence closed and an unknown's `depth_checked` the frames
+    /// explored; a falsification's trace replays but, unlike BMC's, need
+    /// not be of minimal length. The [`BmcStats`] are [`PdrResult::stats`]
+    /// mapped: `depth_reached` is the frames opened, `base_clauses` the
+    /// frame clauses learned, and the solve calls, conflicts and
+    /// propagations are PDR's own.
+    pub result: BmcResult,
+    /// The inductive invariant that proves the property (`Some` exactly
+    /// when the verdict is a proof).
+    pub certificate: Option<Certificate>,
+    /// The independent validation of `certificate` (`Some` exactly when
+    /// the verdict is a proof).
     pub validation: Option<CertificateCheck>,
     /// Search statistics.
     pub stats: PdrStats,
@@ -199,12 +161,6 @@ struct Obligation {
     cube: Cube,
     parent: Option<usize>,
     step_inputs: BTreeMap<String, bool>,
-}
-
-enum BlockOutcome {
-    Blocked,
-    Counterexample(Counterexample),
-    Cancelled,
 }
 
 /// One PDR search: the encoder, writing into its incremental solver, and
@@ -486,13 +442,16 @@ impl<'a> Pdr<'a> {
 
     /// Blocks the bad cube at the top frame, recursively discharging the
     /// proof obligations it spawns. `window` is the decoded input window of
-    /// the bad-state model (the tail of any counterexample trace).
+    /// the bad-state model (the tail of any counterexample trace). Fails
+    /// with the verdict that ends the search: a falsification when an
+    /// obligation chain reaches the reset state, an unknown when `cancel`
+    /// is set.
     fn block(
         &mut self,
         root: Cube,
         window: Vec<BTreeMap<String, bool>>,
         cancel: Option<&AtomicBool>,
-    ) -> BlockOutcome {
+    ) -> Result<(), BmcOutcome> {
         let top = self.top();
         let mut arena: Vec<Obligation> = vec![Obligation {
             cube: root,
@@ -507,13 +466,14 @@ impl<'a> Pdr<'a> {
 
         while let Some(Reverse((k, index))) = queue.pop() {
             if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                return BlockOutcome::Cancelled;
+                return Err(self.unknown());
             }
             self.note_pop(k, queue.len());
             if k == 0 {
                 // Defensive: obligations at frame 0 are initial states and
                 // are caught at creation time by the initiation check.
-                return BlockOutcome::Counterexample(self.trace(&arena, index, None, &window));
+                let cex = self.trace(&arena, index, None, &window);
+                return Err(BmcOutcome::Falsified(cex));
             }
             let cube = arena[index].cube.clone();
             if self.is_blocked(&cube, k) {
@@ -541,12 +501,8 @@ impl<'a> Pdr<'a> {
                     if self.intersects_init(&predecessor) {
                         // The predecessor is the reset state: the obligation
                         // chain is a concrete trace.
-                        return BlockOutcome::Counterexample(self.trace(
-                            &arena,
-                            index,
-                            Some(step_inputs),
-                            &window,
-                        ));
+                        let cex = self.trace(&arena, index, Some(step_inputs), &window);
+                        return Err(BmcOutcome::Falsified(cex));
                     }
                     arena.push(Obligation {
                         cube: predecessor,
@@ -560,7 +516,7 @@ impl<'a> Pdr<'a> {
                 }
             }
         }
-        BlockOutcome::Blocked
+        Ok(())
     }
     /// Records an obligation entering the queue at `frame`, with the
     /// queue length right after the push.
@@ -635,6 +591,12 @@ impl<'a> Pdr<'a> {
             current = parent;
         }
         frames.extend(window.iter().cloned());
+        self.counterexample(frames)
+    }
+
+    /// The counterexample whose last frame (the property window's end)
+    /// shows the violation.
+    fn counterexample(&self, frames: Vec<BTreeMap<String, bool>>) -> Counterexample {
         Counterexample {
             property: self.property.name.clone(),
             violation_frame: frames.len() - 1,
@@ -668,26 +630,17 @@ impl<'a> Pdr<'a> {
         None
     }
 
-    fn run(&mut self, cancel: Option<&AtomicBool>) -> PdrOutcome {
+    /// Runs the search to a verdict; a proof comes with its certificate.
+    fn run(&mut self, cancel: Option<&AtomicBool>) -> (BmcOutcome, Option<Certificate>) {
         // Stateless netlist: the single (empty) state is initial, so the
         // property is equivalent to the one-window combinational query.
         if self.regs.is_empty() {
             let bad = self.bad;
             return match self.solve(&[bad]) {
-                SatResult::Unsat => PdrOutcome::Proved {
-                    certificate: Certificate {
-                        property: self.property.name.clone(),
-                        clauses: Vec::new(),
-                    },
-                    fixpoint_frame: 0,
-                },
+                SatResult::Unsat => self.proved(0),
                 SatResult::Sat(model) => {
-                    let frames = self.window(&model);
-                    PdrOutcome::Falsified(Counterexample {
-                        property: self.property.name.clone(),
-                        violation_frame: frames.len() - 1,
-                        frames,
-                    })
+                    let cex = self.counterexample(self.window(&model));
+                    (BmcOutcome::Falsified(cex), None)
                 }
             };
         }
@@ -695,9 +648,7 @@ impl<'a> Pdr<'a> {
         self.push_frame(); // F_1
         loop {
             if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                return PdrOutcome::Unknown {
-                    frames_explored: self.top(),
-                };
+                return (self.unknown(), None);
             }
             // Block every bad state reachable within the current bound.
             loop {
@@ -711,38 +662,41 @@ impl<'a> Pdr<'a> {
                         let window = self.window(&model);
                         if self.intersects_init(&cube) {
                             // The reset state itself violates the property.
-                            return PdrOutcome::Falsified(Counterexample {
-                                property: self.property.name.clone(),
-                                violation_frame: window.len() - 1,
-                                frames: window,
-                            });
+                            let cex = self.counterexample(window);
+                            return (BmcOutcome::Falsified(cex), None);
                         }
-                        match self.block(cube, window, cancel) {
-                            BlockOutcome::Blocked => {}
-                            BlockOutcome::Counterexample(cex) => return PdrOutcome::Falsified(cex),
-                            BlockOutcome::Cancelled => {
-                                return PdrOutcome::Unknown {
-                                    frames_explored: self.top(),
-                                }
-                            }
+                        if let Err(outcome) = self.block(cube, window, cancel) {
+                            return (outcome, None);
                         }
                     }
                 }
             }
             if self.top() >= self.max_frames {
-                return PdrOutcome::Unknown {
-                    frames_explored: self.top(),
-                };
+                return (self.unknown(), None);
             }
             self.push_frame();
             let top = self.top();
             self.emit_heartbeat(top, 0);
             if let Some(fixpoint) = self.propagate() {
-                return PdrOutcome::Proved {
-                    certificate: self.certificate(fixpoint),
-                    fixpoint_frame: fixpoint,
-                };
+                return self.proved(fixpoint);
             }
+        }
+    }
+
+    /// The verdict of a trailing sequence that closed at frame `fixpoint`:
+    /// the fixpoint frame is the proof's depth, and the invariant there its
+    /// certificate.
+    fn proved(&self, fixpoint: usize) -> (BmcOutcome, Option<Certificate>) {
+        let outcome = BmcOutcome::Proved {
+            induction_depth: fixpoint,
+        };
+        (outcome, Some(self.certificate(fixpoint)))
+    }
+
+    /// The verdict of a search stopped undecided: the frames explored.
+    fn unknown(&self) -> BmcOutcome {
+        BmcOutcome::Unknown {
+            depth_checked: self.top(),
         }
     }
 }
@@ -790,13 +744,13 @@ fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
 
 /// Checks one sequential property on `netlist` against `spec` with IC3/PDR.
 ///
-/// See the module docs for the algorithm. A [`PdrOutcome::Proved`] verdict
-/// carries an explicit inductive-invariant [`Certificate`], re-validated
-/// by independent SAT checks ([`Certificate::validate`]); the verdicts are
-/// in [`PdrResult::validation`]. A [`PdrOutcome::Falsified`] trace replays
-/// through [`ipcl_rtl::Simulator`] (callers assert this, as with BMC). The
-/// run polls `cancel` between queries and returns [`PdrOutcome::Unknown`]
-/// as soon as it is set.
+/// See the module docs for the algorithm. A proof carries an explicit
+/// inductive-invariant [`Certificate`], re-validated by independent SAT
+/// checks ([`Certificate::validate`]); the verdicts are in
+/// [`PdrResult::validation`]. A falsification's trace replays through
+/// [`ipcl_rtl::Simulator`] (callers assert this, as with BMC). The run
+/// polls `cancel` between queries and answers [`BmcOutcome::Unknown`] as
+/// soon as it is set.
 ///
 /// Traced under a `pdr.check` span (encode under `pdr.encode`, clause
 /// propagation under `pdr.propagate`, cube generalisation under
@@ -820,14 +774,14 @@ pub fn check_property_pdr(
 ) -> Result<PdrResult, BmcError> {
     let _span = tracer.span("pdr.check");
     let binding = Binding::new(spec, netlist);
-    let missing = ipcl_bmc::missing_property_signals(spec, &binding, property);
+    let missing = binding.missing_moe(spec, Some(&property.stage));
     if !missing.is_empty() {
         return Err(BmcError::MissingSignals(missing));
     }
 
     let mut pdr = Pdr::new(spec, netlist, &binding, property, options, tracer)?;
-    let outcome = pdr.run(cancel);
-    let mut stats = pdr.stats.clone();
+    let (outcome, certificate) = pdr.run(cancel);
+    let mut stats = std::mem::take(&mut pdr.stats);
     stats.frames = pdr.top();
     stats.conflicts = pdr.solver().stats().conflicts;
     stats.propagations = pdr.solver().stats().propagations;
@@ -840,17 +794,29 @@ pub fn check_property_pdr(
         tracer.counter("unroll.pdr.cache_hits", u.cache_hits);
     }
 
-    let validation = match &outcome {
-        PdrOutcome::Proved { certificate, .. } => {
+    let validation = match &certificate {
+        Some(certificate) => {
             let _validate = tracer.span("pdr.validate");
             Some(certificate.validate(spec, netlist, property)?)
         }
-        _ => None,
+        None => None,
     };
 
-    Ok(PdrResult {
+    let result = BmcResult {
         property: property.clone(),
         outcome,
+        stats: BmcStats {
+            depth_reached: stats.frames,
+            solve_calls: stats.solve_calls as usize,
+            base_clauses: stats.clauses,
+            conflicts: stats.conflicts,
+            propagations: stats.propagations,
+            ..BmcStats::default()
+        },
+    };
+    Ok(PdrResult {
+        result,
+        certificate,
         validation,
         stats,
     })

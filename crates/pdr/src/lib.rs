@@ -43,8 +43,8 @@
 //! // … while PDR proves it outright, with a validated certificate.
 //! let pdr = check_property_pdr(&spec, &netlist, &property,
 //!     &PdrOptions::default(), None, &Tracer::disabled()).unwrap();
-//! assert!(pdr.outcome.is_proved());
-//! assert!(pdr.validation.unwrap().ok());
+//! assert!(pdr.result.outcome.is_proved());
+//! assert!(pdr.certificate.is_some() && pdr.validation.unwrap().ok());
 //! ```
 
 pub mod certificate;
@@ -52,17 +52,20 @@ pub mod deep;
 pub mod engine;
 
 pub use certificate::{Certificate, CertificateCheck, StateLiteral};
-pub use engine::{check_property_pdr, PdrOptions, PdrOutcome, PdrResult, PdrStats};
+pub use engine::{check_property_pdr, PdrOptions, PdrResult, PdrStats};
 
 // Re-exported so callers can name the shared vocabulary without a direct
 // `ipcl-bmc` dependency.
-pub use ipcl_bmc::{BmcError, Counterexample, Latency, PropertyKind, SequentialProperty};
+pub use ipcl_bmc::{
+    BmcError, BmcOutcome, BmcResult, BmcStats, Counterexample, Latency, PropertyKind,
+    SequentialProperty,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use deep::deep_pipeline;
-    use ipcl_bmc::{check_properties, BmcOptions, BmcOutcome};
+    use ipcl_bmc::{check_properties, BmcOptions};
     use ipcl_core::example::ExampleArch;
     use ipcl_core::FunctionalSpec;
     use ipcl_pipesim::BrokenVariant;
@@ -91,21 +94,21 @@ mod tests {
         let spec = spec();
         let synthesized = synthesize_interlock(&spec);
         for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
-            let result = run_pdr(
+            let pdr = run_pdr(
                 &spec,
                 synthesized.netlist(),
                 &property,
                 &PdrOptions::default(),
             )
             .unwrap();
-            assert!(result.outcome.is_proved(), "{}", property.name);
-            let certificate = result.outcome.certificate().unwrap();
+            assert!(pdr.result.outcome.is_proved(), "{}", property.name);
+            let certificate = pdr.certificate.unwrap();
             assert!(
                 certificate.is_trivial(),
                 "stateless netlists need no invariant: {}",
                 certificate.render()
             );
-            assert!(result.validation.unwrap().ok());
+            assert!(pdr.validation.unwrap().ok());
         }
     }
 
@@ -121,7 +124,7 @@ mod tests {
             },
         );
         for property in SequentialProperty::both_directions(&spec, Latency::Registered) {
-            let result = run_pdr(
+            let pdr = run_pdr(
                 &spec,
                 synthesized.netlist(),
                 &property,
@@ -129,12 +132,12 @@ mod tests {
             )
             .unwrap();
             assert!(
-                result.outcome.is_proved(),
+                pdr.result.outcome.is_proved(),
                 "{}: {:?}",
                 property.name,
-                result.outcome
+                pdr.result.outcome
             );
-            assert!(result.validation.unwrap().ok(), "{}", property.name);
+            assert!(pdr.validation.unwrap().ok(), "{}", property.name);
         }
     }
 
@@ -155,14 +158,19 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let result = run_pdr(
+        let pdr = run_pdr(
             &spec,
             synthesized.netlist(),
             &property,
             &PdrOptions::default(),
         )
         .unwrap();
-        let cex = result.outcome.counterexample().expect("wrong reset fails");
+        assert!(pdr.certificate.is_none() && pdr.validation.is_none());
+        let cex = pdr
+            .result
+            .outcome
+            .counterexample()
+            .expect("wrong reset fails");
         let replay = cex.replay(&spec, synthesized.netlist(), &property).unwrap();
         assert!(replay.violation_reproduced, "{}", cex.render());
     }
@@ -177,9 +185,8 @@ mod tests {
             synthesize_broken_interlock(&spec, BrokenVariant::BadResetValues { cycles: 2 });
         let mut falsified = 0;
         for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
-            let result =
-                run_pdr(&spec, broken.netlist(), &property, &PdrOptions::default()).unwrap();
-            if let Some(cex) = result.outcome.counterexample() {
+            let pdr = run_pdr(&spec, broken.netlist(), &property, &PdrOptions::default()).unwrap();
+            if let Some(cex) = pdr.result.outcome.counterexample() {
                 falsified += 1;
                 let replay = cex.replay(&spec, broken.netlist(), &property).unwrap();
                 assert!(replay.violation_reproduced, "{}", cex.render());
@@ -217,9 +224,13 @@ mod tests {
         );
 
         let pdr = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
-        let PdrOutcome::Proved { certificate, .. } = &pdr.outcome else {
-            panic!("PDR must prove the deep chain, got {:?}", pdr.outcome);
+        let Some(certificate) = &pdr.certificate else {
+            panic!(
+                "PDR must prove the deep chain, got {:?}",
+                pdr.result.outcome
+            );
         };
+        assert!(pdr.result.outcome.is_proved());
         assert!(!certificate.is_trivial(), "the proof needs real lemmas");
         let check = certificate.validate(&spec, &netlist, &property).unwrap();
         assert!(check.ok(), "{check}");
@@ -235,13 +246,13 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let result = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
-        assert!(result.outcome.is_proved());
-        assert!(result.stats.generalization_drops > 0);
+        let pdr = run_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
+        assert!(pdr.result.outcome.is_proved());
+        assert!(pdr.stats.generalization_drops > 0);
     }
 
     #[test]
-    fn missing_moe_signals_are_reported() {
+    fn missing_moe_outputs_are_reported() {
         let spec = spec();
         let empty = ipcl_bmc::Netlist::new("empty");
         let property = SequentialProperty::for_stage(

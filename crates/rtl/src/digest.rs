@@ -20,7 +20,7 @@
 //!   property text refers to them, while internal wire names never do.
 //!
 //! The digest is **renaming- and reordering-invariant** (pinned by
-//! proptests in `tests/digest.rs`) and sensitive to every semantic
+//! proptests in `crates/serve/tests/digest_soundness.rs`) and sensitive to every semantic
 //! mutation the workspace's bug-injection matrix produces. It is *not* a
 //! semantic equivalence check — two structurally different encodings of
 //! the same function digest differently, and a hash collision between

@@ -2,16 +2,16 @@
 //!
 //! `ipcl-rtl` is the hardware substrate of the workspace: the synthesised
 //! interlock controllers produced by `ipcl-synth` are netlists of this crate,
-//! the testbench monitors of `ipcl-assertgen` observe its simulation traces,
-//! and the property checker extracts boolean expressions from netlists to
-//! compare an implementation against its specification.
+//! the sequential engines unroll them and replay their counterexamples on
+//! its simulator, and the property checker extracts boolean expressions
+//! from netlists to compare an implementation against its specification.
 //!
 //! A [`Netlist`] contains input ports, combinational gates and registers.
 //! [`Simulator`] evaluates it cycle by cycle with two-phase semantics
-//! (combinational settle, then simultaneous register update), [`Trace`]
-//! records signal histories, [`Netlist::to_verilog`] emits synthesisable
-//! Verilog and [`Netlist::signal_expr`] recovers the boolean function of any
-//! signal in terms of inputs and register outputs.
+//! (combinational settle, then simultaneous register update),
+//! [`Netlist::to_verilog`] emits synthesisable Verilog and
+//! [`Netlist::signal_expr`] recovers the boolean function of any signal in
+//! terms of inputs and register outputs.
 //!
 //! # Example
 //!
@@ -37,14 +37,12 @@ pub mod digest;
 pub mod extract;
 pub mod netlist;
 pub mod sim;
-pub mod trace;
 pub mod unroll;
 pub mod verilog;
 
 pub use digest::{sha256_hex, structural_digest};
 pub use netlist::{Gate, Netlist, RtlError, Signal, SignalId, SignalKind};
 pub use sim::Simulator;
-pub use trace::Trace;
 pub use unroll::{InitialState, Unroller};
 
 #[cfg(test)]

@@ -13,9 +13,10 @@
 //! is killed). `submit` reads a job JSON file (the `"job"` payload format —
 //! see `ipcl_serve::protocol`), submits it and by default waits for the
 //! result. `smoke-check` is the self-contained end-to-end check CI runs:
-//! in-process server, a miss/hit pair, a batch, whole-answer comparison
-//! against direct checker invocations, the job table's counts and release
-//! of delivered jobs, graceful shutdown; exits non-zero on any mismatch.
+//! in-process server, a miss/hit pair, a falsified answer whose trace it
+//! replays, a batch, whole-answer comparison against direct checker
+//! invocations, the job table's counts and release of delivered jobs,
+//! graceful shutdown; exits non-zero on any mismatch.
 
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
@@ -280,6 +281,14 @@ fn cmd_smoke_check(args: &[String]) -> i32 {
                     .counterexample
                     .as_ref()
                     .map(|c| c.to_json_string()),
+        );
+        let property = falsified_job.resolve_property()?;
+        check(
+            "falsified trace replays through the simulator",
+            served_falsified.counterexample.as_ref().is_some_and(|cex| {
+                cex.replay(&spec, &broken, &property)
+                    .is_ok_and(|replay| replay.violation_reproduced)
+            }),
         );
 
         // Batch: mixed jobs over both designs; each answer must equal the

@@ -17,9 +17,9 @@
 //! | [`pipesim`] | `ipcl-pipesim` | cycle-accurate pipeline simulator and workloads |
 //! | [`assertgen`] | `ipcl-assertgen` | SVA/PSL assertion generation and runtime monitors |
 //! | [`synth`] | `ipcl-synth` | interlock RTL synthesis from the specification |
-//! | [`checker`] | `ipcl-checker` | BDD/SAT property checking and reset checks |
+//! | [`checker`] | `ipcl-checker` | BDD/SAT property checking, the sequential strategies (k-induction, PDR, their portfolio) and reset checks |
 //! | [`bmc`] | `ipcl-bmc` | bounded model checking and k-induction over netlists |
-//! | [`pdr`] | `ipcl-pdr` | IC3/PDR with certified invariants and the BMC/PDR portfolio |
+//! | [`pdr`] | `ipcl-pdr` | IC3/PDR with certified invariants |
 //! | [`trace`] | `ipcl-trace` | structured tracing, metrics, and profiling of the solve stack |
 //! | [`tracetool`] | `ipcl-tracetool` | trace export (Perfetto/flamegraph), profile diffing, perf-regression gate |
 //! | [`serve`] | `ipcl-serve` | verification-as-a-service: job-queue server with a revalidating structural-hash proof cache |

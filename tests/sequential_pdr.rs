@@ -16,7 +16,7 @@ use ipcl::checker::{
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{check_property_pdr, PdrOptions, PdrOutcome};
+use ipcl::pdr::{check_property_pdr, PdrOptions};
 use ipcl::pipesim::BrokenVariant;
 use ipcl::rtl::Netlist;
 use ipcl::synth::{synthesize_broken_interlock, synthesize_interlock};
@@ -167,9 +167,15 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
         &Tracer::disabled(),
     )
     .unwrap();
-    let PdrOutcome::Proved { certificate, .. } = &pdr.outcome else {
-        panic!("PDR must prove the deep chain: {:?}", pdr.outcome);
-    };
+    assert!(
+        pdr.result.outcome.is_proved(),
+        "PDR must prove the deep chain: {:?}",
+        pdr.result.outcome
+    );
+    let certificate = pdr
+        .certificate
+        .as_ref()
+        .expect("a proof carries a certificate");
     assert!(!certificate.is_trivial());
     assert!(pdr.validation.unwrap().ok());
     let check = certificate.validate(&spec, &netlist, &property).unwrap();
@@ -232,7 +238,7 @@ fn solver_config_variants_are_deterministic() {
         };
         let renders: Vec<String> = (0..2)
             .map(|_| {
-                let result = check_property_pdr(
+                let pdr = check_property_pdr(
                     &deep_spec,
                     &deep_netlist,
                     &deep_property,
@@ -241,10 +247,13 @@ fn solver_config_variants_are_deterministic() {
                     &Tracer::disabled(),
                 )
                 .unwrap();
-                let PdrOutcome::Proved { certificate, .. } = &result.outcome else {
-                    panic!("{name}: deep chain must be proved");
-                };
-                certificate.render()
+                assert!(
+                    pdr.result.outcome.is_proved(),
+                    "{name}: deep chain must be proved"
+                );
+                pdr.certificate
+                    .expect("a proof carries a certificate")
+                    .render()
             })
             .collect();
         assert_eq!(renders[0], renders[1], "{name}: certificates diverge");

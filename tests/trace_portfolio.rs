@@ -13,7 +13,8 @@
 //! * the unified metrics cover all three stat families (solver, PDR,
 //!   encoder) plus the satellite obligation-queue statistics;
 //! * the checker-level `SequentialOptions::trace` plumbing produces a
-//!   snapshot with replayable structure on a falsified design.
+//!   snapshot with replayable structure on a falsified design, and the
+//!   job path (`check_property_job`) replays its falsification too.
 
 use ipcl::checker::{
     check_netlist_sequential_with, check_property_job, Latency, ProofStrategy, SequentialOptions,
@@ -71,7 +72,7 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
     let tracer = Tracer::new(TraceConfig::enabled());
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let result = check_property_pdr(
+            let pdr = check_property_pdr(
                 &spec,
                 &netlist,
                 &property,
@@ -80,7 +81,7 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
                 &tracer,
             )
             .expect("netlist elaborates");
-            assert!(result.outcome.is_proved());
+            assert!(pdr.result.outcome.is_proved());
         });
         scope.spawn(|| {
             let properties = std::slice::from_ref(&property);
@@ -262,4 +263,25 @@ fn sequential_checker_trace_config_produces_snapshot_with_replays() {
         check_netlist_sequential_with(&spec, broken.netlist(), &SequentialOptions::default())
             .unwrap();
     assert!(untraced.trace.is_none(), "tracing defaults to off");
+
+    // The job path checks its answer the same way: one falsified property,
+    // traced through the job's own tracer, replays its trace exactly once.
+    let property = report.counterexamples()[0].property.clone();
+    let tracer = Tracer::new(TraceConfig::enabled());
+    let (result, _) =
+        check_property_job(&spec, broken.netlist(), &property, &options, None, &tracer).unwrap();
+    assert!(result.outcome.is_falsified());
+    let snapshot = tracer.snapshot().expect("tracing was enabled");
+    let replay_spans = snapshot.span(&["checker.replay"]).map(|s| s.count);
+    assert_eq!(replay_spans, Some(1), "the job path replays its trace");
+    let replays: Vec<_> = snapshot
+        .events
+        .iter()
+        .filter(|e| e.kind == "replay_verdict")
+        .collect();
+    assert_eq!(replays.len(), 1, "one replay verdict per falsification");
+    assert_eq!(
+        replays[0].field("reproduced"),
+        Some(&ipcl::trace::Value::Bool(true))
+    );
 }

@@ -47,9 +47,9 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let options = PdrOptions::default();
-            let result = check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
+            let pdr = check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
                 .expect("netlist elaborates");
-            assert!(result.outcome.is_proved());
+            assert!(pdr.result.outcome.is_proved());
         });
         scope.spawn(|| {
             check_properties(&spec, &netlist, properties, &bmc_options, None, &tracer)
@@ -76,7 +76,7 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
     let tracer = Tracer::new(TraceConfig::enabled());
     for _ in 0..runs {
-        let result = check_property_pdr(
+        let pdr = check_property_pdr(
             &spec,
             &netlist,
             &property,
@@ -85,7 +85,7 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
             &tracer,
         )
         .expect("netlist elaborates");
-        assert!(result.outcome.is_proved());
+        assert!(pdr.result.outcome.is_proved());
     }
     let snapshot = tracer.snapshot().expect("snapshot");
     // Exercise the same path the CLI takes: snapshot → profile.json text
@@ -250,7 +250,7 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
     // Events on: the PDR and SAT engines beat at least once (the first
     // heartbeat of a run is always due), carrying their progress fields.
     let tracer = Tracer::new(TraceConfig::enabled());
-    let result = check_property_pdr(
+    let pdr = check_property_pdr(
         &spec,
         &netlist,
         &property,
@@ -259,7 +259,7 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
         &tracer,
     )
     .expect("netlist elaborates");
-    assert!(result.outcome.is_proved());
+    assert!(pdr.result.outcome.is_proved());
     let snapshot = tracer.snapshot().expect("snapshot");
     let engines: std::collections::BTreeSet<&str> = snapshot
         .events
@@ -289,7 +289,7 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
         events: false,
         ..TraceConfig::enabled()
     });
-    let result = check_property_pdr(
+    let pdr = check_property_pdr(
         &spec,
         &netlist,
         &property,
@@ -298,7 +298,7 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
         &quiet,
     )
     .expect("netlist elaborates");
-    assert!(result.outcome.is_proved());
+    assert!(pdr.result.outcome.is_proved());
     let snapshot = quiet.snapshot().expect("snapshot");
     assert_eq!(
         snapshot.events.len(),
