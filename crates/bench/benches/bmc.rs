@@ -8,10 +8,9 @@
 //! depths prune the deeper searches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
-use ipcl_trace::Tracer;
 
 fn bench_depth_sweep(c: &mut Criterion) {
     let spec = ExampleArch::new().functional_spec();
@@ -43,12 +42,9 @@ fn bench_depth_sweep(c: &mut Criterion) {
                 };
                 b.iter(|| {
                     let result = check_properties(
-                        &spec,
-                        synthesized.netlist(),
+                        &Binding::new(&spec, synthesized.netlist()),
                         std::slice::from_ref(&property),
                         &options,
-                        None,
-                        &Tracer::disabled(),
                     )
                     .unwrap()
                     .remove(0);
@@ -90,12 +86,9 @@ fn bench_induction_proof(c: &mut Criterion) {
                 for property in SequentialProperty::for_spec(&spec, PropertyKind::Combined, latency)
                 {
                     let result = check_properties(
-                        &spec,
-                        netlist,
+                        &Binding::new(&spec, netlist),
                         std::slice::from_ref(&property),
                         &BmcOptions::default(),
-                        None,
-                        &Tracer::disabled(),
                     )
                     .unwrap()
                     .remove(0);

@@ -7,7 +7,7 @@
 //! strategy closes by running PDR on what k-induction leaves open.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
@@ -36,12 +36,9 @@ fn bench_registered_example(c: &mut Criterion) {
     group.bench_function("kinduction", |b| {
         b.iter(|| {
             let result = check_properties(
-                &spec,
-                synthesized.netlist(),
+                &Binding::new(&spec, synthesized.netlist()),
                 properties,
                 &BmcOptions::with_depth(8),
-                None,
-                &Tracer::disabled(),
             )
             .unwrap();
             assert!(result[0].outcome.is_proved());
@@ -50,12 +47,9 @@ fn bench_registered_example(c: &mut Criterion) {
     group.bench_function("pdr", |b| {
         b.iter(|| {
             let pdr = check_property_pdr(
-                &spec,
-                synthesized.netlist(),
+                &Binding::new(&spec, synthesized.netlist()),
                 &property,
                 &PdrOptions::default(),
-                None,
-                &Tracer::disabled(),
             )
             .unwrap();
             assert!(pdr.result.outcome.is_proved());
@@ -96,11 +90,10 @@ fn bench_deep_chain(c: &mut Criterion) {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let tracer = Tracer::disabled();
         group.bench_with_input(BenchmarkId::new("pdr_prove", depth), &depth, |b, _| {
             b.iter(|| {
                 let options = PdrOptions::default();
-                let pdr = check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
+                let pdr = check_property_pdr(&Binding::new(&spec, &netlist), &property, &options)
                     .unwrap();
                 assert!(pdr.result.outcome.is_proved());
             })
@@ -113,12 +106,9 @@ fn bench_deep_chain(c: &mut Criterion) {
                     // k-induction pays its full bound and still has no
                     // answer — the baseline cost PDR replaces.
                     let result = check_properties(
-                        &spec,
-                        &netlist,
+                        &Binding::new(&spec, &netlist),
                         std::slice::from_ref(&property),
                         &BmcOptions::with_depth(depth.saturating_sub(3)),
-                        None,
-                        &tracer,
                     )
                     .unwrap();
                     assert!(!result[0].outcome.is_proved());

@@ -8,12 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipcl_bench::pigeonhole_cnf;
-use ipcl_bmc::{Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{Binding, Latency, PropertyKind, SequentialProperty};
 use ipcl_expr::Lit;
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{check_property_pdr, PdrOptions};
 use ipcl_sat::{SatResult, Solver};
-use ipcl_trace::Tracer;
 
 fn bench_pigeonhole(c: &mut Criterion) {
     let cnf = pigeonhole_cnf(8);
@@ -67,15 +66,8 @@ fn bench_pdr_deep_chain(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.bench_function("default", |b| {
         b.iter(|| {
-            let pdr = check_property_pdr(
-                &spec,
-                &netlist,
-                &property,
-                &options,
-                None,
-                &Tracer::disabled(),
-            )
-            .unwrap();
+            let pdr =
+                check_property_pdr(&Binding::new(&spec, &netlist), &property, &options).unwrap();
             assert!(pdr.result.outcome.is_proved());
         })
     });

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, median_ms, TraceArgs};
-use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
@@ -45,12 +45,9 @@ fn main() {
 
     // One warm-up run so first-touch allocation noise stays out of depth 1.
     let _ = check_properties(
-        &spec,
-        synthesized.netlist(),
+        &Binding::new(&spec, synthesized.netlist()),
         properties,
         &BmcOptions::with_depth(2),
-        None,
-        &ipcl_trace::Tracer::disabled(),
     );
 
     let depths: &[usize] = if smoke {
@@ -75,12 +72,9 @@ fn main() {
             for _ in 0..3 {
                 let start = Instant::now();
                 let result = check_properties(
-                    &spec,
-                    synthesized.netlist(),
+                    &Binding::new(&spec, synthesized.netlist()).with_run(None, trace.tracer()),
                     properties,
                     &options,
-                    None,
-                    trace.tracer(),
                 )
                 .expect("netlist elaborates")
                 .remove(0);

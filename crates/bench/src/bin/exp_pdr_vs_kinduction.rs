@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, median_ms, TraceArgs};
 use ipcl_bmc::{
-    check_properties, BmcOptions, BmcOutcome, Latency, PropertyKind, SequentialProperty,
+    check_properties, Binding, BmcOptions, BmcOutcome, Latency, PropertyKind, SequentialProperty,
 };
 use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_core::{ArchSpec, FunctionalSpec};
@@ -131,12 +131,9 @@ fn main() {
             for _ in 0..repeats {
                 let start = Instant::now();
                 let result = check_properties(
-                    &workload.spec,
-                    &workload.netlist,
+                    &Binding::new(&workload.spec, &workload.netlist).with_run(None, trace.tracer()),
                     properties,
                     &bmc_options,
-                    None,
-                    trace.tracer(),
                 )
                 .expect("netlist elaborates")
                 .remove(0);
@@ -170,10 +167,7 @@ fn main() {
             ));
 
             // ---- PDR.
-            let pdr_options = PdrOptions {
-                solver,
-                ..Default::default()
-            };
+            let pdr_options = PdrOptions { solver };
             let mut times = Vec::new();
             let mut verdict = String::new();
             let mut clauses = 0usize;
@@ -184,12 +178,9 @@ fn main() {
             for _ in 0..repeats {
                 let start = Instant::now();
                 let pdr = check_property_pdr(
-                    &workload.spec,
-                    &workload.netlist,
+                    &Binding::new(&workload.spec, &workload.netlist).with_run(None, trace.tracer()),
                     &workload.property,
                     &pdr_options,
-                    None,
-                    trace.tracer(),
                 )
                 .expect("netlist elaborates");
                 times.push(start.elapsed().as_secs_f64() * 1e3);

@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, median_ms, pigeonhole_cnf, TraceArgs};
-use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{check_property_pdr, PdrOptions};
@@ -71,8 +71,12 @@ fn run_deep_pdr(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
     let mut detail = String::new();
     for _ in 0..repeats {
         let start = Instant::now();
-        let pdr = check_property_pdr(&spec, &netlist, &property, &options, None, tracer)
-            .expect("netlist elaborates");
+        let pdr = check_property_pdr(
+            &Binding::new(&spec, &netlist).with_run(None, tracer),
+            &property,
+            &options,
+        )
+        .expect("netlist elaborates");
         times.push(start.elapsed().as_secs_f64() * 1e3);
         assert!(
             pdr.result.outcome.is_proved(),
@@ -116,12 +120,9 @@ fn run_bmc_sweep(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
     for _ in 0..repeats {
         let start = Instant::now();
         let result = check_properties(
-            &spec,
-            synthesized.netlist(),
+            &Binding::new(&spec, synthesized.netlist()).with_run(None, tracer),
             std::slice::from_ref(&property),
             &options,
-            None,
-            tracer,
         )
         .expect("netlist elaborates")
         .remove(0);

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use ipcl_bench::{emit_bench_json, TraceArgs};
-use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{Binding, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_checker::{check_property_job, ProofStrategy, SequentialOptions};
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{check_property_pdr, PdrOptions};
@@ -55,8 +55,12 @@ fn main() {
     // ---- Overhead: single-threaded PDR, disabled vs. enabled tracer.
     let run_pdr = |tracer: &Tracer| {
         let start = Instant::now();
-        let pdr = check_property_pdr(&spec, &netlist, &property, &pdr_options, None, tracer)
-            .expect("netlist elaborates");
+        let pdr = check_property_pdr(
+            &Binding::new(&spec, &netlist).with_run(None, tracer),
+            &property,
+            &pdr_options,
+        )
+        .expect("netlist elaborates");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(
             pdr.result.outcome.is_proved(),

@@ -5,8 +5,8 @@
 //! plumbing between a [`SequentialProperty`] and a time-frame unrolling:
 //!
 //! * mapping a specification variable to the netlist signal that
-//!   implements it, through the run's [`Binding`] (or to a cached auxiliary
-//!   literal when the netlist does not implement it);
+//!   implements it, through the check's [`Binding`] (or to a cached
+//!   auxiliary literal when the netlist does not implement it);
 //! * Tseitin-encoding a property instance with the `moe` variables sampled
 //!   at one frame and the environment sampled [`crate::Latency::offset`]
 //!   frames earlier;
@@ -14,26 +14,26 @@
 //!   replay through [`ipcl_rtl::Simulator`].
 //!
 //! [`FrameEncoder`] packages that plumbing around an [`Unroller`] of the
-//! caller's netlist. It writes every clause once, into its [`ClauseSink`]:
-//! the engines give it the [`ipcl_sat::Solver`] that answers their
-//! queries, so nothing is copied between the encoding and the search.
+//! binding's netlist, in the binding's elaboration order. It writes every
+//! clause once, into its [`ClauseSink`]: the engines give it the
+//! [`ipcl_sat::Solver`] that answers their queries, so nothing is copied
+//! between the encoding and the search.
 
 use std::collections::BTreeMap;
 
-use ipcl_core::FunctionalSpec;
 use ipcl_expr::{ClauseSink, Expr, Lit, VarId};
-use ipcl_rtl::{InitialState, Netlist, RtlError, Unroller};
+use ipcl_rtl::{InitialState, RtlError, Unroller};
 
 use crate::binding::Binding;
 use crate::property::SequentialProperty;
 
 /// An [`Unroller`] plus the property-encoding state shared by the BMC and
-/// PDR engines: the run's [`Binding`], auxiliary literals for unimplemented
-/// specification variables, and the quiet-cycle discipline for
-/// reset-rooted unrollings.
+/// PDR engines: the check's [`Binding`], auxiliary literals for
+/// unimplemented specification variables, and the quiet-cycle discipline
+/// for reset-rooted unrollings.
 pub struct FrameEncoder<'n, S> {
     unroller: Unroller<'n, S>,
-    binding: &'n Binding,
+    binding: &'n Binding<'n>,
     /// Auxiliary literals for spec variables the netlist does not implement,
     /// keyed by `(frame, var)`.
     aux: BTreeMap<(usize, VarId), Lit>,
@@ -43,26 +43,25 @@ pub struct FrameEncoder<'n, S> {
 }
 
 impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
-    /// Builds an encoder over an unrolling of `netlist` with no frames yet,
-    /// writing into `sink`; `binding` must resolve the spec against this
-    /// netlist. `quiet_cycles` leading frames have their inputs forced to
-    /// zero (only honoured for [`InitialState::Reset`] unrollings: the
-    /// post-reset environment of an interlocked pipeline is quiet, so
-    /// constraining the first frame(s) rules out counterfeit "hazard at
-    /// reset" traces).
+    /// Builds an encoder over an unrolling of `binding`'s netlist with no
+    /// frames yet, writing into `sink`. `quiet_cycles` leading frames have
+    /// their inputs forced to zero (only honoured for
+    /// [`InitialState::Reset`] unrollings: the post-reset environment of an
+    /// interlocked pipeline is quiet, so constraining the first frame(s)
+    /// rules out counterfeit "hazard at reset" traces).
     ///
     /// # Errors
     ///
-    /// Propagates [`RtlError`]s from netlist elaboration.
+    /// The [`RtlError`] of netlist elaboration ([`Binding::elaboration`]).
     pub fn new(
-        netlist: &'n Netlist,
-        binding: &'n Binding,
+        binding: &'n Binding<'n>,
         initial: InitialState,
         quiet_cycles: usize,
         sink: S,
     ) -> Result<Self, RtlError> {
+        let order = binding.elaboration()?;
         Ok(FrameEncoder {
-            unroller: Unroller::with_sink(netlist, initial, sink)?,
+            unroller: Unroller::with_sink(binding.netlist(), order, initial, sink),
             binding,
             aux: BTreeMap::new(),
             quiet_cycles: if initial == InitialState::Reset {
@@ -72,6 +71,11 @@ impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
             },
             operands: Vec::new(),
         })
+    }
+
+    /// The check's binding.
+    pub fn binding(&self) -> &'n Binding<'n> {
+        self.binding
     }
 
     /// The underlying unroller.
@@ -196,12 +200,7 @@ impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
     /// implements as a non-input signal (the replay evaluates the property's
     /// environment from the recorded frames, not from the simulator), and
     /// every auxiliary variable of the frame.
-    pub fn decode_frame(
-        &self,
-        spec: &FunctionalSpec,
-        model: &[bool],
-        frame: usize,
-    ) -> BTreeMap<String, bool> {
+    pub fn decode_frame(&self, model: &[bool], frame: usize) -> BTreeMap<String, bool> {
         let lit_value = |lit: Lit| model[lit.var() as usize] == lit.is_positive();
         let netlist = self.unroller.netlist();
         let mut values = BTreeMap::new();
@@ -219,23 +218,11 @@ impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
         }
         for (&(aux_frame, var), &lit) in &self.aux {
             if aux_frame == frame {
-                values.insert(spec.pool().name_or_fallback(var), lit_value(lit));
+                let name = self.binding.spec().pool().name_or_fallback(var);
+                values.insert(name, lit_value(lit));
             }
         }
         values
-    }
-
-    /// Decodes a model into per-frame input valuations
-    /// (see [`FrameEncoder::decode_frame`]).
-    pub fn decode_trace(
-        &self,
-        spec: &FunctionalSpec,
-        model: &[bool],
-        frames: usize,
-    ) -> Vec<BTreeMap<String, bool>> {
-        (0..frames)
-            .map(|frame| self.decode_frame(spec, model, frame))
-            .collect()
     }
 }
 
@@ -254,8 +241,7 @@ mod tests {
         let synthesized = synthesize_interlock(&spec);
         let netlist = synthesized.netlist();
         let binding = Binding::new(&spec, netlist);
-        let mut enc =
-            FrameEncoder::new(netlist, &binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
         enc.ensure_frames(2);
         let property =
             SequentialProperty::for_stage(&spec, 0, PropertyKind::Combined, Latency::Combinational);
@@ -269,7 +255,9 @@ mod tests {
             SatResult::Unsat
         );
         if let SatResult::Sat(model) = solver.solve_under_assumptions(&[ok]) {
-            let frames = enc.decode_trace(&spec, &model, 2);
+            let frames: Vec<_> = (0..2)
+                .map(|frame| enc.decode_frame(&model, frame))
+                .collect();
             assert_eq!(frames.len(), 2);
             for input in netlist.inputs() {
                 let name = &netlist.signal(input).name;
@@ -284,8 +272,7 @@ mod tests {
         let synthesized = synthesize_interlock(&spec);
         let netlist = synthesized.netlist();
         let binding = Binding::new(&spec, netlist);
-        let mut reset =
-            FrameEncoder::new(netlist, &binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
+        let mut reset = FrameEncoder::new(&binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
         reset.ensure_frames(1);
         let input = netlist.inputs()[0];
         let lit = reset.unroller().lit(0, input);
@@ -294,8 +281,7 @@ mod tests {
 
         // A free unrolling ignores quiet cycles (the induction step must
         // consider arbitrary environments).
-        let mut free =
-            FrameEncoder::new(netlist, &binding, InitialState::Free, 1, Cnf::new(0)).unwrap();
+        let mut free = FrameEncoder::new(&binding, InitialState::Free, 1, Cnf::new(0)).unwrap();
         free.ensure_frames(1);
         let free_lit = free.unroller().lit(0, input);
         let mut solver = Solver::from_cnf(free.sink());

@@ -29,13 +29,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
 use ipcl_rtl::{InitialState, Netlist, RtlError};
 use ipcl_sat::{SatResult, Solver, SolverConfig, SolverStats};
-use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
+use ipcl_trace::{Heartbeat, MetricSink, Value};
 
 use crate::binding::Binding;
 use crate::encode::FrameEncoder;
@@ -199,16 +198,15 @@ struct Run<'n> {
 
 impl<'n> Run<'n> {
     fn new(
-        netlist: &'n Netlist,
-        binding: &'n Binding,
+        binding: &'n Binding<'n>,
         initial: InitialState,
         options: &BmcOptions,
-        tracer: &Tracer,
     ) -> Result<Self, RtlError> {
+        let tracer = binding.tracer();
         let _setup = tracer.span("bmc.setup");
         let mut solver = Solver::with_config(0, options.solver);
         solver.set_tracer(tracer.clone());
-        let enc = FrameEncoder::new(netlist, binding, initial, options.quiet_cycles, solver)?;
+        let enc = FrameEncoder::new(binding, initial, options.quiet_cycles, solver)?;
         Ok(Run { enc })
     }
 
@@ -228,7 +226,8 @@ impl<'n> Run<'n> {
 
     /// Folds the solver totals and the unrolling's structural-hashing
     /// counters (`unroll.<label>.*`) into the metrics.
-    fn emit(&self, tracer: &Tracer, label: &str) {
+    fn emit(&self, label: &str) {
+        let tracer = self.enc.binding().tracer();
         if tracer.is_enabled() {
             self.solver().stats().emit(tracer, "sat");
             let u = self.enc.unroller().stats();
@@ -260,47 +259,37 @@ impl Track {
 }
 
 /// Decides every property of `properties` over one pair of unrollings of
-/// `netlist` — reset-rooted for the base cases, free for the inductive
-/// steps — each with one incremental solver, walked depth by depth in
-/// lockstep. At depth `d` every open property asks exactly the queries it
-/// asks alone: the base query ¬ok(d), then (if that is unsatisfiable and
-/// [`BmcOptions::induction`] is on) the step query with `k = d − first
-/// instance`. So each property keeps its verdict, induction depth and
-/// minimal trace length. Results come back in `properties` order; to
-/// check one property, pass `std::slice::from_ref(&property)`.
+/// `binding`'s netlist — reset-rooted for the base cases, free for the
+/// inductive steps — each with one incremental solver, walked depth by
+/// depth in lockstep. At depth `d` every open property asks exactly the
+/// queries it asks alone: the base query ¬ok(d), then (if that is
+/// unsatisfiable and [`BmcOptions::induction`] is on) the step query with
+/// `k = d − first instance`. So each property keeps its verdict, induction
+/// depth and minimal trace length. Results come back in `properties`
+/// order; to check one property, pass `std::slice::from_ref(&property)`.
 ///
 /// A counterexample is of minimal length and replays deterministically
 /// through [`ipcl_rtl::Simulator`] (see [`Counterexample::replay`]). The
-/// run polls `cancel` between depths and, once it is set, returns every
-/// open property as [`BmcOutcome::Unknown`].
+/// run polls the binding's cancellation token between depths and, once it
+/// is set, returns every open property as [`BmcOutcome::Unknown`].
 ///
-/// Traced under one `bmc.check` span (frames under `bmc.encode`, queries
-/// under `sat.solve`), with a `bmc_depth` event per base query and each
-/// unrolling's `unroll.{base,induction}.*` counters emitted once.
+/// Traced into the binding's tracer under one `bmc.check` span (frames
+/// under `bmc.encode`, queries under `sat.solve`), with a `bmc_depth` event
+/// per base query and each unrolling's `unroll.{base,induction}.*`
+/// counters emitted once.
 ///
 /// # Errors
 ///
 /// [`BmcError::MissingSignals`] if a property's stage has no `moe` signal
 /// in the netlist; [`BmcError::Rtl`] if the netlist does not elaborate.
 pub fn check_properties(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
+    binding: &Binding,
     properties: &[SequentialProperty],
     options: &BmcOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
 ) -> Result<Vec<BmcResult>, BmcError> {
+    let tracer = binding.tracer();
     let _span = tracer.span("bmc.check");
-    let binding = Binding::new(spec, netlist);
-    let mut missing: Vec<String> = properties
-        .iter()
-        .flat_map(|property| binding.missing_moe(spec, Some(&property.stage)))
-        .collect();
-    missing.sort();
-    missing.dedup();
-    if !missing.is_empty() {
-        return Err(BmcError::MissingSignals(missing));
-    }
+    binding.require_moe(Some(properties))?;
 
     // The depths each property is checked at.
     let window = |property: &SequentialProperty| {
@@ -315,16 +304,14 @@ pub fn check_properties(
     };
 
     let mut tracks: Vec<Track> = properties.iter().map(|_| Track::default()).collect();
-    let mut base = Run::new(netlist, &binding, InitialState::Reset, options, tracer)?;
+    let mut base = Run::new(binding, InitialState::Reset, options)?;
     let mut step: Option<Run> = None;
     // Live-progress beats, once per depth at most (rate-limited): a deep
     // unrolling announces how far it has come while still running.
     let mut heartbeat = Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS);
 
     for depth in start..=end {
-        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
-            || tracks.iter().all(|track| track.outcome.is_some())
-        {
+        if binding.cancelled() || tracks.iter().all(|track| track.outcome.is_some()) {
             break;
         }
         if heartbeat.due(tracer) {
@@ -341,8 +328,8 @@ pub fn check_properties(
         }
         if !options.incremental && depth > start {
             // The scratch ablation: a fresh reset-rooted unrolling per depth.
-            base.emit(tracer, "base");
-            base = Run::new(netlist, &binding, InitialState::Reset, options, tracer)?;
+            base.emit("base");
+            base = Run::new(binding, InitialState::Reset, options)?;
         }
 
         for (property, track) in properties.iter().zip(&mut tracks) {
@@ -384,7 +371,9 @@ pub fn check_properties(
                 let _decode = tracer.span("bmc.decode");
                 track.outcome = Some(BmcOutcome::Falsified(Counterexample {
                     property: property.name.clone(),
-                    frames: base.enc.decode_trace(spec, &model, depth + 1),
+                    frames: (0..=depth)
+                        .map(|f| base.enc.decode_frame(&model, f))
+                        .collect(),
                     violation_frame: depth,
                 }));
                 continue;
@@ -396,13 +385,7 @@ pub fn check_properties(
             // ---- Inductive step: k = depth − first instance.
             let run = match step.as_mut() {
                 Some(run) => run,
-                None => step.insert(Run::new(
-                    netlist,
-                    &binding,
-                    InitialState::Free,
-                    options,
-                    tracer,
-                )?),
+                None => step.insert(Run::new(binding, InitialState::Free, options)?),
             };
             // Loop-free path: each new state differs from all earlier ones.
             for frame in run.enc.unroller().num_frames()..=depth {
@@ -445,9 +428,9 @@ pub fn check_properties(
         }
     }
 
-    base.emit(tracer, "base");
+    base.emit("base");
     if let Some(run) = &step {
-        run.emit(tracer, "induction");
+        run.emit("induction");
     }
     Ok(properties
         .iter()
@@ -496,41 +479,31 @@ pub fn check_stall_escape(
     netlist: &Netlist,
     escape_cycles: usize,
 ) -> Result<Vec<StallEscapeReport>, BmcError> {
-    check_stall_escape_traced(spec, netlist, escape_cycles, &Tracer::disabled())
+    check_stall_escape_in(&Binding::new(spec, netlist), escape_cycles)
 }
 
-/// As [`check_stall_escape`], with an observability handle: unroller
-/// construction under `bmc.setup`, the frames and quiet-environment
-/// constraints under `bmc.encode`, the per-stage queries under the
-/// solver's `sat.solve` and stuck-state decoding under `bmc.decode`.
+/// As [`check_stall_escape`], over the check's `binding`, traced into its
+/// tracer: unroller construction under `bmc.setup`, the frames and
+/// quiet-environment constraints under `bmc.encode`, the per-stage queries
+/// under the solver's `sat.solve` and stuck-state decoding under
+/// `bmc.decode`.
 ///
 /// # Errors
 ///
 /// As [`check_properties`].
-pub fn check_stall_escape_traced(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
+pub fn check_stall_escape_in(
+    binding: &Binding,
     escape_cycles: usize,
-    tracer: &Tracer,
 ) -> Result<Vec<StallEscapeReport>, BmcError> {
-    let binding = Binding::new(spec, netlist);
-    let missing = binding.missing_moe(spec, None);
-    if !missing.is_empty() {
-        return Err(BmcError::MissingSignals(missing));
-    }
+    binding.require_moe(None)?;
     let escape_cycles = escape_cycles.max(1);
 
     // One shared unrolling and solver for every stage: the circuit and the
     // quiet-environment constraints are identical across stages, so only the
     // per-stage "stalled throughout" literals vary — exactly the use case of
     // solving under assumptions (learned clauses carry over between stages).
-    let mut run = Run::new(
-        netlist,
-        &binding,
-        InitialState::Free,
-        &BmcOptions::default(),
-        tracer,
-    )?;
+    let (netlist, tracer) = (binding.netlist(), binding.tracer());
+    let mut run = Run::new(binding, InitialState::Free, &BmcOptions::default())?;
     {
         let _encode = tracer.span("bmc.encode");
         run.enc.ensure_frames(escape_cycles + 1);
@@ -544,7 +517,7 @@ pub fn check_stall_escape_traced(
     }
 
     let mut reports = Vec::new();
-    for stage in spec.stages() {
+    for stage in binding.spec().stages() {
         let signal = binding
             .signal(stage.moe)
             .expect("missing signals checked above");

@@ -6,8 +6,11 @@
 //! `ipcl-checker` cannot see and random simulation can only sample. This
 //! crate makes registered interlock implementations provable objects:
 //!
-//! * [`engine::check_properties`] unrolls an `ipcl-rtl` [`Netlist`] over
-//!   time frames (via [`ipcl_rtl::unroll`]) and decides a list of
+//! * [`Binding`] is the check context: it binds a specification to a
+//!   [`Netlist`] once, elaborates the netlist at most once, and carries the
+//!   cancellation token and tracer of the engine runs it is handed to.
+//! * [`engine::check_properties`] unrolls the netlist over time frames
+//!   (via [`ipcl_rtl::unroll`]) and decides a list of
 //!   [`SequentialProperty`]s with the incremental CDCL solver of
 //!   `ipcl-sat`, over one shared pair of unrollings that encodes the
 //!   netlist once: **falsification** returns a minimal-length,
@@ -23,27 +26,26 @@
 //!   sampling; its candidates are replayed before anyone reports them.
 //!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`,
-//! which builds the property portfolio, decides it with one
-//! [`engine::check_properties`] run (under PDR, one PDR run per property;
-//! the portfolio strategy runs both, PDR only on what k-induction leaves
-//! open) and combines the results with the stall-escape and reset-value
-//! checks.
+//! which binds the design once, builds the property portfolio, decides it
+//! with one [`engine::check_properties`] run (under PDR, one PDR run per
+//! property; the portfolio strategy runs both, PDR only on what
+//! k-induction leaves open) and combines the results with the
+//! stall-escape and reset-value checks, every run over the one binding.
 //!
 //! # Example
 //!
 //! ```
-//! use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+//! use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, SequentialProperty};
 //! use ipcl_core::example::ExampleArch;
 //! use ipcl_synth::synthesize_interlock;
-//! use ipcl_trace::Tracer;
 //!
 //! let spec = ExampleArch::new().functional_spec();
 //! let synthesized = synthesize_interlock(&spec);
+//! let binding = Binding::new(&spec, synthesized.netlist());
 //! // The derived combinational interlock is not just bug-free up to a
 //! // bound: k-induction proves it correct on every cycle.
 //! let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
-//! let results = check_properties(&spec, synthesized.netlist(), &properties,
-//!     &BmcOptions::default(), None, &Tracer::disabled()).unwrap();
+//! let results = check_properties(&binding, &properties, &BmcOptions::default()).unwrap();
 //! assert!(results.iter().all(|result| result.outcome.is_proved()));
 //! ```
 
@@ -56,8 +58,8 @@ pub mod trace;
 pub use binding::Binding;
 pub use encode::FrameEncoder;
 pub use engine::{
-    check_properties, check_stall_escape, check_stall_escape_traced, BmcError, BmcOptions,
-    BmcOutcome, BmcResult, BmcStats, StallEscapeReport,
+    check_properties, check_stall_escape, check_stall_escape_in, BmcError, BmcOptions, BmcOutcome,
+    BmcResult, BmcStats, StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
 pub use trace::{fuzz, Counterexample, Replay, FUZZ_SEED};
@@ -71,7 +73,6 @@ mod tests {
     use super::*;
     use ipcl_core::example::ExampleArch;
     use ipcl_synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
-    use ipcl_trace::Tracer;
 
     fn spec() -> ipcl_core::FunctionalSpec {
         ExampleArch::new().functional_spec()
@@ -85,15 +86,8 @@ mod tests {
         options: &BmcOptions,
     ) -> Result<BmcResult, BmcError> {
         let properties = std::slice::from_ref(property);
-        check_properties(
-            spec,
-            netlist,
-            properties,
-            options,
-            None,
-            &Tracer::disabled(),
-        )
-        .map(|mut results| results.remove(0))
+        check_properties(&Binding::new(spec, netlist), properties, options)
+            .map(|mut results| results.remove(0))
     }
 
     #[test]

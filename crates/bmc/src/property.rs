@@ -10,7 +10,7 @@
 
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Expr;
-use ipcl_rtl::{Netlist, SignalKind};
+use ipcl_rtl::Netlist;
 
 use crate::binding::Binding;
 
@@ -45,24 +45,9 @@ impl Latency {
 
     /// Chooses the latency matching `netlist`: [`Latency::Registered`] when
     /// every `moe` output the netlist implements is a register,
-    /// [`Latency::Combinational`] otherwise.
+    /// [`Latency::Combinational`] otherwise ([`Binding::latency`]).
     pub fn detect(spec: &FunctionalSpec, netlist: &Netlist) -> Latency {
-        let binding = Binding::new(spec, netlist);
-        let mut saw_register = false;
-        for stage in spec.stages() {
-            let Some(signal) = binding.signal(stage.moe) else {
-                continue;
-            };
-            match netlist.signal(signal).kind {
-                SignalKind::Register { .. } => saw_register = true,
-                _ => return Latency::Combinational,
-            }
-        }
-        if saw_register {
-            Latency::Registered
-        } else {
-            Latency::Combinational
-        }
+        Binding::new(spec, netlist).latency()
     }
 }
 

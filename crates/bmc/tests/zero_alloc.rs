@@ -51,7 +51,8 @@ fn an_and_gate_cache_hit_allocates_nothing() {
     let spec = ExampleArch::new().functional_spec();
     let synthesized = synthesize_interlock(&spec);
     let netlist = synthesized.netlist();
-    let mut unroller = Unroller::new(netlist, InitialState::Reset).unwrap();
+    let order = netlist.elaborate().unwrap();
+    let mut unroller = Unroller::new(netlist, &order, InitialState::Reset);
     unroller.add_frame();
     let inputs: Vec<Lit> = netlist
         .inputs()
@@ -77,8 +78,7 @@ fn a_resolved_variable_costs_no_allocation() {
     let synthesized = synthesize_interlock(&spec);
     let netlist = synthesized.netlist();
     let binding = Binding::new(&spec, netlist);
-    let mut encoder =
-        FrameEncoder::new(netlist, &binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
+    let mut encoder = FrameEncoder::new(&binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
     encoder.ensure_frames(2);
     let resolved: Vec<_> = spec
         .pool()

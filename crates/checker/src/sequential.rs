@@ -25,11 +25,11 @@
 //! a library function for callers that want a quick, unsound smoke signal.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 use ipcl_bmc::{
-    check_properties, check_stall_escape_traced, Binding, BmcError, BmcOptions, BmcOutcome,
-    BmcResult, Latency, SequentialProperty, StallEscapeReport,
+    check_properties, check_stall_escape_in, Binding, BmcError, BmcOptions, BmcOutcome, BmcResult,
+    Latency, SequentialProperty, StallEscapeReport,
 };
 use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
@@ -125,8 +125,7 @@ pub struct SequentialOptions {
     /// and the CDCL heuristics via [`BmcOptions::solver`] — phase saving,
     /// reduction base, restart unit).
     pub bmc: BmcOptions,
-    /// PDR knobs (frame budget and the CDCL heuristics via
-    /// [`PdrOptions::solver`]).
+    /// PDR knobs (the CDCL heuristics, [`PdrOptions::solver`]).
     pub pdr: PdrOptions,
     /// Ignored: every strategy runs on the caller's thread. Kept for
     /// source compatibility with callers that set it.
@@ -222,7 +221,9 @@ impl SequentialReport {
 
 /// Exhaustive sequential verification of a netlist implementation against
 /// the specification: a proof or a falsification per stage and direction,
-/// stall-escape proofs and the reset check. See the module docs.
+/// stall-escape proofs and the reset check. See the module docs. The check
+/// binds the design once ([`Binding`]) and hands the binding to every
+/// engine run.
 ///
 /// Every returned counterexample has been replayed through
 /// [`ipcl_rtl::Simulator`] and reproduced its violation (this is asserted
@@ -250,24 +251,17 @@ pub fn check_netlist_sequential_with(
     netlist: &Netlist,
     options: &SequentialOptions,
 ) -> Result<SequentialReport, BmcError> {
-    let missing = Binding::new(spec, netlist).missing_moe(spec, None);
-    if !missing.is_empty() {
-        return Err(BmcError::MissingSignals(missing));
-    }
-
     let tracer = Tracer::new(options.trace);
+    let binding = Binding::new(spec, netlist).with_run(None, &tracer);
+    binding.require_moe(None)?;
     let run_span = tracer.span("checker.sequential");
 
-    let latency = options
-        .latency
-        .unwrap_or_else(|| Latency::detect(spec, netlist));
+    let latency = options.latency.unwrap_or_else(|| binding.latency());
 
     let properties = SequentialProperty::both_directions(spec, latency);
     let mut certificates = BTreeMap::new();
     let mut results = Vec::with_capacity(properties.len());
-    for (result, certificate) in
-        check_with_strategy(spec, netlist, &properties, options, None, &tracer)?
-    {
+    for (result, certificate) in check_with_strategy(&binding, &properties, options)? {
         if let Some(certificate) = certificate {
             certificates.insert(result.property.name.clone(), certificate);
         }
@@ -276,7 +270,7 @@ pub fn check_netlist_sequential_with(
 
     let stall_escape = if options.deadlock {
         let _span = tracer.span("checker.stall_escape");
-        check_stall_escape_traced(spec, netlist, options.escape_cycles, &tracer)?
+        check_stall_escape_in(&binding, options.escape_cycles)?
     } else {
         Vec::new()
     };
@@ -329,8 +323,8 @@ pub fn check_property_job(
     cancel: Option<&AtomicBool>,
     tracer: &Tracer,
 ) -> Result<(BmcResult, Option<Certificate>), BmcError> {
-    let properties = std::slice::from_ref(property);
-    let mut checked = check_with_strategy(spec, netlist, properties, options, cancel, tracer)?;
+    let binding = Binding::new(spec, netlist).with_run(cancel, tracer);
+    let mut checked = check_with_strategy(&binding, std::slice::from_ref(property), options)?;
     Ok(checked.remove(0))
 }
 
@@ -339,11 +333,12 @@ pub fn check_property_job(
 /// place an engine answer becomes a verdict, for both
 /// [`check_netlist_sequential_with`] and [`check_property_job`]. It runs
 /// one [`ipcl_bmc::check_properties`] run under k-induction, one
-/// [`ipcl_pdr::check_property_pdr`] run per property under PDR.
+/// [`ipcl_pdr::check_property_pdr`] run per property under PDR, every run
+/// over the check's `binding`.
 ///
 /// The portfolio runs k-induction over the whole list at
 /// `quiet_cycles: 0`, then PDR on each property it left unknown, unless
-/// `cancel` is set by then; a property neither engine decides keeps
+/// the check is cancelled by then; a property neither engine decides keeps
 /// k-induction's unknown. It is traced under one `portfolio.check` span
 /// around the engines' own spans, with a start `heartbeat` and a
 /// `portfolio_verdict` event per property naming the engine that decided
@@ -357,26 +352,22 @@ pub fn check_property_job(
 /// the CNF encoding diverged from the netlist semantics. Either failure
 /// is an engine bug, not a verdict.
 fn check_with_strategy(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
+    binding: &Binding,
     properties: &[SequentialProperty],
     options: &SequentialOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
 ) -> Result<Vec<(BmcResult, Option<Certificate>)>, BmcError> {
+    let tracer = binding.tracer();
     // Each answer with a PDR proof's certificate and its validation.
     type Decided = (BmcResult, Option<(Certificate, CertificateCheck)>);
     let run_pdr = |property: &SequentialProperty| {
-        check_property_pdr(spec, netlist, property, &options.pdr, cancel, tracer)
+        check_property_pdr(binding, property, &options.pdr)
             .map(|pdr| (pdr.result, pdr.certificate.zip(pdr.validation)))
     };
     let decided: Vec<Decided> = match options.strategy {
-        ProofStrategy::KInduction => {
-            check_properties(spec, netlist, properties, &options.bmc, cancel, tracer)?
-                .into_iter()
-                .map(|result| (result, None))
-                .collect()
-        }
+        ProofStrategy::KInduction => check_properties(binding, properties, &options.bmc)?
+            .into_iter()
+            .map(|result| (result, None))
+            .collect(),
         ProofStrategy::Pdr => properties.iter().map(run_pdr).collect::<Result<_, _>>()?,
         ProofStrategy::Portfolio => {
             let _span = tracer.span("portfolio.check");
@@ -394,11 +385,9 @@ fn check_with_strategy(
                 ..options.bmc
             };
             let mut decided = Vec::with_capacity(properties.len());
-            for result in check_properties(spec, netlist, properties, &bmc, cancel, tracer)? {
+            for result in check_properties(binding, properties, &bmc)? {
                 let (winner, (result, proof)) = match result.outcome {
-                    BmcOutcome::Unknown { .. }
-                        if !cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) =>
-                    {
+                    BmcOutcome::Unknown { .. } if !binding.cancelled() => {
                         let (pdr, proof) = run_pdr(&result.property)?;
                         if matches!(pdr.outcome, BmcOutcome::Unknown { .. }) {
                             ("none", (result, None))
@@ -445,7 +434,7 @@ fn check_with_strategy(
         });
         if let BmcOutcome::Falsified(cex) = &result.outcome {
             let _replay_span = tracer.span("checker.replay");
-            let replay = cex.replay(spec, netlist, &result.property)?;
+            let replay = cex.replay(binding.spec(), binding.netlist(), &result.property)?;
             if tracer.is_enabled() {
                 tracer.event(
                     "replay_verdict",

@@ -239,7 +239,7 @@ impl Certificate {
 
         // A fresh unrolling written straight into a fresh solver.
         let binding = Binding::new(spec, netlist);
-        let mut enc = FrameEncoder::new(netlist, &binding, InitialState::Free, 0, Solver::new(0))?;
+        let mut enc = FrameEncoder::new(&binding, InitialState::Free, 0, Solver::new(0))?;
         enc.ensure_frames(2);
         let offset = property.latency.offset();
         let bad = enc.encode_instance(property, offset).negated();

@@ -42,43 +42,32 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use ipcl_bmc::{
     Binding, BmcError, BmcOutcome, BmcResult, BmcStats, Counterexample, FrameEncoder,
     SequentialProperty,
 };
-use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
-use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
+use ipcl_rtl::{InitialState, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
 use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
 
 use crate::certificate::{Certificate, CertificateCheck, StateLiteral};
 
+/// Frames a PDR run opens before it gives up with [`BmcOutcome::Unknown`].
+/// The state spaces of interlock controllers are small, so running out of
+/// frames indicates a diverging abstraction rather than a hard problem.
+pub const MAX_FRAMES: usize = 64;
+
 /// Knobs of one PDR run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PdrOptions {
-    /// Maximum number of frames before giving up with
-    /// [`BmcOutcome::Unknown`]. The state spaces of interlock controllers
-    /// are small, so running out of frames indicates a diverging
-    /// abstraction rather than a hard problem.
-    pub max_frames: usize,
     /// Heuristic configuration of the CDCL solver: phase saving, the
     /// learned-clause reduction base and the Luby restart unit (see
     /// [`ipcl_sat::SolverConfig`]). PDR leans hardest on the incremental
     /// hot paths: every consecution/generalisation query is one
     /// `solve_under_assumptions` call against the same solver.
     pub solver: SolverConfig,
-}
-
-impl Default for PdrOptions {
-    fn default() -> Self {
-        PdrOptions {
-            max_frames: 64,
-            solver: SolverConfig::default(),
-        }
-    }
 }
 
 /// Search statistics of one PDR run.
@@ -166,11 +155,10 @@ struct Obligation {
 /// One PDR search: the encoder, writing into its incremental solver, and
 /// the trailing frame sequence over it.
 struct Pdr<'a> {
-    spec: &'a FunctionalSpec,
     property: &'a SequentialProperty,
-    max_frames: usize,
     enc: FrameEncoder<'a, Solver>,
-    /// The registers (state variables), in [`Netlist::registers`] order.
+    /// The registers (state variables), in [`ipcl_rtl::Netlist::registers`]
+    /// order.
     regs: Vec<SignalId>,
     /// Reset value per register.
     reg_init: Vec<bool>,
@@ -189,7 +177,7 @@ struct Pdr<'a> {
     /// negations are stored at frame `k`.
     frame_cubes: Vec<Vec<Cube>>,
     stats: PdrStats,
-    tracer: Tracer,
+    tracer: &'a Tracer,
     /// Live-progress beats (rate-limited), checked per obligation pop and
     /// per frame open — a deep proof reports its frontier while running.
     heartbeat: Heartbeat,
@@ -197,23 +185,22 @@ struct Pdr<'a> {
 
 impl<'a> Pdr<'a> {
     fn new(
-        spec: &'a FunctionalSpec,
-        netlist: &'a Netlist,
-        binding: &'a Binding,
+        binding: &'a Binding<'a>,
         property: &'a SequentialProperty,
         options: &PdrOptions,
-        tracer: &Tracer,
     ) -> Result<Self, BmcError> {
+        let tracer = binding.tracer();
         let _encode = tracer.span("pdr.encode");
         let mut solver = Solver::with_config(0, options.solver);
         solver.set_tracer(tracer.clone());
-        let mut enc = FrameEncoder::new(netlist, binding, InitialState::Free, 0, solver)?;
+        let mut enc = FrameEncoder::new(binding, InitialState::Free, 0, solver)?;
         // Two frames: the transition `s → s'` and (for registered latency)
         // the property window.
         enc.ensure_frames(2);
         let offset = property.latency.offset();
         let bad = enc.encode_instance(property, offset).negated();
 
+        let netlist = binding.netlist();
         let regs = netlist.registers();
         let reg_init: Vec<bool> = regs
             .iter()
@@ -234,9 +221,7 @@ impl<'a> Pdr<'a> {
 
         let placeholder = act_init; // never assumed via `act[0]`
         Ok(Pdr {
-            spec,
             property,
-            max_frames: options.max_frames,
             enc,
             regs,
             reg_init,
@@ -247,7 +232,7 @@ impl<'a> Pdr<'a> {
             act: vec![placeholder],
             frame_cubes: vec![Vec::new()],
             stats: PdrStats::default(),
-            tracer: tracer.clone(),
+            tracer,
             heartbeat: Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS),
         })
     }
@@ -436,7 +421,7 @@ impl<'a> Pdr<'a> {
     /// model.
     fn window(&self, model: &[bool]) -> Vec<BTreeMap<String, bool>> {
         (0..=self.property.latency.offset())
-            .map(|frame| self.enc.decode_frame(self.spec, model, frame))
+            .map(|frame| self.enc.decode_frame(model, frame))
             .collect()
     }
 
@@ -444,14 +429,9 @@ impl<'a> Pdr<'a> {
     /// proof obligations it spawns. `window` is the decoded input window of
     /// the bad-state model (the tail of any counterexample trace). Fails
     /// with the verdict that ends the search: a falsification when an
-    /// obligation chain reaches the reset state, an unknown when `cancel`
-    /// is set.
-    fn block(
-        &mut self,
-        root: Cube,
-        window: Vec<BTreeMap<String, bool>>,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<(), BmcOutcome> {
+    /// obligation chain reaches the reset state, an unknown when the check
+    /// is cancelled.
+    fn block(&mut self, root: Cube, window: Vec<BTreeMap<String, bool>>) -> Result<(), BmcOutcome> {
         let top = self.top();
         let mut arena: Vec<Obligation> = vec![Obligation {
             cube: root,
@@ -465,7 +445,7 @@ impl<'a> Pdr<'a> {
         self.note_push(top, queue.len());
 
         while let Some(Reverse((k, index))) = queue.pop() {
-            if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            if self.enc.binding().cancelled() {
                 return Err(self.unknown());
             }
             self.note_pop(k, queue.len());
@@ -497,7 +477,7 @@ impl<'a> Pdr<'a> {
                 }
                 Err(model) => {
                     let predecessor = self.state_cube(&model);
-                    let step_inputs = self.enc.decode_frame(self.spec, &model, 0);
+                    let step_inputs = self.enc.decode_frame(&model, 0);
                     if self.intersects_init(&predecessor) {
                         // The predecessor is the reset state: the obligation
                         // chain is a concrete trace.
@@ -556,7 +536,7 @@ impl<'a> Pdr<'a> {
     /// trailing sequence, the queue depth, and the obligations/clauses
     /// totals so far.
     fn emit_heartbeat(&mut self, frame: usize, queue_len: usize) {
-        if !self.heartbeat.due(&self.tracer) {
+        if !self.heartbeat.due(self.tracer) {
             return;
         }
         self.tracer.event(
@@ -631,7 +611,7 @@ impl<'a> Pdr<'a> {
     }
 
     /// Runs the search to a verdict; a proof comes with its certificate.
-    fn run(&mut self, cancel: Option<&AtomicBool>) -> (BmcOutcome, Option<Certificate>) {
+    fn run(&mut self) -> (BmcOutcome, Option<Certificate>) {
         // Stateless netlist: the single (empty) state is initial, so the
         // property is equivalent to the one-window combinational query.
         if self.regs.is_empty() {
@@ -647,7 +627,7 @@ impl<'a> Pdr<'a> {
 
         self.push_frame(); // F_1
         loop {
-            if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            if self.enc.binding().cancelled() {
                 return (self.unknown(), None);
             }
             // Block every bad state reachable within the current bound.
@@ -665,13 +645,13 @@ impl<'a> Pdr<'a> {
                             let cex = self.counterexample(window);
                             return (BmcOutcome::Falsified(cex), None);
                         }
-                        if let Err(outcome) = self.block(cube, window, cancel) {
+                        if let Err(outcome) = self.block(cube, window) {
                             return (outcome, None);
                         }
                     }
                 }
             }
-            if self.top() >= self.max_frames {
+            if self.top() >= MAX_FRAMES {
                 return (self.unknown(), None);
             }
             self.push_frame();
@@ -742,22 +722,24 @@ fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
         .all(|entry| it.by_ref().any(|candidate| candidate == entry))
 }
 
-/// Checks one sequential property on `netlist` against `spec` with IC3/PDR.
+/// Checks one sequential property on `binding`'s netlist against its spec
+/// with IC3/PDR.
 ///
 /// See the module docs for the algorithm. A proof carries an explicit
 /// inductive-invariant [`Certificate`], re-validated by independent SAT
 /// checks ([`Certificate::validate`]); the verdicts are in
 /// [`PdrResult::validation`]. A falsification's trace replays through
 /// [`ipcl_rtl::Simulator`] (callers assert this, as with BMC). The run
-/// polls `cancel` between queries and answers [`BmcOutcome::Unknown`] as
-/// soon as it is set.
+/// polls the binding's cancellation token between queries and answers
+/// [`BmcOutcome::Unknown`] as soon as it is set, as it does after
+/// [`MAX_FRAMES`] frames.
 ///
-/// Traced under a `pdr.check` span (encode under `pdr.encode`, clause
-/// propagation under `pdr.propagate`, cube generalisation under
-/// `pdr.generalize`, certificate re-checking under `pdr.validate`, SAT
-/// queries under the solver's own `sat.solve`), with one `pdr_obligation`
-/// event per obligation push/pop carrying its frame and queue depth; the
-/// run's counters fold into the tracer's metrics.
+/// Traced into the binding's tracer under a `pdr.check` span (encode under
+/// `pdr.encode`, clause propagation under `pdr.propagate`, cube
+/// generalisation under `pdr.generalize`, certificate re-checking under
+/// `pdr.validate`, SAT queries under the solver's own `sat.solve`), with
+/// one `pdr_obligation` event per obligation push/pop carrying its frame
+/// and queue depth; the run's counters fold into the tracer's metrics.
 ///
 /// # Errors
 ///
@@ -765,22 +747,16 @@ fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
 /// property's stage has no `moe` signal in the netlist, [`BmcError::Rtl`]
 /// if the netlist does not elaborate.
 pub fn check_property_pdr(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
+    binding: &Binding,
     property: &SequentialProperty,
     options: &PdrOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
 ) -> Result<PdrResult, BmcError> {
+    let tracer = binding.tracer();
     let _span = tracer.span("pdr.check");
-    let binding = Binding::new(spec, netlist);
-    let missing = binding.missing_moe(spec, Some(&property.stage));
-    if !missing.is_empty() {
-        return Err(BmcError::MissingSignals(missing));
-    }
+    binding.require_moe(Some(std::slice::from_ref(property)))?;
 
-    let mut pdr = Pdr::new(spec, netlist, &binding, property, options, tracer)?;
-    let (outcome, certificate) = pdr.run(cancel);
+    let mut pdr = Pdr::new(binding, property, options)?;
+    let (outcome, certificate) = pdr.run();
     let mut stats = std::mem::take(&mut pdr.stats);
     stats.frames = pdr.top();
     stats.conflicts = pdr.solver().stats().conflicts;
@@ -797,7 +773,7 @@ pub fn check_property_pdr(
     let validation = match &certificate {
         Some(certificate) => {
             let _validate = tracer.span("pdr.validate");
-            Some(certificate.validate(spec, netlist, property)?)
+            Some(certificate.validate(binding.spec(), binding.netlist(), property)?)
         }
         None => None,
     };

@@ -7,12 +7,13 @@
 //! stall — defeat every small `k`, exactly the silicon-bound bug territory
 //! of the paper's case study. This crate closes that gap:
 //!
-//! * [`check_property_pdr`] decides a [`SequentialProperty`] over an
-//!   `ipcl-rtl` netlist with **no unrolling bound**, by growing a trailing
-//!   sequence of frames over the incremental CDCL solver of `ipcl-sat`
-//!   (per-frame activation literals, proof-obligation queue, cube
-//!   generalisation guided by the solver's UNSAT cores, clause propagation
-//!   with fixpoint detection);
+//! * [`check_property_pdr`] decides a [`SequentialProperty`] over the
+//!   `ipcl-rtl` netlist of an [`ipcl_bmc::Binding`] (the check context the
+//!   k-induction engine takes too) with **no unrolling bound**, by growing
+//!   a trailing sequence of up to [`MAX_FRAMES`] frames over the
+//!   incremental CDCL solver of `ipcl-sat` (per-frame activation literals,
+//!   proof-obligation queue, cube generalisation guided by the solver's
+//!   UNSAT cores, clause propagation with fixpoint detection);
 //! * every proof ships an explicit [`Certificate`] — the inductive
 //!   invariant as clauses over the netlist's registers — which
 //!   [`Certificate::validate`] re-checks with independent initiation,
@@ -28,21 +29,22 @@
 //!
 //! ```
 //! use ipcl_pdr::{check_property_pdr, deep::deep_pipeline, PdrOptions};
-//! use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
-//! use ipcl_trace::Tracer;
+//! use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, PropertyKind,
+//!     SequentialProperty};
 //!
 //! // A sticky wait-state chain: correct from reset, but not k-inductive
 //! // for any k ≤ depth − 2 …
 //! let (spec, netlist) = deep_pipeline(8);
+//! let binding = Binding::new(&spec, &netlist);
 //! let property = SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance,
 //!     Latency::Combinational);
-//! let bmc = check_properties(&spec, &netlist, std::slice::from_ref(&property),
-//!     &BmcOptions::with_depth(5), None, &Tracer::disabled()).unwrap();
+//! let bmc = check_properties(&binding, std::slice::from_ref(&property),
+//!     &BmcOptions::with_depth(5)).unwrap();
 //! assert!(!bmc[0].outcome.is_proved(), "k-induction is stuck below the chain depth");
 //!
-//! // … while PDR proves it outright, with a validated certificate.
-//! let pdr = check_property_pdr(&spec, &netlist, &property,
-//!     &PdrOptions::default(), None, &Tracer::disabled()).unwrap();
+//! // … while PDR proves it outright, over the same binding, with a
+//! // validated certificate.
+//! let pdr = check_property_pdr(&binding, &property, &PdrOptions::default()).unwrap();
 //! assert!(pdr.result.outcome.is_proved());
 //! assert!(pdr.certificate.is_some() && pdr.validation.unwrap().ok());
 //! ```
@@ -52,7 +54,7 @@ pub mod deep;
 pub mod engine;
 
 pub use certificate::{Certificate, CertificateCheck, StateLiteral};
-pub use engine::{check_property_pdr, PdrOptions, PdrResult, PdrStats};
+pub use engine::{check_property_pdr, PdrOptions, PdrResult, PdrStats, MAX_FRAMES};
 
 // Re-exported so callers can name the shared vocabulary without a direct
 // `ipcl-bmc` dependency.
@@ -65,7 +67,7 @@ pub use ipcl_bmc::{
 mod tests {
     use super::*;
     use deep::deep_pipeline;
-    use ipcl_bmc::{check_properties, BmcOptions};
+    use ipcl_bmc::{check_properties, Binding, BmcOptions};
     use ipcl_core::example::ExampleArch;
     use ipcl_core::FunctionalSpec;
     use ipcl_pipesim::BrokenVariant;
@@ -73,7 +75,6 @@ mod tests {
         synthesize_broken_interlock, synthesize_interlock, synthesize_interlock_with,
         SynthesisOptions,
     };
-    use ipcl_trace::Tracer;
 
     fn spec() -> FunctionalSpec {
         ExampleArch::new().functional_spec()
@@ -86,7 +87,7 @@ mod tests {
         property: &SequentialProperty,
         options: &PdrOptions,
     ) -> Result<PdrResult, BmcError> {
-        check_property_pdr(spec, netlist, property, options, None, &Tracer::disabled())
+        check_property_pdr(&Binding::new(spec, netlist), property, options)
     }
 
     #[test]
@@ -208,12 +209,9 @@ mod tests {
             Latency::Combinational,
         );
         let bmc = check_properties(
-            &spec,
-            &netlist,
+            &Binding::new(&spec, &netlist),
             std::slice::from_ref(&property),
             &BmcOptions::with_depth(10),
-            None,
-            &Tracer::disabled(),
         )
         .unwrap()
         .remove(0);

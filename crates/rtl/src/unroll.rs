@@ -9,12 +9,14 @@
 //! reset values ([`InitialState::Reset`], the BMC base case) or are left
 //! unconstrained ([`InitialState::Free`], the k-induction step case).
 //!
-//! The [`Unroller`] borrows the caller's netlist and writes every variable
-//! and clause once, into a [`ClauseSink`]: a [`Cnf`] when the formula itself
-//! is wanted ([`Unroller::new`]), or the incremental SAT solver that decides
-//! it ([`Unroller::with_sink`]). It is *incremental*: frames are appended
-//! one at a time and the formula only ever grows, so a BMC loop keeps
-//! all learned clauses from shallower depths.
+//! The [`Unroller`] borrows the caller's netlist and its elaboration order
+//! ([`Netlist::elaborate`]), so a check that unrolls one netlist several
+//! times elaborates it once. It writes every variable and clause once, into
+//! a [`ClauseSink`]: a [`Cnf`] when the formula itself is wanted
+//! ([`Unroller::new`]), or the incremental SAT solver that decides it
+//! ([`Unroller::with_sink`]). It is *incremental*: frames are appended one
+//! at a time and the formula only ever grows, so a BMC loop keeps all
+//! learned clauses from shallower depths.
 //!
 //! # Example
 //!
@@ -26,7 +28,8 @@
 //! let nt = n.not_gate("nt", t);
 //! n.connect_register(t, nt)?;
 //!
-//! let mut unroller = Unroller::new(&n, InitialState::Reset)?;
+//! let order = n.elaborate()?;
+//! let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
 //! unroller.add_frame();
 //! unroller.add_frame();
 //! // Frame 0 is the reset frame; the register literal of frame 1 is the
@@ -43,7 +46,7 @@ use std::collections::HashMap;
 
 use ipcl_expr::{ClauseSink, Cnf, Lit};
 
-use crate::netlist::{Gate, Netlist, RtlError, SignalId, SignalKind};
+use crate::netlist::{Gate, Netlist, SignalId, SignalKind};
 
 /// Encode-path counters of an [`Unroller`]: how much work the unrolling
 /// did and how much the structural-hashing cache saved (surfaced as
@@ -75,7 +78,7 @@ pub enum InitialState {
 pub struct Unroller<'n, S = Cnf> {
     netlist: &'n Netlist,
     /// Topological order of combinational wires from elaboration.
-    order: Vec<SignalId>,
+    order: &'n [SignalId],
     /// The registers, in [`Netlist::registers`] order.
     registers: Vec<SignalId>,
     initial: InitialState,
@@ -104,15 +107,11 @@ pub struct Unroller<'n, S = Cnf> {
 }
 
 impl<'n> Unroller<'n, Cnf> {
-    /// Builds an unroller for `netlist` with no frames yet, writing into a
-    /// fresh [`Cnf`] (see [`Unroller::cnf`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RtlError`]s from elaboration (unconnected registers,
-    /// combinational cycles).
-    pub fn new(netlist: &'n Netlist, initial: InitialState) -> Result<Self, RtlError> {
-        Unroller::with_sink(netlist, initial, Cnf::new(0))
+    /// Builds an unroller for `netlist`, whose elaboration order is
+    /// `order`, with no frames yet, writing into a fresh [`Cnf`] (see
+    /// [`Unroller::cnf`]).
+    pub fn new(netlist: &'n Netlist, order: &'n [SignalId], initial: InitialState) -> Self {
+        Unroller::with_sink(netlist, order, initial, Cnf::new(0))
     }
 
     /// The formula built so far.
@@ -123,21 +122,18 @@ impl<'n> Unroller<'n, Cnf> {
 
 impl<'n, S: ClauseSink> Unroller<'n, S> {
     /// Builds an unroller for `netlist` with no frames yet, writing every
-    /// variable and clause into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RtlError`]s from elaboration (unconnected registers,
-    /// combinational cycles).
+    /// variable and clause into `sink`. `order` is the netlist's evaluation
+    /// order of combinational wires, as [`Netlist::elaborate`] returns it:
+    /// elaboration also checks that every register is connected.
     pub fn with_sink(
         netlist: &'n Netlist,
+        order: &'n [SignalId],
         initial: InitialState,
         mut sink: S,
-    ) -> Result<Self, RtlError> {
-        let order = netlist.elaborate()?;
+    ) -> Self {
         let const_true = Lit::positive(sink.new_var());
         sink.add_clause(&[const_true]);
-        Ok(Unroller {
+        Unroller {
             netlist,
             order,
             registers: netlist.registers(),
@@ -151,17 +147,12 @@ impl<'n, S: ClauseSink> Unroller<'n, S> {
             operands: Vec::new(),
             clause: Vec::new(),
             stats: UnrollStats::default(),
-        })
+        }
     }
 
     /// The unrolled netlist.
     pub fn netlist(&self) -> &'n Netlist {
         self.netlist
-    }
-
-    /// How frame-0 registers are constrained.
-    pub fn initial_state(&self) -> InitialState {
-        self.initial
     }
 
     /// Number of frames added so far.
@@ -246,8 +237,7 @@ impl<'n, S: ClauseSink> Unroller<'n, S> {
             }
         }
         // Then wires in topological order.
-        for index in 0..self.order.len() {
-            let id = self.order[index];
+        for &id in self.order {
             let SignalKind::Wire(gate) = &netlist.signal(id).kind else {
                 unreachable!("evaluation order contains only wires");
             };
@@ -473,7 +463,8 @@ mod tests {
     #[test]
     fn reset_unrolling_matches_simulation() {
         let (n, enable, bit0, bit1) = counter();
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         for _ in 0..5 {
             let frame = unroller.add_frame();
             // Force enable high in every frame.
@@ -502,7 +493,8 @@ mod tests {
     #[test]
     fn reset_state_is_forced() {
         let (n, _, bit0, _) = counter();
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         unroller.add_frame();
         // bit0 resets to false: asserting it true at frame 0 is unsat.
         let bit0_lit = unroller.lit(0, bit0);
@@ -519,7 +511,8 @@ mod tests {
     #[test]
     fn free_initial_state_is_unconstrained() {
         let (n, _, bit0, bit1) = counter();
-        let mut unroller = Unroller::new(&n, InitialState::Free).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Free);
         unroller.add_frame();
         let mut solver = Solver::from_cnf(unroller.cnf());
         // Any initial state is reachable in the free encoding.
@@ -546,7 +539,8 @@ mod tests {
         let input = n.input("in");
         let r = n.register("r", false);
         n.connect_register(r, input).unwrap();
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         unroller.add_frame();
         unroller.add_frame();
         assert_eq!(unroller.lit(1, r), unroller.lit(0, input));
@@ -555,7 +549,8 @@ mod tests {
     #[test]
     fn state_difference_distinguishes_states() {
         let (n, enable, _, _) = counter();
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         unroller.add_frame();
         unroller.add_frame();
         let enable_lit = unroller.lit(0, enable);
@@ -576,7 +571,8 @@ mod tests {
     #[test]
     fn gate_definitions_are_hash_consed() {
         let (n, enable, bit0, _) = counter();
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         unroller.add_frame();
         let a = unroller.lit(0, enable);
         let b = unroller.lit(0, bit0);
@@ -604,7 +600,8 @@ mod tests {
         let a = n.input("a");
         let b = n.not_gate("b", a);
         n.mark_output(b);
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         unroller.add_frame();
         unroller.add_frame();
         assert!(unroller.state_difference(0, 1).is_none());
@@ -626,7 +623,8 @@ mod tests {
         let buf = n.buf_gate("buf", mux);
         let outputs = [and, or, xor, mux, buf];
 
-        let mut unroller = Unroller::new(&n, InitialState::Reset).unwrap();
+        let order = n.elaborate().unwrap();
+        let mut unroller = Unroller::new(&n, &order, InitialState::Reset);
         unroller.add_frame();
         let mut solver = Solver::from_cnf(unroller.cnf());
         let mut sim = Simulator::new(&n).unwrap();

@@ -247,7 +247,8 @@ pub struct Solver {
     /// branch per recording site.
     tracer: Tracer,
     /// Rate limiter of the live-progress `heartbeat` events (checked at
-    /// restarts only, so the search loop never reads the clock).
+    /// restarts and at traced `solve` entries only, so the inner search
+    /// loop never reads the clock).
     heartbeat: Heartbeat,
     /// Stats at the last heartbeat, for since-last-beat deltas.
     beat_base: SolverStats,

@@ -15,9 +15,11 @@
 //! initiation/consecution/safety SAT checks, a falsified entry must replay
 //! its trace through the cycle-accurate simulator and reproduce the
 //! violation. An entry that fails revalidation (hash collision, stale
-//! store, renamed registers outside the interface) is dropped, from memory
-//! and disk, and the lookup is a miss; the fresh result takes its slot, so
-//! a corrupted cache can cost time but never soundness.
+//! store, renamed registers outside the interface), or whose stored text
+//! does not parse (a truncated file, an old format), is dropped, from
+//! memory and disk, and counted in [`CacheStats::revalidation_failures`];
+//! the lookup is a miss, and the fresh result takes its slot, so a
+//! corrupted cache can cost time but never soundness.
 //!
 //! [`Certificate::validate`]: ipcl_pdr::Certificate::validate
 //!
@@ -114,7 +116,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that ran the proof engine.
     pub misses: u64,
-    /// Entries found but rejected by revalidation (counted as misses too).
+    /// Entries found but rejected by revalidation, or unparsable (counted
+    /// as misses too).
     pub revalidation_failures: u64,
     /// Entries dropped by the LRU size bound ([`CacheLimits`]).
     pub evictions: u64,
@@ -190,10 +193,11 @@ impl ProofCache {
         }
     }
 
-    /// The raw stored entry for `key`, if any (memory first, then disk).
-    /// This is *not* yet a hit: the caller must revalidate. Touching an
-    /// entry refreshes its LRU recency.
-    pub fn load(&self, key: &str) -> Option<JobOutcome> {
+    /// The stored entry for `key`, if any (memory first, then disk),
+    /// parsed: `Err` with the parse error when the stored text is not a
+    /// [`JobOutcome`]. This is *not* yet a hit: the caller must revalidate.
+    /// Touching an entry refreshes its LRU recency.
+    pub fn load(&self, key: &str) -> Option<Result<JobOutcome, String>> {
         let text = {
             let mut store = self.store.lock().expect("cache lock");
             store.clock += 1;
@@ -213,8 +217,7 @@ impl ProofCache {
             self.insert_locked(&mut store, key, text.clone());
             Some(text)
         })?;
-        let json = Json::parse(&text).ok()?;
-        JobOutcome::from_json(&json).ok()
+        Some(Json::parse(&text).and_then(|json| JobOutcome::from_json(&json)))
     }
 
     /// Stores `outcome` under `key` (memory and, when configured, disk).
@@ -274,8 +277,8 @@ impl ProofCache {
     }
 
     /// Drops the entry under `key` from memory and disk, as eviction does.
-    /// A lookup calls it on an entry that failed revalidation, so the
-    /// next lookup of `key` is a plain miss.
+    /// A lookup calls it on an entry that failed to parse or to
+    /// revalidate, so the next lookup of `key` is a plain miss.
     pub(crate) fn remove(&self, key: &str) {
         let mut store = self.store.lock().expect("cache lock");
         self.remove_locked(&mut store, key);
@@ -508,7 +511,7 @@ mod tests {
         };
         cache.store("deadbeef", &outcome);
         let reopened = ProofCache::new(Some(dir.clone()));
-        let loaded = reopened.load("deadbeef").expect("persisted entry");
+        let loaded = reopened.load("deadbeef").expect("persisted entry").unwrap();
         assert_eq!(loaded.verdict, Verdict::Falsified);
         assert!(!loaded.cached);
         let _ = fs::remove_dir_all(dir);

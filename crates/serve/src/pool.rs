@@ -198,8 +198,8 @@ pub fn process_job(
     outcome
 }
 
-/// The entry stored under `key`, served as a hit if it survives
-/// revalidation against `request`; an entry that fails is counted and
+/// The entry stored under `key`, served as a hit if it parses and survives
+/// revalidation against `request`; an entry that does not is counted and
 /// dropped from the cache, so it is revalidated once, not once per lookup.
 /// Workers call it through [`process_job`], and `submit_batch` calls it to
 /// answer hits at submit time.
@@ -210,26 +210,31 @@ pub(crate) fn cached_outcome(
     cache: &ProofCache,
     tracer: &Tracer,
 ) -> Option<JobOutcome> {
-    let stored = cache.load(key)?;
-    if stored.property == property.name
-        && revalidate(&stored, &request.spec, &request.netlist, property)
-    {
-        cache.record_hit();
-        tracer.counter("serve.cache.hits", 1);
-        tracer.event(
-            "serve.cache_hit",
-            &[("verdict", Value::from(stored.verdict.name()))],
-        );
-        return Some(JobOutcome {
-            cached: true,
-            ..stored
-        });
-    }
-    cache.remove(key);
-    cache.record_revalidation_failure();
-    tracer.counter("serve.cache.revalidation_failures", 1);
-    tracer.event("serve.cache_revalidation_failed", &[]);
-    None
+    let stored = match cache.load(key)? {
+        Ok(stored)
+            if stored.property == property.name
+                && revalidate(&stored, &request.spec, &request.netlist, property) =>
+        {
+            stored
+        }
+        _ => {
+            cache.remove(key);
+            cache.record_revalidation_failure();
+            tracer.counter("serve.cache.revalidation_failures", 1);
+            tracer.event("serve.cache_revalidation_failed", &[]);
+            return None;
+        }
+    };
+    cache.record_hit();
+    tracer.counter("serve.cache.hits", 1);
+    tracer.event(
+        "serve.cache_hit",
+        &[("verdict", Value::from(stored.verdict.name()))],
+    );
+    Some(JobOutcome {
+        cached: true,
+        ..stored
+    })
 }
 
 #[cfg(test)]
@@ -302,6 +307,31 @@ mod tests {
         assert!(cache.is_empty(), "an unservable proof takes no slot");
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().revalidation_failures, 0);
+    }
+
+    #[test]
+    fn an_entry_that_does_not_parse_is_dropped_and_counted() {
+        let dir = std::env::temp_dir().join(format!(
+            "ipcl-serve-unparsable-entry-test-{}",
+            std::process::id()
+        ));
+        let cache = ProofCache::new(Some(dir.clone()));
+        let job = JobRequest {
+            strategy: ProofStrategy::KInduction,
+            ..correct_job(0)
+        };
+        let key = cache_key(&job.spec, &job.netlist, &job.resolve_property().unwrap());
+        let path = dir.join(format!("{key}.json"));
+        std::fs::write(&path, "{\"property\": \"long.4/functional\", \"verd").unwrap();
+        let outcome = process_job(&job, &AtomicBool::new(false), &cache, &Tracer::disabled());
+        assert_eq!(outcome.verdict, Verdict::Proved);
+        assert!(!path.exists(), "the truncated entry leaves the disk");
+        assert!(
+            cache.is_empty(),
+            "and memory: a k-induction proof is not stored"
+        );
+        assert_eq!(cache.stats().revalidation_failures, 1);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -223,7 +223,9 @@ pub fn parse_spec(json: &Json) -> Result<FunctionalSpec, String> {
         let index = stage
             .get("stage")
             .and_then(Json::as_u64)
-            .ok_or("stage misses 'stage'")? as u32;
+            .ok_or("stage misses 'stage'")?;
+        let index = u32::try_from(index)
+            .map_err(|_| format!("stage 'stage' {index} out of range (max {})", u32::MAX))?;
         let stage_ref = StageRef::new(pipe, index);
         builder
             .declare_stage(stage_ref.clone())

@@ -476,6 +476,25 @@ fn malformed_requests_get_json_errors_not_disconnects() {
     server.shutdown();
 }
 
+#[test]
+fn a_stage_number_beyond_u32_is_refused() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let job = correct_job(0).to_json_string();
+    assert!(job.contains("\"stage\": 4,"), "{job}");
+    // 2^32 + 4 would wrap to stage 4 if it were cast to 32 bits.
+    let wrapped = job.replacen("\"stage\": 4,", "\"stage\": 4294967300,", 1);
+    let error = client
+        .request(&format!("{{\"cmd\": \"submit\", \"job\": {wrapped}}}"))
+        .expect_err("an out-of-range stage number is refused");
+    assert!(error.contains("'stage'"), "{error}");
+    let id = client
+        .request(&format!("{{\"cmd\": \"submit\", \"job\": {job}}}"))
+        .expect("the job as written is accepted");
+    assert!(id.get("id").is_some());
+    server.shutdown();
+}
+
 /// Reads one response line from a raw connection.
 fn read_response(stream: &TcpStream) -> Json {
     let mut line = String::new();

@@ -60,3 +60,8 @@ pub use ipcl_serve as serve;
 pub use ipcl_synth as synth;
 pub use ipcl_trace as trace;
 pub use ipcl_tracetool as tracetool;
+
+/// The `README.md` examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

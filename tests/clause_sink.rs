@@ -148,8 +148,8 @@ fn kinduction_stream<S: Discipline>(
     max_depth: usize,
 ) -> Transcript {
     let binding = Binding::new(spec, netlist);
-    let mut base = FrameEncoder::new(netlist, &binding, InitialState::Reset, 1, S::new()).unwrap();
-    let mut step = FrameEncoder::new(netlist, &binding, InitialState::Free, 0, S::new()).unwrap();
+    let mut base = FrameEncoder::new(&binding, InitialState::Reset, 1, S::new()).unwrap();
+    let mut step = FrameEncoder::new(&binding, InitialState::Free, 0, S::new()).unwrap();
     let mut activations: Vec<Option<Lit>> = vec![None; properties.len()];
     let mut decided = vec![false; properties.len()];
     let mut transcript = Transcript::new();
@@ -202,7 +202,7 @@ fn pdr_stream<S: Discipline>(
     budget: usize,
 ) -> Transcript {
     let binding = Binding::new(spec, netlist);
-    let mut enc = FrameEncoder::new(netlist, &binding, InitialState::Free, 0, S::new()).unwrap();
+    let mut enc = FrameEncoder::new(&binding, InitialState::Free, 0, S::new()).unwrap();
     enc.ensure_frames(2);
     let bad = enc
         .encode_instance(property, property.latency.offset())

@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicBool;
 
-use ipcl::bmc::check_properties;
+use ipcl::bmc::{check_properties, Binding};
 use ipcl::checker::{
     check_netlist_sequential_with, check_property_job, BmcOptions, BmcOutcome, Latency,
     ProofStrategy, PropertyKind, SequentialOptions, SequentialProperty, SequentialReport,
@@ -192,18 +192,11 @@ fn portfolio_falsifications_carry_k_inductions_trace() {
             quiet_cycles: 0,
             ..BmcOptions::default()
         };
-        check_properties(
-            &spec,
-            netlist,
-            properties,
-            &options,
-            None,
-            &Tracer::disabled(),
-        )
-        .unwrap()
-        .iter()
-        .map(|result| result.outcome.counterexample().map(|cex| cex.render()))
-        .collect()
+        check_properties(&Binding::new(&spec, netlist), properties, &options)
+            .unwrap()
+            .iter()
+            .map(|result| result.outcome.counterexample().map(|cex| cex.render()))
+            .collect()
     };
     let alone = k_induction(&SequentialProperty::both_directions(&spec, report.latency));
     assert_eq!(report.results.len(), alone.len());

@@ -262,3 +262,162 @@ fn summaries(report: &ipcl::checker::SequentialReport) -> Vec<(String, String)> 
         })
         .collect()
 }
+
+// ---- Error paths: a netlist that does not elaborate, and one that lacks
+// every `moe` output as well.
+
+use std::sync::atomic::AtomicBool;
+
+use ipcl::bmc::{check_properties, check_stall_escape, Binding};
+use ipcl::checker::{
+    check_property_job, BmcError, BmcResult, PdrOptions, PdrResult, ProofStrategy,
+    SequentialProperty,
+};
+use ipcl::pdr::check_property_pdr;
+use ipcl::serve::{process_job, JobRequest, ProofCache, PropertyRequest};
+use ipcl::trace::Tracer;
+
+/// `netlist` plus a register nothing drives, so it does not elaborate.
+fn with_dangling_register(netlist: &Netlist) -> Netlist {
+    let mut netlist = netlist.clone();
+    netlist.register("dangling", false);
+    netlist
+}
+
+/// One k-induction run over `properties`, untraced.
+fn bmc_run(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    properties: &[SequentialProperty],
+) -> Result<Vec<BmcResult>, BmcError> {
+    check_properties(
+        &Binding::new(spec, netlist),
+        properties,
+        &BmcOptions::default(),
+    )
+}
+
+/// One PDR run on `property`, untraced.
+fn pdr_run(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    property: &SequentialProperty,
+) -> Result<PdrResult, BmcError> {
+    check_property_pdr(
+        &Binding::new(spec, netlist),
+        property,
+        &PdrOptions::default(),
+    )
+}
+
+/// Each entry point's error on `netlist`, labelled: the checker's two entry
+/// points and `process_job`'s wire answer under every strategy, then
+/// k-induction over the portfolio and over `long.3/functional` alone, PDR
+/// and the stall-escape check.
+fn error_texts(spec: &FunctionalSpec, netlist: &Netlist) -> Vec<(String, String)> {
+    let property =
+        SequentialProperty::for_stage(spec, 1, PropertyKind::Functional, Latency::Combinational);
+    let mut texts = Vec::new();
+    for strategy in [
+        ProofStrategy::KInduction,
+        ProofStrategy::Pdr,
+        ProofStrategy::Portfolio,
+    ] {
+        let options = SequentialOptions {
+            strategy,
+            ..Default::default()
+        };
+        let error = check_netlist_sequential_with(spec, netlist, &options).unwrap_err();
+        texts.push((format!("{strategy:?} sequential"), error.to_string()));
+        let error = check_property_job(
+            spec,
+            netlist,
+            &property,
+            &options,
+            None,
+            &Tracer::disabled(),
+        )
+        .unwrap_err();
+        texts.push((format!("{strategy:?} job"), error.to_string()));
+        let job = JobRequest {
+            spec: spec.clone(),
+            netlist: netlist.clone(),
+            property: PropertyRequest {
+                stage_index: 1,
+                kind: PropertyKind::Functional,
+                latency: None,
+            },
+            strategy,
+            threads: 1,
+        };
+        let cache = ProofCache::new(None);
+        let outcome = process_job(&job, &AtomicBool::new(false), &cache, &Tracer::disabled());
+        assert!(cache.is_empty(), "an error is not cached");
+        texts.push((
+            format!("{strategy:?} process_job"),
+            outcome.to_json_string(),
+        ));
+    }
+    let portfolio = SequentialProperty::both_directions(spec, Latency::Combinational);
+    let error = bmc_run(spec, netlist, &portfolio).unwrap_err();
+    texts.push(("bmc portfolio".into(), error.to_string()));
+    let error = bmc_run(spec, netlist, std::slice::from_ref(&property)).unwrap_err();
+    texts.push(("bmc one".into(), error.to_string()));
+    let error = pdr_run(spec, netlist, &property).unwrap_err();
+    texts.push(("pdr".into(), error.to_string()));
+    let error = check_stall_escape(spec, netlist, 2).unwrap_err();
+    texts.push(("stall escape".into(), error.to_string()));
+    texts
+}
+
+/// A netlist that does not elaborate is an `Rtl` error wherever it is
+/// checked. One that also lacks every `moe` output is a `MissingSignals`
+/// error first: every missing flag in stage order for the whole-design
+/// checks, sorted for a k-induction property list, and the property's own
+/// flag for a one-property check.
+#[test]
+fn netlist_errors_reach_every_entry_point() {
+    let spec = example_spec();
+    let synthesized = synthesize_interlock(&spec);
+    // The expected answers, given the whole-design error, the one-property
+    // error and the property-list error.
+    let expect = |design: &str, one: &str, list: &str| {
+        let wire = format!(
+            "{{\"property\": \"long.3/functional\", \"verdict\": \"error\", \
+             \"detail\": \"{one}\", \"cached\": false}}"
+        );
+        let mut expected = Vec::new();
+        for strategy in ["KInduction", "Pdr", "Portfolio"] {
+            expected.push((format!("{strategy} sequential"), design.to_owned()));
+            expected.push((format!("{strategy} job"), one.to_owned()));
+            expected.push((format!("{strategy} process_job"), wire.clone()));
+        }
+        for (label, text) in [
+            ("bmc portfolio", list),
+            ("bmc one", one),
+            ("pdr", one),
+            ("stall escape", design),
+        ] {
+            expected.push((label.to_owned(), text.to_owned()));
+        }
+        expected
+    };
+
+    let unelaborated = with_dangling_register(synthesized.netlist());
+    let rtl = "netlist error: register 'dangling' has no next-state connection";
+    assert_eq!(error_texts(&spec, &unelaborated), expect(rtl, rtl, rtl));
+    // An empty property list needs no unrolling: it decides nothing and
+    // reports no error.
+    assert!(bmc_run(&spec, &unelaborated, &[]).unwrap().is_empty());
+
+    let moe_less = with_dangling_register(&Netlist::new("moe_less"));
+    let missing = |names: &str| format!("netlist misses moe signals: {names}");
+    assert_eq!(
+        error_texts(&spec, &moe_less),
+        expect(
+            &missing("long.4.moe, long.3.moe, long.2.moe, long.1.moe, short.2.moe, short.1.moe"),
+            &missing("long.3.moe"),
+            &missing("long.1.moe, long.2.moe, long.3.moe, long.4.moe, short.1.moe, short.2.moe"),
+        )
+    );
+}

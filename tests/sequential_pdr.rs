@@ -20,8 +20,9 @@ use ipcl::pdr::{check_property_pdr, PdrOptions};
 use ipcl::pipesim::BrokenVariant;
 use ipcl::rtl::Netlist;
 use ipcl::synth::{synthesize_broken_interlock, synthesize_interlock};
-use ipcl::trace::Tracer;
-use ipcl_bmc::{check_properties, BmcOptions, BmcOutcome, PropertyKind, SequentialProperty};
+use ipcl_bmc::{
+    check_properties, Binding, BmcOptions, BmcOutcome, PropertyKind, SequentialProperty,
+};
 
 fn example_spec() -> FunctionalSpec {
     ExampleArch::new().functional_spec()
@@ -140,12 +141,9 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
 
     // k-induction: stuck at every k ≤ 10.
     let bmc = check_properties(
-        &spec,
-        &netlist,
+        &Binding::new(&spec, &netlist),
         std::slice::from_ref(&property),
         &BmcOptions::with_depth(10),
-        None,
-        &Tracer::disabled(),
     )
     .unwrap()
     .remove(0);
@@ -159,12 +157,9 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
 
     // PDR: unbounded proof with a real (non-trivial) invariant.
     let pdr = check_property_pdr(
-        &spec,
-        &netlist,
+        &Binding::new(&spec, &netlist),
         &property,
         &PdrOptions::default(),
-        None,
-        &Tracer::disabled(),
     )
     .unwrap();
     assert!(
@@ -232,19 +227,13 @@ fn solver_config_variants_are_deterministic() {
     ];
     for (name, solver) in variants {
         // PDR proof of the deep chain: identical certificate text.
-        let pdr_options = PdrOptions {
-            solver,
-            ..PdrOptions::default()
-        };
+        let pdr_options = PdrOptions { solver };
         let renders: Vec<String> = (0..2)
             .map(|_| {
                 let pdr = check_property_pdr(
-                    &deep_spec,
-                    &deep_netlist,
+                    &Binding::new(&deep_spec, &deep_netlist),
                     &deep_property,
                     &pdr_options,
-                    None,
-                    &Tracer::disabled(),
                 )
                 .unwrap();
                 assert!(

@@ -8,7 +8,7 @@
 //! longer than the fuzz's.
 
 use ipcl::bmc::{
-    check_properties, fuzz, BmcOptions, BmcOutcome, Latency, SequentialProperty, FUZZ_SEED,
+    check_properties, fuzz, Binding, BmcOptions, BmcOutcome, Latency, SequentialProperty, FUZZ_SEED,
 };
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
@@ -16,7 +16,6 @@ use ipcl::pdr::deep::deep_pipeline;
 use ipcl::pipesim::BrokenVariant;
 use ipcl::rtl::Netlist;
 use ipcl::synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
-use ipcl::trace::Tracer;
 
 /// What a property's outcome says, without the trace contents (the
 /// solvers' models may legitimately differ between runs).
@@ -50,22 +49,15 @@ fn assert_shared_matches_alone(
     properties: &[SequentialProperty],
     options: &BmcOptions,
 ) -> Vec<Answer> {
-    let tracer = Tracer::disabled();
-    let shared = check_properties(spec, netlist, properties, options, None, &tracer).unwrap();
+    let binding = Binding::new(spec, netlist);
+    let shared = check_properties(&binding, properties, options).unwrap();
     assert_eq!(shared.len(), properties.len(), "{label}");
     let mut answers = Vec::new();
     for (property, together) in properties.iter().zip(&shared) {
-        let alone = check_properties(
-            spec,
-            netlist,
-            std::slice::from_ref(property),
-            options,
-            None,
-            &tracer,
-        )
-        .unwrap()
-        .pop()
-        .unwrap();
+        let alone = check_properties(&binding, std::slice::from_ref(property), options)
+            .unwrap()
+            .pop()
+            .unwrap();
         assert_eq!(together.property.name, property.name, "{label}");
         assert_eq!(
             answer(&together.outcome),
@@ -215,7 +207,6 @@ fn shared_run_matches_single_property_runs_on_mixed_latencies() {
 #[test]
 fn fuzz_candidates_replay_and_bounded_model_checking_confirms_them() {
     const CYCLES: u64 = 200;
-    let tracer = Tracer::disabled();
     for (arch, spec) in specs() {
         for (design, netlist) in designs(&spec) {
             let broken = !design.starts_with("correct");
@@ -269,12 +260,9 @@ fn fuzz_candidates_replay_and_bounded_model_checking_confirms_them() {
                         ..BmcOptions::default()
                     };
                     let exhaustive = check_properties(
-                        &spec,
-                        &netlist,
+                        &Binding::new(&spec, &netlist),
                         std::slice::from_ref(property),
                         &options,
-                        None,
-                        &tracer,
                     )
                     .unwrap()
                     .pop()
@@ -338,14 +326,7 @@ fn an_empty_property_list_decides_nothing() {
     let netlist = synthesize_interlock_with(&spec, SynthesisOptions::default())
         .netlist()
         .clone();
-    let results = check_properties(
-        &spec,
-        &netlist,
-        &[],
-        &BmcOptions::default(),
-        None,
-        &Tracer::disabled(),
-    )
-    .unwrap();
+    let results =
+        check_properties(&Binding::new(&spec, &netlist), &[], &BmcOptions::default()).unwrap();
     assert!(results.is_empty());
 }

@@ -28,7 +28,7 @@ use ipcl::pipesim::BrokenVariant;
 use ipcl::rtl::Netlist;
 use ipcl::synth::synthesize_broken_interlock;
 use ipcl::trace::{report, TraceSnapshot};
-use ipcl_bmc::{check_properties, BmcOptions, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, Binding, BmcOptions, PropertyKind, SequentialProperty};
 
 /// The deep-chain-16 stage-0 performance property, which only PDR proves.
 fn deep_chain() -> (FunctionalSpec, Netlist, SequentialProperty) {
@@ -73,12 +73,9 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let pdr = check_property_pdr(
-                &spec,
-                &netlist,
+                &Binding::new(&spec, &netlist).with_run(None, &tracer),
                 &property,
                 &PdrOptions::default(),
-                None,
-                &tracer,
             )
             .expect("netlist elaborates");
             assert!(pdr.result.outcome.is_proved());
@@ -86,12 +83,9 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
         scope.spawn(|| {
             let properties = std::slice::from_ref(&property);
             check_properties(
-                &spec,
-                &netlist,
+                &Binding::new(&spec, &netlist).with_run(None, &tracer),
                 properties,
                 &BmcOptions::with_depth(13),
-                None,
-                &tracer,
             )
             .expect("netlist elaborates");
         });

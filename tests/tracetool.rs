@@ -23,7 +23,7 @@ use ipcl::pdr::{check_property_pdr, PdrOptions};
 use ipcl::trace::json::Json;
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
-use ipcl_bmc::{check_properties, BmcOptions, Latency, PropertyKind, SequentialProperty};
+use ipcl_bmc::{check_properties, Binding, BmcOptions, Latency, PropertyKind, SequentialProperty};
 
 /// The tests of this file run one at a time: the wall-delta test times
 /// engine runs, and the others' threads would share the host with it.
@@ -47,13 +47,21 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let options = PdrOptions::default();
-            let pdr = check_property_pdr(&spec, &netlist, &property, &options, None, &tracer)
-                .expect("netlist elaborates");
+            let pdr = check_property_pdr(
+                &Binding::new(&spec, &netlist).with_run(None, &tracer),
+                &property,
+                &options,
+            )
+            .expect("netlist elaborates");
             assert!(pdr.result.outcome.is_proved());
         });
         scope.spawn(|| {
-            check_properties(&spec, &netlist, properties, &bmc_options, None, &tracer)
-                .expect("netlist elaborates");
+            check_properties(
+                &Binding::new(&spec, &netlist).with_run(None, &tracer),
+                properties,
+                &bmc_options,
+            )
+            .expect("netlist elaborates");
         });
         let options = SequentialOptions {
             strategy: ProofStrategy::Portfolio,
@@ -77,12 +85,9 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
     let tracer = Tracer::new(TraceConfig::enabled());
     for _ in 0..runs {
         let pdr = check_property_pdr(
-            &spec,
-            &netlist,
+            &Binding::new(&spec, &netlist).with_run(None, &tracer),
             &property,
             &PdrOptions::default(),
-            None,
-            &tracer,
         )
         .expect("netlist elaborates");
         assert!(pdr.result.outcome.is_proved());
@@ -251,12 +256,9 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
     // heartbeat of a run is always due), carrying their progress fields.
     let tracer = Tracer::new(TraceConfig::enabled());
     let pdr = check_property_pdr(
-        &spec,
-        &netlist,
+        &Binding::new(&spec, &netlist).with_run(None, &tracer),
         &property,
         &PdrOptions::default(),
-        None,
-        &tracer,
     )
     .expect("netlist elaborates");
     assert!(pdr.result.outcome.is_proved());
@@ -290,12 +292,9 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
         ..TraceConfig::enabled()
     });
     let pdr = check_property_pdr(
-        &spec,
-        &netlist,
+        &Binding::new(&spec, &netlist).with_run(None, &quiet),
         &property,
         &PdrOptions::default(),
-        None,
-        &quiet,
     )
     .expect("netlist elaborates");
     assert!(pdr.result.outcome.is_proved());
