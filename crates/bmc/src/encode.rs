@@ -1,45 +1,106 @@
-//! Shared property-instance encoding over unrolled netlists.
+//! Time-frame unrolling of the bound netlist, and property-instance
+//! encoding over it.
+//!
+//! Bounded model checking asks "is there an input sequence of length *k*
+//! driving the circuit into a bad state?". To answer it with a SAT solver,
+//! the sequential netlist is *unrolled*: each signal gets one literal per
+//! time frame, combinational gates are defined in every frame by
+//! `ipcl-expr`'s one Tseitin encoder ([`GateEncoder`]), and each
+//! register's frame-*t* literal is the frame-*t−1* literal of its
+//! next-state signal. Frame 0 registers either take their reset values
+//! ([`InitialState::Reset`], the BMC base case) or are left unconstrained
+//! ([`InitialState::Free`], the k-induction step case). The unrolling is
+//! *incremental*: frames are appended one at a time and the formula only
+//! ever grows, so a BMC loop keeps all learned clauses from shallower
+//! depths.
 //!
 //! Both sequential engines — bounded model checking / k-induction
-//! ([`crate::engine`]) and the IC3/PDR engine of `ipcl-pdr` — need the same
-//! plumbing between a [`SequentialProperty`] and a time-frame unrolling:
+//! ([`crate::engine`]) and the IC3/PDR engine of `ipcl-pdr` — and PDR's
+//! certificate validation need the same plumbing on top:
 //!
 //! * mapping a specification variable to the netlist signal that
 //!   implements it, through the check's [`Binding`] (or to a cached
 //!   auxiliary literal when the netlist does not implement it);
-//! * Tseitin-encoding a property instance with the `moe` variables sampled
-//!   at one frame and the environment sampled [`crate::Latency::offset`]
-//!   frames earlier;
+//! * encoding a property instance with the `moe` variables sampled at one
+//!   frame and the environment sampled [`crate::Latency::offset`] frames
+//!   earlier;
 //! * decoding a solver model back into per-frame input valuations that
 //!   replay through [`ipcl_rtl::Simulator`].
 //!
-//! [`FrameEncoder`] packages that plumbing around an [`Unroller`] of the
-//! binding's netlist, in the binding's elaboration order. It writes every
-//! clause once, into its [`ClauseSink`]: the engines give it the
-//! [`ipcl_sat::Solver`] that answers their queries, so nothing is copied
-//! between the encoding and the search.
+//! [`FrameEncoder`] packages both over the binding's netlist, in the
+//! binding's elaboration order. It writes every variable and clause once,
+//! into its [`ClauseSink`]: a [`Cnf`](ipcl_expr::Cnf) when the formula
+//! itself is wanted, or the [`ipcl_sat::Solver`] that answers the
+//! engines' queries, so nothing is copied between the encoding and the
+//! search.
 
 use std::collections::BTreeMap;
 
-use ipcl_expr::{ClauseSink, Expr, Lit, VarId};
-use ipcl_rtl::{InitialState, RtlError, Unroller};
+use ipcl_expr::{ClauseSink, GateEncoder, Lit, VarId};
+use ipcl_rtl::{Gate, RtlError, SignalId, SignalKind};
+use ipcl_trace::MetricSink;
 
 use crate::binding::Binding;
 use crate::property::SequentialProperty;
 
-/// An [`Unroller`] plus the property-encoding state shared by the BMC and
-/// PDR engines: the check's [`Binding`], auxiliary literals for
-/// unimplemented specification variables, and the quiet-cycle discipline
-/// for reset-rooted unrollings.
+/// How frame-0 registers are constrained.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum InitialState {
+    /// Registers take their declared reset values (paths start at reset —
+    /// the bounded-model-checking base case).
+    Reset,
+    /// Registers are unconstrained (paths start anywhere — the inductive
+    /// step case).
+    Free,
+}
+
+/// An incremental time-frame unrolling of a [`Binding`]'s netlist plus the
+/// property-encoding state shared by the BMC and PDR engines: auxiliary
+/// literals for unimplemented specification variables, and the
+/// quiet-cycle discipline for reset-rooted unrollings.
+///
+/// # Example
+///
+/// ```
+/// use ipcl_bmc::{Binding, FrameEncoder, InitialState};
+/// use ipcl_core::FunctionalSpecBuilder;
+/// use ipcl_expr::Cnf;
+/// use ipcl_rtl::Netlist;
+///
+/// let mut n = Netlist::new("toggler");
+/// let t = n.register("t", false);
+/// let nt = n.not_gate("nt", t);
+/// n.connect_register(t, nt)?;
+///
+/// let spec = FunctionalSpecBuilder::new().build()?;
+/// let binding = Binding::new(&spec, &n);
+/// let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0))?;
+/// enc.ensure_frames(2);
+/// // Frame 0 is the reset frame; the register literal of frame 1 is the
+/// // frame-0 literal of its next-state cone.
+/// assert_eq!(enc.num_frames(), 2);
+/// assert_eq!(enc.lit(1, t), enc.lit(0, nt));
+/// // The formula went into a `Cnf`: the constant-true unit, then the
+/// // inverter, which needs no clause of its own.
+/// assert_eq!(enc.sink().len(), 1);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub struct FrameEncoder<'n, S> {
-    unroller: Unroller<'n, S>,
+    gates: GateEncoder<S>,
     binding: &'n Binding<'n>,
+    /// Topological order of combinational wires from elaboration.
+    order: &'n [SignalId],
+    /// The registers, in [`ipcl_rtl::Netlist::registers`] order.
+    registers: Vec<SignalId>,
+    initial: InitialState,
+    /// `frames[t][signal.index()]` is the literal of the signal in frame `t`.
+    frames: Vec<Vec<Lit>>,
     /// Auxiliary literals for spec variables the netlist does not implement,
     /// keyed by `(frame, var)`.
     aux: BTreeMap<(usize, VarId), Lit>,
     quiet_cycles: usize,
-    /// Operand stack of [`FrameEncoder::encode_expr`], reused across calls.
-    operands: Vec<Lit>,
+    /// Reused operand list of [`FrameEncoder::state_difference`].
+    differences: Vec<Lit>,
 }
 
 impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
@@ -61,15 +122,19 @@ impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
     ) -> Result<Self, RtlError> {
         let order = binding.elaboration()?;
         Ok(FrameEncoder {
-            unroller: Unroller::with_sink(binding.netlist(), order, initial, sink),
+            gates: GateEncoder::new(sink),
             binding,
+            order,
+            registers: binding.netlist().registers(),
+            initial,
+            frames: Vec::new(),
             aux: BTreeMap::new(),
             quiet_cycles: if initial == InitialState::Reset {
                 quiet_cycles
             } else {
                 0
             },
-            operands: Vec::new(),
+            differences: Vec::new(),
         })
     }
 
@@ -78,121 +143,191 @@ impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
         self.binding
     }
 
-    /// The underlying unroller.
-    pub fn unroller(&self) -> &Unroller<'n, S> {
-        &self.unroller
-    }
-
-    /// Mutable access to the underlying unroller (for engine-specific
-    /// clauses: activation literals, loop-free path constraints, …).
-    pub fn unroller_mut(&mut self) -> &mut Unroller<'n, S> {
-        &mut self.unroller
-    }
-
     /// The sink the formula goes into.
     pub fn sink(&self) -> &S {
-        self.unroller.sink()
+        self.gates.sink()
     }
 
     /// Mutable access to the sink (to solve, when it is a solver).
     pub fn sink_mut(&mut self) -> &mut S {
-        self.unroller.sink_mut()
+        self.gates.sink_mut()
+    }
+
+    /// Allocates a fresh unconstrained literal (activation literals, …).
+    pub fn fresh_lit(&mut self) -> Lit {
+        self.gates.fresh_lit()
+    }
+
+    /// Adds a clause to the unrolling (environment constraints, property
+    /// activation literals, …).
+    pub fn add_clause(&mut self, literals: &[Lit]) {
+        self.gates.add_clause(literals);
+    }
+
+    /// Defines `g ↔ AND(operands)` over the frame literals (see
+    /// [`GateEncoder::define_and`]).
+    pub fn define_and(&mut self, operands: impl IntoIterator<Item = Lit>) -> Lit {
+        self.gates.define_and(operands)
+    }
+
+    /// Number of frames added so far.
+    pub fn num_frames(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// The literal of `signal` in `frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame has not been added or the signal is foreign.
+    pub fn lit(&self, frame: usize, signal: SignalId) -> Lit {
+        self.frames[frame][signal.index()]
     }
 
     /// Appends frames until `frames` exist, forcing quiet-cycle inputs low.
     pub fn ensure_frames(&mut self, frames: usize) {
-        let netlist = self.unroller.netlist();
-        while self.unroller.num_frames() < frames {
-            let frame = self.unroller.add_frame();
+        while self.frames.len() < frames {
+            let frame = self.add_frame();
             if frame < self.quiet_cycles {
-                for input in netlist.inputs() {
-                    let lit = self.unroller.lit(frame, input);
-                    self.unroller.add_clause(&[lit.negated()]);
+                for input in self.binding.netlist().inputs() {
+                    let lit = self.lit(frame, input);
+                    self.add_clause(&[lit.negated()]);
                 }
             }
         }
     }
 
-    /// The literal of spec variable `var` at `frame`: the netlist signal
-    /// that implements it, a cached auxiliary literal otherwise.
-    pub fn var_lit(&mut self, frame: usize, var: VarId) -> Lit {
-        if let Some(signal) = self.binding.signal(var) {
-            return self.unroller.lit(frame, signal);
+    /// Appends one time frame and returns its index.
+    ///
+    /// Inputs get fresh literals; registers take their reset-value constant
+    /// (frame 0, [`InitialState::Reset`]), a fresh literal (frame 0,
+    /// [`InitialState::Free`]) or the previous frame's next-state literal;
+    /// gates are defined on top.
+    fn add_frame(&mut self) -> usize {
+        let frame = self.frames.len();
+        let netlist = self.binding.netlist();
+        let const_true = self.gates.const_true();
+        let mut lits = vec![const_true; netlist.len()];
+        // Sources first: inputs and register outputs.
+        for (id, signal) in netlist.iter() {
+            match &signal.kind {
+                SignalKind::Input => lits[id.index()] = self.fresh_lit(),
+                SignalKind::Register { init, next } => {
+                    lits[id.index()] = if frame == 0 {
+                        match self.initial {
+                            InitialState::Reset => {
+                                if *init {
+                                    const_true
+                                } else {
+                                    const_true.negated()
+                                }
+                            }
+                            InitialState::Free => self.fresh_lit(),
+                        }
+                    } else {
+                        let next = next.expect("elaboration checked connections");
+                        self.frames[frame - 1][next.index()]
+                    };
+                }
+                SignalKind::Wire(_) => {}
+            }
         }
-        if let Some(&lit) = self.aux.get(&(frame, var)) {
-            return lit;
+        // Then wires in topological order.
+        let gates = &mut self.gates;
+        for &id in self.order {
+            let SignalKind::Wire(gate) = &netlist.signal(id).kind else {
+                unreachable!("evaluation order contains only wires");
+            };
+            lits[id.index()] = match gate {
+                Gate::Const(true) => const_true,
+                Gate::Const(false) => const_true.negated(),
+                Gate::Buf(a) => lits[a.index()],
+                Gate::Not(a) => lits[a.index()].negated(),
+                Gate::And(ops) => gates.define_and(ops.iter().map(|s| lits[s.index()])),
+                Gate::Or(ops) => gates
+                    .define_and(ops.iter().map(|s| lits[s.index()].negated()))
+                    .negated(),
+                Gate::Xor(a, b) => gates.define_xor(lits[a.index()], lits[b.index()]),
+                Gate::Mux { sel, high, low } => {
+                    gates.define_mux(lits[sel.index()], lits[high.index()], lits[low.index()])
+                }
+            };
         }
-        let lit = self.unroller.fresh_lit();
-        // Auxiliary environment variables respect the quiet-cycle constraint
-        // like real inputs.
-        if frame < self.quiet_cycles {
-            self.unroller.add_clause(&[lit.negated()]);
-        }
-        self.aux.insert((frame, var), lit);
-        lit
+        self.frames.push(lits);
+        frame
     }
 
-    /// Tseitin-encodes `expr` over the literals of a property instance:
-    /// `moe` variables at `moe_frame`, everything else at `env_frame`.
-    pub fn encode_expr(&mut self, expr: &Expr, env_frame: usize, moe_frame: usize) -> Lit {
-        match expr {
-            Expr::Const(true) => self.unroller.const_true(),
-            Expr::Const(false) => self.unroller.const_true().negated(),
-            Expr::Var(var) => {
-                let frame = if self.binding.is_moe(*var) {
-                    moe_frame
-                } else {
-                    env_frame
-                };
-                self.var_lit(frame, *var)
-            }
-            Expr::Not(e) => self.encode_expr(e, env_frame, moe_frame).negated(),
-            Expr::And(ops) | Expr::Or(ops) => {
-                // Or is the negated conjunction of negated operands.
-                let or = matches!(expr, Expr::Or(_));
-                let base = self.operands.len();
-                for op in ops {
-                    let lit = self.encode_expr(op, env_frame, moe_frame);
-                    self.operands.push(if or { lit.negated() } else { lit });
-                }
-                let g = self.unroller.define_and(&self.operands[base..]);
-                self.operands.truncate(base);
-                if or {
-                    g.negated()
-                } else {
-                    g
-                }
-            }
-            Expr::Implies(l, r) => {
-                let l = self.encode_expr(l, env_frame, moe_frame);
-                let r = self.encode_expr(r, env_frame, moe_frame);
-                self.unroller.define_and(&[l, r.negated()]).negated()
-            }
-            Expr::Iff(l, r) => {
-                let l = self.encode_expr(l, env_frame, moe_frame);
-                let r = self.encode_expr(r, env_frame, moe_frame);
-                self.unroller.define_xor(l, r).negated()
-            }
-            Expr::Xor(l, r) => {
-                let l = self.encode_expr(l, env_frame, moe_frame);
-                let r = self.encode_expr(r, env_frame, moe_frame);
-                self.unroller.define_xor(l, r)
-            }
-            Expr::Ite(c, t, e) => {
-                let c = self.encode_expr(c, env_frame, moe_frame);
-                let t = self.encode_expr(t, env_frame, moe_frame);
-                let e = self.encode_expr(e, env_frame, moe_frame);
-                self.unroller.define_mux(c, t, e)
-            }
+    /// Defines a fresh literal true iff the register states of two frames
+    /// differ — the building block of loop-free (simple) path constraints
+    /// for k-induction. Returns `None` for stateless netlists.
+    pub fn state_difference(&mut self, frame_a: usize, frame_b: usize) -> Option<Lit> {
+        if self.registers.is_empty() {
+            return None;
         }
+        // diff ↔ OR(la ⊕ lb) ↔ ¬AND(¬(la ⊕ lb)), with every xor defined
+        // before the conjunction.
+        self.differences.clear();
+        for &register in &self.registers {
+            let (la, lb) = (
+                self.frames[frame_a][register.index()],
+                self.frames[frame_b][register.index()],
+            );
+            let differ = self.gates.define_xor(la, lb);
+            self.differences.push(differ.negated());
+        }
+        Some(
+            self.gates
+                .define_and(self.differences.iter().copied())
+                .negated(),
+        )
     }
 
     /// Encodes the property instance whose `moe` sample is `moe_frame`,
-    /// returning the literal of `ok` at that instance. Frames up to
+    /// returning the literal of `ok` at that instance: `moe` variables at
+    /// `moe_frame`, everything else [`crate::Latency::offset`] frames
+    /// earlier. Each specification variable is the netlist signal that
+    /// implements it, or an auxiliary literal cached per frame (which
+    /// respects the quiet-cycle constraint like a real input). Frames up to
     /// `moe_frame` must already exist (see [`FrameEncoder::ensure_frames`]).
     pub fn encode_instance(&mut self, property: &SequentialProperty, moe_frame: usize) -> Lit {
         let env_frame = moe_frame - property.latency.offset();
-        self.encode_expr(&property.ok, env_frame, moe_frame)
+        let FrameEncoder {
+            gates,
+            binding,
+            frames,
+            aux,
+            quiet_cycles,
+            ..
+        } = self;
+        gates.encode(&property.ok, &mut |gates, var| {
+            let frame = if binding.is_moe(var) {
+                moe_frame
+            } else {
+                env_frame
+            };
+            if let Some(signal) = binding.signal(var) {
+                return frames[frame][signal.index()];
+            }
+            *aux.entry((frame, var)).or_insert_with(|| {
+                let lit = gates.fresh_lit();
+                if frame < *quiet_cycles {
+                    gates.add_clause(&[lit.negated()]);
+                }
+                lit
+            })
+        })
+    }
+
+    /// Emits the unrolling's counters `unroll.<label>.{frames,gates,
+    /// cache_hits}`: frames appended, gates defined and gate definitions
+    /// answered from the structural-hashing cache.
+    pub fn emit(&self, sink: &dyn MetricSink, label: &str) {
+        sink.counter(&format!("unroll.{label}.frames"), self.frames.len() as u64);
+        sink.counter(&format!("unroll.{label}.gates"), self.gates.gates());
+        sink.counter(
+            &format!("unroll.{label}.cache_hits"),
+            self.gates.cache_hits(),
+        );
     }
 
     /// Decodes one frame of a model into an input valuation: every primary
@@ -202,17 +337,17 @@ impl<'n, S: ClauseSink> FrameEncoder<'n, S> {
     /// every auxiliary variable of the frame.
     pub fn decode_frame(&self, model: &[bool], frame: usize) -> BTreeMap<String, bool> {
         let lit_value = |lit: Lit| model[lit.var() as usize] == lit.is_positive();
-        let netlist = self.unroller.netlist();
+        let netlist = self.binding.netlist();
         let mut values = BTreeMap::new();
         for input in netlist.inputs() {
             let name = netlist.signal(input).name.clone();
-            values.insert(name, lit_value(self.unroller.lit(frame, input)));
+            values.insert(name, lit_value(self.lit(frame, input)));
         }
         for &var in self.binding.env() {
             if let Some(signal) = self.binding.signal(var) {
                 let name = &netlist.signal(signal).name;
                 if !values.contains_key(name) {
-                    values.insert(name.clone(), lit_value(self.unroller.lit(frame, signal)));
+                    values.insert(name.clone(), lit_value(self.lit(frame, signal)));
                 }
             }
         }
@@ -231,7 +366,9 @@ mod tests {
     use super::*;
     use crate::property::{Latency, PropertyKind};
     use ipcl_core::example::ExampleArch;
+    use ipcl_core::{FunctionalSpec, FunctionalSpecBuilder};
     use ipcl_expr::Cnf;
+    use ipcl_rtl::{Netlist, Simulator};
     use ipcl_sat::{SatResult, Solver};
     use ipcl_synth::synthesize_interlock;
 
@@ -275,7 +412,7 @@ mod tests {
         let mut reset = FrameEncoder::new(&binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
         reset.ensure_frames(1);
         let input = netlist.inputs()[0];
-        let lit = reset.unroller().lit(0, input);
+        let lit = reset.lit(0, input);
         let mut solver = Solver::from_cnf(reset.sink());
         assert_eq!(solver.solve_under_assumptions(&[lit]), SatResult::Unsat);
 
@@ -283,8 +420,190 @@ mod tests {
         // consider arbitrary environments).
         let mut free = FrameEncoder::new(&binding, InitialState::Free, 1, Cnf::new(0)).unwrap();
         free.ensure_frames(1);
-        let free_lit = free.unroller().lit(0, input);
+        let free_lit = free.lit(0, input);
         let mut solver = Solver::from_cnf(free.sink());
         assert!(solver.solve_under_assumptions(&[free_lit]).is_sat());
+    }
+
+    /// A specification with no stages: binds no signal, so an encoder over
+    /// it is the bare unrolling of the netlist.
+    fn no_spec() -> FunctionalSpec {
+        FunctionalSpecBuilder::new().build().unwrap()
+    }
+
+    /// Two-bit counter with an enable input.
+    fn counter() -> (Netlist, SignalId, SignalId, SignalId) {
+        let mut n = Netlist::new("counter2");
+        let enable = n.input("enable");
+        let bit0 = n.register("bit0", false);
+        let bit1 = n.register("bit1", false);
+        let flip0 = n.xor_gate("flip0", bit0, enable);
+        let carry = n.and_gate("carry", [bit0, enable]);
+        let flip1 = n.xor_gate("flip1", bit1, carry);
+        n.connect_register(bit0, flip0).unwrap();
+        n.connect_register(bit1, flip1).unwrap();
+        (n, enable, bit0, bit1)
+    }
+
+    fn lit_value(model: &[bool], lit: Lit) -> bool {
+        model[lit.var() as usize] == lit.is_positive()
+    }
+
+    /// The literal asserting that `lit` has `value`.
+    fn with_value(lit: Lit, value: bool) -> Lit {
+        if value {
+            lit
+        } else {
+            lit.negated()
+        }
+    }
+
+    #[test]
+    fn reset_unrolling_matches_simulation() {
+        let (n, enable, bit0, bit1) = counter();
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        for frame in 0..5 {
+            enc.ensure_frames(frame + 1);
+            // Force enable high in every frame.
+            let enable_lit = enc.lit(frame, enable);
+            enc.add_clause(&[enable_lit]);
+        }
+        let SatResult::Sat(model) = Solver::from_cnf(enc.sink()).solve() else {
+            panic!("unrolling must be satisfiable");
+        };
+
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.set_input(enable, true);
+        for frame in 0..5 {
+            for bit in [bit0, bit1] {
+                let value = lit_value(&model, enc.lit(frame, bit));
+                assert_eq!(value, sim.value(bit), "{bit:?} frame {frame}");
+            }
+            sim.step();
+        }
+    }
+
+    #[test]
+    fn reset_state_is_forced() {
+        let (n, _, bit0, _) = counter();
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        enc.ensure_frames(1);
+        // bit0 resets to false: asserting it true at frame 0 is unsat.
+        let bit0_lit = enc.lit(0, bit0);
+        let mut solver = Solver::from_cnf(enc.sink());
+        assert_eq!(
+            solver.solve_under_assumptions(&[bit0_lit]),
+            SatResult::Unsat
+        );
+        assert!(solver
+            .solve_under_assumptions(&[bit0_lit.negated()])
+            .is_sat());
+    }
+
+    #[test]
+    fn free_initial_state_is_unconstrained() {
+        let (n, _, bit0, bit1) = counter();
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Free, 0, Cnf::new(0)).unwrap();
+        enc.ensure_frames(1);
+        let mut solver = Solver::from_cnf(enc.sink());
+        // Any initial state is reachable in the free encoding.
+        for (v0, v1) in [(false, false), (true, false), (false, true), (true, true)] {
+            let assumptions = [
+                with_value(enc.lit(0, bit0), v0),
+                with_value(enc.lit(0, bit1), v1),
+            ];
+            assert!(solver.solve_under_assumptions(&assumptions).is_sat());
+        }
+    }
+
+    #[test]
+    fn registers_tie_to_previous_frame() {
+        let mut n = Netlist::new("chain");
+        let input = n.input("in");
+        let r = n.register("r", false);
+        n.connect_register(r, input).unwrap();
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        enc.ensure_frames(2);
+        assert_eq!(enc.lit(1, r), enc.lit(0, input));
+    }
+
+    #[test]
+    fn state_difference_distinguishes_states() {
+        let (n, enable, _, _) = counter();
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        enc.ensure_frames(2);
+        let enable_lit = enc.lit(0, enable);
+        let diff = enc.state_difference(0, 1).unwrap();
+        let mut solver = Solver::from_cnf(enc.sink());
+        // With enable high the counter advances: states differ.
+        assert_eq!(
+            solver.solve_under_assumptions(&[enable_lit, diff.negated()]),
+            SatResult::Unsat
+        );
+        // With enable low the state repeats: difference is unsatisfiable.
+        assert_eq!(
+            solver.solve_under_assumptions(&[enable_lit.negated(), diff]),
+            SatResult::Unsat
+        );
+    }
+
+    #[test]
+    fn stateless_netlists_have_no_state_difference() {
+        let mut n = Netlist::new("comb");
+        let a = n.input("a");
+        let b = n.not_gate("b", a);
+        n.mark_output(b);
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        enc.ensure_frames(2);
+        assert!(enc.state_difference(0, 1).is_none());
+    }
+
+    #[test]
+    fn all_gate_kinds_encode_consistently() {
+        // A netlist exercising every gate, checked against simulation for
+        // all four input combinations in one frame.
+        let mut n = Netlist::new("gates");
+        let a = n.input("a");
+        let b = n.input("b");
+        let t = n.constant("t", true);
+        let f = n.constant("f", false);
+        let and = n.and_gate("and", [a, b, t]);
+        let or = n.or_gate("or", [a, b, f]);
+        let xor = n.xor_gate("xor", a, b);
+        let mux = n.mux_gate("mux", a, b, xor);
+        let buf = n.buf_gate("buf", mux);
+        let outputs = [and, or, xor, mux, buf];
+
+        let spec = no_spec();
+        let binding = Binding::new(&spec, &n);
+        let mut enc = FrameEncoder::new(&binding, InitialState::Reset, 0, Cnf::new(0)).unwrap();
+        enc.ensure_frames(1);
+        let mut solver = Solver::from_cnf(enc.sink());
+        let mut sim = Simulator::new(&n).unwrap();
+        for mask in 0..4u8 {
+            let (va, vb) = (mask & 1 != 0, mask & 2 != 0);
+            sim.set_input(a, va);
+            sim.set_input(b, vb);
+            let assumptions = [with_value(enc.lit(0, a), va), with_value(enc.lit(0, b), vb)];
+            let SatResult::Sat(model) = solver.solve_under_assumptions(&assumptions) else {
+                panic!("frame must be satisfiable");
+            };
+            for &out in &outputs {
+                let value = lit_value(&model, enc.lit(0, out));
+                assert_eq!(value, sim.value(out), "{} mask {mask}", n.signal(out).name);
+            }
+        }
     }
 }

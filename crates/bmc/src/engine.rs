@@ -2,7 +2,7 @@
 //!
 //! Following Bryant & German's reduction of processor correctness to
 //! propositional SAT, a sequential property over an `ipcl-rtl` netlist is
-//! decided by *time-frame unrolling* (see [`ipcl_rtl::unroll`]):
+//! decided by *time-frame unrolling* (see [`crate::encode`]):
 //!
 //! * **Falsification (BMC).** Starting from the reset state, frames are
 //!   appended one at a time; at each depth the negated property instance of
@@ -32,12 +32,12 @@ use std::fmt;
 
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
-use ipcl_rtl::{InitialState, Netlist, RtlError};
+use ipcl_rtl::{Netlist, RtlError};
 use ipcl_sat::{SatResult, Solver, SolverConfig, SolverStats};
-use ipcl_trace::{Heartbeat, MetricSink, Value};
+use ipcl_trace::{Heartbeat, Value};
 
 use crate::binding::Binding;
-use crate::encode::FrameEncoder;
+use crate::encode::{FrameEncoder, InitialState};
 use crate::property::SequentialProperty;
 use crate::trace::Counterexample;
 
@@ -230,10 +230,7 @@ impl<'n> Run<'n> {
         let tracer = self.enc.binding().tracer();
         if tracer.is_enabled() {
             self.solver().stats().emit(tracer, "sat");
-            let u = self.enc.unroller().stats();
-            tracer.counter(&format!("unroll.{label}.frames"), u.frames);
-            tracer.counter(&format!("unroll.{label}.gates"), u.gates);
-            tracer.counter(&format!("unroll.{label}.cache_hits"), u.cache_hits);
+            self.enc.emit(tracer, label);
         }
     }
 }
@@ -388,15 +385,15 @@ pub fn check_properties(
                 None => step.insert(Run::new(binding, InitialState::Free, options)?),
             };
             // Loop-free path: each new state differs from all earlier ones.
-            for frame in run.enc.unroller().num_frames()..=depth {
+            for frame in run.enc.num_frames()..=depth {
                 {
                     let _encode = tracer.span("bmc.encode");
                     run.enc.ensure_frames(frame + 1);
                 }
                 let _loop_free = tracer.span("bmc.loop_free");
                 for earlier in 0..frame {
-                    if let Some(diff) = run.enc.unroller_mut().state_difference(earlier, frame) {
-                        run.enc.unroller_mut().add_clause(&[diff]);
+                    if let Some(diff) = run.enc.state_difference(earlier, frame) {
+                        run.enc.add_clause(&[diff]);
                     }
                 }
             }
@@ -404,14 +401,12 @@ pub fn check_properties(
             // could make a falsifiable step unsatisfiable — a false proof.
             // Lockstep grows the free unrolling only after every step query
             // of the previous depth.
-            debug_assert_eq!(run.enc.unroller().num_frames(), depth + 1);
+            debug_assert_eq!(run.enc.num_frames(), depth + 1);
             let ok = {
                 let _instance = tracer.span_fast("bmc.instance");
                 run.enc.encode_instance(property, depth)
             };
-            let activation = *track
-                .activation
-                .get_or_insert_with(|| run.enc.unroller_mut().fresh_lit());
+            let activation = *track.activation.get_or_insert_with(|| run.enc.fresh_lit());
             let (result, delta) = run.solve(&[activation, ok.negated()]);
             track.record(delta);
             track.stats.induction_clauses = run.solver().num_clauses();
@@ -421,9 +416,7 @@ pub fn check_properties(
                 });
             } else {
                 // The step failed: assume this instance and deepen.
-                run.enc
-                    .unroller_mut()
-                    .add_clause(&[activation.negated(), ok]);
+                run.enc.add_clause(&[activation.negated(), ok]);
             }
         }
     }
@@ -483,7 +476,7 @@ pub fn check_stall_escape(
 }
 
 /// As [`check_stall_escape`], over the check's `binding`, traced into its
-/// tracer: unroller construction under `bmc.setup`, the frames and
+/// tracer: encoder construction under `bmc.setup`, the frames and
 /// quiet-environment constraints under `bmc.encode`, the per-stage queries
 /// under the solver's `sat.solve` and stuck-state decoding under
 /// `bmc.decode`.
@@ -510,8 +503,8 @@ pub fn check_stall_escape_in(
         let inputs = netlist.inputs();
         for frame in 0..=escape_cycles {
             for &input in &inputs {
-                let lit = run.enc.unroller().lit(frame, input);
-                run.enc.unroller_mut().add_clause(&[lit.negated()]);
+                let lit = run.enc.lit(frame, input);
+                run.enc.add_clause(&[lit.negated()]);
             }
         }
     }
@@ -523,7 +516,7 @@ pub fn check_stall_escape_in(
             .expect("missing signals checked above");
         // Stalled (¬moe) at every frame of the window.
         let stalled: Vec<Lit> = (0..=escape_cycles)
-            .map(|frame| run.enc.unroller().lit(frame, signal).negated())
+            .map(|frame| run.enc.lit(frame, signal).negated())
             .collect();
         let report = match run.solve(&stalled).0 {
             SatResult::Unsat => StallEscapeReport {
@@ -534,16 +527,10 @@ pub fn check_stall_escape_in(
             SatResult::Sat(model) => {
                 let _decode = tracer.span("bmc.decode");
                 let lit_value = |lit: Lit| model[lit.var() as usize] == lit.is_positive();
-                let unroller = run.enc.unroller();
                 let stuck = netlist
                     .registers()
                     .into_iter()
-                    .map(|r| {
-                        (
-                            netlist.signal(r).name.clone(),
-                            lit_value(unroller.lit(0, r)),
-                        )
-                    })
+                    .map(|r| (netlist.signal(r).name.clone(), lit_value(run.enc.lit(0, r))))
                     .collect();
                 StallEscapeReport {
                     stage: stage.stage.prefix(),

@@ -10,7 +10,7 @@
 //!   [`Netlist`] once, elaborates the netlist at most once, and carries the
 //!   cancellation token and tracer of the engine runs it is handed to.
 //! * [`engine::check_properties`] unrolls the netlist over time frames
-//!   (via [`ipcl_rtl::unroll`]) and decides a list of
+//!   (via [`FrameEncoder`]) and decides a list of
 //!   [`SequentialProperty`]s with the incremental CDCL solver of
 //!   `ipcl-sat`, over one shared pair of unrollings that encodes the
 //!   netlist once: **falsification** returns a minimal-length,
@@ -56,7 +56,7 @@ pub mod property;
 pub mod trace;
 
 pub use binding::Binding;
-pub use encode::FrameEncoder;
+pub use encode::{FrameEncoder, InitialState};
 pub use engine::{
     check_properties, check_stall_escape, check_stall_escape_in, BmcError, BmcOptions, BmcOutcome,
     BmcResult, BmcStats, StallEscapeReport,

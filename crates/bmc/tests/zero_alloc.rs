@@ -1,5 +1,5 @@
 //! The encoder's hot paths must not touch the heap once warm: a
-//! structural-hashing hit of an AND gate reuses the unroller's operand
+//! structural-hashing hit of an AND gate reuses the gate encoder's operand
 //! buffer and looks its key up by slice, and a specification variable the
 //! binding resolved is a table lookup, not a name. The check uses a
 //! counting global allocator, so it lives in its own integration-test
@@ -8,10 +8,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ipcl_bmc::{Binding, FrameEncoder};
+use ipcl_bmc::{Binding, FrameEncoder, InitialState, Latency, SequentialProperty};
 use ipcl_core::example::ExampleArch;
-use ipcl_expr::{Cnf, Lit};
-use ipcl_rtl::{InitialState, Unroller};
+use ipcl_expr::{Cnf, GateEncoder, Lit};
 use ipcl_synth::synthesize_interlock;
 
 struct CountingAlloc;
@@ -48,50 +47,45 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn an_and_gate_cache_hit_allocates_nothing() {
-    let spec = ExampleArch::new().functional_spec();
-    let synthesized = synthesize_interlock(&spec);
-    let netlist = synthesized.netlist();
-    let order = netlist.elaborate().unwrap();
-    let mut unroller = Unroller::new(netlist, &order, InitialState::Reset);
-    unroller.add_frame();
-    let inputs: Vec<Lit> = netlist
-        .inputs()
-        .into_iter()
-        .take(4)
-        .map(|input| unroller.lit(0, input))
-        .collect();
-    let gate = unroller.define_and(&inputs);
+    let mut gates = GateEncoder::new(Cnf::new(0));
+    let inputs: Vec<Lit> = (0..4).map(|_| gates.fresh_lit()).collect();
+    let gate = gates.define_and(inputs.iter().copied());
     let reordered: Vec<Lit> = inputs.iter().rev().copied().collect();
-    let hits = unroller.stats().cache_hits;
+    let hits = gates.cache_hits();
 
     let before = allocations();
     for _ in 0..1_000 {
-        assert_eq!(unroller.define_and(&reordered), gate);
+        assert_eq!(gates.define_and(reordered.iter().copied()), gate);
     }
     assert_eq!(allocations() - before, 0, "a cache hit must not allocate");
-    assert_eq!(unroller.stats().cache_hits, hits + 1_000);
+    assert_eq!(gates.cache_hits(), hits + 1_000);
 }
 
+/// Every variable of the paper example's properties resolves to a netlist
+/// signal, so re-encoding a warm instance is table lookups and gate cache
+/// hits only.
 #[test]
 fn a_resolved_variable_costs_no_allocation() {
     let spec = ExampleArch::new().functional_spec();
     let synthesized = synthesize_interlock(&spec);
     let netlist = synthesized.netlist();
     let binding = Binding::new(&spec, netlist);
+    assert!(
+        spec.pool().ids().all(|var| binding.signal(var).is_some()),
+        "moe and environment"
+    );
     let mut encoder = FrameEncoder::new(&binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
     encoder.ensure_frames(2);
-    let resolved: Vec<_> = spec
-        .pool()
-        .ids()
-        .filter(|&var| binding.signal(var).is_some())
+    let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
+    let warm: Vec<Lit> = properties
+        .iter()
+        .map(|property| encoder.encode_instance(property, 1))
         .collect();
-    assert!(resolved.len() > spec.stages().len(), "moe and environment");
 
     let before = allocations();
     for _ in 0..100 {
-        for &var in &resolved {
-            let signal = binding.signal(var).unwrap();
-            assert_eq!(encoder.var_lit(1, var), encoder.unroller().lit(1, signal));
+        for (property, &ok) in properties.iter().zip(&warm) {
+            assert_eq!(encoder.encode_instance(property, 1), ok);
         }
     }
     assert_eq!(

@@ -62,7 +62,7 @@ pub fn check_validity(formula: &Expr, engine: Engine) -> CheckOutcome {
             let f = manager.from_expr(&negated);
             manager.any_model(f)
         }
-        // Plaisted–Greenbaum encoded: the refutation only asserts the root.
+        // Encoded by the one gate encoder straight into the solver.
         Engine::Sat => ipcl_sat::satisfying_assignment(&negated),
     };
     match model {

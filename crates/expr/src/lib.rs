@@ -3,8 +3,10 @@
 //! This crate provides the expression language every other `ipcl` crate is built
 //! on: a boolean [`Expr`] AST over interned [`VarId`] variables, evaluation under
 //! [`Assignment`]s, structural simplification, substitution and cofactoring,
-//! polarity/monotonicity analysis, Tseitin CNF conversion and a small textual
-//! specification language (parser and pretty printer).
+//! polarity/monotonicity analysis, the workspace's one Tseitin encoder
+//! ([`GateEncoder`]: hash-consed gates written into a [`ClauseSink`], and
+//! the one walk from an [`Expr`] to CNF) and a small textual specification
+//! language (parser and pretty printer).
 //!
 //! The paper's functional specifications are conjunctions of implications
 //! `F_i(¬moe) → ¬moe_i` where each `F_i` is built from conjunction and
@@ -38,7 +40,7 @@ pub mod polarity;
 pub mod simplify;
 pub mod vars;
 
-pub use cnf::{Clause, ClauseSink, Cnf, EncodeStats, Lit, TseitinEncoder};
+pub use cnf::{Clause, ClauseSink, Cnf, GateEncoder, Lit};
 pub use env::{Assignment, EvalError};
 pub use expr::{semantically_equal, semantically_implies, Expr};
 pub use parser::{parse_expr, ParseError};

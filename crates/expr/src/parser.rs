@@ -15,6 +15,13 @@
 //!
 //! Identifiers may contain letters, digits, `_`, `.`, `[`, `]` — so signal
 //! names like `long.1.moe`, `scb[3]` or `c.regaddr[0]` are single tokens.
+//!
+//! An expression may nest at most [`MAX_NESTING`] levels deep: every
+//! parenthesis, `!`, `->`, `if`, and every `&`, `|`, `<->` and `^` node
+//! above an operand is one level. Deeper input is refused before the
+//! parser's recursion or the tree it builds can exhaust the stack (a
+//! left-deep `a <-> a <-> …` chain is built without recursion, but
+//! dropping or walking it recurses once per link).
 
 use std::fmt;
 
@@ -37,6 +44,10 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The deepest nesting [`parse_expr`] accepts, in levels (see the module
+/// docs); the same cap as the JSON reader of `ipcl-trace`.
+pub const MAX_NESTING: usize = 64;
 
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Token {
@@ -171,7 +182,13 @@ struct Parser<'a> {
     cursor: usize,
     pool: &'a mut VarPool,
     input_len: usize,
+    /// Levels enclosing the current parse position.
+    depth: usize,
 }
+
+/// A parsed subexpression and its height: the levels of nesting below
+/// its root (0 for an atom).
+type Parsed = (Expr, usize);
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<&Token> {
@@ -203,91 +220,144 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            position: self.position(),
+            message: format!("expression nests deeper than {MAX_NESTING} levels"),
+        }
+    }
+
+    /// Parses one level down with `parse`, refusing to descend past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// The height of a node over children of heights `children`, refused
+    /// when the node would reach past [`MAX_NESTING`].
+    fn node(&self, children: &[usize]) -> Result<usize, ParseError> {
+        let height = children.iter().max().map_or(0, |h| h + 1);
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(height)
+    }
+
+    fn parse_expr(&mut self) -> Result<Parsed, ParseError> {
         if self.peek() == Some(&Token::If) {
             self.cursor += 1;
-            let cond = self.parse_expr()?;
-            self.expect(&Token::Then, "'then'")?;
-            let then = self.parse_expr()?;
-            self.expect(&Token::Else, "'else'")?;
-            let els = self.parse_expr()?;
-            return Ok(Expr::ite(cond, then, els));
+            let ((cond, c), (then, t), (els, e)) = self.nested(|p| {
+                let cond = p.parse_expr()?;
+                p.expect(&Token::Then, "'then'")?;
+                let then = p.parse_expr()?;
+                p.expect(&Token::Else, "'else'")?;
+                Ok((cond, then, p.parse_expr()?))
+            })?;
+            return Ok((Expr::ite(cond, then, els), self.node(&[c, t, e])?));
         }
         self.parse_iff()
     }
 
-    fn parse_iff(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_implies()?;
+    fn parse_iff(&mut self) -> Result<Parsed, ParseError> {
+        let (mut lhs, mut height) = self.parse_implies()?;
         while self.peek() == Some(&Token::Iff) {
             self.cursor += 1;
-            let rhs = self.parse_implies()?;
+            let (rhs, h) = self.parse_implies()?;
+            height = self.node(&[height, h])?;
             lhs = Expr::iff(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_implies(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_or()?;
+    fn parse_implies(&mut self) -> Result<Parsed, ParseError> {
+        let (lhs, l) = self.parse_or()?;
         if self.peek() == Some(&Token::Implies) {
             self.cursor += 1;
-            let rhs = self.parse_implies()?;
-            Ok(Expr::implies(lhs, rhs))
+            let (rhs, r) = self.nested(Self::parse_implies)?;
+            Ok((Expr::implies(lhs, rhs), self.node(&[l, r])?))
         } else {
-            Ok(lhs)
+            Ok((lhs, l))
         }
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut operands = vec![self.parse_and()?];
+    fn parse_or(&mut self) -> Result<Parsed, ParseError> {
+        let (first, mut height) = self.parse_and()?;
+        let mut operands = vec![first];
         loop {
             match self.peek() {
                 Some(Token::Or) => {
                     self.cursor += 1;
-                    operands.push(self.parse_and()?);
+                    let (rhs, h) = self.parse_and()?;
+                    operands.push(rhs);
+                    height = height.max(h);
                 }
                 Some(Token::Xor) => {
                     self.cursor += 1;
-                    let rhs = self.parse_and()?;
+                    let (rhs, h) = self.parse_and()?;
                     let lhs = if operands.len() == 1 {
                         operands.pop().expect("one operand")
                     } else {
+                        height = self.node(&[height])?;
                         Expr::or(std::mem::take(&mut operands))
                     };
+                    height = self.node(&[height, h])?;
                     operands.push(Expr::xor(lhs, rhs));
                 }
                 _ => break,
             }
         }
-        Ok(Expr::or(operands))
+        if operands.len() > 1 {
+            height = self.node(&[height])?;
+        }
+        Ok((Expr::or(operands), height))
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut operands = vec![self.parse_unary()?];
+    fn parse_and(&mut self) -> Result<Parsed, ParseError> {
+        let (first, mut height) = self.parse_unary()?;
+        let mut operands = vec![first];
         while self.peek() == Some(&Token::And) {
             self.cursor += 1;
-            operands.push(self.parse_unary()?);
+            let (rhs, h) = self.parse_unary()?;
+            operands.push(rhs);
+            height = height.max(h);
         }
-        Ok(Expr::and(operands))
+        if operands.len() > 1 {
+            height = self.node(&[height])?;
+        }
+        Ok((Expr::and(operands), height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> Result<Parsed, ParseError> {
         if self.peek() == Some(&Token::Not) {
             self.cursor += 1;
-            return Ok(Expr::not(self.parse_unary()?));
+            let (operand, h) = self.nested(Self::parse_unary)?;
+            return Ok((Expr::not(operand), self.node(&[h])?));
         }
         self.parse_atom()
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, ParseError> {
+    fn parse_atom(&mut self) -> Result<Parsed, ParseError> {
         let position = self.position();
         match self.bump() {
-            Some(Token::True) => Ok(Expr::TRUE),
-            Some(Token::False) => Ok(Expr::FALSE),
-            Some(Token::Ident(name)) => Ok(Expr::var(self.pool.var(&name))),
+            Some(Token::True) => Ok((Expr::TRUE, 0)),
+            Some(Token::False) => Ok((Expr::FALSE, 0)),
+            Some(Token::Ident(name)) => Ok((Expr::var(self.pool.var(&name)), 0)),
             Some(Token::LParen) => {
-                let inner = self.parse_expr()?;
-                self.expect(&Token::RParen, "')'")?;
-                Ok(inner)
+                let (inner, h) = self.nested(|p| {
+                    let inner = p.parse_expr()?;
+                    p.expect(&Token::RParen, "')'")?;
+                    Ok(inner)
+                })?;
+                Ok((inner, self.node(&[h])?))
             }
             other => Err(ParseError {
                 position,
@@ -302,7 +372,8 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first offending position if the
-/// input is not a well-formed expression.
+/// input is not a well-formed expression, or if it nests deeper than
+/// [`MAX_NESTING`] levels.
 ///
 /// # Example
 ///
@@ -321,8 +392,9 @@ pub fn parse_expr(input: &str, pool: &mut VarPool) -> Result<Expr, ParseError> {
         cursor: 0,
         pool,
         input_len: input.len(),
+        depth: 0,
     };
-    let expr = parser.parse_expr()?;
+    let (expr, _) = parser.parse_expr()?;
     if parser.cursor != parser.tokens.len() {
         return Err(ParseError {
             position: parser.position(),
@@ -447,5 +519,53 @@ mod tests {
         assert_eq!(e.vars().len(), 7);
         assert!(pool.lookup("op_is_wait").is_some());
         assert!(matches!(e, Expr::Implies(_, _)));
+    }
+
+    /// Each nesting construct, `levels` deep around the atom `a`.
+    fn nested(levels: usize) -> [(&'static str, String); 6] {
+        [
+            (
+                "parentheses",
+                format!("{}a{}", "(".repeat(levels), ")".repeat(levels)),
+            ),
+            ("negations", format!("{}a", "!".repeat(levels))),
+            ("implications", format!("{}a", "a -> ".repeat(levels))),
+            (
+                "if-then-else",
+                format!("{}a", "if a then a else ".repeat(levels)),
+            ),
+            ("bi-implications", format!("a{}", " <-> a".repeat(levels))),
+            ("exclusive ors", format!("a{}", " ^ a".repeat(levels))),
+        ]
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        for (construct, text) in nested(MAX_NESTING) {
+            let mut pool = VarPool::new();
+            assert!(parse_expr(&text, &mut pool).is_ok(), "{construct}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_refused() {
+        for (construct, text) in nested(MAX_NESTING + 1) {
+            let err = parse_expr(&text, &mut VarPool::new()).unwrap_err();
+            assert!(err.message.contains("64 levels"), "{construct}: {err}");
+        }
+        // An n-ary operator counts one level, like each parenthesis.
+        let disjunctions = |n: usize| format!("{}a{}", "a | (".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&disjunctions(32), &mut VarPool::new()).is_ok());
+        assert!(parse_expr(&disjunctions(33), &mut VarPool::new()).is_err());
+    }
+
+    #[test]
+    fn hostile_depths_are_refused_without_exhausting_the_stack() {
+        let parens = format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000));
+        let chain = format!("a{}", " <-> a".repeat(200_000));
+        for text in [parens, chain, "!".repeat(100_000) + "a"] {
+            let err = parse_expr(&text, &mut VarPool::new()).unwrap_err();
+            assert!(err.message.contains("64 levels"), "{err}");
+        }
     }
 }

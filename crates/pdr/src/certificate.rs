@@ -22,10 +22,10 @@
 
 use std::fmt;
 
-use ipcl_bmc::{Binding, BmcError, FrameEncoder, SequentialProperty};
+use ipcl_bmc::{Binding, BmcError, FrameEncoder, InitialState, SequentialProperty};
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Lit;
-use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
+use ipcl_rtl::{Netlist, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver};
 use ipcl_trace::json::{write_json_string, Json};
 
@@ -246,7 +246,7 @@ impl Certificate {
 
         let clause_lit =
             |enc: &FrameEncoder<'_, Solver>, frame: usize, (signal, positive)| -> Lit {
-                let l = enc.unroller().lit(frame, signal);
+                let l = enc.lit(frame, signal);
                 if positive {
                     l
                 } else {
@@ -256,42 +256,40 @@ impl Certificate {
 
         // Init under an activation literal: each register at its reset value
         // in frame 0.
-        let act_init = enc.unroller_mut().fresh_lit();
+        let act_init = enc.fresh_lit();
         for register in netlist.registers() {
             let SignalKind::Register { init, .. } = netlist.signal(register).kind else {
                 unreachable!("registers() yields registers");
             };
-            let lit = enc.unroller().lit(0, register);
+            let lit = enc.lit(0, register);
             let lit = if init { lit } else { lit.negated() };
-            enc.unroller_mut().add_clause(&[act_init.negated(), lit]);
+            enc.add_clause(&[act_init.negated(), lit]);
         }
 
         // The invariant over frame 0, under an activation literal.
-        let act_inv = enc.unroller_mut().fresh_lit();
+        let act_inv = enc.fresh_lit();
         for clause in &clauses {
             let mut lits = vec![act_inv.negated()];
             lits.extend(clause.iter().map(|&l| clause_lit(&enc, 0, l)));
-            enc.unroller_mut().add_clause(&lits);
+            enc.add_clause(&lits);
         }
 
         // ¬invariant at a frame: the disjunction over clauses of the
-        // conjunction of the clause's negated literals.
+        // conjunction of the clause's negated literals (false for an empty
+        // invariant).
         let not_inv_at = |enc: &mut FrameEncoder<'_, Solver>, frame: usize| -> Lit {
-            if clauses.is_empty() {
-                return enc.unroller().const_true().negated();
-            }
-            let negated_clauses: Vec<Lit> = clauses
+            let violated: Vec<Lit> = clauses
                 .iter()
                 .map(|clause| {
                     let negated: Vec<Lit> = clause
                         .iter()
                         .map(|&l| clause_lit(enc, frame, l).negated())
                         .collect();
-                    enc.unroller_mut().define_and(&negated)
+                    enc.define_and(negated)
                 })
                 .collect();
-            let all_hold: Vec<Lit> = negated_clauses.iter().map(|l| l.negated()).collect();
-            enc.unroller_mut().define_and(&all_hold).negated()
+            enc.define_and(violated.iter().map(|l| l.negated()))
+                .negated()
         };
         let not_inv_0 = not_inv_at(&mut enc, 0);
         let not_inv_1 = not_inv_at(&mut enc, 1);

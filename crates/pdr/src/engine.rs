@@ -44,11 +44,11 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use ipcl_bmc::{
-    Binding, BmcError, BmcOutcome, BmcResult, BmcStats, Counterexample, FrameEncoder,
+    Binding, BmcError, BmcOutcome, BmcResult, BmcStats, Counterexample, FrameEncoder, InitialState,
     SequentialProperty,
 };
 use ipcl_expr::Lit;
-use ipcl_rtl::{InitialState, SignalId, SignalKind};
+use ipcl_rtl::{SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
 use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
 
@@ -209,14 +209,14 @@ impl<'a> Pdr<'a> {
                 _ => unreachable!("registers() yields registers"),
             })
             .collect();
-        let reg0: Vec<Lit> = regs.iter().map(|&r| enc.unroller().lit(0, r)).collect();
-        let reg1: Vec<Lit> = regs.iter().map(|&r| enc.unroller().lit(1, r)).collect();
+        let reg0: Vec<Lit> = regs.iter().map(|&r| enc.lit(0, r)).collect();
+        let reg1: Vec<Lit> = regs.iter().map(|&r| enc.lit(1, r)).collect();
 
         // F_0 = Init: each register at its reset value, under `act_init`.
-        let act_init = enc.unroller_mut().fresh_lit();
+        let act_init = enc.fresh_lit();
         for (index, &lit) in reg0.iter().enumerate() {
             let lit = if reg_init[index] { lit } else { lit.negated() };
-            enc.unroller_mut().add_clause(&[act_init.negated(), lit]);
+            enc.add_clause(&[act_init.negated(), lit]);
         }
 
         let placeholder = act_init; // never assumed via `act[0]`
@@ -244,7 +244,7 @@ impl<'a> Pdr<'a> {
 
     /// Opens frame `K+1` (initially unconstrained).
     fn push_frame(&mut self) {
-        let act = self.enc.unroller_mut().fresh_lit();
+        let act = self.enc.fresh_lit();
         self.act.push(act);
         self.frame_cubes.push(Vec::new());
     }
@@ -308,7 +308,7 @@ impl<'a> Pdr<'a> {
             cube.iter()
                 .map(|&entry| self.cube_lit(entry, false).negated()),
         );
-        self.enc.unroller_mut().add_clause(&clause);
+        self.enc.add_clause(&clause);
         self.frame_cubes[k].push(cube);
         self.stats.clauses += 1;
     }
@@ -327,13 +327,13 @@ impl<'a> Pdr<'a> {
         // ¬cube over frame 0 is a disjunction: encode it once under a
         // throw-away activation literal, assume it for this query, then
         // permanently disable it.
-        let tmp = self.enc.unroller_mut().fresh_lit();
+        let tmp = self.enc.fresh_lit();
         let mut clause = vec![tmp.negated()];
         clause.extend(
             cube.iter()
                 .map(|&entry| self.cube_lit(entry, false).negated()),
         );
-        self.enc.unroller_mut().add_clause(&clause);
+        self.enc.add_clause(&clause);
 
         let mut assumptions = self.frame_assumptions(k - 1);
         assumptions.push(tmp);
@@ -349,7 +349,7 @@ impl<'a> Pdr<'a> {
             }
             SatResult::Sat(model) => Err(model),
         };
-        self.enc.unroller_mut().add_clause(&[tmp.negated()]);
+        self.enc.add_clause(&[tmp.negated()]);
         result
     }
 
@@ -399,7 +399,7 @@ impl<'a> Pdr<'a> {
         let mut cubes: Vec<&Cube> = self.frame_cubes[fixpoint + 1..].iter().flatten().collect();
         cubes.sort();
         cubes.dedup();
-        let netlist = self.enc.unroller().netlist();
+        let netlist = self.enc.binding().netlist();
         let clauses = cubes
             .into_iter()
             .map(|cube| {
@@ -764,10 +764,7 @@ pub fn check_property_pdr(
     if tracer.is_enabled() {
         stats.emit(tracer, "pdr");
         pdr.solver().stats().emit(tracer, "sat");
-        let u = pdr.enc.unroller().stats();
-        tracer.counter("unroll.pdr.frames", u.frames);
-        tracer.counter("unroll.pdr.gates", u.gates);
-        tracer.counter("unroll.pdr.cache_hits", u.cache_hits);
+        pdr.enc.emit(tracer, "pdr");
     }
 
     let validation = match &certificate {

@@ -2,9 +2,10 @@
 //!
 //! `ipcl-rtl` is the hardware substrate of the workspace: the synthesised
 //! interlock controllers produced by `ipcl-synth` are netlists of this crate,
-//! the sequential engines unroll them and replay their counterexamples on
-//! its simulator, and the property checker extracts boolean expressions
-//! from netlists to compare an implementation against its specification.
+//! the sequential engines of `ipcl-bmc` unroll them (`FrameEncoder`) and
+//! replay their counterexamples on its simulator, and the property checker
+//! extracts boolean expressions from netlists to compare an implementation
+//! against its specification.
 //!
 //! A [`Netlist`] contains input ports, combinational gates and registers.
 //! [`Simulator`] evaluates it cycle by cycle with two-phase semantics
@@ -37,13 +38,11 @@ pub mod digest;
 pub mod extract;
 pub mod netlist;
 pub mod sim;
-pub mod unroll;
 pub mod verilog;
 
 pub use digest::{sha256_hex, structural_digest};
 pub use netlist::{Gate, Netlist, RtlError, Signal, SignalId, SignalKind};
 pub use sim::Simulator;
-pub use unroll::{InitialState, Unroller};
 
 #[cfg(test)]
 mod tests {

@@ -1,38 +1,40 @@
 //! CNF satisfiability solving for interlock property checking.
 //!
 //! `ipcl-sat` provides a conflict-driven clause-learning (CDCL) SAT solver
-//! over the [`Cnf`] formulas produced by `ipcl-expr`'s Tseitin encoder. It is
-//! the second exhaustive engine of the workspace (next to `ipcl-bdd`); the
-//! property checker in `ipcl-checker` answers validity and implication
-//! queries by checking the *negation* for unsatisfiability. BMC,
+//! over the clauses of `ipcl-expr`'s one Tseitin encoder,
+//! [`GateEncoder`], which writes straight into a [`Solver`] through its
+//! [`ClauseSink`]. It is the second exhaustive engine of the workspace
+//! (next to `ipcl-bdd`); the property checker in `ipcl-checker` answers
+//! validity and implication queries by checking the *negation* for
+//! unsatisfiability ([`is_valid`], [`satisfying_assignment`]). BMC,
 //! k-induction, PDR and certificate validation all run this one solver;
 //! [`SolverConfig`] sets its phase saving, reduction base and restart
 //! unit.
 //!
-//! [`Cnf`]: ipcl_expr::Cnf
+//! [`GateEncoder`]: ipcl_expr::GateEncoder
+//! [`ClauseSink`]: ipcl_expr::ClauseSink
 //!
 //! # Example
 //!
 //! ```
-//! use ipcl_expr::{parse_expr, TseitinEncoder, VarPool};
+//! use ipcl_expr::{Cnf, Lit};
 //! use ipcl_sat::{SatResult, Solver};
 //!
-//! let mut pool = VarPool::new();
-//! // Validity of (a -> b) & a -> b  ⇔  unsatisfiability of its negation.
-//! let negated = parse_expr("!((a -> b) & a -> b)", &mut pool)?;
-//! let mut enc = TseitinEncoder::new();
-//! let root = enc.encode(&negated);
-//! enc.assert_literal(root);
-//! let mut solver = Solver::from_cnf(enc.cnf());
-//! assert_eq!(solver.solve(), SatResult::Unsat);
-//! # Ok::<(), ipcl_expr::ParseError>(())
+//! // (x0 ∨ x1) ∧ ¬x0 ∧ ¬x1 is unsatisfiable.
+//! let mut cnf = Cnf::new(2);
+//! cnf.add_clause([Lit::positive(0), Lit::positive(1)]);
+//! cnf.add_clause([Lit::negative(0)]);
+//! cnf.add_clause([Lit::negative(1)]);
+//! assert_eq!(Solver::from_cnf(&cnf).solve(), SatResult::Unsat);
 //! ```
 
 pub mod solver;
 
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats, HEARTBEAT_MS};
 
-use ipcl_expr::{Expr, TseitinEncoder};
+use std::collections::BTreeMap;
+
+use ipcl_expr::{Assignment, Expr, GateEncoder, Lit, VarId};
 
 /// Checks whether `expr` is valid (true under every assignment) by refuting
 /// its negation with the CDCL solver.
@@ -53,35 +55,33 @@ pub fn is_valid(expr: &Expr) -> bool {
 }
 
 /// Checks whether `expr` has at least one satisfying assignment.
-///
-/// Uses the polarity-aware Plaisted–Greenbaum encoding
-/// ([`TseitinEncoder::assert_expr`]): the root occurs only positively, so
-/// roughly half the definitional clauses of the full Tseitin encoding are
-/// emitted.
 pub fn is_satisfiable(expr: &Expr) -> bool {
-    let mut enc = TseitinEncoder::new();
-    enc.assert_expr(expr);
-    let mut solver = Solver::from_cnf(enc.cnf());
-    matches!(solver.solve(), SatResult::Sat(_))
+    solve(expr).0.is_sat()
 }
 
 /// Returns a satisfying assignment of `expr` over its specification
 /// variables, or `None` when unsatisfiable.
-pub fn satisfying_assignment(expr: &Expr) -> Option<ipcl_expr::Assignment> {
-    let mut enc = TseitinEncoder::new();
-    enc.assert_expr(expr);
-    let var_map = enc.var_map().clone();
-    let mut solver = Solver::from_cnf(enc.cnf());
-    match solver.solve() {
-        SatResult::Sat(model) => {
-            let mut env = ipcl_expr::Assignment::new();
-            for (spec_var, cnf_var) in var_map {
-                env.set(spec_var, model[cnf_var as usize]);
-            }
-            Some(env)
-        }
-        SatResult::Unsat => None,
+pub fn satisfying_assignment(expr: &Expr) -> Option<Assignment> {
+    let (SatResult::Sat(model), vars) = solve(expr) else {
+        return None;
+    };
+    let mut env = Assignment::new();
+    for (var, lit) in vars {
+        env.set(var, model[lit.var() as usize]);
     }
+    Some(env)
+}
+
+/// Encodes `expr` straight into a fresh solver, asserts it and solves.
+/// Returns the answer with the literal of each specification variable.
+fn solve(expr: &Expr) -> (SatResult, BTreeMap<VarId, Lit>) {
+    let mut gates = GateEncoder::new(Solver::new(0));
+    let mut vars = BTreeMap::new();
+    let root = gates.encode(expr, &mut |gates, var| {
+        *vars.entry(var).or_insert_with(|| gates.fresh_lit())
+    });
+    gates.add_clause(&[root]);
+    (gates.sink_mut().solve(), vars)
 }
 
 #[cfg(test)]

@@ -137,8 +137,10 @@ impl JobRequest {
         let property = json.get("property").ok_or("job misses 'property'")?;
         let stage_index = property
             .get("stage_index")
-            .and_then(Json::as_u64)
-            .ok_or("property misses 'stage_index'")? as usize;
+            .ok_or("property misses 'stage_index'")?
+            .as_u64()
+            .ok_or("property 'stage_index' is not a non-negative integer")?
+            as usize;
         let kind = match property.get("kind").and_then(Json::as_str) {
             Some("functional") => PropertyKind::Functional,
             Some("performance") => PropertyKind::Performance,

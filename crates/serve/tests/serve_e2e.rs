@@ -6,7 +6,7 @@
 //! (the wire default) must answer like a direct check,
 //! cancellation/stats/shutdown must behave, a delivered job's id must
 //! answer "expired", request lines must survive read timeouts but not grow
-//! without bound, and cut or bit-flipped request lines must get
+//! without bound, and cut, bit-flipped or hostile request lines must get
 //! well-formed replies.
 
 use std::io::{BufRead, BufReader, Write};
@@ -614,5 +614,78 @@ fn cut_and_bit_flipped_submit_lines_get_well_formed_replies() {
         accepted += usize::from(ask(&bytes));
     }
     assert!(accepted < 400, "the flips reach the error replies");
+    server.shutdown();
+}
+
+/// `job` with its first rule condition replaced by `condition`.
+fn with_first_condition(job: &str, condition: &str) -> String {
+    let key = "\"condition\": \"";
+    let start = job.find(key).expect("a rule") + key.len();
+    let end = start + job[start..].find('"').expect("closing quote");
+    format!("{}{condition}{}", &job[..start], &job[end..])
+}
+
+#[test]
+fn hostile_submit_lines_get_errors_and_the_connection_keeps_serving() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A reply that takes longer than this is a hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let job = correct_job(0).to_json_string();
+    let next = job.find("\"next\": ").expect("a register") + "\"next\": ".len();
+    let next_end = next + job[next..].find('}').expect("end of the register");
+    // Each line, and a piece of the error it must get.
+    let cases = [
+        (
+            with_first_condition(
+                &job,
+                &format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000)),
+            ),
+            "deeper than 64 levels",
+        ),
+        (
+            with_first_condition(&job, &format!("a{}", " <-> a".repeat(199_999))),
+            "deeper than 64 levels",
+        ),
+        (
+            with_first_condition(&job, &format!("{}a", "!".repeat(100_000))),
+            "deeper than 64 levels",
+        ),
+        (
+            job.replacen("\"args\": [", "\"args\": [18446744073709551615, ", 1),
+            "forward gate reference to index 18446744073709551615",
+        ),
+        (
+            format!("{}99999999{}", &job[..next], &job[next_end..]),
+            "next index out of range",
+        ),
+        (
+            job.replacen("\"outputs\": [", "\"outputs\": [99999999, ", 1),
+            "output index 99999999 out of range",
+        ),
+        (
+            job.replacen("\"stage_index\": 0", "\"stage_index\": 1e300", 1),
+            "'stage_index' is not a non-negative integer",
+        ),
+    ];
+    let mut writer = stream.try_clone().expect("clone");
+    for (payload, expected) in cases {
+        assert_ne!(payload, job, "the edit for '{expected}' applies");
+        let line = format!("{{\"cmd\": \"submit\", \"job\": {payload}}}\n");
+        writer.write_all(line.as_bytes()).expect("send");
+        let reply = read_response(&stream);
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{reply:?}"
+        );
+        let error = reply.get("error").and_then(Json::as_str).expect("error");
+        assert!(error.contains(expected), "{error}");
+        writer.write_all(b"{\"cmd\": \"stats\"}\n").expect("send");
+        let stats = read_response(&stream);
+        assert!(stats.get("done").is_some(), "after '{expected}': {stats:?}");
+    }
     server.shutdown();
 }

@@ -21,14 +21,17 @@
 //! under it, a unit that retires it) on deep wait-state chains, with a
 //! round boundary that adds a new activation literal, then puts a lemma
 //! into the solver at once.
+//!
+//! A last test pins the encoding itself: the exact clauses of
+//! reset-rooted and free unrollings, by hash.
 
-use ipcl::bmc::{Binding, FrameEncoder, Latency, SequentialProperty};
+use ipcl::bmc::{Binding, FrameEncoder, InitialState, Latency, SequentialProperty};
 use ipcl::core::example::ExampleArch;
 use ipcl::core::{ArchSpec, FunctionalSpec};
 use ipcl::expr::{ClauseSink, Cnf, Lit};
 use ipcl::pdr::deep::deep_pipeline;
 use ipcl::pipesim::BrokenVariant;
-use ipcl::rtl::{InitialState, Netlist};
+use ipcl::rtl::{sha256_hex, Netlist};
 use ipcl::sat::{SatResult, Solver, SolverStats};
 use ipcl::synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 
@@ -166,21 +169,20 @@ fn kinduction_stream<S: Discipline>(
             if decided[index] {
                 continue;
             }
-            for frame in step.unroller().num_frames()..=depth {
+            for frame in step.num_frames()..=depth {
                 step.ensure_frames(frame + 1);
                 for earlier in 0..frame {
-                    if let Some(diff) = step.unroller_mut().state_difference(earlier, frame) {
-                        step.unroller_mut().add_clause(&[diff]);
+                    if let Some(diff) = step.state_difference(earlier, frame) {
+                        step.add_clause(&[diff]);
                     }
                 }
             }
             let ok = step.encode_instance(property, depth);
-            let activation =
-                *activations[index].get_or_insert_with(|| step.unroller_mut().fresh_lit());
+            let activation = *activations[index].get_or_insert_with(|| step.fresh_lit());
             let (result, stats) = step.sink_mut().solve(&[activation, ok.negated()]);
             decided[index] = result == SatResult::Unsat;
             if !decided[index] {
-                step.unroller_mut().add_clause(&[activation.negated(), ok]);
+                step.add_clause(&[activation.negated(), ok]);
             }
             transcript.push((result, stats));
         }
@@ -208,15 +210,9 @@ fn pdr_stream<S: Discipline>(
         .encode_instance(property, property.latency.offset())
         .negated();
     let registers = netlist.registers();
-    let now: Vec<Lit> = registers
-        .iter()
-        .map(|&r| enc.unroller().lit(0, r))
-        .collect();
-    let next: Vec<Lit> = registers
-        .iter()
-        .map(|&r| enc.unroller().lit(1, r))
-        .collect();
-    let frame = enc.unroller_mut().fresh_lit();
+    let now: Vec<Lit> = registers.iter().map(|&r| enc.lit(0, r)).collect();
+    let next: Vec<Lit> = registers.iter().map(|&r| enc.lit(1, r)).collect();
+    let frame = enc.fresh_lit();
     let mut transcript = Transcript::new();
     for _ in 0..budget {
         let (result, stats) = enc.sink_mut().solve(&[frame, bad]);
@@ -245,20 +241,20 @@ fn pdr_stream<S: Discipline>(
                 .copied()
                 .filter(|&(index, _)| Some(index) != dropped)
                 .collect();
-            let tmp = enc.unroller_mut().fresh_lit();
+            let tmp = enc.fresh_lit();
             let mut clause = vec![tmp.negated()];
             clause.extend(candidate.iter().map(|&entry| lit(&now, entry).negated()));
-            enc.unroller_mut().add_clause(&clause);
+            enc.add_clause(&clause);
             let mut assumptions = vec![frame, tmp];
             assumptions.extend(candidate.iter().map(|&entry| lit(&next, entry)));
             transcript.push(enc.sink_mut().solve(&assumptions));
-            enc.unroller_mut().add_clause(&[tmp.negated()]);
+            enc.add_clause(&[tmp.negated()]);
         }
 
         let mut block = vec![frame.negated()];
         block.extend(cube.iter().map(|&entry| lit(&now, entry).negated()));
-        enc.unroller_mut().add_clause(&block);
-        enc.unroller_mut().fresh_lit();
+        enc.add_clause(&block);
+        enc.fresh_lit();
         enc.sink_mut().solver().add_clause(block.iter().copied());
     }
     transcript
@@ -336,4 +332,74 @@ fn pdr_shaped_streams_see_the_copied_formula_in_order() {
     }
     // The check has teeth: eager reservation searches differently.
     assert!(eager_diverged > 0, "eager reservation went unnoticed");
+}
+
+/// Depth of the pinned unrollings.
+const GOLDEN_DEPTH: usize = 4;
+
+/// The DIMACS hashes of a reset-rooted unrolling (1 quiet cycle) and a
+/// free, loop-free one, each grown to `GOLDEN_DEPTH` the way k-induction
+/// grows them, with every `both_directions` instance encoded at every
+/// depth it is checked at.
+fn golden_hashes(spec: &FunctionalSpec, netlist: &Netlist, latency: Latency) -> [String; 2] {
+    let binding = Binding::new(spec, netlist);
+    let properties = SequentialProperty::both_directions(spec, latency);
+    let mut base = FrameEncoder::new(&binding, InitialState::Reset, 1, Cnf::new(0)).unwrap();
+    let mut step = FrameEncoder::new(&binding, InitialState::Free, 0, Cnf::new(0)).unwrap();
+    for depth in 0..=GOLDEN_DEPTH {
+        base.ensure_frames(depth + 1);
+        step.ensure_frames(depth + 1);
+        for earlier in 0..depth {
+            if let Some(diff) = step.state_difference(earlier, depth) {
+                step.add_clause(&[diff]);
+            }
+        }
+        for property in &properties {
+            if depth >= property.latency.first_instance() {
+                base.encode_instance(property, depth);
+                step.encode_instance(property, depth);
+            }
+        }
+    }
+    [base.sink(), step.sink()].map(|cnf| sha256_hex(cnf.to_dimacs().as_bytes()))
+}
+
+/// The clause counts of E9–E11 are gated, but not which clauses are
+/// emitted: this pins the sequential encoding's exact output — variable
+/// numbering, clause order and literal order — by hash. A change here
+/// changes every engine's search.
+#[test]
+fn the_sequential_encoding_emits_the_pinned_clauses() {
+    let spec = ExampleArch::new().functional_spec();
+    let mut designs = Vec::new();
+    for (registered, latency) in [(false, Latency::Combinational), (true, Latency::Registered)] {
+        let options = SynthesisOptions {
+            registered_outputs: registered,
+            reset_value: true,
+            ..Default::default()
+        };
+        let netlist = synthesize_interlock_with(&spec, options).netlist().clone();
+        designs.push((format!("paper {latency:?}"), spec.clone(), netlist, latency));
+    }
+    let (deep_spec, deep_netlist) = deep_pipeline(6);
+    let latency = Latency::detect(&deep_spec, &deep_netlist);
+    designs.push(("deep_pipeline(6)".into(), deep_spec, deep_netlist, latency));
+    let expected = [
+        (
+            "ac5aa5462a90896fa43cf66b2a6687ecc9ca094adcf330eea96fbd5aaf938dfd",
+            "1e4405be2c5ed256edc407856e0f4b932928e4d9c8fa6ca19f513e07b775e625",
+        ),
+        (
+            "136c0746f01f9a134017c44ed7b5e13abadc0a2e216c67feca6dc8a366513fc9",
+            "78cd440af8aeaf4d663ecd86a403f51ff3a0dfbe1a1b87ffd27757bd763ee707",
+        ),
+        (
+            "ec5668224faaf0dad741c75a46934b642b49bdc8103bafb241c481c3bd35dde9",
+            "dbe5e6dc274dc4e6158b61a5f9eb0c64d8a1e580430febb936c88b687694c2cd",
+        ),
+    ];
+    for ((label, spec, netlist, latency), (base, step)) in designs.into_iter().zip(expected) {
+        let hashes = golden_hashes(&spec, &netlist, latency);
+        assert_eq!(hashes, [base, step], "{label}: base and step unrollings");
+    }
 }

@@ -1,16 +1,16 @@
-//! Property-based tests of the solver heuristics and the encodings: every
+//! Property-based tests of the solver heuristics and the encoding: every
 //! [`SolverConfig`] point of the matrix must agree with brute force on
-//! random CNFs (monolithic *and* incremental streams), and
-//! the Plaisted–Greenbaum encoding must be equisatisfiable with the full
-//! Tseitin encoding — on random formulas and on the paper-example netlist
-//! properties the engines actually solve.
+//! random CNFs (monolithic *and* incremental streams), and the SAT
+//! engine's satisfiability answers must agree with the BDD engine's on the
+//! paper-example properties the sequential engines actually solve.
 
 use proptest::prelude::*;
 
+use ipcl::bdd::BddManager;
 use ipcl::bmc::{Latency, PropertyKind, SequentialProperty};
 use ipcl::core::example::ExampleArch;
-use ipcl::expr::{Cnf, Expr, Lit, TseitinEncoder};
-use ipcl::sat::{SatResult, Solver, SolverConfig};
+use ipcl::expr::{Cnf, Expr, Lit};
+use ipcl::sat::{is_satisfiable, SatResult, Solver, SolverConfig};
 
 /// The named configuration points of the matrix: the default, database
 /// reduction and restarts firing as often as they can, and phase saving
@@ -126,65 +126,26 @@ proptest! {
         }
     }
 
-    /// PG vs. full Tseitin on random expression shapes, decided by the
-    /// CDCL solver itself (complementing the brute-force check inside
-    /// `ipcl-expr`): both encodings of the same expression must agree.
-    #[test]
-    fn plaisted_greenbaum_agrees_with_full_tseitin(input in arbitrary_clauses()) {
-        let (num_vars, clauses) = input;
-        // Reinterpret the clause soup as a nested and/or/not expression.
-        let mut pool = ipcl::expr::VarPool::new();
-        let vars: Vec<_> = (0..num_vars).map(|i| pool.var(&format!("v{i}"))).collect();
-        let expr = Expr::and(clauses.iter().map(|clause| {
-            Expr::or(clause.iter().map(|&(v, s)| {
-                let var = Expr::var(vars[v as usize]);
-                if s { var } else { Expr::not(var) }
-            }))
-        }));
-
-        let mut full = TseitinEncoder::new();
-        let root = full.encode(&expr);
-        full.assert_literal(root);
-        let mut full_solver = Solver::from_cnf(full.cnf());
-
-        let mut pg = TseitinEncoder::new();
-        pg.assert_expr(&expr);
-        prop_assert!(pg.cnf().len() <= full.cnf().len());
-        let mut pg_solver = Solver::from_cnf(pg.cnf());
-
-        prop_assert_eq!(full_solver.solve().is_sat(), pg_solver.solve().is_sat());
-    }
 }
 
-/// PG vs. full Tseitin on the expressions the sequential engines actually
-/// encode: every property direction of the paper example, at both latency
-/// classes, and its negation-for-refutation form.
+/// The SAT engine against the BDD engine on the expressions the
+/// sequential engines encode: every property direction of the paper
+/// example, at both latency classes, and its negation (the refutation
+/// form), decided by [`is_satisfiable`] through the one encoder.
 #[test]
-fn plaisted_greenbaum_matches_tseitin_on_paper_example_properties() {
+fn sat_agrees_with_bdd_on_paper_example_properties() {
     let spec = ExampleArch::new().functional_spec();
     for latency in [Latency::Combinational, Latency::Registered] {
         for stage in 0..spec.stages().len() {
             for kind in PropertyKind::ALL {
                 let property = SequentialProperty::for_stage(&spec, stage, kind, latency);
                 for expr in [property.ok.clone(), Expr::not(property.ok.clone())] {
-                    let mut full = TseitinEncoder::new();
-                    let root = full.encode(&expr);
-                    full.assert_literal(root);
-                    let mut full_solver = Solver::from_cnf(full.cnf());
-
-                    let mut pg = TseitinEncoder::new();
-                    pg.assert_expr(&expr);
-                    let mut pg_solver = Solver::from_cnf(pg.cnf());
-
-                    assert!(
-                        pg.cnf().len() <= full.cnf().len(),
-                        "{}: PG may not emit more clauses",
-                        property.name
-                    );
+                    let mut manager = BddManager::new();
+                    let bdd = manager.from_expr(&expr);
                     assert_eq!(
-                        full_solver.solve().is_sat(),
-                        pg_solver.solve().is_sat(),
-                        "{}: encodings disagree",
+                        is_satisfiable(&expr),
+                        !manager.is_contradiction(bdd),
+                        "{} ({latency:?}): engines disagree",
                         property.name
                     );
                 }
