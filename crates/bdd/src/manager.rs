@@ -161,12 +161,6 @@ impl BddManager {
         self.mk(level, BddRef::FALSE, BddRef::TRUE)
     }
 
-    /// The negated projection of `var`.
-    pub fn not_var(&mut self, var: VarId) -> BddRef {
-        let level = self.level_for(var);
-        self.mk(level, BddRef::TRUE, BddRef::FALSE)
-    }
-
     fn mk(&mut self, level: u32, low: BddRef, high: BddRef) -> BddRef {
         if low == high {
             return low;

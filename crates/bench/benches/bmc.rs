@@ -45,8 +45,10 @@ fn bench_depth_sweep(c: &mut Criterion) {
                         &Binding::new(&spec, synthesized.netlist()),
                         std::slice::from_ref(&property),
                         &options,
+                        None,
                     )
                     .unwrap()
+                    .0
                     .remove(0);
                     assert!(!result.outcome.is_falsified());
                     result.stats.solve_calls
@@ -89,8 +91,10 @@ fn bench_induction_proof(c: &mut Criterion) {
                         &Binding::new(&spec, netlist),
                         std::slice::from_ref(&property),
                         &BmcOptions::default(),
+                        None,
                     )
                     .unwrap()
+                    .0
                     .remove(0);
                     assert!(result.outcome.is_proved());
                 }

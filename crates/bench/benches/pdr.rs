@@ -39,8 +39,10 @@ fn bench_registered_example(c: &mut Criterion) {
                 &Binding::new(&spec, synthesized.netlist()),
                 properties,
                 &BmcOptions::with_depth(8),
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert!(result[0].outcome.is_proved());
         })
     });
@@ -109,8 +111,10 @@ fn bench_deep_chain(c: &mut Criterion) {
                         &Binding::new(&spec, &netlist),
                         std::slice::from_ref(&property),
                         &BmcOptions::with_depth(depth.saturating_sub(3)),
+                        None,
                     )
-                    .unwrap();
+                    .unwrap()
+                    .0;
                     assert!(!result[0].outcome.is_proved());
                     assert!(!result[0].outcome.is_falsified());
                 })

@@ -48,6 +48,7 @@ fn main() {
         &Binding::new(&spec, synthesized.netlist()),
         properties,
         &BmcOptions::with_depth(2),
+        None,
     );
 
     let depths: &[usize] = if smoke {
@@ -75,8 +76,10 @@ fn main() {
                     &Binding::new(&spec, synthesized.netlist()).with_run(None, trace.tracer()),
                     properties,
                     &options,
+                    None,
                 )
                 .expect("netlist elaborates")
+                .0
                 .remove(0);
                 times.push(start.elapsed().as_secs_f64() * 1e3);
                 assert!(

@@ -134,8 +134,10 @@ fn main() {
                     &Binding::new(&workload.spec, &workload.netlist).with_run(None, trace.tracer()),
                     properties,
                     &bmc_options,
+                    None,
                 )
                 .expect("netlist elaborates")
+                .0
                 .remove(0);
                 times.push(start.elapsed().as_secs_f64() * 1e3);
                 verdict = match &result.outcome {

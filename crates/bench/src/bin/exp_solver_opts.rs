@@ -123,8 +123,10 @@ fn run_bmc_sweep(depth: usize, repeats: usize, tracer: &Tracer) -> Point {
             &Binding::new(&spec, synthesized.netlist()).with_run(None, tracer),
             std::slice::from_ref(&property),
             &options,
+            None,
         )
         .expect("netlist elaborates")
+        .0
         .remove(0);
         times.push(start.elapsed().as_secs_f64() * 1e3);
         assert!(

@@ -4,28 +4,40 @@
 //! propositional SAT, a sequential property over an `ipcl-rtl` netlist is
 //! decided by *time-frame unrolling* (see [`crate::encode`]):
 //!
+//! * **Zero-step proof.** The paper decides each interlock property with
+//!   one validity check per stage and direction. On a netlist that check
+//!   is the *zero-step query*: can the property instance fail in *any*
+//!   state, under any input? It is the k-induction step at k = 0, asked on
+//!   an initial-state-free unrolling before any loop-free constraint
+//!   exists. UNSAT proves the property for every cycle at once, with no
+//!   reset-rooted query at all; a correct interlock is proved this way.
 //! * **Falsification (BMC).** Starting from the reset state, frames are
 //!   appended one at a time; at each depth the negated property instance of
 //!   the newest frame is activated *as a solver assumption* and the
 //!   incremental CDCL solver is asked for a model. A model is decoded into a
 //!   replayable [`Counterexample`]; because depths are explored in order the
 //!   first hit is a minimal-length trace.
-//! * **Proof (k-induction).** A second, initial-state-free unrolling asserts
-//!   the property for `k` consecutive instances, constrains the path to be
-//!   loop-free (pairwise-distinct register states) and asks whether instance
-//!   `k+1` can still fail. An UNSAT answer, combined with the base cases
-//!   already checked, proves the property for **all** cycles — reset
-//!   correctness and "no spurious stall reachable from reset" become
-//!   theorems instead of sampled claims.
+//! * **Proof (k-induction).** The free unrolling asserts the property for
+//!   `k` consecutive instances, constrains the path to be loop-free
+//!   (pairwise-distinct register states) and asks whether instance `k+1`
+//!   can still fail. An UNSAT answer, combined with the base cases already
+//!   checked, proves the property for **all** cycles — reset correctness
+//!   and "no spurious stall reachable from reset" become theorems instead
+//!   of sampled claims.
+//! * **Stall escape.** Before its first loop-free constraint, the same free
+//!   unrolling also answers the stall-escape check with one query (see
+//!   [`check_properties`]); only a possible deadlock falls back to
+//!   [`check_stall_escape_in`]'s per-stage queries.
 //!
 //! Both unrollings keep one [`ipcl_sat::Solver`] each across depths, so
 //! learned clauses from depth *d* accelerate depth *d+1*; the
 //! `incremental: false` option re-encodes the base cases from scratch at
 //! every depth and exists to quantify that speedup (see the `bmc` bench and
-//! `exp_bmc_depth`). [`check_properties`] runs both for a whole property
-//! list at once: the unrolled transition relation is the same formula for
-//! every property, so it is encoded once and each property adds only its
-//! instance literals.
+//! `exp_bmc_depth`). The reset-rooted unrolling is built only once a
+//! property is left open by its zero-step query. [`check_properties`] runs
+//! both for a whole property list at once: the unrolled transition
+//! relation is the same formula for every property, so it is encoded once
+//! and each property adds only its instance literals.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -117,16 +129,21 @@ impl BmcOptions {
 
 /// Statistics of one property's own queries. The solvers of a
 /// [`check_properties`] run are shared, so the counts sum per-query
-/// [`ipcl_sat::SolverStats::delta`]s.
+/// [`ipcl_sat::SolverStats::delta`]s. A property its zero-step query
+/// proves asked no base query: its `depth_reached`, `base_clauses` and
+/// `last_depth_*` fields are 0.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BmcStats {
-    /// Deepest base frame encoded.
+    /// Deepest base frame encoded (0 when no base query ran).
     pub depth_reached: usize,
-    /// SAT queries issued for this property (base + induction).
+    /// SAT queries issued for this property: the zero-step query, the base
+    /// queries and the induction steps.
     pub solve_calls: usize,
-    /// Clauses in the shared base solver at this property's last base query.
+    /// Clauses in the shared base solver at this property's last base query
+    /// (0 when no base query ran).
     pub base_clauses: usize,
-    /// Clauses in the shared step solver at this property's last step query.
+    /// Clauses in the shared step solver at this property's last zero-step
+    /// or step query.
     pub induction_clauses: usize,
     /// Conflicts of this property's queries, across both solvers.
     pub conflicts: u64,
@@ -256,53 +273,123 @@ impl Track {
 }
 
 /// Decides every property of `properties` over one pair of unrollings of
-/// `binding`'s netlist — reset-rooted for the base cases, free for the
-/// inductive steps — each with one incremental solver, walked depth by
-/// depth in lockstep. At depth `d` every open property asks exactly the
-/// queries it asks alone: the base query ¬ok(d), then (if that is
-/// unsatisfiable and [`BmcOptions::induction`] is on) the step query with
-/// `k = d − first instance`. So each property keeps its verdict, induction
-/// depth and minimal trace length. Results come back in `properties`
-/// order; to check one property, pass `std::slice::from_ref(&property)`.
+/// `binding`'s netlist — free for the zero-step queries and the inductive
+/// steps, reset-rooted for the base cases — each with one incremental
+/// solver. Results come back in `properties` order; to check one property,
+/// pass `std::slice::from_ref(&property)`.
 ///
-/// A counterexample is of minimal length and replays deterministically
-/// through [`ipcl_rtl::Simulator`] (see [`Counterexample::replay`]). The
-/// run polls the binding's cancellation token between depths and, once it
-/// is set, returns every open property as [`BmcOutcome::Unknown`].
+/// The run goes in three phases:
 ///
-/// Traced into the binding's tracer under one `bmc.check` span (frames
-/// under `bmc.encode`, queries under `sat.solve`), with a `bmc_depth` event
-/// per base query and each unrolling's `unroll.{base,induction}.*`
-/// counters emitted once.
+/// 1. **Zero-step queries.** With [`BmcOptions::induction`] on, the free
+///    unrolling first asks every property whether its first instance can
+///    fail at all, from any state. UNSAT answers
+///    [`BmcOutcome::Proved`] with `induction_depth` 0, and that property
+///    asks no base query.
+/// 2. **Stall escape.** With `escape_cycles` given, the free unrolling is
+///    grown to `escape_cycles + 1` frames (at least 2), its inputs are
+///    forced low under one activation literal, and one query asks whether
+///    some stage stays stalled throughout the window. UNSAT proves every
+///    stage escapable; SAT falls back to [`check_stall_escape_in`] on its
+///    own unrolling, so a stuck state is the one that check reports. The
+///    reports come back beside the results, one per stage.
+/// 3. **Lockstep.** The properties left open walk the depths together. At
+///    depth `d` every open property asks exactly the queries it asks
+///    alone: the base query ¬ok(d), then (if that is unsatisfiable and
+///    induction is on) the step query with `k = d − first instance`, over
+///    frames `0..=d` made loop-free depth by depth. At depth 0 the step
+///    query is the zero-step query, which is not asked again. The
+///    reset-rooted unrolling is built at the first base query.
+///
+/// So each property keeps the verdict, induction depth and minimal trace
+/// length it has alone. A counterexample replays deterministically through
+/// [`ipcl_rtl::Simulator`] (see [`Counterexample::replay`]). The run polls
+/// the binding's cancellation token before the zero-step queries and
+/// between depths and, once it is set, returns every open property as
+/// [`BmcOutcome::Unknown`]; the stall-escape check is not cancelled.
+///
+/// Traced into the binding's tracer under one `bmc.check` span: the
+/// zero-step queries under `bmc.zero_step`, the stall-escape check under
+/// `bmc.stall_escape`, frames under `bmc.encode`, queries under
+/// `sat.solve`, with a `bmc_depth` event per base query and each
+/// unrolling's `unroll.{base,induction}.*` counters emitted once.
 ///
 /// # Errors
 ///
-/// [`BmcError::MissingSignals`] if a property's stage has no `moe` signal
-/// in the netlist; [`BmcError::Rtl`] if the netlist does not elaborate.
+/// [`BmcError::MissingSignals`] if a property's stage (or, with
+/// `escape_cycles`, any stage) has no `moe` signal in the netlist;
+/// [`BmcError::Rtl`] if the netlist does not elaborate.
 pub fn check_properties(
     binding: &Binding,
     properties: &[SequentialProperty],
     options: &BmcOptions,
-) -> Result<Vec<BmcResult>, BmcError> {
+    escape_cycles: Option<usize>,
+) -> Result<(Vec<BmcResult>, Option<Vec<StallEscapeReport>>), BmcError> {
     let tracer = binding.tracer();
     let _span = tracer.span("bmc.check");
     binding.require_moe(Some(properties))?;
 
-    // The depths each property is checked at.
+    let mut tracks: Vec<Track> = properties.iter().map(|_| Track::default()).collect();
+    let mut step: Option<Run> = None;
+    // A cancelled run asks no query: the token is polled here as before
+    // each depth.
+    let induction = options.induction && !binding.cancelled();
+    if induction && !properties.is_empty() {
+        let _zero_step = tracer.span("bmc.zero_step");
+        let run = step.insert(Run::new(binding, InitialState::Free, options)?);
+        {
+            let _encode = tracer.span("bmc.encode");
+            let first = properties.iter().map(|p| p.latency.first_instance());
+            run.enc.ensure_frames(first.max().unwrap_or(0) + 1);
+        }
+        for (property, track) in properties.iter().zip(&mut tracks) {
+            let ok = {
+                let _instance = tracer.span_fast("bmc.instance");
+                run.enc
+                    .encode_instance(property, property.latency.first_instance())
+            };
+            let (result, delta) = run.solve(&[ok.negated()]);
+            track.record(delta);
+            track.stats.induction_clauses = run.solver().num_clauses();
+            if result == SatResult::Unsat {
+                track.outcome = Some(BmcOutcome::Proved { induction_depth: 0 });
+            }
+        }
+    }
+
+    let stall_escape = match escape_cycles {
+        Some(cycles) => {
+            let _stall = tracer.span("bmc.stall_escape");
+            let run = match step.as_mut() {
+                Some(run) => run,
+                None => step.insert(Run::new(binding, InitialState::Free, options)?),
+            };
+            Some(stall_escape_on(binding, run, cycles)?)
+        }
+        None => None,
+    };
+
+    // The depths each open property is checked at.
     let window = |property: &SequentialProperty| {
         let first = property.latency.first_instance();
         first..=options.max_depth.max(first)
     };
-    let (Some(start), Some(end)) = (
-        properties.iter().map(|p| *window(p).start()).min(),
-        properties.iter().map(|p| *window(p).end()).max(),
-    ) else {
-        return Ok(Vec::new());
+    let open = || {
+        properties
+            .iter()
+            .zip(&tracks)
+            .filter(|(_, track)| track.outcome.is_none())
+            .map(|(property, _)| window(property))
     };
-
-    let mut tracks: Vec<Track> = properties.iter().map(|_| Track::default()).collect();
-    let mut base = Run::new(binding, InitialState::Reset, options)?;
-    let mut step: Option<Run> = None;
+    // With no property open, `start > end`: the lockstep has no depth.
+    let start = open().map(|depths| *depths.start()).min().unwrap_or(1);
+    let end = open().map(|depths| *depths.end()).max().unwrap_or(0);
+    let mut base: Option<Run> = None;
+    // Frames `0..loop_free` of the free unrolling carry their loop-free
+    // constraints. The zero-step and stall-escape queries create frames
+    // ahead of the lockstep; each gets its constraints only at the depth
+    // that reaches it, because a loop-free constraint on a frame beyond
+    // `depth` could make a falsifiable step unsatisfiable — a false proof.
+    let mut loop_free = 0;
     // Live-progress beats, once per depth at most (rate-limited): a deep
     // unrolling announces how far it has come while still running.
     let mut heartbeat = Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS);
@@ -325,8 +412,9 @@ pub fn check_properties(
         }
         if !options.incremental && depth > start {
             // The scratch ablation: a fresh reset-rooted unrolling per depth.
-            base.emit("base");
-            base = Run::new(binding, InitialState::Reset, options)?;
+            if let Some(run) = base.take() {
+                run.emit("base");
+            }
         }
 
         for (property, track) in properties.iter().zip(&mut tracks) {
@@ -336,6 +424,10 @@ pub fn check_properties(
             track.stats.depth_reached = depth;
 
             // ---- Base case: a reset-rooted violation at exactly this depth?
+            let base = match base.as_mut() {
+                Some(run) => run,
+                None => base.insert(Run::new(binding, InitialState::Reset, options)?),
+            };
             {
                 let _encode = tracer.span("bmc.encode");
                 base.enc.ensure_frames(depth + 1);
@@ -375,17 +467,16 @@ pub fn check_properties(
                 }));
                 continue;
             }
-            if !options.induction {
+            if !induction {
                 continue;
             }
 
             // ---- Inductive step: k = depth − first instance.
-            let run = match step.as_mut() {
-                Some(run) => run,
-                None => step.insert(Run::new(binding, InitialState::Free, options)?),
-            };
-            // Loop-free path: each new state differs from all earlier ones.
-            for frame in run.enc.num_frames()..=depth {
+            let run = step.as_mut().expect("the zero-step queries built it");
+            // Loop-free path: each state of frames 0..=depth differs from
+            // all earlier ones.
+            while loop_free <= depth {
+                let frame = loop_free;
                 {
                     let _encode = tracer.span("bmc.encode");
                     run.enc.ensure_frames(frame + 1);
@@ -396,36 +487,39 @@ pub fn check_properties(
                         run.enc.add_clause(&[diff]);
                     }
                 }
+                loop_free += 1;
             }
-            // Soundness: a loop-free constraint on a frame beyond `depth`
-            // could make a falsifiable step unsatisfiable — a false proof.
-            // Lockstep grows the free unrolling only after every step query
-            // of the previous depth.
-            debug_assert_eq!(run.enc.num_frames(), depth + 1);
+            debug_assert_eq!(loop_free, depth + 1);
             let ok = {
                 let _instance = tracer.span_fast("bmc.instance");
                 run.enc.encode_instance(property, depth)
             };
             let activation = *track.activation.get_or_insert_with(|| run.enc.fresh_lit());
-            let (result, delta) = run.solve(&[activation, ok.negated()]);
-            track.record(delta);
-            track.stats.induction_clauses = run.solver().num_clauses();
-            if result == SatResult::Unsat {
-                track.outcome = Some(BmcOutcome::Proved {
-                    induction_depth: depth - property.latency.first_instance(),
-                });
-            } else {
-                // The step failed: assume this instance and deepen.
-                run.enc.add_clause(&[activation.negated(), ok]);
+            // At depth 0 no earlier frame exists, so the step query is the
+            // zero-step query, which failed.
+            if depth > 0 {
+                let (result, delta) = run.solve(&[activation, ok.negated()]);
+                track.record(delta);
+                track.stats.induction_clauses = run.solver().num_clauses();
+                if result == SatResult::Unsat {
+                    track.outcome = Some(BmcOutcome::Proved {
+                        induction_depth: depth - property.latency.first_instance(),
+                    });
+                    continue;
+                }
             }
+            // The step failed: assume this instance and deepen.
+            run.enc.add_clause(&[activation.negated(), ok]);
         }
     }
 
-    base.emit("base");
+    if let Some(run) = &base {
+        run.emit("base");
+    }
     if let Some(run) = &step {
         run.emit("induction");
     }
-    Ok(properties
+    let results = properties
         .iter()
         .zip(tracks)
         .map(|(property, track)| BmcResult {
@@ -435,11 +529,69 @@ pub fn check_properties(
             }),
             stats: track.stats,
         })
+        .collect();
+    Ok((results, stall_escape))
+}
+
+/// The stall-escape check of [`check_properties`], on its free unrolling
+/// `run` before any loop-free constraint: one query whether some stage
+/// stays stalled throughout `escape_cycles` quiet cycles. Its quiet
+/// environment holds under an activation literal, retired after the
+/// query. On SAT, [`check_stall_escape_in`] finds the stuck stages.
+fn stall_escape_on(
+    binding: &Binding,
+    run: &mut Run,
+    escape_cycles: usize,
+) -> Result<Vec<StallEscapeReport>, BmcError> {
+    binding.require_moe(None)?;
+    let escape_cycles = escape_cycles.max(1);
+    let (netlist, tracer) = (binding.netlist(), binding.tracer());
+    let stages = binding.spec().stages();
+    let quiet = run.enc.fresh_lit();
+    let stuck = {
+        let _encode = tracer.span("bmc.encode");
+        run.enc.ensure_frames(escape_cycles + 1);
+        let inputs = netlist.inputs();
+        for frame in 0..=escape_cycles {
+            for &input in &inputs {
+                let lit = run.enc.lit(frame, input);
+                run.enc.add_clause(&[quiet.negated(), lit.negated()]);
+            }
+        }
+        // Some stage is stalled (¬moe) at every frame of the window.
+        let stalled: Vec<Lit> = stages
+            .iter()
+            .map(|stage| {
+                let signal = binding
+                    .signal(stage.moe)
+                    .expect("missing signals checked above");
+                let window: Vec<Lit> = (0..=escape_cycles)
+                    .map(|frame| run.enc.lit(frame, signal).negated())
+                    .collect();
+                run.enc.define_and(window)
+            })
+            .collect();
+        run.enc
+            .define_and(stalled.iter().map(|lit| lit.negated()))
+            .negated()
+    };
+    let (result, _) = run.solve(&[quiet, stuck]);
+    run.enc.add_clause(&[quiet.negated()]);
+    if result != SatResult::Unsat {
+        return check_stall_escape_in(binding, escape_cycles);
+    }
+    Ok(stages
+        .iter()
+        .map(|stage| StallEscapeReport {
+            stage: stage.stage.prefix(),
+            escapable: true,
+            stuck_state: None,
+        })
         .collect())
 }
 
 /// Report of a per-stage stall-escape (deadlock/livelock) check.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StallEscapeReport {
     /// The stage prefix.
     pub stage: String,
@@ -457,12 +609,17 @@ pub struct StallEscapeReport {
 /// Proves (or refutes) that every stall of every stage is escapable under a
 /// quiet environment.
 ///
-/// The check unrolls `escape_cycles + 1` frames from a **free** initial
-/// state, forces all inputs low and asks the solver for a path on which the
-/// stage's `moe` stays low throughout. UNSAT means even the worst
-/// adversarial state un-stalls once the environment goes idle — which in
-/// particular proves there is *some* environment input escaping every stall
-/// state, the paper's no-deadlock obligation.
+/// The check unrolls `escape_cycles + 1` frames (at least 2) from a
+/// **free** initial state, forces all inputs low and asks the solver, stage
+/// by stage, for a path on which the stage's `moe` stays low throughout.
+/// UNSAT means even the worst adversarial state un-stalls once the
+/// environment goes idle — which in particular proves there is *some*
+/// environment input escaping every stall state, the paper's no-deadlock
+/// obligation. The reports come in stage order.
+///
+/// A [`check_properties`] run given `escape_cycles` answers the same check
+/// with one query on its own free unrolling, and calls this one only when
+/// some stage may stay stalled.
 ///
 /// # Errors
 ///
@@ -475,11 +632,13 @@ pub fn check_stall_escape(
     check_stall_escape_in(&Binding::new(spec, netlist), escape_cycles)
 }
 
-/// As [`check_stall_escape`], over the check's `binding`, traced into its
-/// tracer: encoder construction under `bmc.setup`, the frames and
-/// quiet-environment constraints under `bmc.encode`, the per-stage queries
-/// under the solver's `sat.solve` and stuck-state decoding under
-/// `bmc.decode`.
+/// As [`check_stall_escape`], over the check's `binding`, on an unrolling
+/// and solver of its own (the checker's path under PDR, and
+/// [`check_properties`]' fallback when its one query finds a stage that may
+/// stay stalled), traced into the binding's tracer: encoder construction
+/// under `bmc.setup`, the frames and quiet-environment constraints under
+/// `bmc.encode`, the per-stage queries under the solver's `sat.solve` and
+/// stuck-state decoding under `bmc.decode`.
 ///
 /// # Errors
 ///

@@ -13,13 +13,16 @@
 //!   (via [`FrameEncoder`]) and decides a list of
 //!   [`SequentialProperty`]s with the incremental CDCL solver of
 //!   `ipcl-sat`, over one shared pair of unrollings that encodes the
-//!   netlist once: **falsification** returns a minimal-length,
-//!   simulator-replayable [`Counterexample`]; **k-induction** (base cases +
-//!   loop-free inductive step) returns a proof valid for *all* cycles, not
-//!   just the unrolled ones.
+//!   netlist once: a **zero-step proof** (the paper's validity check on a
+//!   free state, asked first) or a **k-induction** proof (base cases +
+//!   loop-free inductive step) is valid for *all* cycles, not just the
+//!   unrolled ones; **falsification** returns a minimal-length,
+//!   simulator-replayable [`Counterexample`].
 //! * [`engine::check_stall_escape`] proves the absence of deadlock/livelock:
 //!   from any state in which a stage is stalled, an idle environment
-//!   releases the stall within a bounded number of cycles.
+//!   releases the stall within a bounded number of cycles. A
+//!   [`engine::check_properties`] run asks it as one query on its free
+//!   unrolling when given a window.
 //!
 //! * [`trace::fuzz`] searches for counterexamples by random simulation on
 //!   the compiled 64-lane simulator of `ipcl-bitsim`, with replay's
@@ -27,10 +30,11 @@
 //!
 //! The user-facing entry point is `ipcl_checker::check_netlist_sequential`,
 //! which binds the design once, builds the property portfolio, decides it
-//! with one [`engine::check_properties`] run (under PDR, one PDR run per
-//! property; the portfolio strategy runs both, PDR only on what
-//! k-induction leaves open) and combines the results with the
-//! stall-escape and reset-value checks, every run over the one binding.
+//! and the stall-escape check with one [`engine::check_properties`] run
+//! (under PDR, one PDR run per property and the stall-escape check on its
+//! own; the portfolio strategy runs both engines, PDR only on what
+//! k-induction leaves open) and adds the reset-value check, every run over
+//! the one binding.
 //!
 //! # Example
 //!
@@ -45,7 +49,8 @@
 //! // The derived combinational interlock is not just bug-free up to a
 //! // bound: k-induction proves it correct on every cycle.
 //! let properties = SequentialProperty::both_directions(&spec, Latency::Combinational);
-//! let results = check_properties(&binding, &properties, &BmcOptions::default()).unwrap();
+//! let (results, _) =
+//!     check_properties(&binding, &properties, &BmcOptions::default(), None).unwrap();
 //! assert!(results.iter().all(|result| result.outcome.is_proved()));
 //! ```
 
@@ -86,8 +91,8 @@ mod tests {
         options: &BmcOptions,
     ) -> Result<BmcResult, BmcError> {
         let properties = std::slice::from_ref(property);
-        check_properties(&Binding::new(spec, netlist), properties, options)
-            .map(|mut results| results.remove(0))
+        check_properties(&Binding::new(spec, netlist), properties, options, None)
+            .map(|(mut results, _)| results.remove(0))
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! the reset check. Counterexamples replay deterministically through the
 //! simulator and PDR certificates pass independent SAT validation before a
 //! verdict is reported. k-induction decides the whole portfolio in one
-//! [`ipcl_bmc::check_properties`] run over one shared pair of unrollings;
-//! its base case finds shallow bugs with a minimal trace. PDR checks the
-//! properties one after another. Every strategy runs on the caller's
-//! thread. No strategy runs a random sweep first: a sweep decides no
+//! [`ipcl_bmc::check_properties`] run over one shared pair of unrollings:
+//! its zero-step queries prove a correct interlock with no reset-rooted
+//! query, its base case finds shallow bugs with a minimal trace, and its
+//! free unrolling answers the stall-escape check with one query. PDR
+//! checks the properties one after another. Every strategy runs on the
+//! caller's thread. No strategy runs a random sweep first: a sweep decides no
 //! verdict the engines do not. The lane fuzzer ([`ipcl_bmc::fuzz`]) stays
 //! a library function for callers that want a quick, unsound smoke signal.
 
@@ -141,7 +143,9 @@ pub struct SequentialOptions {
     /// thread, in order. Kept for source compatibility with callers that
     /// set it.
     pub parallel: bool,
-    /// Run the per-stage stall-escape (deadlock/livelock) proof.
+    /// Run the stall-escape (deadlock/livelock) proof, one report per stage.
+    /// Under k-induction and the portfolio the k-induction run answers it
+    /// ([`ipcl_bmc::check_properties`]).
     pub deadlock: bool,
     /// Window of the stall-escape check, in quiet cycles.
     pub escape_cycles: usize,
@@ -151,6 +155,19 @@ pub struct SequentialOptions {
     /// [`check_property_job`] ignores it and traces through its `tracer`
     /// argument.
     pub trace: TraceConfig,
+}
+
+impl SequentialOptions {
+    /// The quiet-cycle count the strategy decides its properties under:
+    /// [`BmcOptions::quiet_cycles`] under [`ProofStrategy::KInduction`], 0
+    /// under [`ProofStrategy::Pdr`] and [`ProofStrategy::Portfolio`] (see
+    /// [`ProofStrategy`]).
+    pub fn quiet_cycles(&self) -> usize {
+        match self.strategy {
+            ProofStrategy::KInduction => self.bmc.quiet_cycles,
+            ProofStrategy::Pdr | ProofStrategy::Portfolio => 0,
+        }
+    }
 }
 
 impl Default for SequentialOptions {
@@ -258,21 +275,24 @@ pub fn check_netlist_sequential_with(
 
     let latency = options.latency.unwrap_or_else(|| binding.latency());
 
-    let properties = SequentialProperty::both_directions(spec, latency);
+    let properties = {
+        let _span = tracer.span("checker.properties");
+        SequentialProperty::both_directions(spec, latency)
+    };
+    let escape_cycles = options.deadlock.then_some(options.escape_cycles);
+    let (checked, stall_escape) =
+        check_with_strategy(&binding, &properties, options, escape_cycles)?;
     let mut certificates = BTreeMap::new();
-    let mut results = Vec::with_capacity(properties.len());
-    for (result, certificate) in check_with_strategy(&binding, &properties, options)? {
+    let mut results = Vec::with_capacity(checked.len());
+    for (result, certificate) in checked {
         if let Some(certificate) = certificate {
             certificates.insert(result.property.name.clone(), certificate);
         }
         results.push(result);
     }
-
-    let stall_escape = if options.deadlock {
-        let _span = tracer.span("checker.stall_escape");
-        check_stall_escape_in(&binding, options.escape_cycles)?
-    } else {
-        Vec::new()
+    let reset = {
+        let _span = tracer.span("checker.reset");
+        check_reset_values(spec, netlist)
     };
 
     drop(run_span);
@@ -280,8 +300,8 @@ pub fn check_netlist_sequential_with(
         latency,
         results,
         certificates,
-        reset: check_reset_values(spec, netlist),
-        stall_escape,
+        reset,
+        stall_escape: stall_escape.unwrap_or_default(),
         trace: tracer.snapshot(),
     })
 }
@@ -324,9 +344,17 @@ pub fn check_property_job(
     tracer: &Tracer,
 ) -> Result<(BmcResult, Option<Certificate>), BmcError> {
     let binding = Binding::new(spec, netlist).with_run(cancel, tracer);
-    let mut checked = check_with_strategy(&binding, std::slice::from_ref(property), options)?;
+    let (mut checked, _) =
+        check_with_strategy(&binding, std::slice::from_ref(property), options, None)?;
     Ok(checked.remove(0))
 }
+
+/// Every property's answer with its validated certificate, and the
+/// stall-escape reports when they were asked for.
+type Checked = (
+    Vec<(BmcResult, Option<Certificate>)>,
+    Option<Vec<StallEscapeReport>>,
+);
 
 /// Decides `properties` with the configured [`ProofStrategy`], in order,
 /// on the caller's thread, and checks every answer's evidence: the one
@@ -335,6 +363,11 @@ pub fn check_property_job(
 /// one [`ipcl_bmc::check_properties`] run under k-induction, one
 /// [`ipcl_pdr::check_property_pdr`] run per property under PDR, every run
 /// over the check's `binding`.
+///
+/// With `escape_cycles` given it also answers the stall-escape check:
+/// under k-induction and the portfolio inside the `check_properties` run,
+/// on its free unrolling; under PDR with [`check_stall_escape_in`], traced
+/// under a `checker.stall_escape` span.
 ///
 /// The portfolio runs k-induction over the whole list at
 /// `quiet_cycles: 0`, then PDR on each property it left unknown, unless
@@ -355,7 +388,8 @@ fn check_with_strategy(
     binding: &Binding,
     properties: &[SequentialProperty],
     options: &SequentialOptions,
-) -> Result<Vec<(BmcResult, Option<Certificate>)>, BmcError> {
+    escape_cycles: Option<usize>,
+) -> Result<Checked, BmcError> {
     let tracer = binding.tracer();
     // Each answer with a PDR proof's certificate and its validation.
     type Decided = (BmcResult, Option<(Certificate, CertificateCheck)>);
@@ -363,12 +397,24 @@ fn check_with_strategy(
         check_property_pdr(binding, property, &options.pdr)
             .map(|pdr| (pdr.result, pdr.certificate.zip(pdr.validation)))
     };
-    let decided: Vec<Decided> = match options.strategy {
-        ProofStrategy::KInduction => check_properties(binding, properties, &options.bmc)?
-            .into_iter()
-            .map(|result| (result, None))
-            .collect(),
-        ProofStrategy::Pdr => properties.iter().map(run_pdr).collect::<Result<_, _>>()?,
+    let (decided, stall_escape): (Vec<Decided>, _) = match options.strategy {
+        ProofStrategy::KInduction => {
+            let (results, stall_escape) =
+                check_properties(binding, properties, &options.bmc, escape_cycles)?;
+            let decided = results.into_iter().map(|result| (result, None)).collect();
+            (decided, stall_escape)
+        }
+        ProofStrategy::Pdr => {
+            let decided = properties.iter().map(run_pdr).collect::<Result<_, _>>()?;
+            let stall_escape = match escape_cycles {
+                Some(cycles) => {
+                    let _span = tracer.span("checker.stall_escape");
+                    Some(check_stall_escape_in(binding, cycles)?)
+                }
+                None => None,
+            };
+            (decided, stall_escape)
+        }
         ProofStrategy::Portfolio => {
             let _span = tracer.span("portfolio.check");
             // Announce the run on the live-progress feed; the engines' own
@@ -381,11 +427,13 @@ fn check_with_strategy(
                 ],
             );
             let bmc = BmcOptions {
-                quiet_cycles: 0,
+                quiet_cycles: options.quiet_cycles(),
                 ..options.bmc
             };
+            let (results, stall_escape) =
+                check_properties(binding, properties, &bmc, escape_cycles)?;
             let mut decided = Vec::with_capacity(properties.len());
-            for result in check_properties(binding, properties, &bmc)? {
+            for result in results {
                 let (winner, (result, proof)) = match result.outcome {
                     BmcOutcome::Unknown { .. } if !binding.cancelled() => {
                         let (pdr, proof) = run_pdr(&result.property)?;
@@ -417,7 +465,7 @@ fn check_with_strategy(
                 }
                 decided.push((result, proof));
             }
-            decided
+            (decided, stall_escape)
         }
     };
 
@@ -454,7 +502,7 @@ fn check_with_strategy(
         }
         checked.push((result, certificate));
     }
-    Ok(checked)
+    Ok((checked, stall_escape))
 }
 
 #[cfg(test)]

@@ -37,12 +37,6 @@ impl Polarity {
     pub fn is_monotone_increasing(self) -> bool {
         matches!(self, Polarity::Positive)
     }
-
-    /// Whether this polarity is compatible with antitone (non-increasing)
-    /// dependence on the variable.
-    pub fn is_monotone_decreasing(self) -> bool {
-        matches!(self, Polarity::Negative)
-    }
 }
 
 /// Computes the occurrence polarity of every variable in `expr`.

@@ -38,8 +38,8 @@
 //! let binding = Binding::new(&spec, &netlist);
 //! let property = SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance,
 //!     Latency::Combinational);
-//! let bmc = check_properties(&binding, std::slice::from_ref(&property),
-//!     &BmcOptions::with_depth(5)).unwrap();
+//! let (bmc, _) = check_properties(&binding, std::slice::from_ref(&property),
+//!     &BmcOptions::with_depth(5), None).unwrap();
 //! assert!(!bmc[0].outcome.is_proved(), "k-induction is stuck below the chain depth");
 //!
 //! // … while PDR proves it outright, over the same binding, with a
@@ -212,8 +212,10 @@ mod tests {
             &Binding::new(&spec, &netlist),
             std::slice::from_ref(&property),
             &BmcOptions::with_depth(10),
+            None,
         )
         .unwrap()
+        .0
         .remove(0);
         assert!(
             matches!(bmc.outcome, BmcOutcome::Unknown { .. }),

@@ -3,7 +3,12 @@
 //! The cache key is a *semantic* fingerprint of the job: the canonical
 //! structural digest of the netlist ([`ipcl_rtl::structural_digest`],
 //! interface-pinned on the property's variables) combined with the property
-//! itself (name, kind, `ok` expression text, latency). Structurally
+//! itself (name, kind, `ok` expression text, latency) and the quiet-cycle
+//! count the job's strategy decides it under
+//! ([`SequentialOptions::quiet_cycles`](ipcl_checker::SequentialOptions::quiet_cycles)):
+//! a k-induction job decides the quiet-reset form of a property and a PDR
+//! or portfolio job the unconditional form, and the two can differ, so
+//! they never share an entry. Structurally
 //! identical implementations — renamed internal signals, reordered
 //! declarations, different module names — therefore share entries, while
 //! any semantic mutation (a dropped gate, a flipped reset value) lands in a
@@ -45,18 +50,38 @@ use ipcl_core::FunctionalSpec;
 use ipcl_rtl::{sha256_hex, structural_digest, Netlist};
 use ipcl_trace::json::Json;
 
-use crate::protocol::{JobOutcome, Verdict};
+use crate::protocol::{JobOutcome, JobRequest, Verdict};
 
-/// Computes the cache key of `(netlist, property)`.
+/// Computes the cache key of `(netlist, property)` decided in its
+/// unconditional form, with no quiet cycle: the key of a PDR or portfolio
+/// job. A k-induction job's key names its quiet-cycle count instead.
 ///
 /// The netlist digest pins the property's variables as the interface, so
 /// the digest covers exactly the logic cone the property can observe; the
-/// property's own identity (name, `ok` text, latency sampling) is folded
-/// in afterwards. The key is a hex SHA-256 string, usable as a filename.
+/// property's own identity (name, `ok` text, latency sampling) and the
+/// quiet-cycle count are folded in afterwards. The key is a hex SHA-256
+/// string, usable as a filename.
 pub fn cache_key(
     spec: &FunctionalSpec,
     netlist: &Netlist,
     property: &SequentialProperty,
+) -> String {
+    key(spec, netlist, property, 0)
+}
+
+/// The cache key of `request`'s job on `property` (its resolved
+/// property): [`cache_key`]'s fingerprint with the quiet-cycle count the
+/// job's strategy decides under.
+pub(crate) fn job_key(request: &JobRequest, property: &SequentialProperty) -> String {
+    let quiet_cycles = request.options().quiet_cycles();
+    key(&request.spec, &request.netlist, property, quiet_cycles)
+}
+
+fn key(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    property: &SequentialProperty,
+    quiet_cycles: usize,
 ) -> String {
     let pool = spec.pool();
     let interface: Vec<String> = property
@@ -66,7 +91,7 @@ pub fn cache_key(
         .map(|v| pool.name_or_fallback(v))
         .collect();
     let digest = structural_digest(netlist, &interface);
-    let mut preimage = String::from("ipcl-serve-cache-v1\n");
+    let mut preimage = String::from("ipcl-serve-cache-v2\n");
     preimage.push_str(&digest);
     preimage.push('\n');
     preimage.push_str(&property.name);
@@ -76,6 +101,7 @@ pub fn cache_key(
     preimage.push_str(&property.ok.display(pool).to_string());
     preimage.push('\n');
     preimage.push_str(&format!("latency_offset={}", property.latency.offset()));
+    preimage.push_str(&format!("\nquiet_cycles={quiet_cycles}"));
     sha256_hex(preimage.as_bytes())
 }
 
@@ -343,6 +369,7 @@ impl ProofCache {
 mod tests {
     use super::*;
     use ipcl_bmc::{Latency, PropertyKind};
+    use ipcl_checker::ProofStrategy;
     use ipcl_core::example::ExampleArch;
     use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 
@@ -377,6 +404,23 @@ mod tests {
             Latency::Combinational,
         );
         assert_ne!(key, cache_key(&spec, &netlist, &other_latency));
+
+        // A job's key names the quiet-cycle count its strategy decides
+        // under: 0 under PDR (`cache_key`'s), one by default under
+        // k-induction.
+        let job = |strategy| JobRequest {
+            spec: spec.clone(),
+            netlist: netlist.clone(),
+            property: crate::protocol::PropertyRequest {
+                stage_index: 0,
+                kind: PropertyKind::Functional,
+                latency: Some(Latency::Registered),
+            },
+            strategy,
+            threads: 1,
+        };
+        assert_eq!(job_key(&job(ProofStrategy::Pdr), &property), key);
+        assert_ne!(job_key(&job(ProofStrategy::KInduction), &property), key);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use ipcl_bmc::SequentialProperty;
 use ipcl_checker::check_property_job;
 use ipcl_trace::{set_worker, Heartbeat, MetricSink, Tracer, Value};
 
-use crate::cache::{cache_key, revalidate, ProofCache};
+use crate::cache::{job_key, revalidate, ProofCache};
 use crate::protocol::{JobOutcome, JobRequest};
 use crate::queue::JobQueue;
 
@@ -171,7 +171,7 @@ pub fn process_job(
         Ok(property) => property,
         Err(message) => return JobOutcome::error("", message),
     };
-    let key = cache_key(&request.spec, &request.netlist, &property);
+    let key = job_key(request, &property);
     if let Some(served) = cached_outcome(request, &property, &key, cache, tracer) {
         return served;
     }
@@ -320,7 +320,7 @@ mod tests {
             strategy: ProofStrategy::KInduction,
             ..correct_job(0)
         };
-        let key = cache_key(&job.spec, &job.netlist, &job.resolve_property().unwrap());
+        let key = job_key(&job, &job.resolve_property().unwrap());
         let path = dir.join(format!("{key}.json"));
         std::fs::write(&path, "{\"property\": \"long.4/functional\", \"verd").unwrap();
         let outcome = process_job(&job, &AtomicBool::new(false), &cache, &Tracer::disabled());

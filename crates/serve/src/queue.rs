@@ -319,11 +319,6 @@ impl JobQueue {
         self.done.notify_all();
     }
 
-    /// Whether shutdown has been initiated.
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
-    }
-
     /// Per-state job counts and the records held, read in O(1).
     pub fn stats(&self) -> QueueStats {
         let state = self.lock();

@@ -42,7 +42,7 @@ use std::time::Duration;
 use ipcl_trace::json::{write_json_string, Json};
 use ipcl_trace::{Tracer, Value};
 
-use crate::cache::{cache_key, CacheLimits, ProofCache};
+use crate::cache::{job_key, CacheLimits, ProofCache};
 use crate::pool::{cached_outcome, WorkerPool};
 use crate::protocol::JobRequest;
 use crate::queue::{JobQueue, JobState, Missing};
@@ -325,7 +325,7 @@ fn respond(
             let mut rendered = Vec::with_capacity(parsed.len());
             for job in parsed {
                 let hit = job.resolve_property().ok().and_then(|property| {
-                    let key = cache_key(&job.spec, &job.netlist, &property);
+                    let key = job_key(&job, &property);
                     cached_outcome(&job, &property, &key, cache, tracer)
                 });
                 let id = match hit {

@@ -2,7 +2,9 @@
 //! cache must re-validate against the submitted payload, falsification
 //! hits must replay through the simulator, the cache must survive a server
 //! restart, a rejected entry must be revalidated once and then replaced,
-//! a batch must answer like its jobs sent alone, portfolio jobs
+//! a batch must answer like its jobs sent alone, a job must never be
+//! served the answer of a strategy that decides another form of its
+//! property, portfolio jobs
 //! (the wire default) must answer like a direct check,
 //! cancellation/stats/shutdown must behave, a delivered job's id must
 //! answer "expired", request lines must survive read timeouts but not grow
@@ -285,6 +287,88 @@ fn direct_outcome(job: &JobRequest) -> JobOutcome {
     )
     .expect("the netlist elaborates");
     JobOutcome::from_result(&result, certificate, false)
+}
+
+/// One job per property of the paper example with `BadResetValues {
+/// cycles: 1 }`, under `strategy`.
+fn bad_reset_jobs(strategy: ProofStrategy) -> Vec<JobRequest> {
+    let spec = ExampleArch::new().functional_spec();
+    let netlist = synthesize_broken_interlock(&spec, BrokenVariant::BadResetValues { cycles: 1 })
+        .netlist()
+        .clone();
+    let stages = spec.stages().len();
+    [PropertyKind::Functional, PropertyKind::Performance]
+        .into_iter()
+        .flat_map(|kind| (0..stages).map(move |stage_index| (kind, stage_index)))
+        .map(|(kind, stage_index)| JobRequest {
+            spec: spec.clone(),
+            netlist: netlist.clone(),
+            property: PropertyRequest {
+                stage_index,
+                kind,
+                latency: None,
+            },
+            strategy,
+            threads: 1,
+        })
+        .collect()
+}
+
+/// `outcome` as the engine's answer, without the cache flag.
+fn as_fresh(outcome: &JobOutcome) -> String {
+    JobOutcome {
+        cached: false,
+        ..outcome.clone()
+    }
+    .to_json_string()
+}
+
+#[test]
+fn a_job_is_never_served_an_answer_its_strategy_contradicts() {
+    // k-induction decides a property's quiet-reset form (one quiet cycle),
+    // PDR its unconditional form. On this design the two differ on four
+    // properties: k-induction proves them at k = 1, PDR falsifies them. One
+    // cache sees every PDR job first, then every k-induction job, one by
+    // one and then as batches; every answer must be the job's direct one.
+    let pdr = bad_reset_jobs(ProofStrategy::Pdr);
+    let kinduction = bad_reset_jobs(ProofStrategy::KInduction);
+    let direct = |jobs: &[JobRequest]| -> Vec<String> {
+        jobs.iter()
+            .map(|job| as_fresh(&direct_outcome(job)))
+            .collect()
+    };
+    let (pdr_direct, kinduction_direct) = (direct(&pdr), direct(&kinduction));
+    let disagreements = pdr
+        .iter()
+        .zip(&kinduction)
+        .filter(|(p, k)| direct_outcome(p).verdict != direct_outcome(k).verdict)
+        .count();
+    assert_eq!(disagreements, 4, "the strategies differ on four properties");
+
+    let cache = ProofCache::new(None);
+    for (jobs, expected) in [(&pdr, &pdr_direct), (&kinduction, &kinduction_direct)] {
+        for (job, expected) in jobs.iter().zip(expected) {
+            let served = process_job(job, &AtomicBool::new(false), &cache, &Tracer::disabled());
+            let property = &served.property;
+            assert_eq!(
+                &as_fresh(&served),
+                expected,
+                "{:?} {property}",
+                job.strategy
+            );
+        }
+    }
+
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    for (jobs, expected) in [(&pdr, &pdr_direct), (&kinduction, &kinduction_direct)] {
+        let (ids, _) = client.submit_batch(jobs).expect("batch");
+        for (id, expected) in ids.into_iter().zip(expected) {
+            let served = client.wait(id).expect("wait");
+            assert_eq!(&as_fresh(&served), expected, "{}", served.property);
+        }
+    }
+    server.shutdown();
 }
 
 #[test]

@@ -192,8 +192,9 @@ fn portfolio_falsifications_carry_k_inductions_trace() {
             quiet_cycles: 0,
             ..BmcOptions::default()
         };
-        check_properties(&Binding::new(&spec, netlist), properties, &options)
+        check_properties(&Binding::new(&spec, netlist), properties, &options, None)
             .unwrap()
+            .0
             .iter()
             .map(|result| result.outcome.counterexample().map(|cex| cex.render()))
             .collect()

@@ -294,7 +294,9 @@ fn bmc_run(
         &Binding::new(spec, netlist),
         properties,
         &BmcOptions::default(),
+        None,
     )
+    .map(|(results, _)| results)
 }
 
 /// One PDR run on `property`, untraced.

@@ -144,8 +144,10 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
         &Binding::new(&spec, &netlist),
         std::slice::from_ref(&property),
         &BmcOptions::with_depth(10),
+        None,
     )
     .unwrap()
+    .0
     .remove(0);
     let BmcOutcome::Unknown { depth_checked } = bmc.outcome else {
         panic!(

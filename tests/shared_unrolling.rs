@@ -50,12 +50,13 @@ fn assert_shared_matches_alone(
     options: &BmcOptions,
 ) -> Vec<Answer> {
     let binding = Binding::new(spec, netlist);
-    let shared = check_properties(&binding, properties, options).unwrap();
+    let (shared, _) = check_properties(&binding, properties, options, None).unwrap();
     assert_eq!(shared.len(), properties.len(), "{label}");
     let mut answers = Vec::new();
     for (property, together) in properties.iter().zip(&shared) {
-        let alone = check_properties(&binding, std::slice::from_ref(property), options)
+        let alone = check_properties(&binding, std::slice::from_ref(property), options, None)
             .unwrap()
+            .0
             .pop()
             .unwrap();
         assert_eq!(together.property.name, property.name, "{label}");
@@ -263,8 +264,10 @@ fn fuzz_candidates_replay_and_bounded_model_checking_confirms_them() {
                         &Binding::new(&spec, &netlist),
                         std::slice::from_ref(property),
                         &options,
+                        None,
                     )
                     .unwrap()
+                    .0
                     .pop()
                     .unwrap();
                     match &exhaustive.outcome {
@@ -326,7 +329,13 @@ fn an_empty_property_list_decides_nothing() {
     let netlist = synthesize_interlock_with(&spec, SynthesisOptions::default())
         .netlist()
         .clone();
-    let results =
-        check_properties(&Binding::new(&spec, &netlist), &[], &BmcOptions::default()).unwrap();
+    let (results, stall_escape) = check_properties(
+        &Binding::new(&spec, &netlist),
+        &[],
+        &BmcOptions::default(),
+        None,
+    )
+    .unwrap();
     assert!(results.is_empty());
+    assert!(stall_escape.is_none());
 }

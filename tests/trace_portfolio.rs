@@ -86,6 +86,7 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
                 &Binding::new(&spec, &netlist).with_run(None, &tracer),
                 properties,
                 &BmcOptions::with_depth(13),
+                None,
             )
             .expect("netlist elaborates");
         });

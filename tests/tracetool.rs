@@ -60,6 +60,7 @@ fn traced_concurrent_snapshot() -> TraceSnapshot {
                 &Binding::new(&spec, &netlist).with_run(None, &tracer),
                 properties,
                 &bmc_options,
+                None,
             )
             .expect("netlist elaborates");
         });
