@@ -13,13 +13,14 @@
 //!   bound and returns *unknown*), while PDR proves the property outright
 //!   — asserted by this binary.
 //!
-//! Each `(workload, engine)` point also runs with SAT phase saving
-//! disabled, quantifying the satellite optimisation of ISSUE 2 (the
-//! ablation rows have `"phase_saving": false`).
+//! Each `(workload, engine)` point runs with SAT phase saving on and off
+//! (`"phase_saving"`). Off is PDR's default ([`PdrOptions::default`]) and
+//! on is k-induction's.
 //!
 //! Emits a `BENCH_*.json` document on stdout (one entry per point);
-//! `--smoke` shrinks the sweep for CI. PDR rows carry the
-//! obligation-queue shape (`max_queue_depth`, `frame_obligations`).
+//! `--smoke` shrinks the sweep for CI. Rows of both engines carry their
+//! `solve_calls`; PDR rows also carry the obligation-queue shape
+//! (`max_queue_depth`, `frame_obligations`).
 //! `--trace <dir>` / `--profile` / `--watch` enable the `ipcl-trace`
 //! observability layer (see [`ipcl_bench::TraceArgs`]).
 
@@ -172,6 +173,7 @@ fn main() {
             let pdr_options = PdrOptions { solver };
             let mut times = Vec::new();
             let mut verdict = String::new();
+            let mut solve_calls = 0u64;
             let mut clauses = 0usize;
             let mut obligations = 0u64;
             let mut conflicts = 0u64;
@@ -207,6 +209,7 @@ fn main() {
                     "proved@F{fixpoint_frame} ({} clauses)",
                     certificate.clauses.len()
                 );
+                solve_calls = pdr.stats.solve_calls;
                 clauses = pdr.stats.clauses;
                 obligations = pdr.stats.obligations;
                 conflicts = pdr.stats.conflicts;
@@ -217,13 +220,14 @@ fn main() {
                 concat!(
                     "  {{\"experiment\": \"pdr_vs_kinduction\", \"workload\": \"{}\", ",
                     "\"engine\": \"pdr\", \"phase_saving\": {}, \"verdict\": \"{}\", ",
-                    "\"ms\": {:.3}, \"clauses\": {}, \"obligations\": {}, \"conflicts\": {}, ",
-                    "\"max_queue_depth\": {}, \"frame_obligations\": [{}]}}"
+                    "\"ms\": {:.3}, \"solve_calls\": {}, \"clauses\": {}, \"obligations\": {}, ",
+                    "\"conflicts\": {}, \"max_queue_depth\": {}, \"frame_obligations\": [{}]}}"
                 ),
                 workload.name,
                 phase_saving,
                 verdict,
                 median_ms(times),
+                solve_calls,
                 clauses,
                 obligations,
                 conflicts,
@@ -236,7 +240,9 @@ fn main() {
             ));
         }
 
-        // ---- Portfolio (default phase saving): the verdict must match the
+        // ---- Portfolio (default options, so its PDR runs turn phase saving
+        // off; the row keeps `"phase_saving": true`, its k-induction run's
+        // setting and the baseline's identity): the verdict must match the
         // stronger engine's, and the deep chains must be decided by PDR,
         // which is what a certificate in the answer says.
         let options = SequentialOptions {

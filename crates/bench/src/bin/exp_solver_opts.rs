@@ -1,7 +1,9 @@
 //! Experiment E11: a counter pin on the CDCL solver.
 //!
-//! Three workloads, each run under the default [`ipcl_sat::SolverConfig`],
-//! cover the three regimes the repository's engines live in:
+//! Three workloads, each run under its engine's default solver
+//! configuration ([`ipcl_sat::SolverConfig::default`], and for PDR
+//! [`PdrOptions::default`], which turns phase saving off), cover the three
+//! regimes the repository's engines live in:
 //!
 //! * `pigeonhole(n)` — a pure CDCL stress test (one hard UNSAT call);
 //! * `deep_pipeline(n)` PDR proof — thousands of tiny incremental

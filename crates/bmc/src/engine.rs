@@ -92,6 +92,10 @@ pub struct BmcOptions {
     /// pipeline is empty, nothing requests), so constraining the first
     /// frame(s) rules out counterfeit "hazard at reset" traces while still
     /// letting bugs that need an event-then-wait pattern surface later.
+    /// With two or more, a step that passes at depth `d` proves the
+    /// property only once the base case has passed depth
+    /// `d + quiet_cycles − 1` (see [`check_properties`]), so the base case
+    /// may run up to `quiet_cycles − 1` depths past `max_depth`.
     pub quiet_cycles: usize,
     /// Reuse one incremental solver across depths (the default). `false`
     /// re-encodes and re-solves the base cases from scratch at every depth
@@ -261,6 +265,9 @@ struct Track {
     /// `¬act ∨ ok`) in the shared step solver: they hold for this property
     /// only, so they can never be unit clauses there.
     activation: Option<Lit>,
+    /// A passed step held for its base case: the induction depth it will
+    /// answer, and the last depth the base case must pass first.
+    held: Option<(usize, usize)>,
 }
 
 impl Track {
@@ -299,6 +306,16 @@ impl Track {
 ///    frames `0..=d` made loop-free depth by depth. At depth 0 the step
 ///    query is the zero-step query, which is not asked again. The
 ///    reset-rooted unrolling is built at the first base query.
+///
+/// A step that is unsatisfiable at depth `d` answers
+/// [`BmcOutcome::Proved`] only once the base case has passed depth
+/// `d + q − 1`, with `q` = [`BmcOptions::quiet_cycles`]; until then the
+/// property asks base queries alone, past `max_depth` if need be. The
+/// loop-free step covers a shortest quiet violation at `n ≥ d + q`: its
+/// repeated state lies in frames `≥ q`, so cutting the loop keeps the
+/// quiet prefix and leaves a shorter quiet violation. Shorter ones are
+/// what the held base queries check. With `q ≤ 1` the base case has
+/// already passed `d + q − 1`, so nothing is held.
 ///
 /// So each property keeps the verdict, induction depth and minimal trace
 /// length it has alone. A counterexample replays deterministically through
@@ -380,9 +397,10 @@ pub fn check_properties(
             .filter(|(_, track)| track.outcome.is_none())
             .map(|(property, _)| window(property))
     };
-    // With no property open, `start > end`: the lockstep has no depth.
+    // With no property open, `start > end`: the lockstep has no depth. A
+    // held step moves `end` up to the last base depth it waits for.
     let start = open().map(|depths| *depths.start()).min().unwrap_or(1);
-    let end = open().map(|depths| *depths.end()).max().unwrap_or(0);
+    let mut end = open().map(|depths| *depths.end()).max().unwrap_or(0);
     let mut base: Option<Run> = None;
     // Frames `0..loop_free` of the free unrolling carry their loop-free
     // constraints. The zero-step and stall-escape queries create frames
@@ -394,7 +412,8 @@ pub fn check_properties(
     // unrolling announces how far it has come while still running.
     let mut heartbeat = Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS);
 
-    for depth in start..=end {
+    let mut depth = start;
+    while depth <= end {
         if binding.cancelled() || tracks.iter().all(|track| track.outcome.is_some()) {
             break;
         }
@@ -418,7 +437,8 @@ pub fn check_properties(
         }
 
         for (property, track) in properties.iter().zip(&mut tracks) {
-            if track.outcome.is_some() || !window(property).contains(&depth) {
+            let checked = track.held.is_some() || window(property).contains(&depth);
+            if track.outcome.is_some() || !checked {
                 continue;
             }
             track.stats.depth_reached = depth;
@@ -467,6 +487,12 @@ pub fn check_properties(
                 }));
                 continue;
             }
+            if let Some((induction_depth, until)) = track.held {
+                if depth == until {
+                    track.outcome = Some(BmcOutcome::Proved { induction_depth });
+                }
+                continue;
+            }
             if !induction {
                 continue;
             }
@@ -502,15 +528,21 @@ pub fn check_properties(
                 track.record(delta);
                 track.stats.induction_clauses = run.solver().num_clauses();
                 if result == SatResult::Unsat {
-                    track.outcome = Some(BmcOutcome::Proved {
-                        induction_depth: depth - property.latency.first_instance(),
-                    });
+                    let induction_depth = depth - property.latency.first_instance();
+                    let until = depth + options.quiet_cycles.saturating_sub(1);
+                    if until == depth {
+                        track.outcome = Some(BmcOutcome::Proved { induction_depth });
+                    } else {
+                        track.held = Some((induction_depth, until));
+                        end = end.max(until);
+                    }
                     continue;
                 }
             }
             // The step failed: assume this instance and deepen.
             run.enc.add_clause(&[activation.negated(), ok]);
         }
+        depth += 1;
     }
 
     if let Some(run) = &base {

@@ -16,6 +16,13 @@
 //! bound**, and the invariant is returned as an explicit
 //! [`Certificate`] that [`Certificate::validate`] re-checks independently.
 //!
+//! Propagation asks no question whose answer it already has (the
+//! bookkeeping of Eén/Mishchenko/Brayton): each frame carries a change
+//! stamp, each stored lemma the stamp its frame had when its push last
+//! failed, and a lemma whose frame has not changed since is not re-asked.
+//! A skip can only keep a clause lower than it could go, so every frame
+//! stays an over-approximation and a certificate is never weakened.
+//!
 //! ## Encoding
 //!
 //! One two-frame [`FrameEncoder`] unrolling (free initial state) provides
@@ -60,14 +67,33 @@ use crate::certificate::{Certificate, CertificateCheck, StateLiteral};
 pub const MAX_FRAMES: usize = 64;
 
 /// Knobs of one PDR run.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct PdrOptions {
     /// Heuristic configuration of the CDCL solver: phase saving, the
     /// learned-clause reduction base and the Luby restart unit (see
     /// [`ipcl_sat::SolverConfig`]). PDR leans hardest on the incremental
     /// hot paths: every consecution/generalisation query is one
     /// `solve_under_assumptions` call against the same solver.
+    ///
+    /// The default is [`SolverConfig::default`] with phase saving **off**:
+    /// a saved phase steers the next query's model, hence the next
+    /// predecessor cube, and PDR closes the deep wait-state chains with
+    /// fewer obligations and queries when every decision tries `false`
+    /// first (EXPERIMENTS.md: E10 and the phase sweep of "PDR stops
+    /// re-asking settled questions"). The k-induction and
+    /// combinational engines keep [`SolverConfig::default`].
     pub solver: SolverConfig,
+}
+
+impl Default for PdrOptions {
+    fn default() -> Self {
+        PdrOptions {
+            solver: SolverConfig {
+                phase_saving: false,
+                ..SolverConfig::default()
+            },
+        }
+    }
 }
 
 /// Search statistics of one PDR run.
@@ -88,6 +114,9 @@ pub struct PdrStats {
     pub conflicts: u64,
     /// Propagations in the underlying CDCL solver.
     pub propagations: u64,
+    /// Clause pushes propagation did not ask because the lemma's frame had
+    /// not changed since its push last failed.
+    pub pushes_skipped: u64,
     /// Maximum length the proof-obligation queue ever reached.
     pub max_queue_depth: usize,
     /// Obligations processed per frame: `obligations_per_frame[k]` counts
@@ -108,6 +137,7 @@ impl PdrStats {
             &format!("{prefix}.generalization_drops"),
             self.generalization_drops,
         );
+        sink.counter(&format!("{prefix}.pushes_skipped"), self.pushes_skipped);
         sink.gauge(&format!("{prefix}.frames"), self.frames as f64);
         sink.gauge(
             &format!("{prefix}.max_queue_depth"),
@@ -143,6 +173,15 @@ pub struct PdrResult {
 /// shrink under generalisation.
 type Cube = Vec<(usize, bool)>;
 
+/// A frame clause `¬cube`, stored at the highest frame it is known to hold
+/// at.
+struct Lemma {
+    cube: Cube,
+    /// The stamp its frame had when a push of it to the next frame last
+    /// failed (`None` until one fails at this frame).
+    failed_at: Option<u64>,
+}
+
 /// One entry of the proof-obligation arena. The parent chain reconstructs
 /// counterexample traces: `step_inputs` is the input valuation driving this
 /// obligation's state into its parent's state in one cycle.
@@ -173,9 +212,13 @@ struct Pdr<'a> {
     /// `act[k]` activates the clauses stored at frame `k` (`act[0]` is a
     /// placeholder; `F_0` is `act_init`).
     act: Vec<Lit>,
-    /// Delta-encoded frame clauses: `frame_cubes[k]` holds the cubes whose
-    /// negations are stored at frame `k`.
-    frame_cubes: Vec<Vec<Cube>>,
+    /// Delta-encoded frame clauses: `frame_lemmas[k]` holds the lemmas
+    /// stored at frame `k`.
+    frame_lemmas: Vec<Vec<Lemma>>,
+    /// Change stamp per frame: `frame_stamps[k]` grows whenever a clause
+    /// joins `F_k`. A lemma at `k` whose `failed_at` equals it would fail
+    /// its push again.
+    frame_stamps: Vec<u64>,
     stats: PdrStats,
     tracer: &'a Tracer,
     /// Live-progress beats (rate-limited), checked per obligation pop and
@@ -230,7 +273,8 @@ impl<'a> Pdr<'a> {
             bad,
             act_init,
             act: vec![placeholder],
-            frame_cubes: vec![Vec::new()],
+            frame_lemmas: vec![Vec::new()],
+            frame_stamps: vec![0],
             stats: PdrStats::default(),
             tracer,
             heartbeat: Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS),
@@ -246,7 +290,8 @@ impl<'a> Pdr<'a> {
     fn push_frame(&mut self) {
         let act = self.enc.fresh_lit();
         self.act.push(act);
-        self.frame_cubes.push(Vec::new());
+        self.frame_lemmas.push(Vec::new());
+        self.frame_stamps.push(0);
     }
 
     /// The solver the encoding goes into.
@@ -298,6 +343,7 @@ impl<'a> Pdr<'a> {
     }
 
     /// Stores the clause `¬cube` at frame `k` and encodes it under `act[k]`.
+    /// The caller restamps the frames whose clause set this changes.
     fn add_frame_clause(&mut self, cube: Cube, k: usize) {
         debug_assert!(
             !self.intersects_init(&cube),
@@ -309,8 +355,20 @@ impl<'a> Pdr<'a> {
                 .map(|&entry| self.cube_lit(entry, false).negated()),
         );
         self.enc.add_clause(&clause);
-        self.frame_cubes[k].push(cube);
+        self.frame_lemmas[k].push(Lemma {
+            cube,
+            failed_at: None,
+        });
         self.stats.clauses += 1;
+    }
+
+    /// Adds a new lemma `¬cube` at level `k`. Delta encoding puts it in
+    /// every `F_j` with `j ≤ k`, so frames `1..=k` all change.
+    fn add_lemma(&mut self, cube: Cube, k: usize) {
+        for stamp in &mut self.frame_stamps[1..=k] {
+            *stamp += 1;
+        }
+        self.add_frame_clause(cube, k);
     }
 
     /// The relative-induction query `F_{k-1} ∧ ¬cube ∧ T ∧ cube'`.
@@ -385,10 +443,10 @@ impl<'a> Pdr<'a> {
     /// (i.e. already excluded from `F_k`). Cubes are sorted by register
     /// index, so subsumption is a linear merge.
     fn is_blocked(&self, cube: &Cube, k: usize) -> bool {
-        self.frame_cubes[k..]
+        self.frame_lemmas[k..]
             .iter()
             .flatten()
-            .any(|blocked| subsumes(blocked, cube))
+            .any(|blocked| subsumes(&blocked.cube, cube))
     }
 
     /// The invariant at a fixpoint frame `k`: every clause stored at frames
@@ -396,7 +454,11 @@ impl<'a> Pdr<'a> {
     /// The same cube can be blocked at several frames above the fixpoint,
     /// so the clause list is deduplicated for the certificate.
     fn certificate(&self, fixpoint: usize) -> Certificate {
-        let mut cubes: Vec<&Cube> = self.frame_cubes[fixpoint + 1..].iter().flatten().collect();
+        let mut cubes: Vec<&Cube> = self.frame_lemmas[fixpoint + 1..]
+            .iter()
+            .flatten()
+            .map(|lemma| &lemma.cube)
+            .collect();
         cubes.sort();
         cubes.dedup();
         let netlist = self.enc.binding().netlist();
@@ -469,7 +531,7 @@ impl<'a> Pdr<'a> {
                 Ok(cut) => {
                     self.stats.generalization_drops += (cube.len() - cut.len()) as u64;
                     let lemma = self.generalize(cut, k);
-                    self.add_frame_clause(lemma, k);
+                    self.add_lemma(lemma, k);
                     if k < top {
                         queue.push(Reverse((k + 1, index)));
                         self.note_push(k + 1, queue.len());
@@ -584,30 +646,67 @@ impl<'a> Pdr<'a> {
         }
     }
 
+    /// The push query `F_k ∧ T ∧ cube'`: UNSAT means `¬cube` also holds at
+    /// frame `k + 1`.
+    fn push_assumptions(&self, cube: &Cube, k: usize) -> Vec<Lit> {
+        let mut assumptions = self.frame_assumptions(k);
+        assumptions.extend(cube.iter().map(|&entry| self.cube_lit(entry, true)));
+        assumptions
+    }
+
     /// One clause-propagation pass after opening a new top frame: every
     /// clause inductive relative to its own frame moves one frame up.
     /// Returns the fixpoint frame if two adjacent frames became equal.
+    ///
+    /// A lemma whose push failed while `F_k` had its current stamp is not
+    /// re-asked: the query is the same formula, so it would fail again,
+    /// and the lemma stays at `k` exactly as a failed push leaves it. A
+    /// push that lands at `k + 1` restamps that frame only (the clause was
+    /// already in every lower frame); a new lemma restamps every frame it
+    /// joins ([`Pdr::add_lemma`]). Debug builds re-ask every skipped push
+    /// on a copy of the solver.
     fn propagate(&mut self) -> Option<usize> {
         let _span = self.tracer.span("pdr.propagate");
         let top = self.top();
         for k in 1..top {
-            let cubes = std::mem::take(&mut self.frame_cubes[k]);
-            for cube in cubes {
-                // F_k ∧ T ∧ cube' unsatisfiable ⇒ ¬cube also holds at k+1.
-                let mut assumptions = self.frame_assumptions(k);
-                assumptions.extend(cube.iter().map(|&entry| self.cube_lit(entry, true)));
+            let lemmas = std::mem::take(&mut self.frame_lemmas[k]);
+            for mut lemma in lemmas {
+                if lemma.failed_at == Some(self.frame_stamps[k]) {
+                    self.stats.pushes_skipped += 1;
+                    if cfg!(debug_assertions) {
+                        self.assert_push_fails(&lemma.cube, k);
+                    }
+                    self.frame_lemmas[k].push(lemma);
+                    continue;
+                }
+                let assumptions = self.push_assumptions(&lemma.cube, k);
                 if self.solve(&assumptions) == SatResult::Unsat {
-                    self.add_frame_clause(cube, k + 1);
+                    self.frame_stamps[k + 1] += 1;
+                    self.add_frame_clause(lemma.cube, k + 1);
                 } else {
-                    self.frame_cubes[k].push(cube);
+                    lemma.failed_at = Some(self.frame_stamps[k]);
+                    self.frame_lemmas[k].push(lemma);
                 }
             }
-            if self.frame_cubes[k].is_empty() {
+            if self.frame_lemmas[k].is_empty() {
                 // F_k = F_{k+1}: the trailing sequence closed.
                 return Some(k);
             }
         }
         None
+    }
+
+    /// The debug cross-check of a skipped push: on a copy of the solver,
+    /// untraced, the push query of `¬cube` from frame `k` is still
+    /// satisfiable.
+    fn assert_push_fails(&self, cube: &Cube, k: usize) {
+        let mut solver = self.solver().clone();
+        solver.set_tracer(Tracer::disabled());
+        let assumptions = self.push_assumptions(cube, k);
+        assert!(
+            solver.solve_under_assumptions(&assumptions).is_sat(),
+            "skipped the push of ¬{cube:?} from F_{k}, which succeeds"
+        );
     }
 
     /// Runs the search to a verdict; a proof comes with its certificate.
@@ -798,6 +897,106 @@ pub fn check_property_pdr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deep::deep_pipeline;
+    use ipcl_bmc::{Latency, PropertyKind};
+    use ipcl_rtl::Netlist;
+
+    /// Four registers, all reset low: `x' = x`, `y' = x`, `z' = y` and
+    /// `w' = inject`. The free `w` keeps frame 1 non-empty. The stage's
+    /// `moe` is constant true, so the property is the deep chain's with
+    /// nothing to violate it.
+    fn shift_netlist() -> Netlist {
+        let mut netlist = Netlist::new("shift");
+        let inject = netlist.input("inject");
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|name| netlist.register(name, false));
+        for (register, next) in [(x, x), (y, x), (z, y), (w, inject)] {
+            netlist.connect_register(register, next).unwrap();
+        }
+        let moe = netlist.constant("deep.1.moe", true);
+        netlist.mark_output(moe);
+        netlist
+    }
+
+    /// The one-literal cube "register `name` is high".
+    fn high(pdr: &Pdr, name: &str) -> Cube {
+        let netlist = pdr.enc.binding().netlist();
+        let index = pdr
+            .regs
+            .iter()
+            .position(|&r| netlist.signal(r).name == name)
+            .unwrap();
+        vec![(index, true)]
+    }
+
+    /// The frame the lemma `¬cube` is stored at.
+    fn level(pdr: &Pdr, cube: &Cube) -> usize {
+        pdr.frame_lemmas
+            .iter()
+            .position(|lemmas| lemmas.iter().any(|lemma| &lemma.cube == cube))
+            .unwrap()
+    }
+
+    /// Runs `test` on a PDR search over [`shift_netlist`] with frames 1–3
+    /// open and the lemmas ¬w@1, ¬y@1 and ¬z@2, after one propagation pass
+    /// that leaves z at 2 and a second that asks no query.
+    fn with_settled_frames(test: impl FnOnce(&mut Pdr)) {
+        let (spec, _) = deep_pipeline(3);
+        let netlist = shift_netlist();
+        let binding = Binding::new(&spec, &netlist);
+        let property = SequentialProperty::for_stage(
+            &spec,
+            0,
+            PropertyKind::Performance,
+            Latency::Combinational,
+        );
+        let mut pdr = Pdr::new(&binding, &property, &PdrOptions::default()).unwrap();
+        for _ in 0..3 {
+            pdr.push_frame();
+        }
+        for (name, k) in [("w", 1), ("y", 1), ("z", 2)] {
+            let cube = high(&pdr, name);
+            pdr.add_lemma(cube, k);
+        }
+        assert_eq!(pdr.propagate(), None);
+        let z = high(&pdr, "z");
+        assert_eq!(level(&pdr, &z), 2, "z' = y and F_2 allows y");
+        assert_eq!(pdr.stats.solve_calls, 3);
+
+        assert_eq!(pdr.propagate(), None);
+        assert_eq!(pdr.stats.solve_calls, 3, "no frame changed");
+        assert_eq!(pdr.stats.pushes_skipped, 3);
+        test(&mut pdr);
+    }
+
+    #[test]
+    fn a_push_that_lands_restamps_its_landing_frame() {
+        with_settled_frames(|pdr| {
+            let x = high(pdr, "x");
+            pdr.add_lemma(x, 1);
+            // y lands at 2, which re-asks z there: F_2 now excludes y.
+            assert_eq!(pdr.propagate(), Some(2));
+            let (w, y, z) = (high(pdr, "w"), high(pdr, "y"), high(pdr, "z"));
+            assert_eq!(level(pdr, &w), 1);
+            assert_eq!(level(pdr, &y), 3);
+            assert_eq!(level(pdr, &z), 3, "z was not re-asked");
+            assert_eq!(pdr.stats.solve_calls, 3 + 6);
+            assert_eq!(pdr.stats.pushes_skipped, 3);
+        });
+    }
+
+    #[test]
+    fn a_lemma_restamps_every_frame_it_joins() {
+        with_settled_frames(|pdr| {
+            let x = high(pdr, "x");
+            pdr.add_lemma(x, 2);
+            // ¬x@2 is in F_1 too, so y at 1 is re-asked and pushed.
+            assert_eq!(pdr.propagate(), Some(2));
+            let y = high(pdr, "y");
+            assert_eq!(level(pdr, &y), 3, "y was not re-asked at 1");
+            assert_eq!(pdr.stats.solve_calls, 3 + 5);
+            assert_eq!(pdr.stats.pushes_skipped, 3);
+        });
+    }
 
     #[test]
     fn a_core_of_reset_agreeing_literals_gets_the_first_disagreeing_one_back() {

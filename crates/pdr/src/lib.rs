@@ -13,7 +13,8 @@
 //!   a trailing sequence of up to [`MAX_FRAMES`] frames over the
 //!   incremental CDCL solver of `ipcl-sat` (per-frame activation literals,
 //!   proof-obligation queue, cube generalisation guided by the solver's
-//!   UNSAT cores, clause propagation with fixpoint detection);
+//!   UNSAT cores, clause propagation that re-asks no settled push, with
+//!   fixpoint detection);
 //! * every proof ships an explicit [`Certificate`] — the inductive
 //!   invariant as clauses over the netlist's registers — which
 //!   [`Certificate::validate`] re-checks with independent initiation,

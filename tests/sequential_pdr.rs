@@ -190,6 +190,31 @@ fn pdr_proves_where_k_induction_fails_for_all_k_up_to_10() {
     assert!(report.certificates.contains_key(&property.name));
 }
 
+/// Propagation re-asks no push whose frame has not changed since it last
+/// failed, and PDR runs with phase saving off: the `deep_pipeline(16)`
+/// proof asks at most 300 solve calls (588 with every push re-asked and
+/// phase saving on).
+#[test]
+fn the_deep_chain_proof_asks_at_most_300_queries() {
+    let (spec, netlist) = deep_pipeline(16);
+    let property =
+        SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
+    let pdr = check_property_pdr(
+        &Binding::new(&spec, &netlist),
+        &property,
+        &PdrOptions::default(),
+    )
+    .unwrap();
+    assert!(pdr.result.outcome.is_proved(), "{:?}", pdr.result.outcome);
+    assert!(pdr.validation.unwrap().ok());
+    assert!(
+        pdr.stats.solve_calls <= 300,
+        "{} solve calls",
+        pdr.stats.solve_calls
+    );
+    assert!(pdr.stats.pushes_skipped > 0);
+}
+
 /// Determinism across the solver heuristics: two runs with the same
 /// `SolverConfig` — the default, aggressive database reduction with
 /// one-conflict Luby restarts, and phase saving off — produce

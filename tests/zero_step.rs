@@ -12,14 +12,16 @@
 //!   under k-induction and the portfolio. A line reads `P<k>` (proved at
 //!   induction depth k), `F<n>` (falsified by an n-frame trace) or `U<d>`
 //!   (unknown, checked to depth d) per property, in portfolio order. The
-//!   table pins the answers as they were, right or wrong: with two or more
-//!   quiet cycles, k-induction proves some properties that bounded model
-//!   checking falsifies under the same quiet cycles (the paper example's
-//!   functional properties under `BadResetValues { cycles: 1 }` at
-//!   registered latency, `q2`), and a fix to that changes those lines on
-//!   purpose.
+//!   quiet-cycle hold regenerated three lines: with two quiet cycles a
+//!   quiet 4-frame trace violates the functional properties of
+//!   `BadResetValues { cycles: 1 }` at registered latency, and a passed
+//!   step waits for the base case to pass `quiet_cycles − 1` more depths,
+//!   so the `Registered q2 kinduction` lines of that variant read `F4`
+//!   there for the paper example, FirePath-like and synthetic 3×4.
 //! * **Base-only runs** (`induction: false`) ask no zero-step query, so
-//!   they prove nothing.
+//!   they prove nothing, and every k-induction proof with 0–3 quiet cycles
+//!   survives base-only bounded model checking under the same quiet
+//!   cycles.
 //! * **Cancellation** is polled before the zero-step queries: a cancelled
 //!   run asks no query.
 
@@ -171,6 +173,42 @@ fn base_only_runs_prove_nothing() {
                     _ => options.max_depth + 1,
                 } - latency.first_instance();
                 assert_eq!(result.stats.solve_calls, depths, "{name}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_k_induction_proof_survives_base_only_bmc() {
+    for (name, spec, netlist) in designs() {
+        for latency in [Latency::Combinational, Latency::Registered] {
+            let properties = SequentialProperty::both_directions(&spec, latency);
+            let binding = Binding::new(&spec, &netlist);
+            for quiet_cycles in 0..=3 {
+                let options = BmcOptions {
+                    quiet_cycles,
+                    ..BmcOptions::with_depth(10)
+                };
+                let base_only = BmcOptions {
+                    induction: false,
+                    ..options
+                };
+                let (proofs, _) = check_properties(&binding, &properties, &options, None).unwrap();
+                let (bounded, _) =
+                    check_properties(&binding, &properties, &base_only, None).unwrap();
+                for (proof, bounded) in proofs.iter().zip(&bounded) {
+                    if let (BmcOutcome::Proved { .. }, Some(cex)) =
+                        (&proof.outcome, bounded.outcome.counterexample())
+                    {
+                        panic!(
+                            "{name} {latency:?} q{quiet_cycles} {}: k-induction answers {}, \
+                             but a quiet {}-frame trace violates it",
+                            proof.property.name,
+                            code(&proof.outcome),
+                            cex.length()
+                        );
+                    }
+                }
             }
         }
     }
