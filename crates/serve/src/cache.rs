@@ -50,7 +50,8 @@ use ipcl_core::FunctionalSpec;
 use ipcl_rtl::{sha256_hex, structural_digest, Netlist};
 use ipcl_trace::json::Json;
 
-use crate::protocol::{JobOutcome, JobRequest, Verdict};
+use crate::design::JobRef;
+use crate::protocol::{job_options, JobOutcome, Verdict};
 
 /// Computes the cache key of `(netlist, property)` decided in its
 /// unconditional form, with no quiet cycle: the key of a PDR or portfolio
@@ -66,22 +67,28 @@ pub fn cache_key(
     netlist: &Netlist,
     property: &SequentialProperty,
 ) -> String {
-    key(spec, netlist, property, 0)
+    key(
+        spec,
+        property,
+        0,
+        &interface_digest(spec, netlist, property),
+    )
 }
 
-/// The cache key of `request`'s job on `property` (its resolved
-/// property): [`cache_key`]'s fingerprint with the quiet-cycle count the
-/// job's strategy decides under.
-pub(crate) fn job_key(request: &JobRequest, property: &SequentialProperty) -> String {
-    let quiet_cycles = request.options().quiet_cycles();
-    key(&request.spec, &request.netlist, property, quiet_cycles)
+/// The cache key of `job` on `property` (its resolved property):
+/// [`cache_key`]'s fingerprint, from the design's memoised digest, with
+/// the quiet-cycle count the job's strategy decides under.
+pub(crate) fn job_key(job: JobRef<'_>, property: &SequentialProperty) -> String {
+    let quiet_cycles = job_options(job.strategy).quiet_cycles();
+    key(job.spec, property, quiet_cycles, &job.digest(property))
 }
 
-fn key(
+/// The structural digest of `netlist` pinned on the interface of
+/// `property`, a property of `spec`: the names of its variables.
+pub(crate) fn interface_digest(
     spec: &FunctionalSpec,
     netlist: &Netlist,
     property: &SequentialProperty,
-    quiet_cycles: usize,
 ) -> String {
     let pool = spec.pool();
     let interface: Vec<String> = property
@@ -90,9 +97,18 @@ fn key(
         .into_iter()
         .map(|v| pool.name_or_fallback(v))
         .collect();
-    let digest = structural_digest(netlist, &interface);
+    structural_digest(netlist, &interface)
+}
+
+fn key(
+    spec: &FunctionalSpec,
+    property: &SequentialProperty,
+    quiet_cycles: usize,
+    digest: &str,
+) -> String {
+    let pool = spec.pool();
     let mut preimage = String::from("ipcl-serve-cache-v2\n");
-    preimage.push_str(&digest);
+    preimage.push_str(digest);
     preimage.push('\n');
     preimage.push_str(&property.name);
     preimage.push('\n');
@@ -368,6 +384,8 @@ impl ProofCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::Job;
+    use crate::protocol::{JobRequest, PropertyRequest};
     use ipcl_bmc::{Latency, PropertyKind};
     use ipcl_checker::ProofStrategy;
     use ipcl_core::example::ExampleArch;
@@ -408,19 +426,73 @@ mod tests {
         // A job's key names the quiet-cycle count its strategy decides
         // under: 0 under PDR (`cache_key`'s), one by default under
         // k-induction.
-        let job = |strategy| JobRequest {
-            spec: spec.clone(),
-            netlist: netlist.clone(),
-            property: crate::protocol::PropertyRequest {
-                stage_index: 0,
-                kind: PropertyKind::Functional,
-                latency: Some(Latency::Registered),
-            },
-            strategy,
-            threads: 1,
+        let job = |strategy| {
+            Job::from(JobRequest {
+                spec: spec.clone(),
+                netlist: netlist.clone(),
+                property: PropertyRequest {
+                    stage_index: 0,
+                    kind: PropertyKind::Functional,
+                    latency: Some(Latency::Registered),
+                },
+                strategy,
+                threads: 1,
+            })
         };
-        assert_eq!(job_key(&job(ProofStrategy::Pdr), &property), key);
-        assert_ne!(job_key(&job(ProofStrategy::KInduction), &property), key);
+        assert_eq!(job_key(job(ProofStrategy::Pdr).view(), &property), key);
+        assert_ne!(
+            job_key(job(ProofStrategy::KInduction).view(), &property),
+            key
+        );
+    }
+
+    #[test]
+    fn memoised_keys_and_latencies_match_fresh_ones() {
+        let spec = ExampleArch::new().functional_spec();
+        for registered_outputs in [false, true] {
+            let options = SynthesisOptions {
+                registered_outputs,
+                ..Default::default()
+            };
+            let netlist = synthesize_interlock_with(&spec, options).netlist().clone();
+            let detected = Latency::detect(&spec, &netlist);
+            // One design for every job, so each memo is read warm too.
+            let design = Job::from(JobRequest {
+                spec: spec.clone(),
+                netlist: netlist.clone(),
+                property: PropertyRequest {
+                    stage_index: 0,
+                    kind: PropertyKind::Functional,
+                    latency: None,
+                },
+                strategy: ProofStrategy::Pdr,
+                threads: 1,
+            });
+            for _ in 0..2 {
+                for stage_index in 0..spec.stages().len() {
+                    for kind in PropertyKind::ALL {
+                        for latency in [
+                            None,
+                            Some(Latency::Combinational),
+                            Some(Latency::Registered),
+                        ] {
+                            let mut job = design.view();
+                            job.property = PropertyRequest {
+                                stage_index,
+                                kind,
+                                latency,
+                            };
+                            let property = job.resolve_property().unwrap();
+                            assert_eq!(property.latency, latency.unwrap_or(detected));
+                            assert_eq!(
+                                job_key(job, &property),
+                                cache_key(&spec, &netlist, &property)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   certificate checker ([`ipcl_pdr::Certificate::validate`]),
 //!   falsifications by replaying the stored trace through the simulator —
 //!   so the digest only ever decides where to look, never what to trust;
+//! * [`design`] — the design table: the server parses each design once,
+//!   keyed by the exact text of a job's spec and netlist, and the design's
+//!   jobs share it with its memoised latency and structural digests; a
+//!   table hit changes no answer;
 //! * [`queue`] / [`pool`] — the bounded job table with per-job
 //!   cancellation tokens wired into the engines' cooperative-cancellation
 //!   machinery, so client cancels and graceful shutdown interrupt
@@ -64,6 +68,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod design;
 pub mod pool;
 pub mod protocol;
 pub mod queue;
@@ -71,6 +76,7 @@ pub mod server;
 
 pub use cache::{cache_key, revalidate, CacheLimits, CacheStats, ProofCache};
 pub use client::Client;
+pub use design::{DesignStats, DesignTable, Job, MAX_DESIGNS, MAX_DESIGN_BYTES};
 pub use pool::{process_job, WorkerPool};
 pub use protocol::{JobOutcome, JobRequest, PropertyRequest, Verdict};
 pub use queue::{JobQueue, JobState, Missing, QueueStats, RETAINED_FINISHED};

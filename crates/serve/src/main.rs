@@ -15,7 +15,9 @@
 //! result. `smoke-check` is the self-contained end-to-end check CI runs:
 //! in-process server, a miss/hit pair, a falsified answer whose trace it
 //! replays, a batch, whole-answer comparison against direct checker
-//! invocations, the job table's counts and release of delivered jobs,
+//! invocations, the job table's counts and release of delivered jobs, the
+//! design table's hits and misses (a design is keyed by its bytes, so a
+//! copy under another module name is a design miss but a proof-cache hit),
 //! graceful shutdown; exits non-zero on any mismatch.
 
 use std::sync::atomic::AtomicBool;
@@ -26,6 +28,7 @@ use ipcl_checker::ProofStrategy;
 use ipcl_core::example::ExampleArch;
 use ipcl_pipesim::BrokenVariant;
 use ipcl_serve::cache::ProofCache;
+use ipcl_serve::protocol::{parse_netlist, write_netlist_json};
 use ipcl_serve::{process_job, Client, JobRequest, PropertyRequest, Server, ServerConfig, Verdict};
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::json::Json;
@@ -325,6 +328,41 @@ fn cmd_smoke_check(args: &[String]) -> i32 {
         check(
             "a second wait on a delivered id answers expired",
             client.wait(cold_id).err() == Some(format!("job {cold_id} expired")),
+        );
+
+        // Design table: the correct and the broken design were each parsed
+        // once, and every later submission found its design's text.
+        let designs = |stats: &Json| {
+            let count = |field| stats.get(field).and_then(Json::as_u64);
+            (count("design_misses"), count("design_hits"))
+        };
+        check(
+            "the design table parses each design once and reuses it after",
+            designs(&stats) == (Some(2), Some(sent - 2)),
+        );
+
+        // The same design under another module name is other bytes, so a
+        // design miss; the structural digest ignores module names, so its
+        // answer is a proof-cache hit, and it equals its own direct check.
+        let mut text = String::new();
+        write_netlist_json(&mut text, &correct);
+        let renamed = text.replacen(correct.name(), "smoke_renamed", 1);
+        let renamed = parse_netlist(&Json::parse(&renamed).map_err(|e| e.to_string())?)?;
+        let renamed_job = job(&renamed, 0, PropertyKind::Functional);
+        let renamed_id = client.submit(&renamed_job)?;
+        let mut served = client.wait(renamed_id)?;
+        check(
+            "a renamed copy of a design is a design miss",
+            designs(&client.stats()?) == (Some(3), Some(sent - 2)),
+        );
+        check(
+            "a renamed copy of a design is a proof-cache hit",
+            served.cached,
+        );
+        served.cached = false;
+        check(
+            "a renamed copy's answer is bit-identical to its direct check",
+            served.to_json_string() == reference(&renamed_job).to_json_string(),
         );
 
         // Graceful shutdown: acknowledged, then the server drains.

@@ -4,7 +4,10 @@
 //! Each worker loops on [`JobQueue::claim`]. A claimed job is first looked
 //! up in the [`ProofCache`]; an entry that survives revalidation (see the
 //! cache docs) is served directly — the hit path never touches a proof
-//! engine. On a miss the worker runs
+//! engine. A queued job shares its design with the server's design table
+//! ([`crate::design`]), so its detected latency and the structural digest
+//! in its cache key are computed once per design, not once per job. On a
+//! miss the worker runs
 //! [`ipcl_checker::check_property_job`] with the job's cancellation token,
 //! so client `cancel` requests and server shutdown interrupt the solve at
 //! the next SAT-query boundary, then stores any servable outcome back
@@ -17,7 +20,8 @@
 //!
 //! Observability: workers emit rate-limited `heartbeat` events with
 //! `engine: "serve"` (queue depth, running/done counts, cache hit/miss
-//! totals — rendered by `ipcl-tracetool watch` as a server progress line),
+//! totals, design table hit/miss totals — rendered by `ipcl-tracetool
+//! watch` as a server progress line),
 //! per-job `serve.job_*` events, a `serve.jobs_panicked` event per
 //! contained panic, and the `serve.cache.*` and `serve.jobs_panicked`
 //! counters / `serve.queue_depth` gauge through the unified metric sink.
@@ -33,7 +37,8 @@ use ipcl_checker::check_property_job;
 use ipcl_trace::{set_worker, Heartbeat, MetricSink, Tracer, Value};
 
 use crate::cache::{job_key, revalidate, ProofCache};
-use crate::protocol::{JobOutcome, JobRequest};
+use crate::design::{DesignTable, Job, JobRef, Memos};
+use crate::protocol::{job_options, JobOutcome, JobRequest};
 use crate::queue::JobQueue;
 
 /// A job asking for this stage index panics in its worker: the hook the
@@ -47,26 +52,29 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (at least one).
+    /// Spawns `workers` threads (at least one); `designs` is the design
+    /// table whose counts the heartbeat reports.
     pub fn spawn(
         workers: usize,
         queue: Arc<JobQueue>,
         cache: Arc<ProofCache>,
+        designs: Arc<DesignTable>,
         tracer: Tracer,
     ) -> WorkerPool {
         let handles = (0..workers.max(1))
             .map(|worker| {
                 let queue = Arc::clone(&queue);
                 let cache = Arc::clone(&cache);
+                let designs = Arc::clone(&designs);
                 let tracer = tracer.clone();
                 std::thread::Builder::new()
                     .name(format!("ipcl-serve-worker-{worker}"))
                     .spawn(move || {
                         set_worker(Some(worker as u64));
                         let mut heartbeat = Heartbeat::every_ms(200);
-                        while let Some((id, request, cancel)) = queue.claim() {
-                            beat(&tracer, &mut heartbeat, &queue, &cache);
-                            let outcome = contained_job(id, &request, &cancel, &cache, &tracer);
+                        while let Some((id, job, cancel)) = queue.claim() {
+                            beat(&tracer, &mut heartbeat, &queue, &cache, &designs);
+                            let outcome = contained_job(id, &job, &cancel, &cache, &tracer);
                             tracer.event(
                                 "serve.job_done",
                                 &[
@@ -76,7 +84,7 @@ impl WorkerPool {
                                 ],
                             );
                             queue.finish(id, outcome);
-                            beat(&tracer, &mut heartbeat, &queue, &cache);
+                            beat(&tracer, &mut heartbeat, &queue, &cache, &designs);
                         }
                         set_worker(None);
                     })
@@ -98,17 +106,18 @@ impl WorkerPool {
 /// reported.
 fn contained_job(
     id: u64,
-    request: &JobRequest,
+    job: &Job,
     cancel: &AtomicBool,
     cache: &ProofCache,
     tracer: &Tracer,
 ) -> JobOutcome {
     let run = || {
+        let job = job.view();
         #[cfg(test)]
-        if request.property.stage_index == PANIC_STAGE {
+        if job.property.stage_index == PANIC_STAGE {
             panic!("injected panic");
         }
-        process_job(request, cancel, cache, tracer)
+        decide(job, cancel, cache, tracer)
     };
     let payload = match catch_unwind(AssertUnwindSafe(run)) {
         Ok(outcome) => return outcome,
@@ -136,13 +145,20 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("a panic without a message")
 }
 
-fn beat(tracer: &Tracer, heartbeat: &mut Heartbeat, queue: &JobQueue, cache: &ProofCache) {
+fn beat(
+    tracer: &Tracer,
+    heartbeat: &mut Heartbeat,
+    queue: &JobQueue,
+    cache: &ProofCache,
+    designs: &DesignTable,
+) {
     let stats = queue.stats();
     tracer.gauge("serve.queue_depth", stats.queued as f64);
     if !heartbeat.due(tracer) {
         return;
     }
     let cache_stats = cache.stats();
+    let design_stats = designs.stats();
     tracer.event(
         "heartbeat",
         &[
@@ -154,6 +170,8 @@ fn beat(tracer: &Tracer, heartbeat: &mut Heartbeat, queue: &JobQueue, cache: &Pr
             ("misses", Value::U64(cache_stats.misses)),
             ("evictions", Value::U64(cache_stats.evictions)),
             ("entries", Value::U64(cache.len() as u64)),
+            ("design_hits", Value::U64(design_stats.hits)),
+            ("design_misses", Value::U64(design_stats.misses)),
         ],
     );
 }
@@ -167,23 +185,29 @@ pub fn process_job(
     cache: &ProofCache,
     tracer: &Tracer,
 ) -> JobOutcome {
-    let property = match request.resolve_property() {
+    let memos = Memos::default();
+    decide(JobRef::of(request, &memos), cancel, cache, tracer)
+}
+
+/// [`process_job`] on a borrowed job: the workers call it on the jobs they
+/// claim.
+fn decide(job: JobRef<'_>, cancel: &AtomicBool, cache: &ProofCache, tracer: &Tracer) -> JobOutcome {
+    let property = match job.resolve_property() {
         Ok(property) => property,
         Err(message) => return JobOutcome::error("", message),
     };
-    let key = job_key(request, &property);
-    if let Some(served) = cached_outcome(request, &property, &key, cache, tracer) {
+    let key = job_key(job, &property);
+    if let Some(served) = cached_outcome(job, &property, &key, cache, tracer) {
         return served;
     }
     cache.record_miss();
     tracer.counter("serve.cache.misses", 1);
 
-    let options = request.options();
     let outcome = match check_property_job(
-        &request.spec,
-        &request.netlist,
+        job.spec,
+        job.netlist,
         &property,
-        &options,
+        &job_options(job.strategy),
         Some(cancel),
         tracer,
     ) {
@@ -199,12 +223,12 @@ pub fn process_job(
 }
 
 /// The entry stored under `key`, served as a hit if it parses and survives
-/// revalidation against `request`; an entry that does not is counted and
+/// revalidation against `job`; an entry that does not is counted and
 /// dropped from the cache, so it is revalidated once, not once per lookup.
 /// Workers call it through [`process_job`], and `submit_batch` calls it to
 /// answer hits at submit time.
 pub(crate) fn cached_outcome(
-    request: &JobRequest,
+    job: JobRef<'_>,
     property: &SequentialProperty,
     key: &str,
     cache: &ProofCache,
@@ -213,7 +237,7 @@ pub(crate) fn cached_outcome(
     let stored = match cache.load(key)? {
         Ok(stored)
             if stored.property == property.name
-                && revalidate(&stored, &request.spec, &request.netlist, property) =>
+                && revalidate(&stored, job.spec, job.netlist, property) =>
         {
             stored
         }
@@ -320,7 +344,8 @@ mod tests {
             strategy: ProofStrategy::KInduction,
             ..correct_job(0)
         };
-        let key = job_key(&job, &job.resolve_property().unwrap());
+        let memos = Memos::default();
+        let key = job_key(JobRef::of(&job, &memos), &job.resolve_property().unwrap());
         let path = dir.join(format!("{key}.json"));
         std::fs::write(&path, "{\"property\": \"long.4/functional\", \"verd").unwrap();
         let outcome = process_job(&job, &AtomicBool::new(false), &cache, &Tracer::disabled());
@@ -377,11 +402,12 @@ mod tests {
         let queue = Arc::new(JobQueue::new());
         let cache = Arc::new(ProofCache::new(None));
         let tracer = Tracer::new(ipcl_trace::TraceConfig::enabled());
-        let pool = WorkerPool::spawn(1, Arc::clone(&queue), cache, tracer.clone());
+        let designs = Arc::new(DesignTable::new());
+        let pool = WorkerPool::spawn(1, Arc::clone(&queue), cache, designs, tracer.clone());
         let mut panicking = correct_job(0);
         panicking.property.stage_index = PANIC_STAGE;
-        let failed = queue.submit(Arc::new(panicking));
-        let next = queue.submit(Arc::new(correct_job(0)));
+        let failed = queue.submit(panicking.into());
+        let next = queue.submit(correct_job(0).into());
 
         // Without containment the worker dies and this wait never returns.
         let (sender, receiver) = std::sync::mpsc::channel();
@@ -418,10 +444,11 @@ mod tests {
             2,
             Arc::clone(&queue),
             Arc::clone(&cache),
+            Arc::new(DesignTable::new()),
             Tracer::disabled(),
         );
         let ids: Vec<u64> = (0..3)
-            .map(|i| queue.submit(Arc::new(correct_job(i))))
+            .map(|i| queue.submit(correct_job(i).into()))
             .collect();
         for id in ids {
             assert_eq!(queue.wait(id).unwrap().verdict, Verdict::Proved);

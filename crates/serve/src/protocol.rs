@@ -22,6 +22,14 @@
 //! builder API reproduces exactly — including the auto-suffixing of
 //! duplicate names, since serialised names are already unique.
 //!
+//! A job is parsed in two steps that [`JobRequest::from_json`] and the
+//! server share: its spec and netlist members become a design first, then
+//! its property selector and engine knobs are read, so errors come in that
+//! order: spec, netlist, property. Only the design step differs:
+//! `from_json` builds the design from the parsed tree, and the server
+//! parses the members' text only when its design table
+//! ([`crate::design`]) does not already hold that exact text.
+//!
 //! The same module holds the storage format of the proof cache: a
 //! [`JobOutcome`] embeds the certificate / counterexample JSON that
 //! [`Certificate::to_json_string`] and [`Counterexample::to_json_string`]
@@ -67,6 +75,39 @@ pub struct JobRequest {
     pub threads: usize,
 }
 
+impl PropertyRequest {
+    /// Resolves the selector against `spec`; `detect` gives the latency
+    /// when the selector asks for auto-detection.
+    pub(crate) fn resolve(
+        &self,
+        spec: &FunctionalSpec,
+        detect: impl FnOnce() -> Latency,
+    ) -> Result<SequentialProperty, String> {
+        if self.stage_index >= spec.stages().len() {
+            return Err(format!(
+                "stage_index {} out of range ({} stages)",
+                self.stage_index,
+                spec.stages().len()
+            ));
+        }
+        let latency = self.latency.unwrap_or_else(detect);
+        Ok(SequentialProperty::for_stage(
+            spec,
+            self.stage_index,
+            self.kind,
+            latency,
+        ))
+    }
+}
+
+/// The checker options a job under `strategy` runs with.
+pub(crate) fn job_options(strategy: ProofStrategy) -> SequentialOptions {
+    SequentialOptions {
+        strategy,
+        ..Default::default()
+    }
+}
+
 impl JobRequest {
     /// Resolves the property selector against the spec and netlist.
     ///
@@ -74,31 +115,13 @@ impl JobRequest {
     ///
     /// When the stage index is out of range.
     pub fn resolve_property(&self) -> Result<SequentialProperty, String> {
-        if self.property.stage_index >= self.spec.stages().len() {
-            return Err(format!(
-                "stage_index {} out of range ({} stages)",
-                self.property.stage_index,
-                self.spec.stages().len()
-            ));
-        }
-        let latency = self
-            .property
-            .latency
-            .unwrap_or_else(|| Latency::detect(&self.spec, &self.netlist));
-        Ok(SequentialProperty::for_stage(
-            &self.spec,
-            self.property.stage_index,
-            self.property.kind,
-            latency,
-        ))
+        self.property
+            .resolve(&self.spec, || Latency::detect(&self.spec, &self.netlist))
     }
 
     /// The checker options implied by the job's engine knobs.
     pub fn options(&self) -> SequentialOptions {
-        SequentialOptions {
-            strategy: self.strategy,
-            ..Default::default()
-        }
+        job_options(self.strategy)
     }
 
     /// Serialises the job as one JSON object (the `"job"` payload of a
@@ -132,46 +155,81 @@ impl JobRequest {
     ///
     /// A human-readable message naming the offending field.
     pub fn from_json(json: &Json) -> Result<JobRequest, String> {
-        let spec = parse_spec(json.get("spec").ok_or("job misses 'spec'")?)?;
-        let netlist = parse_netlist(json.get("netlist").ok_or("job misses 'netlist'")?)?;
-        let property = json.get("property").ok_or("job misses 'property'")?;
-        let stage_index = property
-            .get("stage_index")
-            .ok_or("property misses 'stage_index'")?
-            .as_u64()
-            .ok_or("property 'stage_index' is not a non-negative integer")?
-            as usize;
-        let kind = match property.get("kind").and_then(Json::as_str) {
-            Some("functional") => PropertyKind::Functional,
-            Some("performance") => PropertyKind::Performance,
-            Some("combined") => PropertyKind::Combined,
-            other => return Err(format!("bad property kind {other:?}")),
-        };
-        let latency = match property.get("latency").and_then(Json::as_str) {
-            None | Some("auto") => None,
-            Some("combinational") => Some(Latency::Combinational),
-            Some("registered") => Some(Latency::Registered),
-            Some(other) => return Err(format!("bad latency '{other}'")),
-        };
-        let strategy = match json.get("strategy").and_then(Json::as_str) {
-            None | Some("portfolio") => ProofStrategy::Portfolio,
-            Some("pdr") => ProofStrategy::Pdr,
-            Some("kinduction") => ProofStrategy::KInduction,
-            Some(other) => return Err(format!("bad strategy '{other}'")),
-        };
-        let threads = json.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize;
+        let ((spec, netlist), fields) = parse_job(json, parse_design)?;
         Ok(JobRequest {
             spec,
             netlist,
-            property: PropertyRequest {
-                stage_index,
-                kind,
-                latency,
-            },
-            strategy,
-            threads,
+            property: fields.property,
+            strategy: fields.strategy,
+            threads: fields.threads,
         })
     }
+}
+
+/// A job's fields besides its spec and netlist.
+pub(crate) struct JobFields {
+    pub(crate) property: PropertyRequest,
+    pub(crate) strategy: ProofStrategy,
+    pub(crate) threads: usize,
+}
+
+/// Parses a job object: first `design` makes its `spec` and `netlist`
+/// members (the netlist may be missing) into a design, then the property
+/// selector and engine knobs are read. A missing spec is the first error.
+pub(crate) fn parse_job<D>(
+    json: &Json,
+    design: impl FnOnce(&Json, Option<&Json>) -> Result<D, String>,
+) -> Result<(D, JobFields), String> {
+    let design = design(
+        json.get("spec").ok_or("job misses 'spec'")?,
+        json.get("netlist"),
+    )?;
+    let property = json.get("property").ok_or("job misses 'property'")?;
+    let stage_index = property
+        .get("stage_index")
+        .ok_or("property misses 'stage_index'")?
+        .as_u64()
+        .ok_or("property 'stage_index' is not a non-negative integer")?
+        as usize;
+    let kind = match property.get("kind").and_then(Json::as_str) {
+        Some("functional") => PropertyKind::Functional,
+        Some("performance") => PropertyKind::Performance,
+        Some("combined") => PropertyKind::Combined,
+        other => return Err(format!("bad property kind {other:?}")),
+    };
+    let latency = match property.get("latency").and_then(Json::as_str) {
+        None | Some("auto") => None,
+        Some("combinational") => Some(Latency::Combinational),
+        Some("registered") => Some(Latency::Registered),
+        Some(other) => return Err(format!("bad latency '{other}'")),
+    };
+    let strategy = match json.get("strategy").and_then(Json::as_str) {
+        None | Some("portfolio") => ProofStrategy::Portfolio,
+        Some("pdr") => ProofStrategy::Pdr,
+        Some("kinduction") => ProofStrategy::KInduction,
+        Some(other) => return Err(format!("bad strategy '{other}'")),
+    };
+    let threads = json.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize;
+    let fields = JobFields {
+        property: PropertyRequest {
+            stage_index,
+            kind,
+            latency,
+        },
+        strategy,
+        threads,
+    };
+    Ok((design, fields))
+}
+
+/// Parses a job's spec, then its netlist, which a job may miss.
+pub(crate) fn parse_design(
+    spec: &Json,
+    netlist: Option<&Json>,
+) -> Result<(FunctionalSpec, Netlist), String> {
+    let spec = parse_spec(spec)?;
+    let netlist = parse_netlist(netlist.ok_or("job misses 'netlist'")?)?;
+    Ok((spec, netlist))
 }
 
 fn strategy_name(strategy: ProofStrategy) -> &'static str {

@@ -14,7 +14,7 @@
 //! scan, and the table holds the jobs in flight plus at most
 //! [`RETAINED_FINISHED`] finished ones. A record is released in steps:
 //!
-//! * a claimed job's record hands its request to the worker, so a finished
+//! * a claimed job's record hands the job to the worker, so a finished
 //!   record keeps only its outcome;
 //! * [`JobQueue::wait`] hands the outcome over and removes the record;
 //! * a finished record nobody waits for is dropped once
@@ -30,7 +30,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crate::protocol::{JobOutcome, JobRequest, Verdict};
+use crate::design::Job;
+use crate::protocol::{JobOutcome, Verdict};
 
 /// Finished records nobody waited for that the table keeps: a finished
 /// record is dropped once this many later jobs have finished.
@@ -72,9 +73,9 @@ pub enum Missing {
 
 /// A job in the table.
 enum JobRecord {
-    /// Waiting for a worker: the request and its cancellation token.
-    Queued(Arc<JobRequest>, Arc<AtomicBool>),
-    /// Claimed: the worker holds the request; the token stays here for
+    /// Waiting for a worker: the job and its cancellation token.
+    Queued(Job, Arc<AtomicBool>),
+    /// Claimed: the worker holds the job; the token stays here for
     /// `cancel` and shutdown.
     Running(Arc<AtomicBool>),
     /// Finished: only the outcome is kept.
@@ -163,20 +164,23 @@ impl JobQueue {
     }
 
     /// Enqueues a job; returns its id. After shutdown the job is recorded
-    /// as immediately cancelled instead of queued.
-    pub fn submit(&self, request: Arc<JobRequest>) -> u64 {
+    /// as immediately cancelled instead of queued. A [`JobRequest`]
+    /// (`.into()`) is a job with a design of its own.
+    ///
+    /// [`JobRequest`]: crate::JobRequest
+    pub fn submit(&self, job: Job) -> u64 {
         let mut state = self.lock();
         let id = state.issue();
         if !state.shutdown {
             state
                 .jobs
-                .insert(id, JobRecord::Queued(request, Arc::default()));
+                .insert(id, JobRecord::Queued(job, Arc::default()));
             state.pending.push_back(id);
             state.queued += 1;
             self.work.notify_one();
             return id;
         }
-        let outcome = canceled_outcome(&request, "server shutting down");
+        let outcome = canceled_outcome(&job, "server shutting down");
         let _released = state.finish(id, outcome);
         drop(state);
         id
@@ -196,27 +200,29 @@ impl JobQueue {
     /// Blocks until a job is available and claims it, or returns `None` at
     /// shutdown. A job cancelled while still queued is finished on the spot
     /// (with a [`Verdict::Canceled`] outcome) rather than handed out.
-    pub fn claim(&self) -> Option<(u64, Arc<JobRequest>, Arc<AtomicBool>)> {
+    pub fn claim(&self) -> Option<(u64, Job, Arc<AtomicBool>)> {
         let mut released = Vec::new();
         let mut state = self.lock();
         loop {
             while let Some(id) = state.pending.pop_front() {
                 state.queued -= 1;
-                let Some(JobRecord::Queued(request, cancel)) = state.jobs.get(&id) else {
+                let Some(JobRecord::Queued(job, cancel)) = state.jobs.get(&id) else {
                     unreachable!("a pending job is queued");
                 };
                 if cancel.load(Ordering::Relaxed) {
-                    let outcome = canceled_outcome(request, "canceled while queued");
+                    let outcome = canceled_outcome(job, "canceled while queued");
                     released.push(state.finish(id, outcome));
                     self.done.notify_all();
                     continue;
                 }
-                // The worker takes the request; the record keeps the token.
-                let claimed = (id, Arc::clone(request), Arc::clone(cancel));
-                let running = JobRecord::Running(Arc::clone(&claimed.2));
-                state.jobs.insert(id, running);
+                // The worker takes the job; the record keeps the token.
+                let cancel = Arc::clone(cancel);
+                let running = JobRecord::Running(Arc::clone(&cancel));
+                let Some(JobRecord::Queued(job, _)) = state.jobs.insert(id, running) else {
+                    unreachable!("a pending job is queued");
+                };
                 state.running += 1;
-                return Some(claimed);
+                return Some((id, job, cancel));
             }
             if state.shutdown {
                 return None;
@@ -303,11 +309,11 @@ impl JobQueue {
         state.shutdown = true;
         while let Some(id) = state.pending.pop_front() {
             state.queued -= 1;
-            let Some(JobRecord::Queued(request, cancel)) = state.jobs.get(&id) else {
+            let Some(JobRecord::Queued(job, cancel)) = state.jobs.get(&id) else {
                 unreachable!("a pending job is queued");
             };
             cancel.store(true, Ordering::Relaxed);
-            let outcome = canceled_outcome(request, "server shutting down");
+            let outcome = canceled_outcome(job, "server shutting down");
             released.push(state.finish(id, outcome));
         }
         for record in state.jobs.values() {
@@ -332,8 +338,9 @@ impl JobQueue {
 }
 
 /// The outcome of a job cancelled before a worker decided it.
-fn canceled_outcome(request: &JobRequest, detail: &str) -> JobOutcome {
-    let property = request
+fn canceled_outcome(job: &Job, detail: &str) -> JobOutcome {
+    let property = job
+        .view()
         .resolve_property()
         .map(|p| p.name)
         .unwrap_or_default();
@@ -355,16 +362,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::*;
-    use crate::protocol::PropertyRequest;
+    use crate::protocol::{JobRequest, PropertyRequest};
     use ipcl_bmc::PropertyKind;
     use ipcl_checker::ProofStrategy;
     use ipcl_core::example::ExampleArch;
     use ipcl_synth::synthesize_interlock;
 
-    fn request() -> Arc<JobRequest> {
+    fn request() -> Job {
         let spec = ExampleArch::new().functional_spec();
         let netlist = synthesize_interlock(&spec).netlist().clone();
-        Arc::new(JobRequest {
+        Job::from(JobRequest {
             spec,
             netlist,
             property: PropertyRequest {
@@ -458,9 +465,9 @@ mod tests {
         // Awaited jobs, and every third cycle one nobody waits for.
         let mut unawaited = Vec::new();
         for cycle in 0..100_000 {
-            let id = queue.submit(Arc::clone(&job));
+            let id = queue.submit(job.clone());
             if cycle % 3 == 0 {
-                unawaited.push(queue.submit(Arc::clone(&job)));
+                unawaited.push(queue.submit(job.clone()));
             }
             within_bound(&queue);
             while queue.stats().queued > 0 {
@@ -593,7 +600,7 @@ mod tests {
                         model.shutdown = true;
                     }
                     0..20 => {
-                        let id = queue.submit(Arc::clone(&job));
+                        let id = queue.submit(job.clone());
                         assert_eq!(id, model.next_id);
                         model.next_id += 1;
                         if model.shutdown {

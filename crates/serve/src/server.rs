@@ -18,8 +18,8 @@
 //! * `wait` — block until the job finishes, answer the result and release
 //!   the job's record;
 //! * `cancel` — flag a job's cancellation token;
-//! * `stats` — queue and cache counters, with `retained`, the job records
-//!   the server holds;
+//! * `stats` — queue, cache and design table counters, with `retained`,
+//!   the job records the server holds;
 //! * `shutdown` — acknowledge, then begin graceful shutdown: cancel
 //!   in-flight jobs cooperatively, drain and join workers, join
 //!   connections, release the listener.
@@ -30,6 +30,14 @@
 //! finished. `wait` or `status` on a released id answers
 //! `{"ok": false, "error": "job N expired"}`; an id the server never issued
 //! answers the unknown-id error, and `cancel` on either answers `false`.
+//!
+//! `submit` and `submit_batch` parse their line with
+//! [`Json::parse_deferring`], leaving each job's `"spec"` and `"netlist"`
+//! as text, and take the design from the server's design table
+//! ([`crate::design`]): a design whose exact text the table holds is not
+//! parsed again, and its jobs share one copy of it. The replies are the
+//! ones [`JobRequest::from_json`](crate::JobRequest::from_json) would give,
+//! errors included.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -43,8 +51,8 @@ use ipcl_trace::json::{write_json_string, Json};
 use ipcl_trace::{Tracer, Value};
 
 use crate::cache::{job_key, CacheLimits, ProofCache};
+use crate::design::{DesignTable, DESIGN_MEMBERS};
 use crate::pool::{cached_outcome, WorkerPool};
-use crate::protocol::JobRequest;
 use crate::queue::{JobQueue, JobState, Missing};
 
 /// Server knobs.
@@ -78,6 +86,7 @@ pub struct Server {
     addr: SocketAddr,
     queue: Arc<JobQueue>,
     cache: Arc<ProofCache>,
+    designs: Arc<DesignTable>,
     shutdown: Arc<AtomicBool>,
     accept_handle: JoinHandle<()>,
     pool: WorkerPool,
@@ -99,18 +108,21 @@ impl Server {
             config.cache_dir.clone(),
             config.cache_limits,
         ));
+        let designs = Arc::new(DesignTable::new());
         let shutdown = Arc::new(AtomicBool::new(false));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let pool = WorkerPool::spawn(
             config.workers,
             Arc::clone(&queue),
             Arc::clone(&cache),
+            Arc::clone(&designs),
             tracer.clone(),
         );
 
         let accept_handle = {
             let queue = Arc::clone(&queue);
             let cache = Arc::clone(&cache);
+            let designs = Arc::clone(&designs);
             let shutdown = Arc::clone(&shutdown);
             let connections = Arc::clone(&connections);
             let tracer = tracer.clone();
@@ -124,12 +136,15 @@ impl Server {
                         let Ok(stream) = stream else { continue };
                         let queue = Arc::clone(&queue);
                         let cache = Arc::clone(&cache);
+                        let designs = Arc::clone(&designs);
                         let shutdown = Arc::clone(&shutdown);
                         let tracer = tracer.clone();
                         let handle = std::thread::Builder::new()
                             .name("ipcl-serve-conn".to_owned())
                             .spawn(move || {
-                                handle_connection(stream, &queue, &cache, &shutdown, &tracer);
+                                handle_connection(
+                                    stream, &queue, &cache, &designs, &shutdown, &tracer,
+                                );
                             })
                             .expect("spawn connection thread");
                         connections.lock().expect("connections lock").push(handle);
@@ -146,6 +161,7 @@ impl Server {
             addr,
             queue,
             cache,
+            designs,
             shutdown,
             accept_handle,
             pool,
@@ -168,6 +184,11 @@ impl Server {
     /// The shared proof cache.
     pub fn cache(&self) -> &Arc<ProofCache> {
         &self.cache
+    }
+
+    /// The design table of the jobs submitted over the wire.
+    pub fn designs(&self) -> &Arc<DesignTable> {
+        &self.designs
     }
 
     /// Whether a client asked the server to shut down (the binary's serve
@@ -207,6 +228,7 @@ fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
     cache: &ProofCache,
+    designs: &DesignTable,
     shutdown: &AtomicBool,
     tracer: &Tracer,
 ) {
@@ -255,7 +277,7 @@ fn handle_connection(
                 line.clear();
                 continue;
             }
-            Ok(text) => respond(text.trim(), queue, cache, shutdown, tracer),
+            Ok(text) => respond(text.trim(), queue, cache, designs, shutdown, tracer),
             Err(e) => error_response(&format!("bad request: {e}")),
         };
         line.clear();
@@ -287,10 +309,11 @@ fn respond(
     line: &str,
     queue: &JobQueue,
     cache: &ProofCache,
+    designs: &DesignTable,
     shutdown: &AtomicBool,
     tracer: &Tracer,
 ) -> String {
-    let request = match Json::parse(line) {
+    let request = match Json::parse_deferring(line, DESIGN_MEMBERS) {
         Ok(request) => request,
         Err(e) => return error_response(&format!("bad request: {e}")),
     };
@@ -299,9 +322,9 @@ fn respond(
             let Some(job) = request.get("job") else {
                 return error_response("submit misses 'job'");
             };
-            match JobRequest::from_json(job) {
+            match designs.job(job, line) {
                 Ok(job) => {
-                    let id = queue.submit(Arc::new(job));
+                    let id = queue.submit(job);
                     tracer.event("serve.job_submitted", &[("id", Value::U64(id))]);
                     format!("{{\"ok\": true, \"id\": {id}}}")
                 }
@@ -314,8 +337,8 @@ fn respond(
             };
             let mut parsed = Vec::with_capacity(jobs.len());
             for (i, job) in jobs.iter().enumerate() {
-                match JobRequest::from_json(job) {
-                    Ok(job) => parsed.push(Arc::new(job)),
+                match designs.job(job, line) {
+                    Ok(job) => parsed.push(job),
                     Err(message) => return error_response(&format!("job {i}: {message}")),
                 }
             }
@@ -324,9 +347,10 @@ fn respond(
             let mut presolved = 0;
             let mut rendered = Vec::with_capacity(parsed.len());
             for job in parsed {
-                let hit = job.resolve_property().ok().and_then(|property| {
-                    let key = job_key(&job, &property);
-                    cached_outcome(&job, &property, &key, cache, tracer)
+                let view = job.view();
+                let hit = view.resolve_property().ok().and_then(|property| {
+                    let key = job_key(view, &property);
+                    cached_outcome(view, &property, &key, cache, tracer)
                 });
                 let id = match hit {
                     Some(outcome) => {
@@ -375,11 +399,14 @@ fn respond(
         Some("stats") => {
             let queue_stats = queue.stats();
             let cache_stats = cache.stats();
+            let design_stats = designs.stats();
             format!(
                 "{{\"ok\": true, \"queued\": {}, \"running\": {}, \"done\": {}, \
                  \"retained\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
                  \"revalidation_failures\": {}, \"cache_evictions\": {}, \
-                 \"cache_entries\": {}, \"cache_bytes\": {}}}",
+                 \"cache_entries\": {}, \"cache_bytes\": {}, \"design_entries\": {}, \
+                 \"design_bytes\": {}, \"design_hits\": {}, \"design_misses\": {}, \
+                 \"design_evictions\": {}}}",
                 queue_stats.queued,
                 queue_stats.running,
                 queue_stats.done,
@@ -389,7 +416,12 @@ fn respond(
                 cache_stats.revalidation_failures,
                 cache_stats.evictions,
                 cache.len(),
-                cache.bytes()
+                cache.bytes(),
+                design_stats.entries,
+                design_stats.bytes,
+                design_stats.hits,
+                design_stats.misses,
+                design_stats.evictions
             )
         }
         Some("shutdown") => {

@@ -8,8 +8,9 @@
 //! (the wire default) must answer like a direct check,
 //! cancellation/stats/shutdown must behave, a delivered job's id must
 //! answer "expired", request lines must survive read timeouts but not grow
-//! without bound, and cut, bit-flipped or hostile request lines must get
-//! well-formed replies.
+//! without bound, and hostile request lines must get well-formed replies
+//! (`wire_differential.rs` holds cut and mutated lines to the replies of
+//! the reference parse).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -29,8 +30,6 @@ use ipcl_serve::{
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::json::Json;
 use ipcl_trace::Tracer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn correct_job(stage_index: usize) -> JobRequest {
     let spec = ExampleArch::new().functional_spec();
@@ -493,6 +492,11 @@ fn cancel_stats_and_unknown_ids_behave_over_the_wire() {
         "revalidation_failures",
         "cache_entries",
         "retained",
+        "design_entries",
+        "design_bytes",
+        "design_hits",
+        "design_misses",
+        "design_evictions",
     ] {
         assert!(
             stats.get(field).and_then(Json::as_u64).is_some(),
@@ -633,71 +637,6 @@ fn an_over_long_line_gets_an_error_and_the_server_keeps_serving() {
     let mut client = Client::connect(&addr.to_string()).expect("reconnect");
     let stats = client.stats().expect("a new connection is served");
     assert!(stats.get("done").is_some());
-    server.shutdown();
-}
-
-#[test]
-fn cut_and_bit_flipped_submit_lines_get_well_formed_replies() {
-    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    // A reply that takes longer than this is a hang.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let line = format!(
-        "{{\"cmd\": \"submit\", \"job\": {}}}",
-        correct_job(0).to_json_string()
-    );
-    // Sends one request line; the reply must be one JSON line, either
-    // `{"ok": false, "error": …}` or a submit's `{"ok": true, "id": N}`.
-    let mut ask = |request: &[u8]| -> bool {
-        let shown = String::from_utf8_lossy(request);
-        stream.write_all(&[request, b"\n"].concat()).expect("send");
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("a reply, not a hang");
-        assert!(reply.ends_with('\n'), "no reply line to {shown}");
-        let reply = Json::parse(reply.trim()).expect("the reply is JSON");
-        let ok = reply
-            .get("ok")
-            .and_then(Json::as_bool)
-            .expect("an 'ok' field");
-        if ok {
-            assert!(
-                reply.get("id").and_then(Json::as_u64).is_some(),
-                "{reply:?}"
-            );
-        } else {
-            assert!(
-                reply.get("error").and_then(Json::as_str).is_some(),
-                "{reply:?}"
-            );
-        }
-        ok
-    };
-
-    // Every cut short of the whole line is refused; the whole line is not.
-    for end in 1..line.len() {
-        assert!(!ask(&line.as_bytes()[..end]), "cut at byte {end}");
-    }
-    assert!(ask(line.as_bytes()));
-
-    // One to three flipped bits per line: errors, or jobs that still parse.
-    let mut rng = StdRng::seed_from_u64(0x5eed);
-    let mut accepted = 0;
-    for _ in 0..400 {
-        let mut bytes = line.clone().into_bytes();
-        for _ in 0..rng.random_range(1..=3) {
-            let at = rng.random_range(0..bytes.len());
-            let flipped = bytes[at] ^ (1u8 << rng.random_range(0..8u32));
-            // A newline would split the request in two.
-            if flipped != b'\n' {
-                bytes[at] = flipped;
-            }
-        }
-        accepted += usize::from(ask(&bytes));
-    }
-    assert!(accepted < 400, "the flips reach the error replies");
     server.shutdown();
 }
 

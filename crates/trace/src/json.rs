@@ -11,8 +11,17 @@
 //! fields round-trip through JSONL unchanged. Nesting is bounded
 //! ([`Json::parse`]), so an untrusted request line cannot overflow the
 //! parsing thread's stack.
+//!
+//! [`Json::parse_deferring`] is the same parser with some members left
+//! unbuilt: it validates the values at the paths it is given by the same
+//! code, without allocating, and leaves each as [`Json::Deferred`], the
+//! byte range of its text. It accepts exactly what [`Json::parse`] accepts,
+//! with the same errors. `ipcl-serve` defers a job's spec and netlist this
+//! way, so a design it has seen before is looked up by its text instead of
+//! being built again.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use crate::Value;
 
@@ -81,19 +90,52 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in source order (duplicate keys keep the first).
     Obj(Vec<(String, Json)>),
+    /// A value [`Json::parse_deferring`] validated but did not build: the
+    /// byte range of its text in the parsed document. [`Json::parse`] never
+    /// makes one.
+    Deferred(Range<usize>),
+}
+
+/// One step of a path from a document's root to a value: the member of an
+/// object under a key, or any element of an array.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Step {
+    /// The member under this key.
+    Key(&'static str),
+    /// Every element.
+    Each,
 }
 
 impl Json {
     /// Parses `text` as one JSON document (trailing whitespace allowed).
     /// A document nesting more than 64 arrays and objects is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
+        Json::parse_deferring(text, &[])
+    }
+
+    /// Parses `text` as [`Json::parse`] does, except that each value whose
+    /// path from the root is one of `deferred` is validated without being
+    /// built, and stands in the tree as [`Json::Deferred`] with the byte
+    /// range of its text. The validation is the building parser's own code,
+    /// so a document is accepted exactly when [`Json::parse`] accepts it,
+    /// with the same error, nesting counts from the document's root, and a
+    /// duplicate key's value is dropped as it is in [`Json::Obj`], so the
+    /// first of two deferred members is the one deferred. Parsing a
+    /// deferred value's text gives the subtree [`Json::parse`] builds.
+    ///
+    /// # Panics
+    ///
+    /// With more than 64 paths.
+    pub fn parse_deferring(text: &str, deferred: &[&[Step]]) -> Result<Json, String> {
+        assert!(deferred.len() <= 64, "at most 64 deferred paths");
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
+            deferred,
         };
-        let value = p.value()?;
+        let value = p.member(if deferred.is_empty() { 0 } else { u64::MAX })?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
@@ -171,6 +213,8 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects open at `pos`.
     depth: usize,
+    /// The paths of the values to defer.
+    deferred: &'a [&'a [Step]],
 }
 
 impl<'a> Parser<'a> {
@@ -223,11 +267,51 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Builds the value at `pos`, or defers it when one of the deferred
+    /// paths flagged in `live` ends here. Bit `i` of `live` is set when the
+    /// value's path starts with the first [`Parser::depth`] steps of
+    /// deferred path `i`.
+    fn member(&mut self, live: u64) -> Result<Json, String> {
+        let ends_here =
+            |(i, path): (usize, &&[Step])| live >> i & 1 == 1 && path.len() == self.depth;
+        if live == 0 || !self.deferred.iter().enumerate().any(ends_here) {
+            return self.value::<true>(live);
+        }
+        self.skip_ws();
+        let start = self.pos;
+        self.value::<false>(0)?;
+        Ok(Json::Deferred(start..self.pos))
+    }
+
+    /// The deferred paths flagged in `live` that go on to the member `key`
+    /// (`None`: an element) of the container just opened.
+    fn child(&self, live: u64, key: Option<&str>) -> u64 {
+        if live == 0 {
+            return 0;
+        }
+        let step = self.depth - 1;
+        let mut next = 0;
+        for (i, path) in self.deferred.iter().enumerate() {
+            let matches = match (path.get(step), key) {
+                (Some(Step::Key(want)), Some(key)) => *want == key,
+                (Some(Step::Each), None) => true,
+                _ => false,
+            };
+            if live >> i & 1 == 1 && matches {
+                next |= 1 << i;
+            }
+        }
+        next
+    }
+
+    /// Parses the value at `pos`. With `BUILD` off it runs the same code
+    /// without allocating, only to validate, and answers [`Json::Null`];
+    /// with it on, `live` is as in [`Parser::member`].
+    fn value<const BUILD: bool>(&mut self, live: u64) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => self.object::<BUILD>(live),
+            Some(b'[') => self.array::<BUILD>(live),
+            Some(b'"') => Ok(Json::Str(self.string::<BUILD>()?)),
             Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
             Some(b'n') => self.literal("null").map(|()| Json::Null),
@@ -236,7 +320,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object<const BUILD: bool>(&mut self, live: u64) -> Result<Json, String> {
         self.open(b'{')?;
         let mut members = Vec::new();
         if self.peek() == Some(b'}') {
@@ -244,11 +328,14 @@ impl<'a> Parser<'a> {
             return Ok(Json::Obj(members));
         }
         loop {
-            let key = self.string()?;
+            let key = self.string::<BUILD>()?;
             self.expect(b':')?;
-            let value = self.value()?;
-            if !members.iter().any(|(k, _)| *k == key) {
+            // A duplicate key's value is validated and dropped.
+            if BUILD && !members.iter().any(|(k, _)| *k == key) {
+                let value = self.member(self.child(live, Some(&key)))?;
                 members.push((key, value));
+            } else {
+                self.value::<false>(0)?;
             }
             match self.peek() {
                 Some(b',') => self.expect(b',')?,
@@ -261,7 +348,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array<const BUILD: bool>(&mut self, live: u64) -> Result<Json, String> {
         self.open(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
@@ -269,7 +356,11 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            if BUILD {
+                items.push(self.member(self.child(live, None))?);
+            } else {
+                self.value::<false>(0)?;
+            }
             match self.peek() {
                 Some(b',') => self.expect(b',')?,
                 Some(b']') => {
@@ -281,7 +372,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Scans a string; the text is built only with `BUILD` on.
+    fn string<const BUILD: bool>(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -295,7 +387,9 @@ impl<'a> Parser<'a> {
             else {
                 return Err("unterminated string".to_owned());
             };
-            out.push_str(&self.text[start..start + run]);
+            if BUILD {
+                out.push_str(&self.text[start..start + run]);
+            }
             self.pos = start + run + 1;
             if self.bytes[start + run] == b'"' {
                 return Ok(out);
@@ -304,15 +398,15 @@ impl<'a> Parser<'a> {
                 return Err("unterminated escape".to_owned());
             };
             self.pos += 1;
-            match esc {
-                b'"' => out.push('"'),
-                b'\\' => out.push('\\'),
-                b'/' => out.push('/'),
-                b'b' => out.push('\u{8}'),
-                b'f' => out.push('\u{c}'),
-                b'n' => out.push('\n'),
-                b'r' => out.push('\r'),
-                b't' => out.push('\t'),
+            let c = match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
                 b'u' => {
                     let hex = self
                         .bytes
@@ -324,9 +418,12 @@ impl<'a> Parser<'a> {
                         16,
                     )
                     .map_err(|e| e.to_string())?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                    char::from_u32(code).ok_or("invalid \\u escape")?
                 }
                 other => return Err(format!("bad escape '\\{}'", other as char)),
+            };
+            if BUILD {
+                out.push(c);
             }
         }
     }
@@ -550,42 +647,204 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_run_scanner_matches_the_per_code_point_scanner() {
+    /// The string documents the scanner tests cut: seeded runs of pieces
+    /// (plain and multi-byte text, good and bad escapes), closed or not.
+    fn string_documents() -> Vec<String> {
         let pieces = [
             "a", "xyz", " ", "é", "ß", "€", "中", "😀", "𝄞", "\\n", "\\\"", "\\\\", "\\/", "\\t",
             "\\u00e9", "\\u20AC", "\\u0041", "\\ud83d", "\\u+0e9", "\\uzz12", "\\q", "\\é", "\"",
             "\\u12",
         ];
         let mut rng = StdRng::seed_from_u64(0x2545_f491);
+        (0..2_000)
+            .map(|_| {
+                let mut text = String::from("\"");
+                for _ in 0..rng.random_range(0..8) {
+                    text.push_str(pieces[rng.random_range(0..pieces.len())]);
+                }
+                if rng.random_bool(0.5) {
+                    text.push('"');
+                }
+                text
+            })
+            .collect()
+    }
+
+    /// Every prefix of `text` that is a whole `str`, as a cut request line
+    /// is.
+    fn prefixes(text: &str) -> impl Iterator<Item = &str> {
+        (1..=text.len())
+            .filter(|&end| text.is_char_boundary(end))
+            .map(|end| &text[..end])
+    }
+
+    #[test]
+    fn the_run_scanner_matches_the_per_code_point_scanner() {
         let mut compared = 0;
-        for _ in 0..2_000 {
-            let mut text = String::from("\"");
-            for _ in 0..rng.random_range(0..8) {
-                text.push_str(pieces[rng.random_range(0..pieces.len())]);
-            }
-            if rng.random_bool(0.5) {
-                text.push('"');
-            }
-            // Every prefix that is a whole `str`, as a cut request line is.
-            for end in (1..=text.len()).filter(|&end| text.is_char_boundary(end)) {
-                let prefix = &text[..end];
-                let mut parser = Parser {
+        for text in string_documents() {
+            for prefix in prefixes(&text) {
+                let parser = || Parser {
                     text: prefix,
                     bytes: prefix.as_bytes(),
                     pos: 0,
                     depth: 0,
+                    deferred: &[],
                 };
-                let scanned = parser.string();
+                let (mut built, mut validated) = (parser(), parser());
+                let scanned = built.string::<true>();
                 let reference = per_code_point_string(prefix.as_bytes(), 1);
                 assert_eq!(scanned, reference.0, "{prefix:?}");
                 if scanned.is_ok() {
-                    assert_eq!(parser.pos, reference.1, "{prefix:?}");
+                    assert_eq!(built.pos, reference.1, "{prefix:?}");
                 }
+                // The validate-only scan stops and fails alike.
+                let checked = validated.string::<false>();
+                assert_eq!(checked.map(|_| validated.pos), scanned.map(|_| built.pos));
                 compared += 1;
             }
         }
         assert!(compared > 10_000, "{compared}");
+    }
+
+    /// The deferred paths of a `submit` or `submit_batch` request.
+    const DESIGN_MEMBERS: &[&[Step]] = &[
+        &[Step::Key("job"), Step::Key("spec")],
+        &[Step::Key("job"), Step::Key("netlist")],
+        &[Step::Key("jobs"), Step::Each, Step::Key("spec")],
+        &[Step::Key("jobs"), Step::Each, Step::Key("netlist")],
+    ];
+
+    /// `tree` with each deferred value replaced by the parse of its text.
+    fn undefer(tree: Json, text: &str) -> Json {
+        match tree {
+            Json::Deferred(range) => {
+                Json::parse(&text[range]).expect("a deferred value's text parses")
+            }
+            Json::Arr(items) => Json::Arr(items.into_iter().map(|v| undefer(v, text)).collect()),
+            Json::Obj(members) => Json::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (k, undefer(v, text)))
+                    .collect(),
+            ),
+            other => other,
+        }
+    }
+
+    fn count_deferred(tree: &Json) -> usize {
+        match tree {
+            Json::Deferred(_) => 1,
+            Json::Arr(items) => items.iter().map(count_deferred).sum(),
+            Json::Obj(members) => members.iter().map(|(_, v)| count_deferred(v)).sum(),
+            _ => 0,
+        }
+    }
+
+    /// Asserts that deferring `deferred` in `text` accepts exactly when
+    /// [`Json::parse`] does, with its error, and that each deferred span
+    /// re-parses to the subtree `Json::parse` built. Answers how many values
+    /// were deferred.
+    fn defers_like_parse(text: &str, deferred: &[&[Step]]) -> usize {
+        match (Json::parse(text), Json::parse_deferring(text, deferred)) {
+            (Ok(built), Ok(tree)) => {
+                let count = count_deferred(&tree);
+                assert_eq!(undefer(tree, text), built, "{text:?}");
+                count
+            }
+            (Err(built), Err(deferring)) => {
+                assert_eq!(deferring, built, "{text:?}");
+                0
+            }
+            (built, deferring) => panic!("{text:?}: {built:?} but {deferring:?}"),
+        }
+    }
+
+    #[test]
+    fn deferring_accepts_and_fails_exactly_like_parse() {
+        let documents = string_documents();
+        let mut deferred = 0;
+        for text in &documents {
+            for prefix in prefixes(text) {
+                // The document itself deferred, and placed in a member.
+                deferred += defers_like_parse(prefix, &[&[]]);
+                let request = format!("{{\"job\": {{\"spec\": {prefix}, \"netlist\": 1}}}}");
+                deferred += defers_like_parse(&request, DESIGN_MEMBERS);
+            }
+        }
+        // Whole requests cut at every byte: deferred members of `job` and
+        // of each `jobs` element, and lookalikes that are not deferred (a
+        // `spec` inside `property`, a `jobs` object).
+        for text in documents.iter().take(60) {
+            let request = format!(
+                "{{\"cmd\": \"submit\", \"job\": {{\"spec\": {{\"stages\": [{text}, -1.5e3]}}, \
+                 \"netlist\": [{text}, true, null], \"property\": {{\"spec\": {text}}}}}, \
+                 \"jobs\": [{{\"netlist\": {text}, \"spec\": [{text}]}}, {text}], \
+                 \"more\": {{\"jobs\": {{\"spec\": 1}}}}}}"
+            );
+            for prefix in prefixes(&request) {
+                deferred += defers_like_parse(prefix, DESIGN_MEMBERS);
+            }
+        }
+        assert!(deferred > 1_000, "{deferred}");
+    }
+
+    #[test]
+    fn deferred_nesting_counts_from_the_root() {
+        for levels in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1] {
+            // The root and `job` are two levels; the spec holds the rest.
+            let inner = levels - 2;
+            let text = format!(
+                "{{\"job\": {{\"spec\": {}{}}}}}",
+                "[".repeat(inner),
+                "]".repeat(inner)
+            );
+            let expected = usize::from(levels <= MAX_DEPTH);
+            assert_eq!(
+                defers_like_parse(&text, DESIGN_MEMBERS),
+                expected,
+                "{levels}"
+            );
+            // In a batch the root, `jobs` and its element are three.
+            let inner = levels - 3;
+            let text = format!(
+                "{{\"jobs\": [{{\"netlist\": {}{}}}]}}",
+                "{\"a\": ".repeat(inner),
+                "}".repeat(inner).replacen('}', "1}", 1)
+            );
+            assert_eq!(
+                defers_like_parse(&text, DESIGN_MEMBERS),
+                expected,
+                "{levels}"
+            );
+        }
+        let past = format!("{{\"job\": {{\"spec\": {}}}}}", "[".repeat(MAX_DEPTH));
+        let error = Json::parse_deferring(&past, DESIGN_MEMBERS).unwrap_err();
+        assert!(error.contains("nesting deeper"), "{error}");
+    }
+
+    #[test]
+    fn a_duplicate_deferred_key_defers_the_first() {
+        let text = r#"{"job": {"spec": [1], "netlist": 2, "spec": {"a": 3}},
+                       "job": {"spec": 4, "netlist": 5}}"#;
+        assert_eq!(defers_like_parse(text, DESIGN_MEMBERS), 2);
+        let tree = Json::parse_deferring(text, DESIGN_MEMBERS).unwrap();
+        let Some(Json::Deferred(spec)) = tree.get("job").and_then(|job| job.get("spec")) else {
+            panic!("job.spec is deferred: {tree:?}");
+        };
+        assert_eq!(&text[spec.clone()], "[1]");
+        // A bad duplicate fails the document as it fails `Json::parse`.
+        let bad = r#"{"job": {"spec": 1, "spec": [1,]}}"#;
+        assert_eq!(defers_like_parse(bad, DESIGN_MEMBERS), 0);
+        assert!(Json::parse_deferring(bad, DESIGN_MEMBERS).is_err());
+    }
+
+    #[test]
+    fn only_the_named_paths_are_deferred() {
+        let text = r#"{"spec": 1, "job": {"property": {"spec": 2}, "jobs": [{"spec": 3}]},
+                       "jobs": {"spec": 4}, "netlist": [5]}"#;
+        assert_eq!(defers_like_parse(text, DESIGN_MEMBERS), 0);
+        let batch = r#"{"jobs": [{"spec": 1}, [{"spec": 2}], {"netlist": 3, "x": {"spec": 4}}]}"#;
+        assert_eq!(defers_like_parse(batch, DESIGN_MEMBERS), 2);
     }
 
     #[test]
